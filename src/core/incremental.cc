@@ -31,6 +31,11 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
     return Status::InvalidArgument(
         "condition_records=true requires the employee schema");
   }
+  // Validate every key before admitting anything: a bad key spec must
+  // leave the engine exactly as it was.
+  for (const KeyState& state : key_states_) {
+    MERGEPURGE_RETURN_NOT_OK(KeyBuilder(state.spec).Validate(batch.schema()));
+  }
 
   // Any admitted record changes the partition (at minimum it adds a
   // singleton): drop the label cache, and keep holding labels_mu_ for the
@@ -62,7 +67,6 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
 
   for (KeyState& state : key_states_) {
     KeyBuilder builder(state.spec);
-    MERGEPURGE_RETURN_NOT_OK(builder.Validate(all_.schema()));
 
     // Key + sort the new tuple ids.
     state.keys.resize(all_.size());

@@ -33,8 +33,8 @@
 //           the policy point is kept distinct for future sub-batch use)
 //   none    never fsync; the OS page cache decides (fast, test-only)
 //
-// Locking: WalWriter::mu_ is a leaf lock in the service hierarchy —
-// CommitBatch holds no other lock while appending (docs/concurrency.md).
+// Locking: WalWriter::mu_ has rank lockrank::kWal (util/lock_ranks.h);
+// CommitBatch holds no other lock while appending.
 
 #ifndef MERGEPURGE_SERVICE_WAL_H_
 #define MERGEPURGE_SERVICE_WAL_H_

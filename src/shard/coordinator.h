@@ -30,8 +30,9 @@
 // Locking (docs/concurrency.md): three independent leaf mutexes, never
 // held together — routing_mu_ (router bootstrap + boundary bands, whose
 // in-band test depends on admission order), closure_mu_ (global closure
-// + label spaces), pool_mu_ (shard connection pools). Shard RPCs run
-// with no coordinator lock held.
+// + label spaces), pool_mu_ (shard connection pools). They share
+// lockrank::kCoordLeaf, so the runtime validator aborts if any two
+// nest. Shard RPCs run with no coordinator lock held.
 
 #ifndef MERGEPURGE_SHARD_COORDINATOR_H_
 #define MERGEPURGE_SHARD_COORDINATOR_H_
@@ -171,7 +172,7 @@ class CoordService : public RequestDispatcher {
 
   CoordinatorOptions options_;
 
-  mutable Mutex routing_mu_{lockrank::kCoordRouting};
+  mutable Mutex routing_mu_{lockrank::kCoordLeaf};
   // Immutable once built; the shared_ptr lets requests route outside
   // the mutex after a brief load. Null until the first sample arrives.
   std::shared_ptr<const ShardRouter> router_
@@ -181,13 +182,13 @@ class CoordService : public RequestDispatcher {
   std::vector<BoundaryBand> bands_ MERGEPURGE_GUARDED_BY(routing_mu_);
   Rng routing_rng_ MERGEPURGE_GUARDED_BY(routing_mu_);
 
-  mutable Mutex closure_mu_{lockrank::kCoordClosure};
+  mutable Mutex closure_mu_{lockrank::kCoordLeaf};
   GlobalClosure closure_ MERGEPURGE_GUARDED_BY(closure_mu_);
   // One label space per shard, indexed by shard id.
   std::vector<std::unique_ptr<ShardLabelSpace>> spaces_
       MERGEPURGE_GUARDED_BY(closure_mu_);
 
-  mutable Mutex pool_mu_{lockrank::kCoordPool};
+  mutable Mutex pool_mu_{lockrank::kCoordLeaf};
   // pools_[shard] is a free-list of idle connections to that shard.
   std::vector<std::vector<std::unique_ptr<PooledClient>>> pools_
       MERGEPURGE_GUARDED_BY(pool_mu_);

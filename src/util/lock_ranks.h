@@ -1,23 +1,18 @@
-// The process-wide lock hierarchy, as numbers.
+// The process-wide lock hierarchy, as numbers. This header is its only
+// copy.
 //
-// Every Mutex/SharedMutex in the codebase is constructed with one of the
-// ranks below; a thread may only acquire a lock whose rank is STRICTLY
-// GREATER than every lock it already holds. The rank order therefore IS
-// the acquisition order: lower rank = outer lock, and the debug-build
-// LockOrderValidator (util/sync.cc, MERGEPURGE_LOCK_ORDER_CHECKS) aborts
-// the process on any out-of-order acquire.
-//
-// The same hierarchy lives as data in tools/lock_hierarchy.json — the
-// manifest tools/mergepurge_deadlockcheck verifies this header, the
-// source tree, and docs/concurrency.md against. Adding a lock means
-// adding it in all three places; the checker fails CI until they agree.
+// Every Mutex/SharedMutex is constructed with one of the ranks below
+// (there is no default constructor, so an unranked lock does not
+// compile). A thread may only acquire a lock whose rank is STRICTLY
+// GREATER than every lock it already holds, and the runtime validator
+// (util/sync.cc) aborts the process on the first acquire that breaks
+// this, in every build. Rank order is the whole policy: lower rank =
+// outer lock, any rank-increasing nesting is legal, and two locks that
+// share a rank can never be held together.
 //
 // Ranks are spaced by 10 so a new lock can slot between two existing
-// ones without renumbering the world. The coordinator's three leaf
-// mutexes (routing/closure/pool) are deliberately adjacent: they are
-// EXCLUDES-paired in the manifest — never held together in either
-// order — so their relative ranks exist only to keep the validator's
-// strict ordering total.
+// ones without renumbering the world. Each line names the lock and what
+// it guards.
 
 #ifndef MERGEPURGE_UTIL_LOCK_RANKS_H_
 #define MERGEPURGE_UTIL_LOCK_RANKS_H_
@@ -25,44 +20,61 @@
 namespace mergepurge {
 namespace lockrank {
 
-// A lock constructed without a rank: invisible to the runtime validator
-// (and flagged by mergepurge_deadlockcheck, which requires every
-// declaration in src/ to carry a rank).
+// Invisible to the validator. Only tests may use it (lockcheck's
+// unranked-lock rule rejects it everywhere else).
 inline constexpr int kUnranked = -1;
 
 // --- Service front end (outermost) ------------------------------------------
-inline constexpr int kServerConn = 10;       // Server::conn_mu_
-inline constexpr int kBatcher = 20;          // UpsertBatcher::mu_
-inline constexpr int kEngine = 30;           // MatchService::engine_mu_
-inline constexpr int kRecovery = 40;         // MatchService::recovery_mu_
-inline constexpr int kTheoryPool = 50;       // MatchService::theory_mu_
-inline constexpr int kLabels = 60;           // IncrementalMergePurge::labels_mu_
+// Server::conn_mu_: the open connection fd set.
+inline constexpr int kServerConn = 10;
+// UpsertBatcher::mu_: the pending upsert queue; released across commits.
+inline constexpr int kBatcher = 20;
+// MatchService::engine_mu_ (shared): the resident incremental engine.
+inline constexpr int kEngine = 30;
+// MatchService::recovery_mu_: recovery completion flag + init status.
+inline constexpr int kRecovery = 40;
+// MatchService::theory_mu_: the equational-theory lease pool.
+inline constexpr int kTheoryPool = 50;
+// IncrementalMergePurge::labels_mu_: union-find closure + label cache.
+inline constexpr int kLabels = 60;
 
 // --- Durability --------------------------------------------------------------
-inline constexpr int kWal = 70;              // WalWriter::mu_
-inline constexpr int kSnapshotter = 80;      // Snapshotter::mu_
+// WalWriter::mu_: active WAL segment, sequence, fail-stop latch.
+inline constexpr int kWal = 70;
+// Snapshotter::mu_: snapshot scheduler state; released across SaveOnce.
+inline constexpr int kSnapshotter = 80;
 
-// --- Shard coordinator (EXCLUDES-paired leaves) ------------------------------
-inline constexpr int kCoordRouting = 90;     // CoordService::routing_mu_
-inline constexpr int kCoordClosure = 91;     // CoordService::closure_mu_
-inline constexpr int kCoordPool = 92;        // CoordService::pool_mu_
+// --- Shard coordinator -------------------------------------------------------
+// CoordService::routing_mu_ (router + boundary bands), closure_mu_
+// (global closure + label spaces) and pool_mu_ (shard connection
+// pools). One shared rank, so the validator rejects nesting any two of
+// them in either direction.
+inline constexpr int kCoordLeaf = 90;
 
 // --- Parallel batch engine ---------------------------------------------------
-inline constexpr int kResilientRun = 100;    // ResilientRunner::RunContext::mu
-inline constexpr int kThreadPool = 110;      // ThreadPool::mu_
+// ResilientRunner::RunContext::mu: per-run task states and counters.
+inline constexpr int kResilientRun = 100;
+// ThreadPool::mu_: the task queue; released while a task runs.
+inline constexpr int kThreadPool = 110;
 
 // --- Cross-cutting leaves (innermost) ----------------------------------------
-inline constexpr int kFaultInjector = 120;   // FaultInjector::mu_
-inline constexpr int kSnapshotRing = 130;    // SnapshotRing::mu_
-inline constexpr int kProgress = 140;        // ProgressReporter::mu_
-inline constexpr int kTrace = 150;           // TraceRecorder::mu_
-inline constexpr int kDrain = 160;           // SignalDrain::mu_
-inline constexpr int kMetricsRegistry = 170; // MetricsRegistry::mu_
-inline constexpr int kLog = 180;             // logging.cc LogMutex()
+// FaultInjector::mu_: armed fault-point schedules.
+inline constexpr int kFaultInjector = 120;
+// SnapshotRing::mu_: timestamped metric-snapshot ring.
+inline constexpr int kSnapshotRing = 130;
+// ProgressReporter::mu_: status-line paint state.
+inline constexpr int kProgress = 140;
+// TraceRecorder::mu_: recorded span list.
+inline constexpr int kTrace = 150;
+// SignalDrain::mu_: registered drain callbacks.
+inline constexpr int kDrain = 160;
+// MetricsRegistry::mu_: registration maps (values are lock-free atomics).
+inline constexpr int kMetricsRegistry = 170;
+// LogMutex() in logging.cc: stderr log-line serialization.
+inline constexpr int kLog = 180;
 
-// Human-readable name for validator abort messages. Returns the rank's
-// lock as declared in tools/lock_hierarchy.json, or "?" for a rank the
-// hierarchy does not know (which deadlockcheck would reject anyway).
+// Human-readable name for validator abort messages, or "?" for a rank
+// this header does not define.
 inline constexpr const char* LockRankName(int rank) {
   switch (rank) {
     case kServerConn: return "Server::conn_mu_";
@@ -73,9 +85,7 @@ inline constexpr const char* LockRankName(int rank) {
     case kLabels: return "IncrementalMergePurge::labels_mu_";
     case kWal: return "WalWriter::mu_";
     case kSnapshotter: return "Snapshotter::mu_";
-    case kCoordRouting: return "CoordService::routing_mu_";
-    case kCoordClosure: return "CoordService::closure_mu_";
-    case kCoordPool: return "CoordService::pool_mu_";
+    case kCoordLeaf: return "CoordService leaf (routing/closure/pool)";
     case kResilientRun: return "ResilientRunner::RunContext::mu";
     case kThreadPool: return "ThreadPool::mu_";
     case kFaultInjector: return "FaultInjector::mu_";

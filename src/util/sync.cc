@@ -1,15 +1,14 @@
-// Runtime lock-order validator (MERGEPURGE_LOCK_ORDER_CHECKS builds).
+// Runtime lock-order validator, compiled into every build.
 //
 // Each thread tracks the ranks of the locks it holds in acquisition
 // order. OnAcquire aborts the process — with both lock names, from
 // util/lock_ranks.h — when the new rank is not strictly greater than
-// every held rank, i.e. the moment the declared hierarchy
-// (tools/lock_hierarchy.json) is violated, whether or not the schedule
-// would have deadlocked this run.
+// every held rank, i.e. the moment the hierarchy is violated, whether or
+// not the schedule would have deadlocked this run. Like the WAL writer's
+// latch this is fail-stop: a shipped server that inverts two locks dies
+// with both names rather than risk a deadlock later.
 
 #include "util/sync.h"
-
-#if defined(MERGEPURGE_LOCK_ORDER_CHECKS)
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +18,7 @@ namespace lockorder {
 
 namespace {
 
-// Deep enough for every legal chain (the full hierarchy is 20 ranks) and
+// Deep enough for every legal chain (the full hierarchy is 18 ranks) and
 // fixed-size so the hot path never allocates. Overflow means runaway
 // recursive locking and aborts too.
 constexpr int kMaxHeld = 32;
@@ -30,8 +29,7 @@ thread_local int t_depth = 0;
 [[noreturn]] void Die(const char* what, int held, int acquiring) {
   std::fprintf(stderr,
                "lockorder: %s: acquiring %s (rank %d) while holding %s "
-               "(rank %d); hierarchy is src/util/lock_ranks.h / "
-               "tools/lock_hierarchy.json\n",
+               "(rank %d); hierarchy is src/util/lock_ranks.h\n",
                what, lockrank::LockRankName(acquiring), acquiring,
                lockrank::LockRankName(held), held);
   std::abort();
@@ -80,5 +78,3 @@ void OnRelease(int rank) {
 
 }  // namespace lockorder
 }  // namespace mergepurge
-
-#endif  // MERGEPURGE_LOCK_ORDER_CHECKS

@@ -12,9 +12,8 @@
 // The companion linter, tools/lockcheck.py, forbids new naked
 // std::mutex / std::lock_guard / bare .lock()/.unlock() / detached
 // threads outside this header, so the annotated vocabulary stays the
-// only way to synchronize. Conventions, and the process-wide lock
-// hierarchy the annotations encode, are documented in
-// docs/concurrency.md.
+// only way to synchronize. Conventions are documented in
+// docs/concurrency.md; the lock hierarchy is util/lock_ranks.h.
 //
 // Vocabulary:
 //   Mutex            exclusive capability over std::mutex
@@ -111,17 +110,14 @@
 namespace mergepurge {
 
 // --- Runtime lock-order validation -------------------------------------------
-// When MERGEPURGE_LOCK_ORDER_CHECKS is defined (debug / sanitizer builds;
-// the CMake option defaults ON whenever MERGEPURGE_SANITIZE is set), each
-// thread keeps a stack of the ranks it holds and OnAcquire aborts the
-// process if the new lock's rank is not strictly greater than every held
-// rank — the dynamic twin of tools/mergepurge_deadlockcheck's static
-// check, catching orderings the static call graph cannot see (callbacks,
-// std::function indirection). Unranked locks (lockrank::kUnranked) are
-// invisible to the validator. Plain builds compile the hooks to nothing.
+// Compiled into every build. Each thread keeps a stack of the ranks it
+// holds, and OnAcquire aborts the process if the new lock's rank is not
+// strictly greater than every held rank (util/lock_ranks.h). Rank order
+// is the whole policy: any rank-increasing nesting is legal, and two
+// locks of equal rank can never be held together. Locks constructed
+// with lockrank::kUnranked (tests only) are invisible to the validator.
 
 namespace lockorder {
-#if defined(MERGEPURGE_LOCK_ORDER_CHECKS)
 // Checks rank order against the caller's held stack, then records the
 // acquire. Called BEFORE blocking on the underlying primitive so an
 // inversion aborts deterministically instead of only when it deadlocks.
@@ -131,21 +127,15 @@ void OnAcquire(int rank);
 void OnTryAcquire(int rank);
 // Pops the (most recent) record of `rank` from the held stack.
 void OnRelease(int rank);
-#else
-inline void OnAcquire(int) {}
-inline void OnTryAcquire(int) {}
-inline void OnRelease(int) {}
-#endif
 }  // namespace lockorder
 
 // --- Annotated lock types ----------------------------------------------------
 
 // Exclusive lock. Prefer MutexLock over manual Lock()/Unlock() pairs.
-// Construct with a lockrank:: constant (util/lock_ranks.h) — the
-// deadlockcheck tool requires every declaration in src/ to carry one.
+// There is no default constructor: every lock names its lockrank::
+// constant (util/lock_ranks.h), so an unranked lock does not compile.
 class MERGEPURGE_CAPABILITY("mutex") Mutex {
  public:
-  Mutex() = default;
   explicit Mutex(int rank) : rank_(rank) {}
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
@@ -169,7 +159,7 @@ class MERGEPURGE_CAPABILITY("mutex") Mutex {
  private:
   friend class CondVar;
   std::mutex mu_;
-  const int rank_ = lockrank::kUnranked;
+  const int rank_;
 };
 
 // Reader/writer lock. Writers use Lock/Unlock (or WriterLock), readers
@@ -178,7 +168,6 @@ class MERGEPURGE_CAPABILITY("mutex") Mutex {
 // holding the shared side still must not wait on a lower-ranked lock.
 class MERGEPURGE_CAPABILITY("shared_mutex") SharedMutex {
  public:
-  SharedMutex() = default;
   explicit SharedMutex(int rank) : rank_(rank) {}
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
@@ -204,7 +193,7 @@ class MERGEPURGE_CAPABILITY("shared_mutex") SharedMutex {
 
  private:
   std::shared_mutex mu_;
-  const int rank_ = lockrank::kUnranked;
+  const int rank_;
 };
 
 // Condition variable usable only with Mutex. Waits atomically release and

@@ -143,6 +143,24 @@ TEST(IncrementalEdgeTest, ValidatesOptionsAndSchemas) {
   EXPECT_FALSE(wrong_schema.AddBatch(other, theory).ok());
 }
 
+// AddBatch is all-or-nothing: a key naming a field the schema lacks is
+// rejected before any record is admitted, even when an earlier key in
+// the list is valid.
+TEST(IncrementalEdgeTest, BadKeyAdmitsNothing) {
+  MergePurgeOptions options;
+  options.keys = {KeySpec{"first", {KeyComponent::Full(0)}},
+                  KeySpec{"absent", {KeyComponent::Full(7)}}};
+  options.window = 4;
+  options.condition_records = false;
+  IncrementalMergePurge incremental(options);
+  Dataset batch(Schema({"a", "b"}));
+  batch.Append(Record({"x", "1"}));
+  EmployeeTheory theory;
+  EXPECT_FALSE(incremental.AddBatch(batch, theory).ok());
+  EXPECT_EQ(incremental.size(), 0u);
+  EXPECT_EQ(incremental.NumEntities(), 0u);
+}
+
 TEST(IncrementalEdgeTest, EntitiesAndPurgeEvolve) {
   GeneratorConfig config;
   config.num_records = 200;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "core/duplicate_elimination.h"
 #include "core/multipass.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
@@ -82,49 +81,6 @@ TEST(MetricsTest, EmptyTruthGivesZeroRates) {
   EXPECT_EQ(report.true_pairs, 0u);
   EXPECT_DOUBLE_EQ(report.recall_percent, 0.0);
   EXPECT_EQ(report.false_positives, 3u);
-}
-
-// --- Baseline: exact duplicate elimination. ---
-
-TEST(ExactDuplicateEliminationTest, FindsOnlyExactCopies) {
-  Dataset d(Schema({"a", "b"}));
-  TupleId r0 = d.Append(Record({"x", "y"}));
-  TupleId r1 = d.Append(Record({"p", "q"}));
-  TupleId r2 = d.Append(Record({"x", "y"}));
-  TupleId r3 = d.Append(Record({"x", "Y"}));  // Near-miss: not found.
-  PassResult result = ExactDuplicateElimination().Run(d);
-  auto labels = TransitiveClosure(result.pairs, d.size());
-  EXPECT_EQ(labels[r0], labels[r2]);
-  EXPECT_NE(labels[r0], labels[r3]);
-  EXPECT_NE(labels[r0], labels[r1]);
-}
-
-TEST(ExactDuplicateEliminationTest, GroupsOfThreeChain) {
-  Dataset d(Schema({"a"}));
-  d.Append(Record({"x"}));
-  d.Append(Record({"x"}));
-  d.Append(Record({"x"}));
-  PassResult result = ExactDuplicateElimination().Run(d);
-  EXPECT_EQ(result.pairs.size(), 2u);  // Chained adjacent pairs.
-  auto labels = TransitiveClosure(result.pairs, 3);
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[1], labels[2]);
-}
-
-TEST(ExactDuplicateEliminationTest, CorruptedDataDefeatsIt) {
-  // On the generated noisy database, exact matching finds far fewer
-  // duplicates than the theory-driven methods — the paper's motivation.
-  GeneratorConfig config;
-  config.num_records = 1000;
-  config.duplicate_selection_rate = 0.5;
-  config.seed = 88;
-  auto db = DatabaseGenerator(config).Generate();
-  ASSERT_TRUE(db.ok());
-  PassResult result = ExactDuplicateElimination().Run(db->dataset);
-  AccuracyReport report =
-      EvaluatePairSet(result.pairs, db->dataset.size(), db->truth);
-  EXPECT_LT(report.recall_percent, 40.0);
-  EXPECT_EQ(report.false_positives, 0u);
 }
 
 // --- Table printer. ---

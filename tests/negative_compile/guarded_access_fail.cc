@@ -9,7 +9,7 @@
 namespace {
 
 struct Guarded {
-  mergepurge::Mutex mu;
+  mergepurge::Mutex mu{mergepurge::lockrank::kUnranked};
   int value MERGEPURGE_GUARDED_BY(mu) = 0;
 };
 

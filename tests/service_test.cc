@@ -377,7 +377,7 @@ TEST(BatcherTest, CoalescesConcurrentSubmissionsAndPreservesOrder) {
   options.max_batch_records = 1000;
   options.max_delay_ms = 20.0;
 
-  Mutex mu;
+  Mutex mu(lockrank::kUnranked);
   std::vector<size_t> commit_sizes;
   UpsertBatcher batcher(
       options, [&](std::vector<Record> records) -> Result<BatchCommit> {

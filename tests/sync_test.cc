@@ -20,7 +20,7 @@ namespace mergepurge {
 namespace {
 
 TEST(MutexTest, MutexLockExcludesConcurrentIncrements) {
-  Mutex mu;
+  Mutex mu(lockrank::kUnranked);
   int64_t counter = 0;  // Guarded by mu (by construction of the test).
   constexpr int kThreads = 8;
   constexpr int kIncrements = 10000;
@@ -42,7 +42,7 @@ TEST(MutexTest, MutexLockExcludesConcurrentIncrements) {
 }
 
 TEST(MutexTest, TryLockReportsContention) {
-  Mutex mu;
+  Mutex mu(lockrank::kUnranked);
   mu.Lock();
   EXPECT_FALSE(mu.TryLock());
   mu.Unlock();
@@ -54,7 +54,7 @@ TEST(MutexTest, MutexLockUnlockRelockWindow) {
   // The batcher/runner pattern: step outside the critical section
   // mid-scope, then re-enter. Another thread must be able to take the
   // lock during the window.
-  Mutex mu;
+  Mutex mu(lockrank::kUnranked);
   bool flag = false;
 
   MutexLock lock(mu);
@@ -69,7 +69,7 @@ TEST(MutexTest, MutexLockUnlockRelockWindow) {
 }
 
 TEST(CondVarTest, WaitWakesOnNotify) {
-  Mutex mu;
+  Mutex mu(lockrank::kUnranked);
   CondVar cv;
   bool ready = false;
 
@@ -88,7 +88,7 @@ TEST(CondVarTest, WaitWakesOnNotify) {
 }
 
 TEST(CondVarTest, WaitForTimesOutWithoutNotify) {
-  Mutex mu;
+  Mutex mu(lockrank::kUnranked);
   CondVar cv;
   MutexLock lock(mu);
   EXPECT_EQ(cv.WaitFor(mu, std::chrono::milliseconds(5)),
@@ -96,7 +96,7 @@ TEST(CondVarTest, WaitForTimesOutWithoutNotify) {
 }
 
 TEST(CondVarTest, WaitUntilHonorsDeadline) {
-  Mutex mu;
+  Mutex mu(lockrank::kUnranked);
   CondVar cv;
   MutexLock lock(mu);
   const auto deadline =
@@ -106,7 +106,7 @@ TEST(CondVarTest, WaitUntilHonorsDeadline) {
 }
 
 TEST(SharedMutexTest, ReadersShareWritersExclude) {
-  SharedMutex mu;
+  SharedMutex mu(lockrank::kUnranked);
   int64_t value = 0;  // Guarded by mu.
   std::atomic<int> concurrent_readers{0};
   std::atomic<int> max_concurrent_readers{0};
@@ -155,10 +155,8 @@ TEST(SharedMutexTest, ReadersShareWritersExclude) {
   }
 }
 
-#if defined(MERGEPURGE_LOCK_ORDER_CHECKS)
-
-// The runtime half of the deadlock defense (docs/concurrency.md): with
-// lock-order checks compiled in, acquiring a lower rank while holding a
+// The runtime half of the deadlock defense (docs/concurrency.md),
+// compiled into every build: acquiring a lower rank while holding a
 // higher one must abort the process — that ordering is one half of a
 // potential deadlock cycle even if this particular run would not hang.
 TEST(LockOrderDeathTest, InversionAborts) {
@@ -173,9 +171,23 @@ TEST(LockOrderDeathTest, InversionAborts) {
       "lock-order inversion");
 }
 
-// Declared order (strictly increasing ranks) is silent, including across
-// release: the validator tracks a stack, not a high-water mark.
-TEST(LockOrderDeathTest, DeclaredOrderIsSilent) {
+// Two locks of one rank never nest, in either order: the coordinator's
+// three leaves share lockrank::kCoordLeaf for exactly this reason.
+TEST(LockOrderDeathTest, SameRankNestingAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Mutex routing(lockrank::kCoordLeaf);
+        Mutex closure(lockrank::kCoordLeaf);
+        MutexLock a(routing);
+        MutexLock b(closure);
+      },
+      "lock-order inversion");
+}
+
+// Any rank-increasing nesting is silent, including across release: the
+// validator tracks a stack, not a high-water mark.
+TEST(LockOrderDeathTest, IncreasingRanksAreSilent) {
   Mutex engine(lockrank::kEngine);
   Mutex labels(lockrank::kLabels);
   Mutex wal(lockrank::kWal);
@@ -196,16 +208,14 @@ TEST(LockOrderDeathTest, DeclaredOrderIsSilent) {
   }
 }
 
-// Unranked locks are invisible to the validator — legacy or leaf-local
-// mutexes must not trip it in either direction.
+// Locks a test constructs with kUnranked are invisible to the validator
+// in either direction.
 TEST(LockOrderDeathTest, UnrankedLocksAreInvisible) {
   Mutex ranked(lockrank::kWal);
-  Mutex unranked;
+  Mutex unranked(lockrank::kUnranked);
   MutexLock a(ranked);
   MutexLock b(unranked);
 }
-
-#endif  // MERGEPURGE_LOCK_ORDER_CHECKS
 
 }  // namespace
 }  // namespace mergepurge

@@ -3,11 +3,11 @@
 # AddressSanitizer + UndefinedBehaviorSanitizer, and (concurrency tests
 # only) with ThreadSanitizer — so data races on the retry/speculation
 # paths and lifetime bugs in the checkpoint code surface before merge.
-# Then: a clang -Wthread-safety build (when available), the lockcheck
-# lock-discipline lint, the deadlockcheck whole-program lock-order
-# verifier (clean repo + seeded-inversion rejection), clang-tidy over
-# src/ (when available), the
-# rulecheck theory lint gate, the observability + service end-to-end
+# The runtime lock-order validator (util/sync.cc) is compiled into every
+# build, so each leg also aborts on the first lock-rank inversion its
+# tests reach. Then: a clang -Wthread-safety build (when available), the
+# lockcheck lock-discipline lint, clang-tidy over src/ (when available),
+# the rulecheck theory lint gate, the observability + service end-to-end
 # contracts, and the latency-regression bench gates.
 #
 # Usage: tools/ci.sh [jobs]      (from the repository root)
@@ -40,7 +40,8 @@ run_suite "${root}/build-san" "" "-DMERGEPURGE_SANITIZE=address;undefined"
 # TSan is incompatible with ASan, so it gets its own tree; run the suites
 # that exercise threads (parallel engine, resilient retry, incremental
 # engine, the TCP service, fault-tolerance, the sync primitives) rather
-# than all of ctest.
+# than all of ctest. The lock-order validator runs here as in every
+# build, now under TSan's thread schedules.
 run_suite "${root}/build-tsan" \
   "parallel_test|incremental_test|incremental_property_test|service_test|shard_test|fault_tolerance_test|metrics_test|obs_window_test|sync_test|durability_test" \
   "-DMERGEPURGE_SANITIZE=thread"
@@ -66,25 +67,6 @@ if command -v python3 >/dev/null 2>&1; then
   python3 "${root}/tools/lockcheck.py" --root="${root}"
 else
   echo "=== python3 not installed; skipping lockcheck ==="
-fi
-
-# Whole-program lock-order verification (docs/concurrency.md): the
-# repository must be clean under mergepurge_deadlockcheck (manifest,
-# ranks header and docs table all in agreement, no undeclared nesting),
-# and the tool must still REJECT a seeded inversion — the negative
-# control proving the gate checks something. ctest runs the full
-# seeded corpus (deadlockcheck_corpus_*); this is the smoke version.
-echo "=== deadlockcheck ==="
-"${root}/build/tools/mergepurge_deadlockcheck" --root="${root}" \
-  --manifest="${root}/tools/lock_hierarchy.json"
-inv_status=0
-"${root}/build/tools/mergepurge_deadlockcheck" \
-  --root="${root}/tests/deadlockcheck_corpus/rank_inversion" \
-  --manifest="${root}/tests/deadlockcheck_corpus/rank_inversion/manifest.json" \
-  --skip-ranks --skip-docs >/dev/null 2>&1 || inv_status=$?
-if [ "${inv_status}" -ne 1 ]; then
-  echo "ci: deadlockcheck accepted a seeded rank inversion (exit ${inv_status})" >&2
-  exit 1
 fi
 
 # Static analysis over our sources (.clang-tidy pins the check set).
@@ -565,6 +547,17 @@ wait "$(cat "${coord_dir}/pid_ref")" || true
 echo "=== bench gates ==="
 "${root}/build/bench/bench_snm" --records=20000 --window=10 --repeat=3 \
   --seed=42 --out="${root}/BENCH_snm.json"
+# The report's counters describe the best run only, the same run its
+# passes describe.
+python3 - "${root}/BENCH_snm.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+counted = report["counters"]["snm.comparisons"]
+passes = sum(p["comparisons"] for p in report["passes"])
+assert counted == passes, (
+    f"snm.comparisons {counted} != sum of passes[].comparisons {passes}")
+print(f"ci: bench_snm scope ok: {counted} comparisons in the best run")
+EOF
 "${root}/build/tools/bench_compare" \
   --baseline="${root}/bench/baselines/BENCH_service.json" \
   --fresh="${root}/BENCH_service.json" \

@@ -18,6 +18,11 @@ Forbidden outside src/util/sync.h:
   detached-thread   std::thread(...).detach()
   sync-include      #include <mutex> / <shared_mutex> / <condition_variable>
 
+Forbidden outside tests/ (and the files that define and consume it,
+src/util/lock_ranks.h and src/util/sync.cc):
+  unranked-lock     lockrank::kUnranked; a lock outside the tests must
+                    carry a real rank so the runtime validator sees it
+
 Required in the durability sources (src/service/wal.*, snapshot.*):
   missing-sync-include  the file must include "util/sync.h" — directly,
                         or (for a .cc) via its paired same-directory
@@ -86,12 +91,22 @@ CHECKS = [
         re.compile(r'#\s*include\s*<(mutex|shared_mutex|condition_variable)>'),
         "raw sync header; include \"util/sync.h\" instead",
     ),
+    (
+        "unranked-lock",
+        re.compile(r"\bkUnranked\b"),
+        "unranked lock; construct it with its lockrank:: constant "
+        "(util/lock_ranks.h)",
+    ),
 ]
+# Where kUnranked may appear: the tests, and its own definition/use in
+# the validator.
+UNRANKED_ALLOWED = (
+    os.path.join("src", "util", "lock_ranks.h"),
+    os.path.join("src", "util", "sync.cc"),
+)
 
-# The lookbehind keeps this from matching inside a sibling linter's
-# marker ("deadlockcheck: allow(...)" ends in the same substring).
 ALLOW_RE = re.compile(
-    r"(?<![\w-])lockcheck:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
+    r"lockcheck:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 KNOWN_IDS = {check_id for check_id, _, _ in CHECKS} | {"missing-sync-include"}
 
 # Lock-owning service and introspection sources that must stay inside
@@ -202,6 +217,8 @@ def scan_file(root, rel_path):
         print(f"lockcheck: cannot read {rel_path}: {err}", file=sys.stderr)
         sys.exit(2)
 
+    unranked_ok = (rel_path.startswith("tests" + os.sep)
+                   or rel_path in UNRANKED_ALLOWED)
     in_block_comment = False
     for lineno, line in enumerate(lines, start=1):
         allows = allowed_ids(line)
@@ -238,6 +255,8 @@ def scan_file(root, rel_path):
             if not pattern.search(code):
                 continue
             if check_id in allows:
+                continue
+            if check_id == "unranked-lock" and unranked_ok:
                 continue
             findings.append((rel_path, lineno, check_id, message))
     return findings
