@@ -94,7 +94,9 @@ int main(int argc, char** argv) {
       best_seconds > 0 ? static_cast<double>(comparisons) / best_seconds
                        : 0.0;
 
-  report.SetConfig("records", JsonValue(static_cast<uint64_t>(records)));
+  // Generator originals; dataset.records counts them plus duplicates.
+  report.SetConfig("base_records",
+                   JsonValue(static_cast<uint64_t>(records)));
   report.SetConfig("window", JsonValue(static_cast<uint64_t>(window)));
   report.SetConfig("repeat", JsonValue(static_cast<uint64_t>(repeat)));
   report.SetConfig("seed", JsonValue(seed));

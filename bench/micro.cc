@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the primitives whose constants
-// drive the §3.5 cost model: distance functions, phonetic codes, key
-// construction, the window-scan comparison, union-find closure, and the
-// external sorter.
+// drive the §3.5 cost model: distance functions, the shared transposition
+// predicate, phonetic codes, key construction, the window-scan comparison
+// under both theories (hand-coded and interpreted rule language),
+// union-find closure, and the external sorter.
 
 #include <memory>
 #include <string>
@@ -14,12 +15,15 @@
 #include "core/union_find.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
+#include "rules/employee_rules_text.h"
 #include "rules/employee_theory.h"
+#include "rules/rule_program.h"
 #include "sort/external_sort.h"
 #include "text/edit_distance.h"
 #include "text/keyboard_distance.h"
-#include "text/phonetic.h"
 #include "text/normalize.h"
+#include "text/phonetic.h"
+#include "text/predicates.h"
 #include "util/random.h"
 
 namespace mergepurge {
@@ -87,6 +91,27 @@ void BM_BoundedDamerau(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundedDamerau)->Arg(1)->Arg(3);
 
+// Arg 0: unrelated name pairs (false); arg 1: each name against itself
+// with two adjacent letters swapped (true unless the letters are equal).
+void BM_AdjacentTransposition(benchmark::State& state) {
+  auto names = RandomNames(1024, 11);
+  std::vector<std::string> others(1024);
+  for (size_t i = 0; i < 1024; ++i) {
+    others[i] = names[(i + 1) % 1024];
+    if (state.range(0) == 1) {
+      others[i] = names[i];
+      std::swap(others[i][1], others[i][2]);
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        IsAdjacentTransposition(names[i % 1024], others[i % 1024]));
+    ++i;
+  }
+}
+BENCHMARK(BM_AdjacentTransposition)->Arg(0)->Arg(1);
+
 void BM_KeyboardDistance(benchmark::State& state) {
   auto names = RandomNames(1024, 4);
   size_t i = 0;
@@ -144,6 +169,27 @@ void BM_TheoryComparison(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TheoryComparison);
+
+// The same comparisons through the interpreted rule-language mirror of
+// the theory: the baseline a compiled DSL has to reach.
+void BM_RuleProgramComparison(benchmark::State& state) {
+  const auto& db = SharedDatabase();
+  auto program =
+      RuleProgram::Compile(EmployeeRulesText(), db.dataset.schema());
+  if (!program.ok()) {
+    state.SkipWithError(program.status().ToString().c_str());
+    return;
+  }
+  size_t i = 0;
+  const size_t n = db.dataset.size();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        program->Matches(db.dataset.record(static_cast<TupleId>(i % n)),
+                         db.dataset.record(static_cast<TupleId>((i + 1) % n))));
+    ++i;
+  }
+}
+BENCHMARK(BM_RuleProgramComparison);
 
 void BM_SortByKey(benchmark::State& state) {
   const auto& db = SharedDatabase();

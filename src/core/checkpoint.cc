@@ -40,14 +40,6 @@ uint64_t KeySpecDigest(const KeySpec& spec) {
   return digest;
 }
 
-Status WriteTextFileAtomic(const std::string& path,
-                           const std::string& content) {
-  // Full durable protocol (util/fs.h): tmp + fsync + rename + directory
-  // fsync, every step's failure propagated — a checkpoint manifest that
-  // survives a crash must never point at data that didn't.
-  return WriteFileDurable(path, content);
-}
-
 std::string ManifestFileName(size_t pass_index) {
   return StringPrintf("pass_%zu.manifest", pass_index);
 }
@@ -96,8 +88,10 @@ Status WritePassCheckpoint(const std::string& dir, size_t pass_index,
       << '\n';
   out << "pairs " << manifest.pairs_file << '\n';
   out << "complete " << (manifest.complete ? 1 : 0) << '\n';
-  Status status = WriteTextFileAtomic(
-      dir + "/" + ManifestFileName(pass_index), out.str());
+  // The full durable protocol (util/fs.h): a manifest that survives a
+  // crash must never point at data that didn't.
+  Status status =
+      WriteFileDurable(dir + "/" + ManifestFileName(pass_index), out.str());
   if (status.ok()) {
     static Counter* const saves =
         MetricsRegistry::Global().GetCounter(metric_names::kCheckpointSaves);
@@ -165,8 +159,10 @@ bool ManifestMatches(const PassManifest& manifest,
 }
 
 Result<PairSet> LoadCheckpointedPairs(const std::string& dir,
-                                      const PassManifest& manifest) {
-  Result<PairSet> pairs = ReadPairSetFile(dir + "/" + manifest.pairs_file);
+                                      const PassManifest& manifest,
+                                      size_t num_records) {
+  Result<PairSet> pairs =
+      ReadPairSetFile(dir + "/" + manifest.pairs_file, num_records);
   if (pairs.ok()) {
     static Counter* const loads =
         MetricsRegistry::Global().GetCounter(metric_names::kCheckpointLoads);

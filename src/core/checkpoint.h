@@ -48,11 +48,6 @@ struct PassManifest {
 uint64_t DatasetDigest(const Dataset& dataset);
 uint64_t KeySpecDigest(const KeySpec& spec);
 
-// Writes `content` to path atomically (temp file in the same directory,
-// then rename), so readers never observe a torn file.
-Status WriteTextFileAtomic(const std::string& path,
-                           const std::string& content);
-
 // Writes the pass's pairs file (atomically, consulting the io.pairs_write
 // fault point) and then its manifest. `dir` must exist.
 Status WritePassCheckpoint(const std::string& dir, size_t pass_index,
@@ -70,9 +65,11 @@ bool ManifestMatches(const PassManifest& manifest,
                      const std::string& key_name, uint64_t key_digest,
                      uint64_t config_digest, uint64_t dataset_digest);
 
-// Loads the pairs file a manifest points at.
+// Loads the pairs file a manifest points at, for a dataset of
+// `num_records` tuples; a pair outside it makes the file unreadable.
 Result<PairSet> LoadCheckpointedPairs(const std::string& dir,
-                                      const PassManifest& manifest);
+                                      const PassManifest& manifest,
+                                      size_t num_records);
 
 // Canonical file names inside a checkpoint directory.
 std::string ManifestFileName(size_t pass_index);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/purge_policy.h"
 #include "text/normalize.h"
 
 namespace mergepurge {
@@ -242,9 +243,7 @@ std::vector<uint32_t> IncrementalMergePurge::ComponentLabels() const {
 }
 
 Dataset IncrementalMergePurge::Purge() const {
-  MergePurgeResult result;
-  result.component_of = ComponentLabels();
-  return result.Purge(all_);
+  return PurgePolicy().Purge(all_, CachedComponentLabels());
 }
 
 }  // namespace mergepurge

@@ -110,7 +110,7 @@ class IncrementalMergePurge {
     return closure_.NumSets();
   }
 
-  // One merged record per entity (see MergePurgeResult::Purge).
+  // One merged record per entity under the default PurgePolicy.
   Dataset Purge() const;
 
  private:

@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 
+#include "core/purge_policy.h"
 #include "gen/places_data.h"
 #include "text/normalize.h"
 #include "text/spell.h"
@@ -12,33 +13,7 @@ MergePurgeEngine::MergePurgeEngine(MergePurgeOptions options)
     : options_(std::move(options)) {}
 
 Dataset MergePurgeResult::Purge(const Dataset& dataset) const {
-  // Group tuples by component, preserving first-seen order of components.
-  std::unordered_map<uint32_t, size_t> component_to_output;
-  Dataset out(dataset.schema());
-  std::vector<std::vector<TupleId>> groups;
-  for (size_t t = 0; t < dataset.size() && t < component_of.size(); ++t) {
-    uint32_t component = component_of[t];
-    auto [it, inserted] =
-        component_to_output.emplace(component, groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(static_cast<TupleId>(t));
-  }
-
-  for (const std::vector<TupleId>& group : groups) {
-    // Merge by completeness: for each field keep the longest non-empty
-    // value seen in the class.
-    Record merged = dataset.record(group[0]);
-    for (size_t i = 1; i < group.size(); ++i) {
-      const Record& r = dataset.record(group[i]);
-      for (FieldId f = 0; f < dataset.schema().num_fields(); ++f) {
-        if (r.field(f).size() > merged.field(f).size()) {
-          merged.set_field(f, std::string(r.field(f)));
-        }
-      }
-    }
-    out.Append(std::move(merged));
-  }
-  return out;
+  return PurgePolicy().Purge(dataset, component_of);
 }
 
 Result<MergePurgeResult> MergePurgeEngine::Run(

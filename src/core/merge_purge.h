@@ -65,10 +65,9 @@ struct MergePurgeResult {
   // Number of distinct entities found (equivalence classes).
   size_t num_entities = 0;
 
-  // Purge phase: produces one merged record per entity. Fields are merged
-  // by completeness — for each field the longest non-empty value among the
-  // class's records wins (a simple instance of the paper's "data-directed
-  // projection"). Records must be the dataset the result was computed on.
+  // Purge phase under the default PurgePolicy (longest non-empty value per
+  // field); a rule program's own policy applies its `merge` directives.
+  // Records must be the dataset the result was computed on.
   Dataset Purge(const Dataset& dataset) const;
 };
 

@@ -116,8 +116,8 @@ Result<MultiPassResult> MultiPass::Run(
       if (manifest.ok() &&
           ManifestMatches(*manifest, key.name, KeySpecDigest(key),
                           config_digest, dataset_digest)) {
-        Result<PairSet> stored =
-            LoadCheckpointedPairs(checkpoint_dir, *manifest);
+        Result<PairSet> stored = LoadCheckpointedPairs(
+            checkpoint_dir, *manifest, dataset.size());
         if (stored.ok()) {
           PassResult pass;
           pass.key_name = key.name;

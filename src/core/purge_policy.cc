@@ -87,11 +87,11 @@ std::string PurgePolicy::MergeField(const Dataset& dataset,
 
 Record PurgePolicy::MergeClass(const Dataset& dataset,
                                const std::vector<TupleId>& members) const {
-  Record merged;
-  for (FieldId f = 0; f < dataset.schema().num_fields(); ++f) {
-    merged.set_field(f, MergeField(dataset, members, f));
+  std::vector<std::string> fields(dataset.schema().num_fields());
+  for (FieldId f = 0; f < fields.size(); ++f) {
+    fields[f] = MergeField(dataset, members, f);
   }
-  return merged;
+  return Record(std::move(fields));
 }
 
 Dataset PurgePolicy::Purge(const Dataset& dataset,

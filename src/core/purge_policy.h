@@ -18,7 +18,7 @@
 //   merge first_name: prefer most_frequent
 //   merge last_name: prefer concat_distinct
 //
-// (see ParsePurgePolicy / RuleProgram integration in rules/).
+// (RuleProgram::purge_policy(); rules/theory_loader.h hands it to tools).
 
 #ifndef MERGEPURGE_CORE_PURGE_POLICY_H_
 #define MERGEPURGE_CORE_PURGE_POLICY_H_

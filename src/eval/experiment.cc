@@ -1,5 +1,6 @@
 #include "eval/experiment.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/string_util.h"
@@ -23,11 +24,12 @@ ArgParser::ArgParser(int argc, char** argv) {
   }
 }
 
-std::vector<std::string> ArgParser::Names() const {
-  std::vector<std::string> names;
-  names.reserve(flags_.size());
-  for (const auto& [key, value] : flags_) names.push_back(key);
-  return names;
+std::string ArgParser::FirstUnknownFlag(
+    std::span<const char* const> known) const {
+  for (const auto& [key, value] : flags_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) return key;
+  }
+  return "";
 }
 
 bool ArgParser::Has(const std::string& name) const {

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,8 +25,9 @@ class ArgParser {
 
   bool Has(const std::string& name) const;
 
-  // Flag names in the order given (for unknown-flag validation by tools).
-  std::vector<std::string> Names() const;
+  // The first flag given that is not in `known`, or "" when all are known
+  // (tools reject unknown flags as usage errors).
+  std::string FirstUnknownFlag(std::span<const char* const> known) const;
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
   int64_t GetInt(const std::string& name, int64_t default_value) const;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/union_find.h"
 #include "util/fault_injector.h"
 #include "util/string_util.h"
 
@@ -27,7 +26,8 @@ Status WritePairSetFile(const PairSet& pairs, const std::string& path) {
   return Status::OK();
 }
 
-Result<PairSet> ReadPairSetFile(const std::string& path) {
+Result<PairSet> ReadPairSetFile(const std::string& path,
+                                size_t num_records) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open for reading: " + path);
   std::string line;
@@ -46,31 +46,15 @@ Result<PairSet> ReadPairSetFile(const std::string& path) {
       return Status::ParseError(StringPrintf(
           "%s:%zu: malformed pair line", path.c_str(), line_number));
     }
+    if (hi >= num_records) {
+      return Status::OutOfRange(StringPrintf(
+          "%s:%zu: pair references tuple id %" PRIu32 " but there are only "
+          "%zu records",
+          path.c_str(), line_number, hi, num_records));
+    }
     pairs.Add(lo, hi);
   }
   return pairs;
-}
-
-Result<std::vector<uint32_t>> ClosureFromFiles(
-    const std::vector<std::string>& paths, size_t n) {
-  UnionFind closure(n);
-  for (const std::string& path : paths) {
-    Result<PairSet> pairs = ReadPairSetFile(path);
-    if (!pairs.ok()) return pairs.status();
-    bool out_of_range = false;
-    pairs->ForEach([&closure, n, &out_of_range](TupleId a, TupleId b) {
-      if (a >= n || b >= n) {
-        out_of_range = true;
-        return;
-      }
-      closure.Union(a, b);
-    });
-    if (out_of_range) {
-      return Status::OutOfRange(path +
-                                ": pair references a tuple id >= n");
-    }
-  }
-  return closure.ComponentLabels();
 }
 
 }  // namespace mergepurge

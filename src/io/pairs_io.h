@@ -12,8 +12,8 @@
 #ifndef MERGEPURGE_IO_PAIRS_IO_H_
 #define MERGEPURGE_IO_PAIRS_IO_H_
 
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "core/pair_set.h"
 #include "util/status.h"
@@ -22,12 +22,12 @@ namespace mergepurge {
 
 Status WritePairSetFile(const PairSet& pairs, const std::string& path);
 
-Result<PairSet> ReadPairSetFile(const std::string& path);
-
-// Reads every file and returns per-tuple component labels of the
-// transitive closure over the union (n = number of tuples).
-Result<std::vector<uint32_t>> ClosureFromFiles(
-    const std::vector<std::string>& paths, size_t n);
+// Reads a pair file written for a dataset of `num_records` tuples. A pair
+// naming a tuple id >= num_records is an OutOfRange error: the file
+// belongs to another (larger) dataset, and its ids would index past the
+// closure's arrays.
+Result<PairSet> ReadPairSetFile(const std::string& path,
+                                size_t num_records);
 
 }  // namespace mergepurge
 

@@ -1,6 +1,9 @@
 #include "keys/standard_keys.h"
 
+#include <string>
+
 #include "record/schema.h"
+#include "util/string_util.h"
 
 namespace mergepurge {
 
@@ -51,6 +54,29 @@ KeySpec PhoneticLastNameKey() {
       KeyComponent::DigitPrefix(employee::kSsn, 6),
   };
   return spec;
+}
+
+Result<std::vector<KeySpec>> KeysFromNames(std::string_view names) {
+  std::vector<KeySpec> keys;
+  for (std::string_view name : SplitView(names, ',')) {
+    if (name == "last-name") {
+      keys.push_back(LastNameKey());
+    } else if (name == "first-name") {
+      keys.push_back(FirstNameKey());
+    } else if (name == "address") {
+      keys.push_back(AddressKey());
+    } else if (name == "soundex-last-name") {
+      keys.push_back(PhoneticLastNameKey());
+    } else {
+      return Status::InvalidArgument(
+          "unknown key '" + std::string(name) +
+          "' (expected last-name, first-name, address, soundex-last-name)");
+    }
+  }
+  if (keys.empty()) {
+    return Status::InvalidArgument("no keys given");
+  }
+  return keys;
 }
 
 }  // namespace mergepurge

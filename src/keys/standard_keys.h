@@ -6,9 +6,11 @@
 #ifndef MERGEPURGE_KEYS_STANDARD_KEYS_H_
 #define MERGEPURGE_KEYS_STANDARD_KEYS_H_
 
+#include <string_view>
 #include <vector>
 
 #include "keys/key_builder.h"
+#include "util/status.h"
 
 namespace mergepurge {
 
@@ -28,6 +30,10 @@ std::vector<KeySpec> StandardThreeKeys();
 // Extension: Soundex of the last name first — typo-invariant ordering at
 // the price of coarser discrimination (ablated in bench/ablation).
 KeySpec PhoneticLastNameKey();
+
+// The tools' --keys flag: comma-separated key names (last-name,
+// first-name, address, soundex-last-name), one pass each, in order.
+Result<std::vector<KeySpec>> KeysFromNames(std::string_view names);
 
 }  // namespace mergepurge
 

@@ -6,7 +6,6 @@
 #ifndef MERGEPURGE_PARALLEL_PARALLEL_SNM_H_
 #define MERGEPURGE_PARALLEL_PARALLEL_SNM_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -18,11 +17,6 @@
 #include "util/status.h"
 
 namespace mergepurge {
-
-// Each worker thread needs its own theory instance (statistics counters are
-// not synchronized); the factory provides them.
-using TheoryFactory =
-    std::function<std::unique_ptr<EquationalTheory>()>;
 
 struct ParallelRunResult {
   PairSet pairs;

@@ -17,10 +17,10 @@ namespace mergepurge {
 
 namespace {
 
+using rules_internal::EvaluateOnBlankRecords;
 using rules_internal::FindFunction;
 using rules_internal::FuncSignature;
 using rules_internal::NumericRange;
-using rules_internal::Value;
 using rules_internal::ValueType;
 
 // --- Suppressions -----------------------------------------------------------
@@ -43,106 +43,6 @@ void Emit(const AnalyzerOptions& options, int owner_line, Diagnostic d,
     return;
   }
   report->Add(std::move(d));
-}
-
-// --- Constant evaluation (shared by blank-merge and constant-comparison) ---
-
-// Evaluates an expression with every field reference replaced by
-// `blank_fields` semantics (all fields read as ""). Returns nullopt for
-// programs the compiler would reject anyway (unknown function, arity or
-// argument-type mismatch) — the analyzer never guesses there.
-std::optional<Value> EvalExprBlank(const Expr& expr) {
-  Value out;
-  switch (expr.kind) {
-    case ExprKind::kStringLiteral:
-      out.type = ValueType::kString;
-      out.s = expr.string_value;
-      return out;
-    case ExprKind::kNumberLiteral:
-      out.type = ValueType::kNumber;
-      out.n = expr.number_value;
-      return out;
-    case ExprKind::kFieldRef:
-      out.type = ValueType::kString;
-      return out;  // Every field of a blank record is "".
-    case ExprKind::kFuncCall:
-      break;
-  }
-  const FuncSignature* signature = FindFunction(expr.func_name);
-  if (signature == nullptr ||
-      expr.args.size() != signature->arg_types.size()) {
-    return std::nullopt;
-  }
-  std::vector<Value> args;
-  args.reserve(expr.args.size());
-  for (size_t i = 0; i < expr.args.size(); ++i) {
-    std::optional<Value> arg = EvalExprBlank(*expr.args[i]);
-    if (!arg.has_value() || arg->type != signature->arg_types[i]) {
-      return std::nullopt;
-    }
-    args.push_back(std::move(*arg));
-  }
-  return rules_internal::EvalBuiltin(signature->id, signature->return_type,
-                                     args);
-}
-
-std::optional<bool> EvalCompareBlank(const BoolExpr& node) {
-  std::optional<Value> lhs = EvalExprBlank(*node.lhs);
-  std::optional<Value> rhs = EvalExprBlank(*node.rhs);
-  if (!lhs.has_value() || !rhs.has_value() || lhs->type != rhs->type) {
-    return std::nullopt;
-  }
-  if (lhs->type == ValueType::kBool && node.op != CompareOp::kEq &&
-      node.op != CompareOp::kNe) {
-    return std::nullopt;
-  }
-  return rules_internal::CompareValues(node.op, *lhs, *rhs);
-}
-
-// Three-valued evaluation of a condition on two all-blank records: nullopt
-// means "cannot decide" (only possible for ill-typed programs).
-std::optional<bool> EvalBoolBlank(const BoolExpr& node) {
-  switch (node.kind) {
-    case BoolKind::kAnd: {
-      bool unknown = false;
-      for (const std::unique_ptr<BoolExpr>& child : node.children) {
-        std::optional<bool> v = EvalBoolBlank(*child);
-        if (!v.has_value()) {
-          unknown = true;
-        } else if (!*v) {
-          return false;
-        }
-      }
-      if (unknown) return std::nullopt;
-      return true;
-    }
-    case BoolKind::kOr: {
-      bool unknown = false;
-      for (const std::unique_ptr<BoolExpr>& child : node.children) {
-        std::optional<bool> v = EvalBoolBlank(*child);
-        if (!v.has_value()) {
-          unknown = true;
-        } else if (*v) {
-          return true;
-        }
-      }
-      if (unknown) return std::nullopt;
-      return false;
-    }
-    case BoolKind::kNot: {
-      std::optional<bool> v = EvalBoolBlank(*node.children[0]);
-      if (!v.has_value()) return std::nullopt;
-      return !*v;
-    }
-    case BoolKind::kCompare:
-      return EvalCompareBlank(node);
-    case BoolKind::kBare: {
-      std::optional<Value> v = EvalExprBlank(*node.lhs);
-      if (!v.has_value() || v->type != ValueType::kBool) return std::nullopt;
-      return v->b;
-    }
-  }
-  return std::nullopt;
 }
 
 bool HasFieldRef(const Expr& expr) {
@@ -237,26 +137,11 @@ std::string DescribeRange(const NumericRange& range) {
   return StringPrintf("[%g, %g]", range.lo, range.hi);
 }
 
-// Per-comparison lints: constant-comparison, then self-comparison and
+// Per-comparison lints on a leaf that reads a record: self-comparison and
 // interval contradiction/tautology.
 void CheckComparisonLeaf(const BoolExpr& node, const Rule& rule,
                          const AnalyzerOptions& options,
                          AnalysisReport* report) {
-  // A leaf that reads neither record is decided before any data arrives.
-  if (!HasFieldRef(*node.lhs) && !HasFieldRef(*node.rhs)) {
-    std::optional<bool> value = EvalCompareBlank(node);
-    if (value.has_value()) {
-      Emit(options, rule.source_line,
-           {"constant-comparison", LintSeverity::kWarning, node.source_line,
-            rule.name,
-            StringPrintf("comparison reads neither record and is always %s",
-                         *value ? "true" : "false"),
-            "drop the comparison, or compare against a field of r1/r2"},
-           report);
-    }
-    return;
-  }
-
   // Identical canonical operands: `x == x` and friends.
   if (CanonicalPrint(*node.lhs) == CanonicalPrint(*node.rhs)) {
     bool always = node.op == CompareOp::kEq || node.op == CompareOp::kLe ||
@@ -310,23 +195,27 @@ void CheckConditionTree(const BoolExpr& node, const Rule& rule,
       }
       return;
     case BoolKind::kCompare:
-      CheckComparisonLeaf(node, rule, options, report);
-      return;
     case BoolKind::kBare:
-      if (!HasFieldRef(*node.lhs)) {
-        std::optional<Value> value = EvalExprBlank(*node.lhs);
-        if (value.has_value() && value->type == ValueType::kBool) {
-          Emit(options, rule.source_line,
-               {"constant-comparison", LintSeverity::kWarning,
-                node.source_line, rule.name,
-                StringPrintf(
-                    "condition reads neither record and is always %s",
-                    value->b ? "true" : "false"),
-                "drop the condition, or apply it to a field of r1/r2"},
-               report);
-        }
-      }
-      return;
+      break;
+  }
+  const bool compare = node.kind == BoolKind::kCompare;
+  // A leaf that reads neither record is decided before any data arrives.
+  if (!HasFieldRef(*node.lhs) && !(compare && HasFieldRef(*node.rhs))) {
+    std::optional<bool> value = EvaluateOnBlankRecords(node);
+    if (value.has_value()) {
+      Emit(options, rule.source_line,
+           {"constant-comparison", LintSeverity::kWarning, node.source_line,
+            rule.name,
+            StringPrintf("%s reads neither record and is always %s",
+                         compare ? "comparison" : "condition",
+                         *value ? "true" : "false"),
+            compare ? "drop the comparison, or compare against a field of "
+                      "r1/r2"
+                    : "drop the condition, or apply it to a field of r1/r2"},
+           report);
+    }
+  } else if (compare) {
+    CheckComparisonLeaf(node, rule, options, report);
   }
 }
 
@@ -471,7 +360,7 @@ void CheckSymmetry(const RuleProgramAst& ast, const AnalyzerOptions& options,
 void CheckBlankMerge(const RuleProgramAst& ast, const AnalyzerOptions& options,
                      AnalysisReport* report) {
   for (const Rule& rule : ast.rules) {
-    std::optional<bool> fires = EvalBoolBlank(*rule.condition);
+    std::optional<bool> fires = EvaluateOnBlankRecords(*rule.condition);
     if (!fires.has_value() || !*fires) continue;
     Emit(options, rule.source_line,
          {"blank-merge", LintSeverity::kError, rule.source_line, rule.name,
@@ -763,10 +652,6 @@ AnalysisReport AnalyzeRuleProgram(const RuleProgramAst& ast,
   CheckMergeDirectives(ast, options, &report);
   CheckWindowCoverage(ast, options, &report);
   return report;
-}
-
-AnalysisReport AnalyzeRuleSource(std::string_view source) {
-  return AnalyzeRuleSource(source, AnalyzerOptions{});
 }
 
 AnalysisReport AnalyzeRuleSource(std::string_view source,

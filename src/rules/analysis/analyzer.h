@@ -73,12 +73,11 @@ AnalysisReport AnalyzeRuleProgram(const RuleProgramAst& ast,
 
 // Parses and analyzes `source`, honoring its suppression comments. A parse
 // failure yields a report with a single parse-error diagnostic instead of
-// a Status, so callers always have something to render. The second form
-// carries caller options (e.g. passes for window-coverage); its `allows`
-// are replaced by the suppressions extracted from `source`.
-AnalysisReport AnalyzeRuleSource(std::string_view source);
+// a Status, so callers always have something to render. `options` carries
+// e.g. passes for window-coverage; its `allows` are replaced by the
+// suppressions extracted from `source`.
 AnalysisReport AnalyzeRuleSource(std::string_view source,
-                                 AnalyzerOptions options);
+                                 AnalyzerOptions options = {});
 
 }  // namespace mergepurge
 

@@ -7,6 +7,7 @@
 #include "text/keyboard_distance.h"
 #include "text/nicknames.h"
 #include "text/phonetic.h"
+#include "text/predicates.h"
 #include "util/string_util.h"
 
 namespace mergepurge {
@@ -113,23 +114,11 @@ Value EvalBuiltin(FuncId func, ValueType return_type,
       out.b = NicknameTable::Default().SameCanonicalName(args[0].s,
                                                          args[1].s);
       return out;
-    case FuncId::kInitialMatch: {
-      const std::string& x = args[0].s;
-      const std::string& y = args[1].s;
-      if (x.empty() || y.empty()) {
-        out.b = false;
-      } else if (x == y) {
-        out.b = true;
-      } else {
-        out.b = (x.size() == 1 && x[0] == y[0]) ||
-                (y.size() == 1 && y[0] == x[0]);
-      }
+    case FuncId::kInitialMatch:
+      out.b = InitialMatch(args[0].s, args[1].s);
       return out;
-    }
     case FuncId::kTransposed:
-      out.b = !args[0].s.empty() && args[0].s != args[1].s &&
-              DamerauDistance(args[0].s, args[1].s) == 1 &&
-              EditDistance(args[0].s, args[1].s) == 2;
+      out.b = IsAdjacentTransposition(args[0].s, args[1].s);
       return out;
     case FuncId::kEmpty:
       out.b = args[0].s.empty();
@@ -146,14 +135,9 @@ Value EvalBuiltin(FuncId func, ValueType return_type,
       }
       return out;
     }
-    case FuncId::kStreetNumber: {
-      // Leading digit run ("123 MAIN ST" -> "123").
-      for (char c : args[0].s) {
-        if (c < '0' || c > '9') break;
-        out.s += c;
-      }
+    case FuncId::kStreetNumber:
+      out.s = std::string(StreetNumber(args[0].s));
       return out;
-    }
     case FuncId::kJaroWinkler:
       out.n = JaroWinklerSimilarity(args[0].s, args[1].s);
       return out;
@@ -161,22 +145,9 @@ Value EvalBuiltin(FuncId func, ValueType return_type,
       out.n = NgramSimilarity(args[0].s, args[1].s,
                               static_cast<size_t>(args[2].n));
       return out;
-    case FuncId::kHyphenExtended: {
-      // One string extends the other by a new '-' or ' ' separated token.
-      const std::string& x = args[0].s;
-      const std::string& y = args[1].s;
-      out.b = false;
-      if (x.size() != y.size()) {
-        const std::string& shorter = x.size() < y.size() ? x : y;
-        const std::string& longer = x.size() < y.size() ? y : x;
-        if (shorter.size() >= 4 &&
-            longer.compare(0, shorter.size(), shorter) == 0) {
-          char next = longer[shorter.size()];
-          out.b = next == ' ' || next == '-';
-        }
-      }
+    case FuncId::kHyphenExtended:
+      out.b = HyphenExtended(args[0].s, args[1].s);
       return out;
-    }
   }
   return out;
 }

@@ -1,12 +1,14 @@
 // The rule language's built-in function table and evaluator, shared by the
 // compiler/interpreter (rule_program.cc) and the static analyzer
-// (rules/analysis/). Keeping one table and one evaluation switch means the
-// analyzer's constant evaluation (e.g. the blank-record probe behind the
-// blank-merge lint) can never drift from runtime semantics.
+// (rules/analysis/). The analyzer's constant evaluation (the blank-record
+// probe behind the blank-merge lint) runs through the interpreter itself,
+// EvaluateOnBlankRecords below, so it can never drift from runtime
+// semantics.
 
 #ifndef MERGEPURGE_RULES_BUILTINS_H_
 #define MERGEPURGE_RULES_BUILTINS_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -81,6 +83,12 @@ Value EvalBuiltin(FuncId func, ValueType return_type,
 // Evaluates `lhs op rhs`; both values must have the same type (booleans
 // only support == and !=, which the compiler and analyzer both enforce).
 bool CompareValues(CompareOp op, const Value& lhs, const Value& rhs);
+
+// Compiles `condition` with the interpreter's compiler, against a schema of
+// the field names it references, and evaluates it on two records whose
+// fields are all empty; nullopt when it does not compile. Defined in
+// rule_program.cc.
+std::optional<bool> EvaluateOnBlankRecords(const BoolExpr& condition);
 
 }  // namespace rules_internal
 }  // namespace mergepurge

@@ -11,6 +11,7 @@
 #include "text/keyboard_distance.h"
 #include "text/nicknames.h"
 #include "text/phonetic.h"
+#include "text/predicates.h"
 
 namespace mergepurge {
 
@@ -46,31 +47,14 @@ constexpr std::array<std::string_view, EmployeeTheory::kNumRules> kRuleNames =
         "aggregate-similarity",
 };
 
-// True if one string is a hyphen-extended or concatenated form of the other
-// (e.g. SMITH vs SMITH JONES after normalization), with a minimum shared
-// prefix so short accidental prefixes do not fire.
-bool HyphenatedExtension(std::string_view x, std::string_view y) {
-  if (x.size() == y.size()) return false;
-  std::string_view shorter = x.size() < y.size() ? x : y;
-  std::string_view longer = x.size() < y.size() ? y : x;
-  if (shorter.size() < 4) return false;
-  if (longer.substr(0, shorter.size()) != shorter) return false;
-  // The extension must start a new token.
-  char next = longer[shorter.size()];
-  return next == ' ' || next == '-';
-}
-
-// Leading digit run of an address ("123 MAIN ST" -> "123").
-std::string_view StreetNumber(std::string_view address) {
-  size_t i = 0;
-  while (i < address.size() && address[i] >= '0' && address[i] <= '9') ++i;
-  return address.substr(0, i);
-}
-
 }  // namespace
 
 EmployeeTheory::EmployeeTheory(EmployeeTheoryOptions options)
     : options_(options) {}
+
+TheoryFactory EmployeeTheory::Factory(EmployeeTheoryOptions options) {
+  return [options] { return std::make_unique<EmployeeTheory>(options); };
+}
 
 std::string_view EmployeeTheory::RuleName(size_t index) {
   return kRuleNames[index];
@@ -105,17 +89,16 @@ void EmployeeTheory::FlushMetrics() const {
 double EmployeeTheory::Similarity(std::string_view x,
                                   std::string_view y) const {
   ++distance_calls_;
-  size_t longest = std::max(x.size(), y.size());
-  if (longest == 0) return 1.0;
   switch (options_.distance) {
-    case EmployeeTheoryOptions::Distance::kEdit:
+    case EmployeeTheoryOptions::Distance::kEdit: {
+      size_t longest = std::max(x.size(), y.size());
+      if (longest == 0) return 1.0;
       return 1.0 -
              static_cast<double>(EditDistance(x, y)) /
                  static_cast<double>(longest);
+    }
     case EmployeeTheoryOptions::Distance::kDamerau:
-      return 1.0 -
-             static_cast<double>(DamerauDistance(x, y)) /
-                 static_cast<double>(longest);
+      return StringSimilarity(x, y);
     case EmployeeTheoryOptions::Distance::kKeyboard:
       return KeyboardSimilarity(x, y);
   }
@@ -176,23 +159,19 @@ class PairContext {
   std::string_view f2(FieldId f) const { return b_.field(f); }
 
   bool FieldEq(FieldId f) const { return f1(f) == f2(f) && !f1(f).empty(); }
+  // Both present and at most one Damerau edit apart.
+  bool FieldClose(FieldId f) const {
+    return !f1(f).empty() && !f2(f).empty() && WithinDistance(f1(f), f2(f), 1);
+  }
 
   // --- SSN evidence. ---
   bool SsnEq() const { return FieldEq(employee::kSsn); }
   bool SsnClose() const {
-    Lazy(&ssn_close_, [this] {
-      std::string_view x = f1(employee::kSsn);
-      std::string_view y = f2(employee::kSsn);
-      return !x.empty() && !y.empty() &&
-             BoundedDamerauDistance(x, y, 1) <= 1;
-    });
+    Lazy(&ssn_close_, [this] { return FieldClose(employee::kSsn); });
     return *ssn_close_;
   }
   bool SsnTransposed() const {
-    std::string_view x = f1(employee::kSsn);
-    std::string_view y = f2(employee::kSsn);
-    return !x.empty() && x != y && x.size() == y.size() &&
-           DamerauDistance(x, y) == 1 && EditDistance(x, y) == 2;
+    return IsAdjacentTransposition(f1(employee::kSsn), f2(employee::kSsn));
   }
   // SSNs do not contradict each other: equal, close, or one missing.
   bool SsnCompatible() const {
@@ -213,12 +192,7 @@ class PairContext {
   }
 
   bool FirstInitialMatch() const {
-    std::string_view x = f1(employee::kFirstName);
-    std::string_view y = f2(employee::kFirstName);
-    if (x.empty() || y.empty()) return false;
-    if (x == y) return true;
-    return (x.size() == 1 && x[0] == y[0]) ||
-           (y.size() == 1 && y[0] == x[0]);
+    return InitialMatch(f1(employee::kFirstName), f2(employee::kFirstName));
   }
 
   // Thresholded similarity over a (possibly empty) name field pair; empty
@@ -266,16 +240,12 @@ class PairContext {
   }
 
   bool LastTransposed() const {
-    std::string_view x = f1(employee::kLastName);
-    std::string_view y = f2(employee::kLastName);
-    return !x.empty() && x != y && DamerauDistance(x, y) == 1 &&
-           EditDistance(x, y) == 2;
+    return IsAdjacentTransposition(f1(employee::kLastName),
+                                   f2(employee::kLastName));
   }
   bool FirstTransposed() const {
-    std::string_view x = f1(employee::kFirstName);
-    std::string_view y = f2(employee::kFirstName);
-    return !x.empty() && x != y && DamerauDistance(x, y) == 1 &&
-           EditDistance(x, y) == 2;
+    return IsAdjacentTransposition(f1(employee::kFirstName),
+                                   f2(employee::kFirstName));
   }
 
   bool NamesSoundAlike() const {
@@ -318,11 +288,7 @@ class PairContext {
   }
   bool StateEq() const { return FieldEq(employee::kState); }
   bool ZipEq() const { return FieldEq(employee::kZip); }
-  bool ZipClose() const {
-    std::string_view x = f1(employee::kZip);
-    std::string_view y = f2(employee::kZip);
-    return !x.empty() && !y.empty() && BoundedDamerauDistance(x, y, 1) <= 1;
-  }
+  bool ZipClose() const { return FieldClose(employee::kZip); }
   bool LocationMatch() const {
     return ZipEq() || (CitySimilar() && StateEq());
   }
@@ -493,8 +459,8 @@ int EmployeeTheory::EvalRules(const Record& a, const Record& b) const {
     return 18;
   }
   // 19 hyphenated-last-address: SMITH vs SMITH-JONES at the same address.
-  if (HyphenatedExtension(a.field(employee::kLastName),
-                          b.field(employee::kLastName)) &&
+  if (HyphenExtended(a.field(employee::kLastName),
+                     b.field(employee::kLastName)) &&
       ctx.FirstSimilar() && ctx.AddressSimilar()) {
     return 19;
   }

@@ -58,10 +58,12 @@ class EmployeeTheory final : public EquationalTheory {
   explicit EmployeeTheory(
       EmployeeTheoryOptions options = EmployeeTheoryOptions());
 
+  // Makes fresh instances with `options` (one per worker or lease).
+  static TheoryFactory Factory(
+      EmployeeTheoryOptions options = EmployeeTheoryOptions());
+
   bool Matches(const Record& a, const Record& b) const override;
-  std::string name() const override { return "employee-theory"; }
   uint64_t comparison_count() const override { return comparison_count_; }
-  void reset_comparison_count() override { comparison_count_ = 0; }
 
   // Adds per-rule firing counts (rules.fired.<rule-name>), distance-call
   // and early-exit counts to the global registry and zeroes the local
@@ -75,8 +77,6 @@ class EmployeeTheory final : public EquationalTheory {
 
   // Name of rule `index` for reports; index < kNumRules.
   static std::string_view RuleName(size_t index);
-
-  const EmployeeTheoryOptions& options() const { return options_; }
 
   // Normalized similarity in [0,1] under the configured distance function.
   // Exposed for the pair-context evaluation and for tests.

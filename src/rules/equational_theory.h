@@ -10,11 +10,17 @@
 //  * EmployeeTheory (rules/employee_theory.h) — the same 26-rule logic
 //    hand-coded in C++, the analogue of the paper's "recoded the rules
 //    directly in C to obtain speed-up".
+// Both call the same field predicates (text/predicates.h). Tools never
+// pick one by hand: rules/theory_loader.h turns a --rules path (or none,
+// for the built-in theory) into a TheoryFactory plus the purge policy
+// that travels with it.
 
 #ifndef MERGEPURGE_RULES_EQUATIONAL_THEORY_H_
 #define MERGEPURGE_RULES_EQUATIONAL_THEORY_H_
 
-#include <string>
+#include <cstdint>
+#include <functional>
+#include <memory>
 
 #include "record/record.h"
 
@@ -29,13 +35,9 @@ class EquationalTheory {
   // pairs in one order only.
   virtual bool Matches(const Record& a, const Record& b) const = 0;
 
-  // Human-readable name for experiment reports.
-  virtual std::string name() const = 0;
-
   // Number of Matches() invocations so far (the dominant cost of the merge
   // phase; used to fit the analytic model's alpha and c constants).
   virtual uint64_t comparison_count() const = 0;
-  virtual void reset_comparison_count() = 0;
 
   // Adds this theory's accumulated rule-level statistics (rule firings,
   // distance calls, early exits) to the global MetricsRegistry and clears
@@ -46,6 +48,10 @@ class EquationalTheory {
   // Default: theory exposes no rule-level metrics.
   virtual void FlushMetrics() const {}
 };
+
+// Makes one theory instance per worker or lease: instances keep plain
+// (unsynchronized) statistics, so concurrent scans each need their own.
+using TheoryFactory = std::function<std::unique_ptr<EquationalTheory>()>;
 
 }  // namespace mergepurge
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "obs/metric_names.h"
@@ -204,16 +205,36 @@ Result<CBool> CompileBool(const BoolExpr& node, const Schema& schema,
   return Status::Internal("unreachable");
 }
 
+void CollectFieldNames(const Expr& expr, std::set<std::string>* names) {
+  if (expr.kind == ExprKind::kFieldRef) names->insert(expr.field_name);
+  for (const std::unique_ptr<Expr>& arg : expr.args) {
+    CollectFieldNames(*arg, names);
+  }
+}
+
+void CollectFieldNames(const BoolExpr& node, std::set<std::string>* names) {
+  for (const std::unique_ptr<BoolExpr>& child : node.children) {
+    CollectFieldNames(*child, names);
+  }
+  if (node.lhs != nullptr) CollectFieldNames(*node.lhs, names);
+  if (node.rhs != nullptr) CollectFieldNames(*node.rhs, names);
+}
+
 }  // namespace
+
+std::optional<bool> EvaluateOnBlankRecords(const BoolExpr& condition) {
+  std::set<std::string> names;
+  CollectFieldNames(condition, &names);
+  const Schema schema(std::vector<std::string>(names.begin(), names.end()));
+  Result<CBool> compiled = CompileBool(condition, schema, "");
+  if (!compiled.ok()) return std::nullopt;
+  const Record blank;  // Every field reads as "".
+  return EvaluateBool(*compiled, blank, blank);
+}
 
 }  // namespace rules_internal
 
 using rules_internal::CompiledProgram;
-
-Result<RuleProgram> RuleProgram::Compile(std::string_view source,
-                                         const Schema& schema) {
-  return Compile(source, schema, nullptr);
-}
 
 Result<RuleProgram> RuleProgram::Compile(std::string_view source,
                                          const Schema& schema,

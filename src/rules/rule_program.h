@@ -3,24 +3,9 @@
 //
 // Compilation performs name resolution (field refs against the schema,
 // function names against the built-in table) and full static type checking,
-// so evaluation is exception-free and cannot fail at run time.
-//
-// Built-in functions:
-//   similarity(s, s) -> number     Damerau similarity in [0,1]
-//   edit_distance(s, s) -> number  Levenshtein distance
-//   damerau(s, s) -> number        Damerau (OSA) distance
-//   keyboard_similarity(s, s) -> number
-//   soundex(s) -> string
-//   nysiis(s) -> string
-//   sounds_like(s, s) -> bool      non-empty equal Soundex codes
-//   nickname(s) -> string          canonical name via the nickname table
-//   same_name(s, s) -> bool        nickname-aware name equality
-//   initial_match(s, s) -> bool    equal, or one is the initial of the other
-//   transposed(s, s) -> bool       equal up to one adjacent transposition
-//   empty(s) -> bool
-//   length(s) -> number
-//   prefix(s, n) -> string
-//   digits(s) -> string
+// so evaluation is exception-free and cannot fail at run time. The
+// built-in functions are tabled in rules/builtins.h and documented in
+// docs/rule_language.md.
 
 #ifndef MERGEPURGE_RULES_RULE_PROGRAM_H_
 #define MERGEPURGE_RULES_RULE_PROGRAM_H_
@@ -45,18 +30,16 @@ struct CompiledProgram;
 
 class RuleProgram final : public EquationalTheory {
  public:
-  // Parses, resolves and type-checks `source` against `schema`.
-  static Result<RuleProgram> Compile(std::string_view source,
-                                     const Schema& schema);
-
-  // Same, and additionally runs the static analyzer (rules/analysis/) over
-  // the parsed program, honoring the source's `# rulecheck: allow(...)`
-  // comments. Lint findings never fail compilation — `analysis` is filled
-  // even on a compile error, and callers decide how strict to be (the
-  // CLIs' --rules-check preflight treats lint errors as fatal).
+  // Parses, resolves and type-checks `source` against `schema`. With a
+  // non-null `analysis` it also runs the static analyzer
+  // (rules/analysis/) over the parsed program, honoring the source's
+  // `# rulecheck: allow(...)` comments. Lint findings never fail
+  // compilation — `analysis` is filled even on a compile error after a
+  // successful parse, and callers decide how strict to be (the tools'
+  // --rules-check preflight treats lint errors as fatal).
   static Result<RuleProgram> Compile(std::string_view source,
                                      const Schema& schema,
-                                     AnalysisReport* analysis);
+                                     AnalysisReport* analysis = nullptr);
 
   // Copies share the immutable compiled program; each copy has its own
   // statistics counters (use one copy per worker thread).
@@ -65,9 +48,7 @@ class RuleProgram final : public EquationalTheory {
   ~RuleProgram() override;
 
   bool Matches(const Record& a, const Record& b) const override;
-  std::string name() const override { return "rule-program"; }
   uint64_t comparison_count() const override { return comparison_count_; }
-  void reset_comparison_count() override { comparison_count_ = 0; }
 
   // Index of the first rule whose conditions all hold, or -1. Also updates
   // the per-rule fire counters.

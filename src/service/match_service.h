@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "core/incremental.h"
+#include "rules/equational_theory.h"
 #include "service/batcher.h"
 #include "service/snapshot.h"
 #include "service/wal.h"
@@ -88,10 +88,8 @@ class MatchService {
   // drain flag), not a service one.
   enum class Lifecycle { kRecovering, kServing, kFailed };
 
-  // The factory is called whenever the lease pool is empty; instances
-  // are reused across requests but never across concurrent ones.
-  using TheoryFactory = std::function<std::unique_ptr<EquationalTheory>()>;
-
+  // The theory factory is called whenever the lease pool is empty;
+  // instances are reused across requests but never across concurrent ones.
   MatchService(MatchServiceOptions options, TheoryFactory theory_factory);
   ~MatchService();
 

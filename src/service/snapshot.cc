@@ -124,11 +124,9 @@ Status DecodeBody(std::string_view body, const std::string& path,
 // Loads and fully validates one snapshot file.
 Status LoadSnapshotFile(const std::string& path, uint64_t expected_config,
                         SnapshotState* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open snapshot: " + path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
+  Result<std::string> read = ReadFileToString(path);
+  if (!read.ok()) return Status::IoError("cannot open snapshot: " + path);
+  const std::string& data = *read;
   if (data.size() < kSnapshotMagicLen ||
       data.compare(0, kSnapshotMagicLen, kSnapshotMagic) != 0) {
     return Status::ParseError(path + ": not a snapshot file");

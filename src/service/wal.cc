@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -332,11 +331,9 @@ Result<std::vector<WalBatch>> ReadWalForRecovery(const std::string& dir,
   uint64_t last_seq = 0;  // 0 = no record scanned yet.
   for (uint64_t first : firsts) {
     const std::string path = dir + "/" + WalSegmentFileName(first);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::IoError("cannot open WAL segment: " + path);
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
+    Result<std::string> read = ReadFileToString(path);
+    if (!read.ok()) return Status::IoError("cannot open WAL segment: " + path);
+    const std::string& data = *read;
     ++stats->segments_scanned;
 
     if (data.size() < kSegmentMagicLen ||

@@ -91,6 +91,26 @@ Status FsyncPath(const std::string& path) {
   return status;
 }
 
+Result<std::string> ReadFileToString(const std::string& path) {
+  int fd = open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IoError(ErrnoMessage("open", path));
+  std::string data;
+  char buffer[1 << 16];
+  while (true) {
+    ssize_t n = read(fd, buffer, sizeof(buffer));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      Status status = Status::IoError(ErrnoMessage("read", path));
+      close(fd);
+      return status;
+    }
+    if (n == 0) break;
+    data.append(buffer, static_cast<size_t>(n));
+  }
+  close(fd);
+  return data;
+}
+
 Status TruncateFile(const std::string& path, uint64_t size) {
   if (truncate(path.c_str(), static_cast<off_t>(size)) != 0) {
     return Status::IoError(ErrnoMessage("truncate", path));

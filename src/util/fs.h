@@ -44,6 +44,9 @@ Status FsyncFd(int fd, const std::string& what);
 // (how rename durability is achieved on POSIX).
 Status FsyncPath(const std::string& path);
 
+// The whole file as bytes; IoError when it cannot be opened or read.
+Result<std::string> ReadFileToString(const std::string& path);
+
 // Truncates the file to `size` bytes (used by WAL recovery to cut a torn
 // tail), then fsyncs it.
 Status TruncateFile(const std::string& path, uint64_t size);

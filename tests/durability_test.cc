@@ -352,10 +352,6 @@ MatchServiceOptions DurableServiceOptions(const std::string& data_dir) {
   return options;
 }
 
-MatchService::TheoryFactory EmployeeFactory() {
-  return [] { return std::make_unique<EmployeeTheory>(); };
-}
-
 struct CrashCase {
   const char* point;
   // Number of faulted OnPoint calls to skip first (0 = fail immediately).
@@ -374,7 +370,7 @@ TEST_P(CrashMatrixTest, RecoveryEqualsSerialReplayAndKeepsAckedRecords) {
   uint64_t acked_records = 0;
   {
     MatchService service(DurableServiceOptions(dir.path()),
-                         EmployeeFactory());
+                         EmployeeTheory::Factory());
     ASSERT_TRUE(service.init_status().ok());
 
     // Healthy prefix: enough batches that a background snapshot lands.
@@ -415,7 +411,7 @@ TEST_P(CrashMatrixTest, RecoveryEqualsSerialReplayAndKeepsAckedRecords) {
 
   // Restart over the crashed data dir.
   MatchService recovered(DurableServiceOptions(dir.path()),
-                         EmployeeFactory());
+                         EmployeeTheory::Factory());
   ASSERT_TRUE(recovered.init_status().ok());
   MatchService::Stats stats = recovered.GetStats();
 
@@ -462,7 +458,7 @@ TEST(ServiceDurabilityTest, CleanRestartRecoversFromSnapshotAlone) {
   {
     MatchServiceOptions options = DurableServiceOptions(dir.path());
     options.durability.keep_wal = false;
-    MatchService service(options, EmployeeFactory());
+    MatchService service(options, EmployeeTheory::Factory());
     ASSERT_TRUE(service.init_status().ok());
     for (size_t next = 0; next + 4 <= data.size(); next += 4) {
       std::vector<Record> batch;
@@ -478,7 +474,7 @@ TEST(ServiceDurabilityTest, CleanRestartRecoversFromSnapshotAlone) {
 
   MatchServiceOptions options = DurableServiceOptions(dir.path());
   options.durability.keep_wal = false;
-  MatchService recovered(options, EmployeeFactory());
+  MatchService recovered(options, EmployeeTheory::Factory());
   ASSERT_TRUE(recovered.init_status().ok());
   MatchService::DurabilityInfo info = recovered.GetDurability();
   EXPECT_TRUE(info.enabled);
@@ -496,7 +492,7 @@ TEST(ServiceDurabilityTest, ChangedEngineConfigRefusesToRecover) {
   TempDir dir;
   {
     MatchService service(DurableServiceOptions(dir.path()),
-                         EmployeeFactory());
+                         EmployeeTheory::Factory());
     ASSERT_TRUE(service.init_status().ok());
     std::vector<Record> batch = SmallBatch(0);
     for (int i = 1; i < 4; ++i) {
@@ -509,7 +505,7 @@ TEST(ServiceDurabilityTest, ChangedEngineConfigRefusesToRecover) {
   }
   MatchServiceOptions options = DurableServiceOptions(dir.path());
   options.engine.window = 4;
-  MatchService service(options, EmployeeFactory());
+  MatchService service(options, EmployeeTheory::Factory());
   ASSERT_FALSE(service.init_status().ok());
   EXPECT_EQ(service.init_status().code(), StatusCode::kInvalidArgument);
 }

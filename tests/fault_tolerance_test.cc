@@ -292,10 +292,6 @@ class FaultMatrixTest : public ::testing::Test {
 
   void TearDown() override { FaultInjector::Global().Reset(); }
 
-  static TheoryFactory Factory() {
-    return [] { return std::make_unique<EmployeeTheory>(); };
-  }
-
   void ExpectSerialPairs(const ParallelRunResult& result) {
     EXPECT_EQ(result.pairs.size(), serial_pairs_.size());
     serial_pairs_.ForEach([&](TupleId a, TupleId b) {
@@ -304,6 +300,7 @@ class FaultMatrixTest : public ::testing::Test {
   }
 
   Dataset dataset_;
+  const TheoryFactory factory_ = EmployeeTheory::Factory();
   PairSet serial_pairs_;
 };
 
@@ -313,7 +310,7 @@ TEST_F(FaultMatrixTest, SnmSurvivesFailOncePerFragment) {
   FaultInjector::Global().Arm(fault_points::kFragmentScan,
                               FaultSchedule::FailN(4));  // 4 fragments.
   ParallelSnm parallel(4, 10);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), factory_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GE(result->retries, 4u);
   ExpectSerialPairs(*result);
@@ -326,7 +323,7 @@ TEST_F(FaultMatrixTest, SnmSurvivesSeededRandomFailures) {
   resilience.max_attempts_per_worker = 3;
   resilience.max_workers_per_task = 3;
   ParallelSnm parallel(3, 10, /*block_records=*/64, resilience);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), factory_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSerialPairs(*result);
 }
@@ -340,7 +337,7 @@ TEST_F(FaultMatrixTest, SnmSurvivesPermanentStraggler) {
   ResilientOptions resilience;
   resilience.task_deadline_ms = 25;
   ParallelSnm parallel(2, 10, /*block_records=*/0, resilience);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), factory_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSerialPairs(*result);
 }
@@ -349,7 +346,7 @@ TEST_F(FaultMatrixTest, SnmReportsPartialFailureWhenRetriesExhausted) {
   FaultInjector::Global().Arm(fault_points::kFragmentScan,
                               FaultSchedule::FailN(1u << 20));
   ParallelSnm parallel(3, 10);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), factory_);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kPartialFailure);
   EXPECT_NE(result.status().message().find("unprocessed"),
@@ -375,7 +372,7 @@ TEST_F(FaultMatrixTest, ClusteringSurvivesFailures) {
   resilience.max_attempts_per_worker = 3;
   resilience.max_workers_per_task = 3;
   ParallelClustering parallel(3, parallel_options, resilience);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), factory_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_EQ(result->pairs.size(), serial->pairs.size());
@@ -390,7 +387,7 @@ TEST_F(FaultMatrixTest, ClusteringReportsPartialFailureWhenExhausted) {
   ClusteringOptions options;
   options.num_clusters = 4;
   ParallelClustering parallel(2, options);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), factory_);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kPartialFailure);
 }
@@ -452,7 +449,7 @@ TEST_F(CheckpointTest, ManifestRoundTrips) {
                               0x5678));
   EXPECT_FALSE(ManifestMatches(*read, "last-name", 0xabcdef, 0x1234,
                                0x9999));
-  auto stored = LoadCheckpointedPairs(dir(), *read);
+  auto stored = LoadCheckpointedPairs(dir(), *read, 10);
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(stored->size(), 2u);
   EXPECT_TRUE(stored->Contains(3, 9));

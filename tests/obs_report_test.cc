@@ -93,11 +93,8 @@ class FaultedRunMetricsTest : public ::testing::Test {
 
   void TearDown() override { FaultInjector::Global().Reset(); }
 
-  static TheoryFactory Factory() {
-    return [] { return std::make_unique<EmployeeTheory>(); };
-  }
-
   Dataset dataset_;
+  const TheoryFactory factory_ = EmployeeTheory::Factory();
 };
 
 TEST_F(FaultedRunMetricsTest, FaultedRunReportsRetriesAndSamePairs) {
@@ -106,7 +103,7 @@ TEST_F(FaultedRunMetricsTest, FaultedRunReportsRetriesAndSamePairs) {
 
   // Baseline: clean parallel run; note committed comparison count.
   registry.Reset();
-  auto clean = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto clean = parallel.Run(dataset_, LastNameKey(), factory_);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   MetricsSnapshot clean_snap = registry.Snapshot();
   ASSERT_EQ(clean_snap.counter(mn::kResilientRetries), 0u);
@@ -121,7 +118,7 @@ TEST_F(FaultedRunMetricsTest, FaultedRunReportsRetriesAndSamePairs) {
   FaultInjectorGuard guard;
   FaultInjector::Global().Arm(fault_points::kFragmentScan,
                               FaultSchedule::FailN(4));
-  auto faulted = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto faulted = parallel.Run(dataset_, LastNameKey(), factory_);
   ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
 
   MetricsSnapshot faulted_snap = registry.Snapshot();

@@ -209,11 +209,8 @@ class ParallelEquivalenceTest : public ::testing::TestWithParam<size_t> {
     ConditionEmployeeDataset(&dataset_);
   }
 
-  static TheoryFactory Factory() {
-    return [] { return std::make_unique<EmployeeTheory>(); };
-  }
-
   Dataset dataset_;
+  const TheoryFactory factory_ = EmployeeTheory::Factory();
 };
 
 TEST_P(ParallelEquivalenceTest, SnmMatchesSerialExactly) {
@@ -224,7 +221,7 @@ TEST_P(ParallelEquivalenceTest, SnmMatchesSerialExactly) {
   ASSERT_TRUE(serial.ok());
 
   ParallelSnm parallel(processors, 10);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), factory_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_EQ(result->pairs.size(), serial->pairs.size());
@@ -242,7 +239,7 @@ TEST_P(ParallelEquivalenceTest, BlockCyclicSnmMatchesSerialExactly) {
 
   // Block-cyclic coordinator deal with small memory blocks.
   ParallelSnm parallel(processors, 10, /*block_records=*/64);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), factory_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_EQ(result->pairs.size(), serial->pairs.size());
@@ -278,7 +275,7 @@ TEST_P(ParallelEquivalenceTest, ClusteringMatchesSerialPairSet) {
   parallel_options.num_clusters = 8;  // Per processor.
   parallel_options.window = 10;
   ParallelClustering parallel(processors, parallel_options);
-  auto result = parallel.Run(dataset_, LastNameKey(), Factory());
+  auto result = parallel.Run(dataset_, LastNameKey(), factory_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_EQ(result->pairs.size(), serial->pairs.size());

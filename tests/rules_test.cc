@@ -1,12 +1,16 @@
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "rules/analysis/diagnostics.h"
 #include "rules/employee_theory.h"
 #include "rules/lexer.h"
 #include "rules/parser.h"
 #include "rules/rule_program.h"
+#include "rules/theory_loader.h"
 
 namespace mergepurge {
 namespace {
@@ -306,10 +310,10 @@ TEST_F(EmployeeTheoryTest, MissingFirstName) {
 
 TEST_F(EmployeeTheoryTest, ComparisonCounterAdvances) {
   Record a = Employee("1", "A", "B", "C");
-  theory_.reset_comparison_count();
-  theory_.Matches(a, a);
-  theory_.Matches(a, a);
-  EXPECT_EQ(theory_.comparison_count(), 2u);
+  EmployeeTheory fresh;
+  fresh.Matches(a, a);
+  fresh.Matches(a, a);
+  EXPECT_EQ(fresh.comparison_count(), 2u);
 }
 
 TEST_F(EmployeeTheoryTest, DistanceOptionsChangeBehaviour) {
@@ -354,6 +358,40 @@ TEST_F(EmployeeTheoryTest, RuleNamesAreDistinct) {
     names.insert(EmployeeTheory::RuleName(i));
   }
   EXPECT_EQ(names.size(), EmployeeTheory::kNumRules);
+}
+
+// --- Theory loader. ---
+
+TEST(TheoryLoaderTest, LoadsBuiltInTheoryAndRulesFileWithItsPolicy) {
+  AnalysisReport analysis;
+  auto builtin = LoadTheory("", employee::MakeSchema(), &analysis);
+  ASSERT_TRUE(builtin.ok()) << builtin.status().ToString();
+  EXPECT_NE(dynamic_cast<EmployeeTheory*>(builtin->factory().get()), nullptr);
+  EXPECT_EQ(builtin->purge_policy.strategy_for(employee::kFirstName),
+            MergeStrategy::kLongest);
+  EXPECT_EQ(analysis.rule_count(), EmployeeTheory::kNumRules);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mergepurge_loader.rules")
+          .string();
+  std::ofstream(path, std::ios::trunc)
+      << "merge first_name: prefer concat_distinct\n"
+         "rule same-last:\n"
+         "  if r1.last_name == r2.last_name and not empty(r1.last_name)\n"
+         "  then match\n";
+  auto loaded = LoadTheory(path, employee::MakeSchema(), nullptr);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_rules, 1u);
+  EXPECT_EQ(loaded->purge_policy.strategy_for(employee::kFirstName),
+            MergeStrategy::kConcatDistinct);
+  EXPECT_TRUE(loaded->factory()->Matches(
+      Employee("1", "JOHN", "SMITH", "1 MAIN ST"),
+      Employee("2", "JONATHAN", "SMITH", "9 OAK LN")));
+  EXPECT_EQ(LoadTheory(path, employee::MakeSchema(), nullptr)
+                .status()
+                .message(),
+            "cannot open rules file: " + path);
 }
 
 }  // namespace

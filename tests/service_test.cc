@@ -67,10 +67,6 @@ MatchServiceOptions ServiceOptions() {
   return options;
 }
 
-MatchService::TheoryFactory EmployeeFactory() {
-  return [] { return std::make_unique<EmployeeTheory>(); };
-}
-
 Dataset GenerateDataset(size_t num_records, uint64_t seed) {
   GeneratorConfig config;
   config.num_records = num_records;
@@ -443,7 +439,7 @@ TEST(BatcherTest, SubmitAfterDrainFails) {
 // --- MatchService. ---
 
 TEST(MatchServiceTest, UpsertAssignsEntitiesAndMatchFindsThem) {
-  MatchService service(ServiceOptions(), EmployeeFactory());
+  MatchService service(ServiceOptions(), EmployeeTheory::Factory());
   std::vector<Record> records;
   records.push_back(
       MakeRecord("123456789", "JOHN", "SMITH", "12 OAK STREET"));
@@ -468,7 +464,7 @@ TEST(MatchServiceTest, UpsertAssignsEntitiesAndMatchFindsThem) {
 }
 
 TEST(MatchServiceTest, MatchOnEmptyServiceFindsNothing) {
-  MatchService service(ServiceOptions(), EmployeeFactory());
+  MatchService service(ServiceOptions(), EmployeeTheory::Factory());
   Result<MatchService::MatchOutcome> match =
       service.Match(MakeRecord("1", "A", "B", "C"));
   ASSERT_TRUE(match.ok());
@@ -477,7 +473,7 @@ TEST(MatchServiceTest, MatchOnEmptyServiceFindsNothing) {
 }
 
 TEST(MatchServiceTest, UpsertAfterDrainFails) {
-  MatchService service(ServiceOptions(), EmployeeFactory());
+  MatchService service(ServiceOptions(), EmployeeTheory::Factory());
   ASSERT_TRUE(
       service.Upsert({MakeRecord("1", "A", "B", "C")}).ok());
   service.Drain();
@@ -497,7 +493,7 @@ TEST(MatchServiceTest, ConcurrentMixEqualsSerialReplay) {
   MatchServiceOptions options = ServiceOptions();
   options.batcher.max_batch_records = 64;
   options.batcher.max_delay_ms = 1.0;
-  MatchService service(options, EmployeeFactory());
+  MatchService service(options, EmployeeTheory::Factory());
 
   constexpr size_t kWriters = 4;
   constexpr size_t kReaders = 4;
@@ -658,7 +654,7 @@ class ServerTest : public ::testing::Test {
  protected:
   void StartServer(ServerOptions options = ServerOptions()) {
     service_ = std::make_unique<MatchService>(ServiceOptions(),
-                                              EmployeeFactory());
+                                              EmployeeTheory::Factory());
     options.port = 0;  // Ephemeral.
     options.idle_timeout_ms = 5000;
     server_ = std::make_unique<Server>(options, service_.get());
@@ -848,7 +844,7 @@ TEST(ServerRecoveryTest, HealthAnswersDuringRecoveryAndUpsertsRefused) {
   options.durability.data_dir = dir;
   options.durability.fsync = FsyncPolicy::kNone;
   options.durability.recovery_delay_for_testing_ms = 400;
-  MatchService service(options, EmployeeFactory());
+  MatchService service(options, EmployeeTheory::Factory());
   EXPECT_EQ(service.lifecycle(), MatchService::Lifecycle::kRecovering);
 
   ServerOptions server_options;

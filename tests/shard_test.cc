@@ -338,13 +338,9 @@ MatchServiceOptions SingleKeyEngine() {
   return options;
 }
 
-MatchService::TheoryFactory EmployeeFactory() {
-  return [] { return std::make_unique<EmployeeTheory>(); };
-}
-
 TEST(CoordinatorTest, TwoShardPartitionEqualsSingleEngine) {
-  MatchService shard0(SingleKeyEngine(), EmployeeFactory());
-  MatchService shard1(SingleKeyEngine(), EmployeeFactory());
+  MatchService shard0(SingleKeyEngine(), EmployeeTheory::Factory());
+  MatchService shard1(SingleKeyEngine(), EmployeeTheory::Factory());
   ServerOptions server_options;
   server_options.port = 0;
   Server server0(server_options, &shard0);
@@ -364,7 +360,7 @@ TEST(CoordinatorTest, TwoShardPartitionEqualsSingleEngine) {
   Dataset dataset = GenerateDataset(240, 20260809);
   ASSERT_TRUE(coord.SeedRouter(dataset.records()).ok());
 
-  MatchService single(SingleKeyEngine(), EmployeeFactory());
+  MatchService single(SingleKeyEngine(), EmployeeTheory::Factory());
 
   const size_t kBatch = 7;  // Deliberately not a divisor of 240.
   for (size_t begin = 0; begin < dataset.size(); begin += kBatch) {
@@ -434,7 +430,7 @@ TEST(CoordinatorTest, TwoShardPartitionEqualsSingleEngine) {
 // --- Config handshake: a coordinator must refuse a mismatched fleet. ---
 
 TEST(CoordinatorTest, HelloHandshakeVerifiesTopology) {
-  MatchService shard(SingleKeyEngine(), EmployeeFactory());
+  MatchService shard(SingleKeyEngine(), EmployeeTheory::Factory());
   ServerOptions server_options;
   server_options.port = 0;
   server_options.topology_keys = CanonicalKeysSpec("last-name");
@@ -493,7 +489,7 @@ TEST(CoordinatorTest, HelloHandshakeVerifiesTopology) {
 // mismatched probe with config_mismatch, and (unlike match/upsert)
 // does not require the serving lifecycle.
 TEST(CoordinatorTest, HelloOpReportsAndChecksTopology) {
-  MatchService shard(SingleKeyEngine(), EmployeeFactory());
+  MatchService shard(SingleKeyEngine(), EmployeeTheory::Factory());
   ServerOptions server_options;
   server_options.port = 0;
   server_options.topology_keys = "last-name";

@@ -27,9 +27,7 @@ class NumericTheory final : public EquationalTheory {
     long y = std::strtol(std::string(b.field(0)).c_str(), nullptr, 10);
     return std::labs(x - y) <= 1;
   }
-  std::string name() const override { return "numeric"; }
   uint64_t comparison_count() const override { return count_; }
-  void reset_comparison_count() override { count_ = 0; }
 
  private:
   mutable uint64_t count_ = 0;

@@ -1,9 +1,12 @@
 // Property tests over the text-processing layer: invariants that must
 // hold for arbitrary inputs (normalization idempotence, phonetic code
-// alphabet/shape, spell-correction budget, nickname-table reflexivity).
+// alphabet/shape, spell-correction budget, nickname-table reflexivity),
+// and the contract of the shared transposition predicate.
 
 #include <cctype>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include "text/nicknames.h"
 #include "text/normalize.h"
 #include "text/phonetic.h"
+#include "text/predicates.h"
 #include "text/spell.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -30,7 +34,48 @@ std::string RandomText(Rng* rng, size_t max_len) {
   return s;
 }
 
+// The contract IsAdjacentTransposition keeps whatever its body: one
+// Damerau (OSA) operation that Levenshtein needs two for.
+bool TwoDpTransposition(std::string_view x, std::string_view y) {
+  return !x.empty() && x != y && DamerauDistance(x, y) == 1 &&
+         EditDistance(x, y) == 2;
+}
+
+TEST(TranspositionTest, EdgeCases) {
+  EXPECT_FALSE(IsAdjacentTransposition("", ""));
+  EXPECT_FALSE(IsAdjacentTransposition("", "A"));
+  EXPECT_FALSE(IsAdjacentTransposition("AB", "AB"));
+  EXPECT_FALSE(IsAdjacentTransposition("AA", "AA"));
+  EXPECT_FALSE(IsAdjacentTransposition("ABCD", "BADC"));  // Two swaps.
+  EXPECT_TRUE(IsAdjacentTransposition("AB", "BA"));
+  EXPECT_TRUE(IsAdjacentTransposition("AAB", "ABA"));
+}
+
 class TextPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TextPropertyTest, TranspositionMatchesTwoDpDefinition) {
+  Rng rng(GetParam() + 700);
+  // Words over {A,B,C}, each compared with itself after one random swap
+  // (so both outcomes are common, repeated letters included) and with an
+  // unrelated word.
+  int positives = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string x(rng.NextBounded(9), 'A');
+    for (char& c : x) c = static_cast<char>('A' + rng.NextBounded(3));
+    std::string swapped = x;
+    if (x.size() >= 2) {
+      size_t i = rng.NextBounded(x.size() - 1);
+      std::swap(swapped[i], swapped[i + 1]);
+    }
+    for (const std::string& y : {swapped, RandomText(&rng, 8)}) {
+      bool got = IsAdjacentTransposition(x, y);
+      EXPECT_EQ(got, TwoDpTransposition(x, y)) << x << " / " << y;
+      EXPECT_EQ(got, IsAdjacentTransposition(y, x)) << x << " / " << y;
+      positives += got ? 1 : 0;
+    }
+  }
+  EXPECT_GT(positives, 500);
+}
 
 TEST_P(TextPropertyTest, NormalizersAreIdempotent) {
   Rng rng(GetParam());

@@ -30,9 +30,7 @@ class ModTheory final : public EquationalTheory {
     };
     return value(a) % k_ == value(b) % k_;
   }
-  std::string name() const override { return "mod"; }
   uint64_t comparison_count() const override { return count_; }
-  void reset_comparison_count() override { count_ = 0; }
 
  private:
   TupleId k_;

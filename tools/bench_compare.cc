@@ -18,11 +18,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "obs/json.h"
+#include "util/fs.h"
 #include "util/string_util.h"
 
 using namespace mergepurge;
@@ -38,14 +37,12 @@ constexpr const char* kUsage =
 // Loads `file` and resolves `path` ("a/b/c") to a number.
 bool LoadMetric(const std::string& file, const std::string& path,
                 double* out) {
-  std::ifstream in(file, std::ios::binary);
-  if (!in) {
+  Result<std::string> text = ReadFileToString(file);
+  if (!text.ok()) {
     std::fprintf(stderr, "bench_compare: cannot open %s\n", file.c_str());
     return false;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  Result<JsonValue> doc = JsonValue::Parse(text.str());
+  Result<JsonValue> doc = JsonValue::Parse(*text);
   if (!doc.ok()) {
     std::fprintf(stderr, "bench_compare: %s: %s\n", file.c_str(),
                  doc.status().ToString().c_str());

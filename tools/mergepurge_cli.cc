@@ -51,9 +51,7 @@
 //   ssn,first_name,initial,last_name,address,apartment,city,state,zip
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -69,10 +67,8 @@
 #include "obs/progress.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
-#include "rules/analysis/analyzer.h"
-#include "rules/employee_rules_text.h"
-#include "rules/employee_theory.h"
-#include "rules/rule_program.h"
+#include "rules/analysis/diagnostics.h"
+#include "rules/theory_loader.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -112,29 +108,6 @@ int UsageError(const std::string& message) {
   return kExitUsage;
 }
 
-Result<std::vector<KeySpec>> ResolveKeys(const std::string& names) {
-  std::vector<KeySpec> keys;
-  for (std::string_view name : SplitView(names, ',')) {
-    if (name == "last-name") {
-      keys.push_back(LastNameKey());
-    } else if (name == "first-name") {
-      keys.push_back(FirstNameKey());
-    } else if (name == "address") {
-      keys.push_back(AddressKey());
-    } else if (name == "soundex-last-name") {
-      keys.push_back(PhoneticLastNameKey());
-    } else {
-      return Status::InvalidArgument(
-          "unknown key '" + std::string(name) +
-          "' (expected last-name, first-name, address, soundex-last-name)");
-    }
-  }
-  if (keys.empty()) {
-    return Status::InvalidArgument("no keys given");
-  }
-  return keys;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,16 +118,8 @@ int main(int argc, char** argv) {
   if (!args.status().ok()) {
     return UsageError(args.status().message());
   }
-  for (const std::string& name : args.Names()) {
-    bool known = false;
-    for (const char* flag : kKnownFlags) {
-      if (name == flag) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return UsageError("unknown flag --" + name);
-  }
+  const std::string unknown = args.FirstUnknownFlag(kKnownFlags);
+  if (!unknown.empty()) return UsageError("unknown flag --" + unknown);
   if (args.Has("input") == args.Has("gen")) {
     return UsageError("exactly one of --input and --gen is required");
   }
@@ -219,30 +184,10 @@ int main(int argc, char** argv) {
     if (!armed.ok()) return UsageError(armed.message());
   }
 
-  // --- Optional theory preflight: lint before any data is read. Without
-  // --rules this vets the built-in theory's rule-language mirror. ---
-  if (args.GetBool("rules-check", false)) {
-    std::string rules_name = "<builtin-employee>";
-    std::string rules_source(EmployeeRulesText());
-    if (args.Has("rules")) {
-      rules_name = args.GetString("rules", "");
-      std::ifstream rules_in(rules_name, std::ios::binary);
-      if (!rules_in) return Fail("cannot open rules file: " + rules_name);
-      std::ostringstream rules_text;
-      rules_text << rules_in.rdbuf();
-      rules_source = rules_text.str();
-    }
-    AnalysisReport analysis = AnalyzeRuleSource(rules_source);
-    std::fputs(analysis.ToText(rules_name).c_str(), stderr);
-    if (analysis.HasErrors()) {
-      return Fail("--rules-check: theory has lint errors (see above)");
-    }
-  }
-
   // --- Configure the engine (all usage validation happens before any
   // input is read, so bad flags exit 2 even when inputs are bad too). ---
   MergePurgeOptions options;
-  Result<std::vector<KeySpec>> keys = ResolveKeys(
+  Result<std::vector<KeySpec>> keys = KeysFromNames(
       args.GetString("keys", "last-name,first-name,address"));
   if (!keys.ok()) return UsageError(keys.status().message());
   options.keys = std::move(*keys);
@@ -268,8 +213,28 @@ int main(int argc, char** argv) {
                       "' (expected snm or cluster)");
   }
 
-  // --- Load and concatenate the sources (or synthesize them). ---
+  // --- Theory: built-in or a rule-language file, loaded before any data
+  // is read. --rules-check lints it (without --rules, the built-in
+  // theory's rule-language mirror) and lint errors abort the run. ---
   Schema schema = employee::MakeSchema();
+  const std::string rules_path = args.GetString("rules", "");
+  const bool rules_check = args.GetBool("rules-check", false);
+  AnalysisReport analysis;
+  Result<LoadedTheory> loaded =
+      LoadTheory(rules_path, schema, rules_check ? &analysis : nullptr);
+  if (!loaded.ok()) return Fail(loaded.status().message());
+  if (rules_check) {
+    std::fputs(analysis.ToText(loaded->source_name).c_str(), stderr);
+    if (analysis.HasErrors()) {
+      return Fail("--rules-check: theory has lint errors (see above)");
+    }
+  }
+  if (!rules_path.empty()) {
+    std::fprintf(stderr, "compiled %zu rules from %s\n", loaded->num_rules,
+                 loaded->source_name.c_str());
+  }
+
+  // --- Load and concatenate the sources (or synthesize them). ---
   Dataset combined(schema);
   if (args.Has("gen")) {
     GeneratorConfig gen_config;
@@ -299,26 +264,8 @@ int main(int argc, char** argv) {
   }
   if (combined.empty()) return Fail("no input records");
 
-  // --- Theory: built-in or a rule-language file. ---
-  std::unique_ptr<EquationalTheory> theory;
-  if (args.Has("rules")) {
-    std::string path = args.GetString("rules", "");
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Fail("cannot open rules file: " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    Result<RuleProgram> program = RuleProgram::Compile(text.str(), schema);
-    if (!program.ok()) {
-      return Fail(path + ": " + program.status().ToString());
-    }
-    std::fprintf(stderr, "compiled %zu rules from %s\n",
-                 program->num_rules(), path.c_str());
-    theory = std::make_unique<RuleProgram>(std::move(*program));
-  } else {
-    theory = std::make_unique<EmployeeTheory>();
-  }
-
   // --- Run. ---
+  std::unique_ptr<EquationalTheory> theory = loaded->factory();
   MergePurgeEngine engine(options);
   Result<MergePurgeResult> result = engine.Run(combined, *theory);
   if (!result.ok()) return Fail(result.status().ToString());
@@ -361,7 +308,8 @@ int main(int argc, char** argv) {
       combined_pairs.Merge(pass.pairs);
     }
     for (std::string_view path_view : SplitView(pair_list, ',')) {
-      Result<PairSet> stored = ReadPairSetFile(std::string(path_view));
+      Result<PairSet> stored =
+          ReadPairSetFile(std::string(path_view), combined.size());
       if (!stored.ok()) return Fail(stored.status().ToString());
       std::fprintf(stderr, "unioned %zu pairs from %.*s\n", stored->size(),
                    static_cast<int>(path_view.size()), path_view.data());
@@ -371,8 +319,9 @@ int main(int argc, char** argv) {
         TransitiveClosure(combined_pairs, combined.size());
   }
 
-  // --- Purge and write. ---
-  Dataset purged = result->Purge(combined);
+  // --- Purge (with the rules file's merge directives) and write. ---
+  Dataset purged =
+      loaded->purge_policy.Purge(combined, result->component_of);
   std::string out_path = args.GetString("output", "");
   Status write = WriteCsvFile(purged, out_path);
   if (!write.ok()) return Fail(write.ToString());

@@ -38,7 +38,6 @@
 #include "obs/drain.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
-#include "rules/employee_theory.h"
 #include "service/server.h"
 #include "shard/coordinator.h"
 #include "util/logging.h"
@@ -78,29 +77,6 @@ int UsageError(const std::string& message) {
   std::fprintf(stderr, "mergepurge_coord: %s\n%s\n", message.c_str(),
                kUsage);
   return kExitUsage;
-}
-
-Result<std::vector<KeySpec>> ResolveKeys(const std::string& names) {
-  std::vector<KeySpec> keys;
-  for (std::string_view name : SplitView(names, ',')) {
-    if (name == "last-name") {
-      keys.push_back(LastNameKey());
-    } else if (name == "first-name") {
-      keys.push_back(FirstNameKey());
-    } else if (name == "address") {
-      keys.push_back(AddressKey());
-    } else if (name == "soundex-last-name") {
-      keys.push_back(PhoneticLastNameKey());
-    } else {
-      return Status::InvalidArgument(
-          "unknown key '" + std::string(name) +
-          "' (expected last-name, first-name, address, soundex-last-name)");
-    }
-  }
-  if (keys.empty()) {
-    return Status::InvalidArgument("no keys given");
-  }
-  return keys;
 }
 
 // "host:port" or bare "port" (host defaults to loopback).
@@ -149,16 +125,8 @@ int main(int argc, char** argv) {
 
   ArgParser args(argc, argv);
   if (!args.status().ok()) return UsageError(args.status().message());
-  for (const std::string& name : args.Names()) {
-    bool known = false;
-    for (const char* flag : kKnownFlags) {
-      if (name == flag) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return UsageError("unknown flag --" + name);
-  }
+  const std::string unknown = args.FirstUnknownFlag(kKnownFlags);
+  if (!unknown.empty()) return UsageError("unknown flag --" + unknown);
 
   if (args.Has("log-level")) {
     std::string level_name = args.GetString("log-level", "");
@@ -180,7 +148,7 @@ int main(int argc, char** argv) {
       ResolveShards(args.GetString("shards", ""));
   if (!shards.ok()) return UsageError(shards.status().message());
   coord_options.shards = std::move(*shards);
-  Result<std::vector<KeySpec>> keys = ResolveKeys(
+  Result<std::vector<KeySpec>> keys = KeysFromNames(
       args.GetString("keys", "last-name,first-name,address"));
   if (!keys.ok()) return UsageError(keys.status().message());
   coord_options.keys = std::move(*keys);

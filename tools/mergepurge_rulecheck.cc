@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,6 +38,8 @@
 #include "record/schema.h"
 #include "rules/analysis/analyzer.h"
 #include "rules/employee_rules_text.h"
+#include "rules/theory_loader.h"
+#include "util/fs.h"
 #include "util/string_util.h"
 
 using namespace mergepurge;
@@ -109,16 +110,8 @@ std::vector<PassKeyFields> EmployeeStandardPasses() {
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   if (!args.status().ok()) return UsageError(args.status().message());
-  for (const std::string& name : args.Names()) {
-    bool known = false;
-    for (const char* flag : kKnownFlags) {
-      if (name == flag) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return UsageError("unknown flag --" + name);
-  }
+  const std::string unknown = args.FirstUnknownFlag(kKnownFlags);
+  if (!unknown.empty()) return UsageError("unknown flag --" + unknown);
   if (args.Has("rules") == args.GetBool("builtin-employee", false)) {
     return UsageError(
         "exactly one of --rules and --builtin-employee is required");
@@ -129,19 +122,17 @@ int main(int argc, char** argv) {
                       "' (expected text or json)");
   }
 
-  std::string source_name = "<builtin-employee>";
+  std::string source_name = kBuiltinTheoryName;
   std::string source(EmployeeRulesText());
   if (args.Has("rules")) {
     source_name = args.GetString("rules", "");
-    std::ifstream in(source_name, std::ios::binary);
-    if (!in) {
+    Result<std::string> text = ReadFileToString(source_name);
+    if (!text.ok()) {
       std::fprintf(stderr, "mergepurge_rulecheck: cannot open %s\n",
                    source_name.c_str());
       return kExitFindings;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    source = text.str();
+    source = std::move(*text);
   }
 
   AnalyzerOptions analyzer_options;

@@ -44,8 +44,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
-#include <sstream>
 #include <string>
 
 #include "eval/experiment.h"
@@ -53,14 +51,11 @@
 #include "obs/drain.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
-#include "rules/analysis/analyzer.h"
-#include "rules/employee_rules_text.h"
-#include "rules/employee_theory.h"
-#include "rules/rule_program.h"
+#include "rules/analysis/diagnostics.h"
+#include "rules/theory_loader.h"
 #include "service/match_service.h"
 #include "service/server.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 using namespace mergepurge;
 
@@ -101,29 +96,6 @@ int UsageError(const std::string& message) {
   return kExitUsage;
 }
 
-Result<std::vector<KeySpec>> ResolveKeys(const std::string& names) {
-  std::vector<KeySpec> keys;
-  for (std::string_view name : SplitView(names, ',')) {
-    if (name == "last-name") {
-      keys.push_back(LastNameKey());
-    } else if (name == "first-name") {
-      keys.push_back(FirstNameKey());
-    } else if (name == "address") {
-      keys.push_back(AddressKey());
-    } else if (name == "soundex-last-name") {
-      keys.push_back(PhoneticLastNameKey());
-    } else {
-      return Status::InvalidArgument(
-          "unknown key '" + std::string(name) +
-          "' (expected last-name, first-name, address, soundex-last-name)");
-    }
-  }
-  if (keys.empty()) {
-    return Status::InvalidArgument("no keys given");
-  }
-  return keys;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -133,16 +105,8 @@ int main(int argc, char** argv) {
 
   ArgParser args(argc, argv);
   if (!args.status().ok()) return UsageError(args.status().message());
-  for (const std::string& name : args.Names()) {
-    bool known = false;
-    for (const char* flag : kKnownFlags) {
-      if (name == flag) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return UsageError("unknown flag --" + name);
-  }
+  const std::string unknown = args.FirstUnknownFlag(kKnownFlags);
+  if (!unknown.empty()) return UsageError("unknown flag --" + unknown);
 
   if (args.Has("log-level")) {
     std::string level_name = args.GetString("log-level", "");
@@ -157,7 +121,7 @@ int main(int argc, char** argv) {
 
   // --- Engine configuration. ---
   MatchServiceOptions service_options;
-  Result<std::vector<KeySpec>> keys = ResolveKeys(
+  Result<std::vector<KeySpec>> keys = KeysFromNames(
       args.GetString("keys", "last-name,first-name,address"));
   if (!keys.ok()) return UsageError(keys.status().message());
   service_options.engine.keys = std::move(*keys);
@@ -261,49 +225,24 @@ int main(int argc, char** argv) {
   server_options.topology_keys = topology_keys;
   server_options.topology_window = topology_window;
 
-  // --- Optional theory preflight: a service with a linted-broken theory
-  // (e.g. one that merges all-blank records) must refuse to start. ---
-  if (args.GetBool("rules-check", false)) {
-    std::string rules_name = "<builtin-employee>";
-    std::string rules_source(EmployeeRulesText());
-    if (args.Has("rules")) {
-      rules_name = args.GetString("rules", "");
-      std::ifstream rules_in(rules_name, std::ios::binary);
-      if (!rules_in) return Fail("cannot open rules file: " + rules_name);
-      std::ostringstream rules_text;
-      rules_text << rules_in.rdbuf();
-      rules_source = rules_text.str();
-    }
-    AnalysisReport analysis = AnalyzeRuleSource(rules_source);
-    std::fputs(analysis.ToText(rules_name).c_str(), stderr);
+  // --- Theory: compile once, instantiate per lease. --rules-check lints
+  // it first: a service with a linted-broken theory (e.g. one that merges
+  // all-blank records) must refuse to start. ---
+  const std::string rules_path = args.GetString("rules", "");
+  const bool rules_check = args.GetBool("rules-check", false);
+  AnalysisReport analysis;
+  Result<LoadedTheory> loaded = LoadTheory(
+      rules_path, employee::MakeSchema(), rules_check ? &analysis : nullptr);
+  if (!loaded.ok()) return Fail(loaded.status().message());
+  if (rules_check) {
+    std::fputs(analysis.ToText(loaded->source_name).c_str(), stderr);
     if (analysis.HasErrors()) {
       return Fail("--rules-check: theory has lint errors, refusing to serve");
     }
   }
-
-  // --- Theory factory: compile once, instantiate per lease. ---
-  MatchService::TheoryFactory theory_factory;
-  if (args.Has("rules")) {
-    std::string path = args.GetString("rules", "");
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Fail("cannot open rules file: " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    Result<RuleProgram> program =
-        RuleProgram::Compile(text.str(), employee::MakeSchema());
-    if (!program.ok()) {
-      return Fail(path + ": " + program.status().ToString());
-    }
-    std::fprintf(stderr, "compiled %zu rules from %s\n",
-                 program->num_rules(), path.c_str());
-    auto shared = std::make_shared<RuleProgram>(std::move(*program));
-    theory_factory = [shared]() -> std::unique_ptr<EquationalTheory> {
-      return std::make_unique<RuleProgram>(*shared);
-    };
-  } else {
-    theory_factory = []() -> std::unique_ptr<EquationalTheory> {
-      return std::make_unique<EmployeeTheory>();
-    };
+  if (!rules_path.empty()) {
+    std::fprintf(stderr, "compiled %zu rules from %s\n", loaded->num_rules,
+                 loaded->source_name.c_str());
   }
 
   // The service constructs in the recovering state (durability on) and
@@ -311,7 +250,7 @@ int main(int argc, char** argv) {
   // away so health checks can observe "recovering" while match/upsert
   // are refused with a retryable error.
   MatchService service(std::move(service_options),
-                       std::move(theory_factory));
+                       std::move(loaded->factory));
   Server server(server_options, &service);
   SignalDrain::Global().OnSignal(
       [&server](int) { server.RequestDrain(); });

@@ -208,16 +208,8 @@ void RenderScreen(const JsonValue& stats, const std::string& endpoint,
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   if (!args.status().ok()) return UsageError(args.status().message());
-  for (const std::string& name : args.Names()) {
-    bool known = false;
-    for (const char* flag : kKnownFlags) {
-      if (name == flag) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return UsageError("unknown flag --" + name);
-  }
+  const std::string unknown = args.FirstUnknownFlag(kKnownFlags);
+  if (!unknown.empty()) return UsageError("unknown flag --" + unknown);
 
   if (!args.Has("port")) return UsageError("--port is required");
   const int64_t port = args.GetInt("port", 0);

@@ -26,17 +26,14 @@
 // 2 usage error.
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/incremental.h"
 #include "eval/experiment.h"
 #include "keys/standard_keys.h"
-#include "rules/employee_theory.h"
-#include "rules/rule_program.h"
+#include "rules/theory_loader.h"
 #include "service/snapshot.h"
 #include "service/wal.h"
 #include "util/string_util.h"
@@ -65,29 +62,6 @@ int UsageError(const std::string& message) {
   std::fprintf(stderr, "mergepurge_walcheck: %s\n%s\n", message.c_str(),
                kUsage);
   return kExitUsage;
-}
-
-Result<std::vector<KeySpec>> ResolveKeys(const std::string& names) {
-  std::vector<KeySpec> keys;
-  for (std::string_view name : SplitView(names, ',')) {
-    if (name == "last-name") {
-      keys.push_back(LastNameKey());
-    } else if (name == "first-name") {
-      keys.push_back(FirstNameKey());
-    } else if (name == "address") {
-      keys.push_back(AddressKey());
-    } else if (name == "soundex-last-name") {
-      keys.push_back(PhoneticLastNameKey());
-    } else {
-      return Status::InvalidArgument(
-          "unknown key '" + std::string(name) +
-          "' (expected last-name, first-name, address, soundex-last-name)");
-    }
-  }
-  if (keys.empty()) {
-    return Status::InvalidArgument("no keys given");
-  }
-  return keys;
 }
 
 // Replays `batches` into `engine` in sequence order. Deterministically
@@ -156,22 +130,14 @@ std::string FirstDifference(const IncrementalMergePurge& a,
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   if (!args.status().ok()) return UsageError(args.status().message());
-  for (const std::string& name : args.Names()) {
-    bool known = false;
-    for (const char* flag : kKnownFlags) {
-      if (name == flag) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return UsageError("unknown flag --" + name);
-  }
+  const std::string unknown = args.FirstUnknownFlag(kKnownFlags);
+  if (!unknown.empty()) return UsageError("unknown flag --" + unknown);
   if (!args.Has("data-dir")) return UsageError("--data-dir is required");
   const std::string data_dir = args.GetString("data-dir", "");
   if (data_dir.empty()) return UsageError("--data-dir needs a path");
 
   MergePurgeOptions options;
-  Result<std::vector<KeySpec>> keys = ResolveKeys(
+  Result<std::vector<KeySpec>> keys = KeysFromNames(
       args.GetString("keys", "last-name,first-name,address"));
   if (!keys.ok()) return UsageError(keys.status().message());
   options.keys = std::move(*keys);
@@ -182,20 +148,10 @@ int main(int argc, char** argv) {
   }
   options.window = static_cast<size_t>(window);
 
-  std::unique_ptr<EquationalTheory> theory;
-  if (args.Has("rules")) {
-    std::string path = args.GetString("rules", "");
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Fail("cannot open rules file: " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    Result<RuleProgram> program =
-        RuleProgram::Compile(text.str(), employee::MakeSchema());
-    if (!program.ok()) return Fail(path + ": " + program.status().ToString());
-    theory = std::make_unique<RuleProgram>(std::move(*program));
-  } else {
-    theory = std::make_unique<EmployeeTheory>();
-  }
+  Result<LoadedTheory> loaded = LoadTheory(args.GetString("rules", ""),
+                                           employee::MakeSchema(), nullptr);
+  if (!loaded.ok()) return Fail(loaded.status().message());
+  std::unique_ptr<EquationalTheory> theory = loaded->factory();
 
   // The full WAL, read once; both paths replay slices of it. Reading for
   // recovery may truncate a torn tail in place — the same cut the server

@@ -16,12 +16,11 @@
 // missing path, or type mismatch, 2 usage error.
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/json.h"
+#include "util/fs.h"
 #include "util/string_util.h"
 
 using namespace mergepurge;
@@ -98,14 +97,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::ifstream in(file, std::ios::binary);
-  if (!in) {
+  Result<std::string> text = ReadFileToString(file);
+  if (!text.ok()) {
     std::fprintf(stderr, "validate_report: cannot open %s\n", file.c_str());
     return 1;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  Result<JsonValue> doc = JsonValue::Parse(text.str());
+  Result<JsonValue> doc = JsonValue::Parse(*text);
   if (!doc.ok()) {
     std::fprintf(stderr, "validate_report: %s: %s\n", file.c_str(),
                  doc.status().ToString().c_str());
