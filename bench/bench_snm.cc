@@ -9,6 +9,10 @@
 //
 // The report's "bench" config block carries the best-of-repeat wall time
 // and derived throughput; passes/closure/counters come from the best run.
+// Two window-scan layer numbers for that run sit beside them:
+// ns_per_comparison (summed pass scan time over comparisons) and
+// distance_calls_per_comparison (the rules.distance_calls counter over
+// comparisons).
 
 #include <cstdio>
 #include <string>
@@ -18,6 +22,7 @@
 #include "eval/experiment.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
+#include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "rules/employee_theory.h"
@@ -63,6 +68,7 @@ int main(int argc, char** argv) {
   // one, so the report's counters cover exactly the run its passes do.
   RunReport report("bench_snm");
   double best_seconds = 0.0;
+  uint64_t best_distance_calls = 0;
   Result<MergePurgeResult> best = Status::NotFound("no run");
   for (int r = 0; r < repeat; ++r) {
     MetricsRegistry::Global().Reset();
@@ -80,13 +86,20 @@ int main(int argc, char** argv) {
       best_seconds = seconds;
       best = std::move(result);
       report.CaptureMetrics();
+      best_distance_calls = MetricsRegistry::Global()
+                                .GetCounter(metric_names::kRulesDistanceCalls)
+                                ->Value();
     }
   }
 
   uint64_t comparisons = 0;
+  double scan_seconds = 0.0;
   for (const PassResult& pass : best->detail.passes) {
     comparisons += pass.comparisons;
+    scan_seconds += pass.scan_seconds;
   }
+  const double per_comparison =
+      comparisons > 0 ? 1.0 / static_cast<double>(comparisons) : 0.0;
   const double records_per_s =
       best_seconds > 0 ? static_cast<double>(dataset.size()) / best_seconds
                        : 0.0;
@@ -103,6 +116,11 @@ int main(int argc, char** argv) {
   report.SetConfig("best_seconds", JsonValue(best_seconds));
   report.SetConfig("records_per_second", JsonValue(records_per_s));
   report.SetConfig("comparisons_per_second", JsonValue(comparisons_per_s));
+  report.SetConfig("ns_per_comparison",
+                   JsonValue(scan_seconds * 1e9 * per_comparison));
+  report.SetConfig(
+      "distance_calls_per_comparison",
+      JsonValue(static_cast<double>(best_distance_calls) * per_comparison));
   report.SetDataset(dataset.size(), dataset.schema().num_fields());
   report.SetMultiPass(best->detail);
   report.SetOutcome(true);

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the primitives whose constants
 // drive the §3.5 cost model: distance functions, the shared transposition
-// predicate, phonetic codes, key construction, the window-scan comparison
+// predicate, nickname equivalence, phonetic codes, key construction, the window-scan comparison
 // under both theories (hand-coded and interpreted rule language),
 // union-find closure, and the external sorter.
 
@@ -21,6 +21,7 @@
 #include "sort/external_sort.h"
 #include "text/edit_distance.h"
 #include "text/keyboard_distance.h"
+#include "text/nicknames.h"
 #include "text/normalize.h"
 #include "text/phonetic.h"
 #include "text/predicates.h"
@@ -91,6 +92,32 @@ void BM_BoundedDamerau(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundedDamerau)->Arg(1)->Arg(3);
 
+// The SSN rule's shape: 9-digit strings within Damerau distance 1. Each odd
+// entry is a one-digit typo of the entry before it, so half the compared
+// pairs are near matches and half are unrelated.
+void BM_WithinDistance1(benchmark::State& state) {
+  Rng rng(12);
+  std::vector<std::string> ssns(1024);
+  for (size_t i = 0; i < ssns.size(); ++i) {
+    if (i % 2 == 1) {
+      ssns[i] = ssns[i - 1];
+      const size_t digit = rng.NextBounded(9);
+      ssns[i][digit] = static_cast<char>('0' + rng.NextBounded(10));
+      continue;
+    }
+    for (int j = 0; j < 9; ++j) {
+      ssns[i] += static_cast<char>('0' + rng.NextBounded(10));
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        WithinDistance(ssns[i % 1024], ssns[(i + 1) % 1024], 1));
+    ++i;
+  }
+}
+BENCHMARK(BM_WithinDistance1);
+
 // Arg 0: unrelated name pairs (false); arg 1: each name against itself
 // with two adjacent letters swapped (true unless the letters are equal).
 void BM_AdjacentTransposition(benchmark::State& state) {
@@ -111,6 +138,25 @@ void BM_AdjacentTransposition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdjacentTransposition)->Arg(0)->Arg(1);
+
+// Upper-case first names as conditioning leaves them, drawn from nickname
+// groups and from names the table does not know.
+void BM_SameCanonicalName(benchmark::State& state) {
+  const std::vector<std::string> pool = {
+      "ROBERT", "BOB",  "WILLIAM", "BILL", "JOHN",  "JACK",  "MARY",
+      "MOLLY",  "SEAN", "IAN",     "SMITH", "KEVIN", "LINDA", "OSCAR"};
+  Rng rng(13);
+  std::vector<std::string> names(1024);
+  for (std::string& name : names) name = pool[rng.NextBounded(pool.size())];
+  const NicknameTable& table = NicknameTable::Default();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        table.SameCanonicalName(names[i % 1024], names[(i + 1) % 1024]));
+    ++i;
+  }
+}
+BENCHMARK(BM_SameCanonicalName);
 
 void BM_KeyboardDistance(benchmark::State& state) {
   auto names = RandomNames(1024, 4);

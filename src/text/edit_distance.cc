@@ -1,6 +1,7 @@
 #include "text/edit_distance.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <vector>
 
@@ -8,47 +9,63 @@ namespace mergepurge {
 
 namespace {
 
-inline int Min3(int a, int b, int c) { return std::min(a, std::min(b, c)); }
-
-}  // namespace
-
-int EditDistance(std::string_view a, std::string_view b) {
+// Full Levenshtein or OSA Damerau distance. A shorter string of at most
+// 64 bytes runs Hyyrö's bit-vector recurrence (Myers 1999; Hyyrö 2003 adds
+// the transposition term tr): one DP column per character of the longer
+// string, in a few word operations. Only the peq entries of characters in
+// either string are cleared, and only those are read. Longer strings fall
+// back to the rolling-row DP.
+int Distance(std::string_view a, std::string_view b, bool transpositions) {
   if (a.size() > b.size()) std::swap(a, b);
-  const size_t n = a.size();
-  const size_t m = b.size();
-  if (n == 0) return static_cast<int>(m);
+  const size_t m = a.size();
+  if (m == 0) return static_cast<int>(b.size());
 
-  // Single rolling row over the shorter string.
-  std::vector<int> row(n + 1);
-  for (size_t j = 0; j <= n; ++j) row[j] = static_cast<int>(j);
-  for (size_t i = 1; i <= m; ++i) {
-    int diag = row[0];
-    row[0] = static_cast<int>(i);
-    for (size_t j = 1; j <= n; ++j) {
-      int next_diag = row[j];
-      int cost = (a[j - 1] == b[i - 1]) ? 0 : 1;
-      row[j] = Min3(row[j] + 1, row[j - 1] + 1, diag + cost);
-      diag = next_diag;
+  if (m <= 64) {
+    uint64_t peq[256];
+    for (char c : a) peq[static_cast<unsigned char>(c)] = 0;
+    for (char c : b) peq[static_cast<unsigned char>(c)] = 0;
+    for (size_t i = 0; i < m; ++i) {
+      peq[static_cast<unsigned char>(a[i])] |= uint64_t{1} << i;
     }
+    const uint64_t last = uint64_t{1} << (m - 1);
+    uint64_t vp = ~uint64_t{0};
+    uint64_t vn = 0;
+    uint64_t d0 = 0;
+    uint64_t pm_prev = 0;
+    int score = static_cast<int>(m);
+    for (char c : b) {
+      const uint64_t pm = peq[static_cast<unsigned char>(c)];
+      const uint64_t tr =
+          transpositions ? (((~d0) & pm) << 1) & pm_prev : uint64_t{0};
+      d0 = (((pm & vp) + vp) ^ vp) | pm | vn | tr;
+      uint64_t hp = vn | ~(d0 | vp);
+      uint64_t hn = d0 & vp;
+      score += (hp & last) ? 1 : 0;
+      score -= (hn & last) ? 1 : 0;
+      hp = (hp << 1) | 1;
+      hn <<= 1;
+      vp = hn | ~(d0 | hp);
+      vn = hp & d0;
+      pm_prev = pm;
+    }
+    return score;
   }
-  return row[n];
-}
 
-int DamerauDistance(std::string_view a, std::string_view b) {
-  const size_t n = a.size();
-  const size_t m = b.size();
-  if (n == 0) return static_cast<int>(m);
-  if (m == 0) return static_cast<int>(n);
-
-  // Three rolling rows (need i-2 for the transposition case).
-  std::vector<int> prev2(m + 1), prev(m + 1), curr(m + 1);
+  // Three rolling rows over the shorter string; the oldest is only read
+  // for the transposition case.
+  const size_t w = m + 1;
+  std::vector<int> rows(3 * w);
+  int* prev2 = rows.data();
+  int* prev = prev2 + w;
+  int* curr = prev + w;
   for (size_t j = 0; j <= m; ++j) prev[j] = static_cast<int>(j);
-  for (size_t i = 1; i <= n; ++i) {
+  for (size_t i = 1; i <= b.size(); ++i) {
     curr[0] = static_cast<int>(i);
     for (size_t j = 1; j <= m; ++j) {
-      int cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      curr[j] = Min3(prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + cost);
-      if (i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1]) {
+      const int cost = (b[i - 1] == a[j - 1]) ? 0 : 1;
+      curr[j] = std::min({prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + cost});
+      if (transpositions && i > 1 && j > 1 && b[i - 1] == a[j - 2] &&
+          b[i - 2] == a[j - 1]) {
         curr[j] = std::min(curr[j], prev2[j - 2] + 1);
       }
     }
@@ -58,58 +75,35 @@ int DamerauDistance(std::string_view a, std::string_view b) {
   return prev[m];
 }
 
-namespace {
-
-// Shared bounded DP. If with_transpositions is true, computes OSA Damerau.
-// Values are clamped at kInf = max_distance + 1 and the computation aborts
-// as soon as an entire row exceeds the bound. Strings in this domain are
-// short (names, street lines), so full rows are cheap; the early exit is
-// what matters during window scanning.
-int BoundedDistanceImpl(std::string_view a, std::string_view b,
-                        int max_distance, bool with_transpositions) {
+// The bounded contract on top of the full distance: 0 for a negative
+// bound, max_distance + 1 once the length gap alone exceeds the bound.
+int Bounded(std::string_view a, std::string_view b, int max_distance,
+            bool transpositions) {
   if (max_distance < 0) return 0;
-  const int n = static_cast<int>(a.size());
-  const int m = static_cast<int>(b.size());
-  if (std::abs(n - m) > max_distance) return max_distance + 1;
-  if (n == 0) return m;
-  if (m == 0) return n;
-
-  const int kInf = max_distance + 1;
-  std::vector<int> prev2(static_cast<size_t>(m) + 1, kInf);
-  std::vector<int> prev(static_cast<size_t>(m) + 1, kInf);
-  std::vector<int> curr(static_cast<size_t>(m) + 1, kInf);
-  for (int j = 0; j <= m; ++j) prev[j] = std::min(j, kInf);
-
-  for (int i = 1; i <= n; ++i) {
-    curr[0] = std::min(i, kInf);
-    int row_min = curr[0];
-    for (int j = 1; j <= m; ++j) {
-      int cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      int best = Min3(prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + cost);
-      if (with_transpositions && i > 1 && j > 1 && a[i - 1] == b[j - 2] &&
-          a[i - 2] == b[j - 1]) {
-        best = std::min(best, prev2[j - 2] + 1);
-      }
-      curr[j] = std::min(best, kInf);
-      row_min = std::min(row_min, curr[j]);
-    }
-    if (row_min > max_distance) return kInf;
-    std::swap(prev2, prev);
-    std::swap(prev, curr);
-  }
-  return prev[m];
+  const int gap = std::abs(static_cast<int>(a.size()) -
+                           static_cast<int>(b.size()));
+  if (gap > max_distance) return max_distance + 1;
+  return std::min(Distance(a, b, transpositions), max_distance + 1);
 }
 
 }  // namespace
 
+int EditDistance(std::string_view a, std::string_view b) {
+  return Distance(a, b, /*transpositions=*/false);
+}
+
+int DamerauDistance(std::string_view a, std::string_view b) {
+  return Distance(a, b, /*transpositions=*/true);
+}
+
 int BoundedEditDistance(std::string_view a, std::string_view b,
                         int max_distance) {
-  return BoundedDistanceImpl(a, b, max_distance, /*with_transpositions=*/false);
+  return Bounded(a, b, max_distance, /*transpositions=*/false);
 }
 
 int BoundedDamerauDistance(std::string_view a, std::string_view b,
                            int max_distance) {
-  return BoundedDistanceImpl(a, b, max_distance, /*with_transpositions=*/true);
+  return Bounded(a, b, max_distance, /*transpositions=*/true);
 }
 
 double StringSimilarity(std::string_view a, std::string_view b) {

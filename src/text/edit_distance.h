@@ -8,9 +8,16 @@
 //   * Damerau (optimal string alignment) distance adding transpositions —
 //     the dominant real-world typo per the spelling-correction literature
 //     the paper cites (Kukich '92),
-//   * thresholded variants that abandon the computation once the distance
-//     provably exceeds a bound (banded DP), keeping window scanning cheap,
+//   * thresholded variants that report any distance above a bound as
+//     bound + 1 and skip the computation when the length gap alone exceeds
+//     it,
 //   * a normalized similarity in [0,1] for rule thresholds.
+//
+// All four distances run on one kernel. When the shorter string has at
+// most 64 bytes (names, SSNs and street lines in practice), it is Hyyrö's
+// bit-parallel recurrence: O(|longer|) word operations and no heap
+// allocation, which is what keeps the window scan's per-pair theory test
+// cheap. Longer strings fall back to a plain rolling-row DP.
 
 #ifndef MERGEPURGE_TEXT_EDIT_DISTANCE_H_
 #define MERGEPURGE_TEXT_EDIT_DISTANCE_H_
@@ -19,19 +26,19 @@
 
 namespace mergepurge {
 
-// Classic Levenshtein distance. O(|a|*|b|) time, O(min) space.
+// Classic Levenshtein distance.
 int EditDistance(std::string_view a, std::string_view b);
 
 // Optimal-string-alignment Damerau distance: Levenshtein plus adjacent
 // transposition as a unit-cost operation.
 int DamerauDistance(std::string_view a, std::string_view b);
 
-// Banded Levenshtein: returns the exact distance if it is <= max_distance,
-// otherwise returns max_distance + 1. Runs in O(max_distance * min(|a|,|b|)).
+// Bounded Levenshtein: returns the exact distance if it is <= max_distance,
+// otherwise returns max_distance + 1; 0 when max_distance < 0.
 int BoundedEditDistance(std::string_view a, std::string_view b,
                         int max_distance);
 
-// Banded Damerau (OSA) with the same early-exit contract.
+// Bounded Damerau (OSA) with the same contract.
 int BoundedDamerauDistance(std::string_view a, std::string_view b,
                            int max_distance);
 
@@ -41,7 +48,7 @@ int BoundedDamerauDistance(std::string_view a, std::string_view b,
 double StringSimilarity(std::string_view a, std::string_view b);
 
 // Returns true if the strings are within the given Damerau distance. This
-// is the form the rule base uses; it exploits the banded computation.
+// is the form the rule base uses.
 bool WithinDistance(std::string_view a, std::string_view b, int max_distance);
 
 }  // namespace mergepurge

@@ -6,18 +6,23 @@
 #ifndef MERGEPURGE_TEXT_PREDICATES_H_
 #define MERGEPURGE_TEXT_PREDICATES_H_
 
+#include <cstddef>
 #include <string_view>
-
-#include "text/edit_distance.h"
 
 namespace mergepurge {
 
-// True when y is x with exactly one pair of adjacent characters swapped
-// (SMITH vs SMTIH): one Damerau (OSA) operation that Levenshtein needs two
-// substitutions for. False for equal or empty strings.
+// True when y is x with exactly one pair of adjacent, distinct characters
+// swapped (SMITH vs SMTIH): one Damerau (OSA) operation that Levenshtein
+// needs two substitutions for. False for equal or empty strings. One pass:
+// the strings agree up to the first difference at i, cross-match at i and
+// i + 1, and agree again from i + 2 on.
 inline bool IsAdjacentTransposition(std::string_view x, std::string_view y) {
-  return !x.empty() && x != y && DamerauDistance(x, y) == 1 &&
-         EditDistance(x, y) == 2;
+  if (x.size() != y.size() || x.size() < 2) return false;
+  size_t i = 0;
+  while (i < x.size() && x[i] == y[i]) ++i;
+  if (i + 1 >= x.size()) return false;
+  return x[i] == y[i + 1] && x[i + 1] == y[i] &&
+         x.substr(i + 2) == y.substr(i + 2);
 }
 
 // Both non-empty, and equal or one is the single-letter initial of the

@@ -108,8 +108,6 @@ TEST(CondVarTest, WaitUntilHonorsDeadline) {
 TEST(SharedMutexTest, ReadersShareWritersExclude) {
   SharedMutex mu(lockrank::kUnranked);
   int64_t value = 0;  // Guarded by mu.
-  std::atomic<int> concurrent_readers{0};
-  std::atomic<int> max_concurrent_readers{0};
   constexpr int kWriters = 2;
   constexpr int kReaders = 6;
   constexpr int kRounds = 2000;
@@ -129,30 +127,44 @@ TEST(SharedMutexTest, ReadersShareWritersExclude) {
       int64_t last = 0;
       for (int i = 0; i < kRounds; ++i) {
         ReaderLock lock(mu);
-        int now = concurrent_readers.fetch_add(1) + 1;
-        int seen = max_concurrent_readers.load();
-        while (now > seen &&
-               !max_concurrent_readers.compare_exchange_weak(seen, now)) {
-        }
         // Reads under the shared lock must be monotone: a torn or racy
         // read would eventually violate this.
         EXPECT_GE(value, last);
         last = value;
-        concurrent_readers.fetch_sub(1);
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
 
+  // Shared mode admits two readers at once: each takes the lock and then,
+  // still holding it, waits for the other to arrive. With the writers done
+  // nothing else contends, so the overlap is certain rather than a
+  // scheduling accident. Were ReaderLock exclusive, the second reader could
+  // not arrive and the first would time out, failing instead of hanging.
+  Mutex arrive_mu(lockrank::kUnranked);
+  CondVar arrive_cv;
+  int arrived = 0;  // Guarded by arrive_mu.
+  std::atomic<int> met{0};
+  auto reader = [&] {
+    ReaderLock lock(mu);
+    MutexLock guard(arrive_mu);
+    ++arrived;
+    arrive_cv.NotifyAll();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived < 2 && arrive_cv.WaitUntil(arrive_mu, deadline) ==
+                              std::cv_status::no_timeout) {
+    }
+    if (arrived == 2) met.fetch_add(1);
+  };
+  std::thread first(reader);
+  std::thread second(reader);
+  first.join();
+  second.join();
+  EXPECT_EQ(met.load(), 2);
+
   WriterLock lock(mu);
   EXPECT_EQ(value, static_cast<int64_t>(kWriters) * kRounds);
-  // Not guaranteed by the API, but with 6 readers hammering 2000 rounds
-  // on a multicore box the shared mode overlapping at least once is as
-  // certain as a scheduling assertion gets; it would be exactly 1 if
-  // ReaderLock took the exclusive lock by mistake.
-  if (std::thread::hardware_concurrency() > 1) {
-    EXPECT_GT(max_concurrent_readers.load(), 1);
-  }
 }
 
 // The runtime half of the deadlock defense (docs/concurrency.md),

@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -56,18 +57,24 @@ class TextPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(TextPropertyTest, TranspositionMatchesTwoDpDefinition) {
   Rng rng(GetParam() + 700);
   // Words over {A,B,C}, each compared with itself after one random swap
-  // (so both outcomes are common, repeated letters included) and with an
-  // unrelated word.
+  // (so both outcomes are common, repeated letters included), with that
+  // swap plus one more random letter (a second difference anywhere), and
+  // with an unrelated word.
   int positives = 0;
   for (int trial = 0; trial < 2000; ++trial) {
     std::string x(rng.NextBounded(9), 'A');
     for (char& c : x) c = static_cast<char>('A' + rng.NextBounded(3));
     std::string swapped = x;
+    std::string swapped_and_changed = x;
     if (x.size() >= 2) {
       size_t i = rng.NextBounded(x.size() - 1);
       std::swap(swapped[i], swapped[i + 1]);
+      swapped_and_changed = swapped;
+      swapped_and_changed[rng.NextBounded(x.size())] =
+          static_cast<char>('A' + rng.NextBounded(3));
     }
-    for (const std::string& y : {swapped, RandomText(&rng, 8)}) {
+    for (const std::string& y :
+         {swapped, swapped_and_changed, RandomText(&rng, 8)}) {
       bool got = IsAdjacentTransposition(x, y);
       EXPECT_EQ(got, TwoDpTransposition(x, y)) << x << " / " << y;
       EXPECT_EQ(got, IsAdjacentTransposition(y, x)) << x << " / " << y;
@@ -181,6 +188,41 @@ TEST_P(TextPropertyTest, NicknameCanonicalizationIsIdempotent) {
     EXPECT_EQ(table.Canonicalize(canon), canon);
     EXPECT_TRUE(table.SameCanonicalName(name, name));
   }
+}
+
+// SameCanonicalName's allocation-free path for upper-case input must agree
+// with comparing the two Canonicalize results, for table names (canonical
+// and variant), unknown names, and lower- and mixed-case spellings.
+TEST_P(TextPropertyTest, SameCanonicalNameMatchesCanonicalize) {
+  Rng rng(GetParam() + 800);
+  const NicknameTable& table = NicknameTable::Default();
+  const std::vector<std::string> base = {
+      "ROBERT", "BOB",   "BERT",  "WILLIAM", "BILL",   "LIAM",    "JOHN",
+      "JACK",   "IAN",   "SEAN",  "JOSEPH",  "JOSE",   "JOS",     "ALEX",
+      "AL",     "SANDY", "MARY",  "MARIA",   "ED",     "TED",     "ANN",
+      "ANNE",   "JANE",  "JOAN",  "SMITH",   "ROBERTA", "JOHNS",  "J",
+      "",       "ZED",   "BOBB",  "O'NEIL",  "MARY-ANN"};
+  // Upper case as conditioning leaves it (mode 0), all lower case (1), or
+  // each letter lowered with probability 1/2 (2).
+  auto spelling = [&rng](std::string name) {
+    const uint64_t mode = rng.NextBounded(3);
+    for (char& c : name) {
+      if (mode == 1 || (mode == 2 && rng.NextBounded(2) == 0)) {
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      }
+    }
+    return name;
+  };
+  int same = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string a = spelling(base[rng.NextBounded(base.size())]);
+    std::string b = spelling(base[rng.NextBounded(base.size())]);
+    bool want = table.Canonicalize(a) == table.Canonicalize(b);
+    EXPECT_EQ(table.SameCanonicalName(a, b), want) << a << " / " << b;
+    EXPECT_EQ(table.SameCanonicalName(b, a), want) << a << " / " << b;
+    same += want ? 1 : 0;
+  }
+  EXPECT_GT(same, 100);  // Equal canonical names occur, not only unequal.
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TextPropertyTest,

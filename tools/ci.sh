@@ -548,7 +548,8 @@ echo "=== bench gates ==="
 "${root}/build/bench/bench_snm" --records=20000 --window=10 --repeat=3 \
   --seed=42 --out="${root}/BENCH_snm.json"
 # The report's counters describe the best run only, the same run its
-# passes describe.
+# passes describe, and the window-scan layer numbers derived from that run
+# are present and positive.
 python3 - "${root}/BENCH_snm.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
@@ -556,7 +557,14 @@ counted = report["counters"]["snm.comparisons"]
 passes = sum(p["comparisons"] for p in report["passes"])
 assert counted == passes, (
     f"snm.comparisons {counted} != sum of passes[].comparisons {passes}")
-print(f"ci: bench_snm scope ok: {counted} comparisons in the best run")
+for key in ("ns_per_comparison", "distance_calls_per_comparison"):
+    value = report["config"].get(key)
+    assert isinstance(value, (int, float)) and value > 0, (
+        f"config.{key} missing or not positive: {value!r}")
+print(f"ci: bench_snm scope ok: {counted} comparisons in the best run, "
+      f"{report['config']['ns_per_comparison']:.0f} ns and "
+      f"{report['config']['distance_calls_per_comparison']:.2f} distance "
+      f"calls per comparison")
 EOF
 "${root}/build/tools/bench_compare" \
   --baseline="${root}/bench/baselines/BENCH_service.json" \
