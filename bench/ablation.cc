@@ -6,6 +6,8 @@
 //      Damerau vs keyboard; outcomes "did not vary much").
 //   3. Nickname table on/off.
 //   4. Phonetic gate on/off (tighter theory).
+//   Theory variants are rewrites of the built-in rule text
+//   (EmployeeRulesText()), compiled like any rules file.
 //   5. Window-vs-passes tradeoff at an equal comparison budget (1 key with
 //      w=3k vs k keys with w=w0 — the paper's core argument).
 //   6. Cluster-count sweep and fixed-key prefix length for the clustering
@@ -15,7 +17,9 @@
 //   (scale multiplies the default 8,000-original database)
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/merge_purge.h"
@@ -27,6 +31,7 @@
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
 #include "rules/employee_theory.h"
+#include "rules/rule_program.h"
 #include "text/normalize.h"
 
 using namespace mergepurge;
@@ -52,6 +57,61 @@ Workload MakeWorkload(double scale, uint64_t seed) {
   w.truth = std::move(db->truth);
   ConditionEmployeeDataset(&w.dataset);
   return w;
+}
+
+// --- Theory variants: rewrites of the built-in rule text. ---
+
+std::string ReplaceAll(std::string text, std::string_view from,
+                       std::string_view to) {
+  for (size_t pos = text.find(from); pos != std::string::npos;
+       pos = text.find(from, pos + to.size())) {
+    text.replace(pos, from.size(), to);
+  }
+  return text;
+}
+
+RuleProgram CompileVariant(const std::string& text) {
+  auto program = RuleProgram::Compile(text, employee::MakeSchema());
+  if (!program.ok()) {
+    std::fprintf(stderr, "variant: %s\n", program.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(*program);
+}
+
+// Cities must be equal instead of similar (the aggregate score keeps its
+// city similarity).
+std::string ExactCity(std::string text) {
+  return ReplaceAll(std::move(text), "similarity(r1.city, r2.city) >= 0.80",
+                    "r1.city == r2.city");
+}
+
+// `similarity` is Damerau; the variants swap in another distance
+// function everywhere, aggregate score included.
+std::string WithSimilarity(std::string text, std::string_view function) {
+  return ReplaceAll(std::move(text), "similarity(",
+                    std::string(function) + "(");
+}
+
+// Without the nickname table no two first names share a canonical name.
+std::string NoNicknames(std::string text) {
+  return ReplaceAll(std::move(text), "same_name(r1.first_name, r2.first_name)",
+                    "r1.first_name != r1.first_name");
+}
+
+// Rules that rest on name similarity also require the surnames to sound
+// alike (Soundex).
+std::string PhoneticGate(std::string text) {
+  for (const char* rule :
+       {"ssn-names-similar", "ssn-nickname", "ssn-location-last",
+        "ssn-close-names", "ssn-close-address", "paper-example-rule",
+        "names-similar-address-corroborated", "nickname-last-address",
+        "street-number-zip", "names-zip-address"}) {
+    const std::string head = "rule " + std::string(rule) + ":\n  if ";
+    text = ReplaceAll(std::move(text), head,
+                      head + "sounds_like(r1.last_name, r2.last_name)\n  and ");
+  }
+  return text;
 }
 
 AccuracyReport RunMultipass(const Workload& w, const EquationalTheory& theory,
@@ -99,9 +159,8 @@ int main(int argc, char** argv) {
       // Exact-city theory: the matching regime in which the paper's
       // spelling correction pays off (thresholded similarity, our
       // default, already absorbs most city typos on its own).
-      EmployeeTheoryOptions strict;
-      strict.strict_city = true;
-      EmployeeTheory strict_theory(strict);
+      const RuleProgram strict_theory =
+          CompileVariant(ExactCity(std::string(EmployeeRulesText())));
       for (bool on : {false, true}) {
         MergePurgeOptions options;
         options.keys = StandardThreeKeys();
@@ -127,15 +186,14 @@ int main(int argc, char** argv) {
   // --- 2. Distance function. ---
   {
     TablePrinter table({"distance", "recall", "false-pos"});
-    const std::pair<const char*, EmployeeTheoryOptions::Distance> kinds[] = {
-        {"edit (Levenshtein)", EmployeeTheoryOptions::Distance::kEdit},
-        {"damerau", EmployeeTheoryOptions::Distance::kDamerau},
-        {"keyboard (typewriter)", EmployeeTheoryOptions::Distance::kKeyboard},
+    const std::pair<const char*, const char*> kinds[] = {
+        {"edit (Levenshtein)", "edit_similarity"},
+        {"damerau", "similarity"},
+        {"keyboard (typewriter)", "keyboard_similarity"},
     };
-    for (const auto& [label, kind] : kinds) {
-      EmployeeTheoryOptions options;
-      options.distance = kind;
-      EmployeeTheory theory(options);
+    for (const auto& [label, function] : kinds) {
+      const RuleProgram theory = CompileVariant(
+          WithSimilarity(std::string(EmployeeRulesText()), function));
       AccuracyReport report = RunMultipass(w, theory, 10);
       table.AddRow({label, FormatPercent(report.recall_percent),
                     FormatPercent(report.false_positive_percent)});
@@ -157,10 +215,10 @@ int main(int argc, char** argv) {
          {Variant{"baseline", true, false},
           Variant{"no nickname table", false, false},
           Variant{"phonetic gate on", true, true}}) {
-      EmployeeTheoryOptions options;
-      options.use_nicknames = v.nicknames;
-      options.phonetic_gate = v.gate;
-      EmployeeTheory theory(options);
+      std::string text(EmployeeRulesText());
+      if (!v.nicknames) text = NoNicknames(std::move(text));
+      if (v.gate) text = PhoneticGate(std::move(text));
+      const RuleProgram theory = CompileVariant(text);
       AccuracyReport report = RunMultipass(w, theory, 10);
       table.AddRow({v.label, FormatPercent(report.recall_percent),
                     FormatPercent(report.false_positive_percent)});

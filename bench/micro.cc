@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the primitives whose constants
 // drive the §3.5 cost model: distance functions, the shared transposition
-// predicate, nickname equivalence, phonetic codes, key construction, the window-scan comparison
-// under both theories (hand-coded and interpreted rule language),
-// union-find closure, and the external sorter.
+// predicate, nickname equivalence, phonetic codes, key construction, the
+// window-scan comparison under the built-in theory, union-find closure,
+// and the external sorter.
 
 #include <memory>
 #include <string>
@@ -15,9 +15,7 @@
 #include "core/union_find.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
-#include "rules/employee_rules_text.h"
 #include "rules/employee_theory.h"
-#include "rules/rule_program.h"
 #include "sort/external_sort.h"
 #include "text/edit_distance.h"
 #include "text/keyboard_distance.h"
@@ -112,7 +110,7 @@ void BM_WithinDistance1(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        WithinDistance(ssns[i % 1024], ssns[(i + 1) % 1024], 1));
+        BoundedDamerauDistance(ssns[i % 1024], ssns[(i + 1) % 1024], 1));
     ++i;
   }
 }
@@ -202,6 +200,8 @@ void BM_BuildKey(benchmark::State& state) {
 BENCHMARK(BM_BuildKey);
 
 // The merge-phase comparison: dominant constant of the cost model (alpha).
+// The built-in theory is the compiled rule text, so this is also the cost
+// of a comparison under any rules file of the same shape.
 void BM_TheoryComparison(benchmark::State& state) {
   const auto& db = SharedDatabase();
   EmployeeTheory theory;
@@ -215,27 +215,6 @@ void BM_TheoryComparison(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TheoryComparison);
-
-// The same comparisons through the interpreted rule-language mirror of
-// the theory: the baseline a compiled DSL has to reach.
-void BM_RuleProgramComparison(benchmark::State& state) {
-  const auto& db = SharedDatabase();
-  auto program =
-      RuleProgram::Compile(EmployeeRulesText(), db.dataset.schema());
-  if (!program.ok()) {
-    state.SkipWithError(program.status().ToString().c_str());
-    return;
-  }
-  size_t i = 0;
-  const size_t n = db.dataset.size();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        program->Matches(db.dataset.record(static_cast<TupleId>(i % n)),
-                         db.dataset.record(static_cast<TupleId>((i + 1) % n))));
-    ++i;
-  }
-}
-BENCHMARK(BM_RuleProgramComparison);
 
 void BM_SortByKey(benchmark::State& state) {
   const auto& db = SharedDatabase();

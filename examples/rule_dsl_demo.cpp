@@ -15,7 +15,7 @@
 #include "eval/table_printer.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
-#include "rules/employee_rules_text.h"
+#include "rules/employee_theory.h"
 #include "rules/rule_program.h"
 #include "text/normalize.h"
 

@@ -189,7 +189,12 @@ Result<ProbeResult> IncrementalMergePurge::MatchOnly(
   if (options_.condition_records) ConditionEmployeeRecord(&probe);
 
   const size_t w = options_.window;
-  std::vector<char> matched(all_.size(), 0);
+  // At most keys x 2(w - 1) candidates, so a candidate already matched
+  // under an earlier key is looked up in the (short) match list.
+  auto matched = [&result](TupleId t) {
+    return std::find(result.matches.begin(), result.matches.end(), t) !=
+           result.matches.end();
+  };
   for (const KeyState& state : key_states_) {
     KeyBuilder builder(state.spec);
     MERGEPURGE_RETURN_NOT_OK(builder.Validate(all_.schema()));
@@ -207,21 +212,15 @@ Result<ProbeResult> IncrementalMergePurge::MatchOnly(
     const size_t lo = p >= w - 1 ? p - (w - 1) : 0;
     for (size_t q = lo; q < p; ++q) {
       const TupleId t = state.order[q];
-      if (matched[t]) continue;
-      if (theory.Matches(all_.record(t), probe)) {
-        matched[t] = 1;
-        result.matches.push_back(t);
-      }
+      if (matched(t)) continue;
+      if (theory.Matches(all_.record(t), probe)) result.matches.push_back(t);
     }
     // ... and at distances 1..w-1 after it.
     const size_t hi = std::min(state.order.size(), p + (w - 1));
     for (size_t q = p; q < hi; ++q) {
       const TupleId t = state.order[q];
-      if (matched[t]) continue;
-      if (theory.Matches(probe, all_.record(t))) {
-        matched[t] = 1;
-        result.matches.push_back(t);
-      }
+      if (matched(t)) continue;
+      if (theory.Matches(probe, all_.record(t))) result.matches.push_back(t);
     }
   }
   std::sort(result.matches.begin(), result.matches.end());

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace mergepurge {
@@ -70,6 +72,28 @@ bool ArgParser::GetBool(const std::string& name, bool default_value) const {
     }
   }
   return default_value;
+}
+
+Result<size_t> WindowFlag(const ArgParser& args) {
+  const int64_t window = args.GetInt("window", 10);
+  if (window < 2) {
+    return Status::InvalidArgument("--window must be >= 2 (got " +
+                                   args.GetString("window", "") + ")");
+  }
+  return static_cast<size_t>(window);
+}
+
+Status ApplyLogLevelFlag(const ArgParser& args) {
+  if (!args.Has("log-level")) return Status::OK();
+  const std::string name = args.GetString("log-level", "");
+  std::optional<LogLevel> level = ParseLogLevel(name);
+  if (!level) {
+    return Status::InvalidArgument(
+        "bad --log-level '" + name +
+        "' (expected debug, info, warning, or error)");
+  }
+  SetLogLevel(*level);
+  return Status::OK();
 }
 
 GeneratorConfig PaperGeneratorConfig(size_t paper_num_records,

@@ -39,6 +39,14 @@ class ArgParser {
   Status status_;
 };
 
+// The tools' --window=N flag (default 10); below 2 is a usage error,
+// "--window must be >= 2 (got N)".
+Result<size_t> WindowFlag(const ArgParser& args);
+
+// Applies the tools' --log-level=LEVEL flag when given; an unknown level
+// is a usage error.
+Status ApplyLogLevelFlag(const ArgParser& args);
+
 // Builds the generator config used throughout the paper-figure benches:
 // `scale` scales the paper's record counts down to laptop sizes (scale=1.0
 // reproduces the paper's N).

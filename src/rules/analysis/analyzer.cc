@@ -11,13 +11,13 @@
 #include "rules/ast_util.h"
 #include "rules/builtins.h"
 #include "rules/parser.h"
+#include "rules/rule_program.h"
 #include "util/string_util.h"
 
 namespace mergepurge {
 
 namespace {
 
-using rules_internal::EvaluateOnBlankRecords;
 using rules_internal::FindFunction;
 using rules_internal::FuncSignature;
 using rules_internal::NumericRange;
@@ -53,6 +53,40 @@ bool HasFieldRef(const Expr& expr) {
   return false;
 }
 
+void CollectFieldRefs(const Expr& expr, std::set<std::string>* r1,
+                      std::set<std::string>* r2) {
+  if (expr.kind == ExprKind::kFieldRef) {
+    (expr.record_index == 1 ? r1 : r2)->insert(expr.field_name);
+  }
+  for (const std::unique_ptr<Expr>& arg : expr.args) {
+    CollectFieldRefs(*arg, r1, r2);
+  }
+}
+
+// Compiles `condition` as a one-rule program over the fields it names and
+// runs it on two records whose fields are all empty; nullopt when it does
+// not compile. It is the code any theory runs, so the verdict cannot drift
+// from runtime semantics.
+std::optional<bool> EvaluateOnBlankRecords(const BoolExpr& condition) {
+  std::set<std::string> names;
+  auto collect = [&names](const BoolExpr& node, auto& self) -> void {
+    for (const std::unique_ptr<BoolExpr>& child : node.children) {
+      self(*child, self);
+    }
+    if (node.lhs != nullptr) CollectFieldRefs(*node.lhs, &names, &names);
+    if (node.rhs != nullptr) CollectFieldRefs(*node.rhs, &names, &names);
+  };
+  collect(condition, collect);
+  RuleProgramAst ast;
+  ast.rules.emplace_back();
+  ast.rules.back().condition = CloneBool(condition);
+  Result<RuleProgram> program = RuleProgram::FromAst(
+      ast, Schema(std::vector<std::string>(names.begin(), names.end())));
+  if (!program.ok()) return std::nullopt;
+  const Record blank;  // Every field reads as "".
+  return program->Matches(blank, blank);
+}
+
 // --- Interval analysis ------------------------------------------------------
 
 // Output range of a numeric expression, when one is statically known.
@@ -65,6 +99,25 @@ std::optional<NumericRange> RangeOf(const Expr& expr) {
     if (signature != nullptr &&
         signature->return_type == ValueType::kNumber) {
       return signature->range;
+    }
+  }
+  // Arithmetic over non-negative ranges (every built-in's); a quotient
+  // whose divisor can be 0 is unbounded.
+  if (expr.kind == ExprKind::kArith) {
+    const std::optional<NumericRange> a = RangeOf(*expr.args[0]);
+    const std::optional<NumericRange> b = RangeOf(*expr.args[1]);
+    if (!a || !b || a->lo < 0.0 || b->lo < 0.0) return std::nullopt;
+    auto times = [](double x, double y) {
+      return x == 0.0 || y == 0.0 ? 0.0 : x * y;
+    };
+    switch (expr.arith_op) {
+      case ArithOp::kAdd:
+        return NumericRange{a->lo + b->lo, a->hi + b->hi};
+      case ArithOp::kMul:
+        return NumericRange{times(a->lo, b->lo), times(a->hi, b->hi)};
+      case ArithOp::kDiv:
+        if (b->lo == 0.0) return std::nullopt;
+        return NumericRange{a->lo / b->hi, a->hi / b->lo};
     }
   }
   return std::nullopt;
@@ -474,16 +527,6 @@ void CheckMergeDirectives(const RuleProgramAst& ast,
 }
 
 // --- Window coverage --------------------------------------------------------
-
-void CollectFieldRefs(const Expr& expr, std::set<std::string>* r1,
-                      std::set<std::string>* r2) {
-  if (expr.kind == ExprKind::kFieldRef) {
-    (expr.record_index == 1 ? r1 : r2)->insert(expr.field_name);
-  }
-  for (const std::unique_ptr<Expr>& arg : expr.args) {
-    CollectFieldRefs(*arg, r1, r2);
-  }
-}
 
 std::set<std::string> Intersect(const std::set<std::string>& a,
                                 const std::set<std::string>& b) {

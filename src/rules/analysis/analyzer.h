@@ -23,9 +23,9 @@
 //   rule identical-records: ...
 //
 // The analyzer is conservative: everything it flags as an error is a real
-// property of the theory (blank-merge is decided by constant evaluation
-// with the same built-in evaluator the interpreter uses), while warnings
-// use normal forms that can miss — but never invent — equivalences.
+// property of the theory (blank-merge is decided by running the compiled
+// condition on two blank records), while warnings use normal forms that
+// can miss — but never invent — equivalences.
 
 #ifndef MERGEPURGE_RULES_ANALYSIS_ANALYZER_H_
 #define MERGEPURGE_RULES_ANALYSIS_ANALYZER_H_

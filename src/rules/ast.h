@@ -15,11 +15,13 @@
 // or) and parentheses. Leaf conditions are comparisons (`expr op expr`) or
 // bare boolean expressions (`sounds_like(...)`). Value expressions are
 // strings, numbers or booleans; built-in functions expose the distance
-// library (similarity, edit_distance, soundex, ...).
+// library (similarity, edit_distance, soundex, ...). Numbers combine with
+// + * / (the usual precedence, left-associative; x / 0 is 0).
 
 #ifndef MERGEPURGE_RULES_AST_H_
 #define MERGEPURGE_RULES_AST_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,14 +30,17 @@
 
 namespace mergepurge {
 
-enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
+enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 
 enum class ExprKind {
   kStringLiteral,
   kNumberLiteral,
   kFieldRef,  // r1.field or r2.field
   kFuncCall,
+  kArith,     // args[0] arith_op args[1], both numbers
 };
+
+enum class ArithOp { kAdd, kMul, kDiv };
 
 struct Expr {
   ExprKind kind;
@@ -53,7 +58,10 @@ struct Expr {
   std::string field_name;
   // kFuncCall.
   std::string func_name;
+  // kFuncCall arguments; the two operands of kArith.
   std::vector<std::unique_ptr<Expr>> args;
+  // kArith.
+  ArithOp arith_op = ArithOp::kAdd;
 };
 
 enum class BoolKind {

@@ -18,6 +18,7 @@ std::unique_ptr<Expr> CloneExpr(const Expr& expr) {
   out->record_index = expr.record_index;
   out->field_name = expr.field_name;
   out->func_name = expr.func_name;
+  out->arith_op = expr.arith_op;
   out->args.reserve(expr.args.size());
   for (const std::unique_ptr<Expr>& arg : expr.args) {
     out->args.push_back(CloneExpr(*arg));
@@ -79,6 +80,18 @@ std::string PrintExpr(const Expr& expr, const Subst& subst) {
     case ExprKind::kFieldRef:
       out = (expr.record_index == 1 ? "r1." : "r2.") + expr.field_name;
       break;
+    case ExprKind::kArith: {
+      // + and * commute exactly in floating point (they do not
+      // associate, so chains are not flattened).
+      std::string lhs = PrintExpr(*expr.args[0], subst);
+      std::string rhs = PrintExpr(*expr.args[1], subst);
+      if (expr.arith_op != ArithOp::kDiv && lhs > rhs) std::swap(lhs, rhs);
+      const char* op = expr.arith_op == ArithOp::kAdd   ? "+"
+                       : expr.arith_op == ArithOp::kMul ? "*"
+                                                        : "/";
+      out = "(" + lhs + op + rhs + ")";
+      break;
+    }
     case ExprKind::kFuncCall: {
       std::vector<std::string> args;
       args.reserve(expr.args.size());

@@ -10,7 +10,7 @@
 //   * comparisons are direction-canonicalized (`a > b` prints as `b < a`;
 //     operands of `==` / `!=` are sorted);
 //   * the two string arguments of symmetric built-ins (similarity,
-//     sounds_like, ...) are sorted;
+//     sounds_like, ...) and the operands of + and * are sorted;
 //   * within a conjunction, an equality between an expression and its
 //     r1/r2 mirror (`r1.f == r2.f`, `digits(r1.m) == digits(r2.m)`)
 //     licenses congruence rewriting: every other occurrence of either side

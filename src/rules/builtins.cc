@@ -1,5 +1,6 @@
 #include "rules/builtins.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "text/edit_distance.h"
@@ -17,59 +18,41 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr NumericRange kUnit{0.0, 1.0};
 constexpr NumericRange kNonNegative{0.0, kInf};
+constexpr ValueType S = ValueType::kString;
+constexpr ValueType N = ValueType::kNumber;
+constexpr ValueType B = ValueType::kBool;
 }  // namespace
 
 const std::vector<FuncSignature>& FunctionTable() {
+  // name, id, argument types, result type, symmetric, result range.
   static const std::vector<FuncSignature>* table =
       new std::vector<FuncSignature>{
-          {"similarity", FuncId::kSimilarity,
-           {ValueType::kString, ValueType::kString}, ValueType::kNumber,
+          {"similarity", FuncId::kSimilarity, {S, S}, N, true, kUnit},
+          {"edit_similarity", FuncId::kEditSimilarity, {S, S}, N, true,
+           kUnit},
+          {"edit_distance", FuncId::kEditDistance, {S, S}, N, true,
+           kNonNegative},
+          {"damerau", FuncId::kDamerau, {S, S}, N, true, kNonNegative},
+          {"keyboard_similarity", FuncId::kKeyboardSimilarity, {S, S}, N,
            true, kUnit},
-          {"edit_distance", FuncId::kEditDistance,
-           {ValueType::kString, ValueType::kString}, ValueType::kNumber,
-           true, kNonNegative},
-          {"damerau", FuncId::kDamerau,
-           {ValueType::kString, ValueType::kString}, ValueType::kNumber,
-           true, kNonNegative},
-          {"keyboard_similarity", FuncId::kKeyboardSimilarity,
-           {ValueType::kString, ValueType::kString}, ValueType::kNumber,
-           true, kUnit},
-          {"soundex", FuncId::kSoundex, {ValueType::kString},
-           ValueType::kString},
-          {"nysiis", FuncId::kNysiis, {ValueType::kString},
-           ValueType::kString},
-          {"sounds_like", FuncId::kSoundsLike,
-           {ValueType::kString, ValueType::kString}, ValueType::kBool,
-           true},
-          {"nickname", FuncId::kNickname, {ValueType::kString},
-           ValueType::kString},
-          {"same_name", FuncId::kSameName,
-           {ValueType::kString, ValueType::kString}, ValueType::kBool,
-           true},
-          {"initial_match", FuncId::kInitialMatch,
-           {ValueType::kString, ValueType::kString}, ValueType::kBool,
-           true},
-          {"transposed", FuncId::kTransposed,
-           {ValueType::kString, ValueType::kString}, ValueType::kBool,
-           true},
-          {"empty", FuncId::kEmpty, {ValueType::kString}, ValueType::kBool},
-          {"length", FuncId::kLength, {ValueType::kString},
-           ValueType::kNumber, false, kNonNegative},
-          {"prefix", FuncId::kPrefix,
-           {ValueType::kString, ValueType::kNumber}, ValueType::kString},
-          {"digits", FuncId::kDigits, {ValueType::kString},
-           ValueType::kString},
-          {"street_number", FuncId::kStreetNumber, {ValueType::kString},
-           ValueType::kString},
-          {"hyphen_extended", FuncId::kHyphenExtended,
-           {ValueType::kString, ValueType::kString}, ValueType::kBool,
-           true},
-          {"jaro_winkler", FuncId::kJaroWinkler,
-           {ValueType::kString, ValueType::kString}, ValueType::kNumber,
-           true, kUnit},
-          {"ngram_similarity", FuncId::kNgramSimilarity,
-           {ValueType::kString, ValueType::kString, ValueType::kNumber},
-           ValueType::kNumber, true, kUnit},
+          {"soundex", FuncId::kSoundex, {S}, S, false, {}},
+          {"nysiis", FuncId::kNysiis, {S}, S, false, {}},
+          {"sounds_like", FuncId::kSoundsLike, {S, S}, B, true, {}},
+          {"nickname", FuncId::kNickname, {S}, S, false, {}},
+          {"same_name", FuncId::kSameName, {S, S}, B, true, {}},
+          {"initial_match", FuncId::kInitialMatch, {S, S}, B, true, {}},
+          {"transposed", FuncId::kTransposed, {S, S}, B, true, {}},
+          {"empty", FuncId::kEmpty, {S}, B, false, {}},
+          {"either_present", FuncId::kEitherPresent, {S, S}, N, true,
+           kUnit},
+          {"length", FuncId::kLength, {S}, N, false, kNonNegative},
+          {"prefix", FuncId::kPrefix, {S, N}, S, false, {}},
+          {"digits", FuncId::kDigits, {S}, S, false, {}},
+          {"street_number", FuncId::kStreetNumber, {S}, S, false, {}},
+          {"hyphen_extended", FuncId::kHyphenExtended, {S, S}, B, true, {}},
+          {"jaro_winkler", FuncId::kJaroWinkler, {S, S}, N, true, kUnit},
+          {"ngram_similarity", FuncId::kNgramSimilarity, {S, S, N}, N, true,
+           kUnit},
       };
   return *table;
 }
@@ -81,101 +64,85 @@ const FuncSignature* FindFunction(std::string_view name) {
   return nullptr;
 }
 
-Value EvalBuiltin(FuncId func, ValueType return_type,
-                  const std::vector<Value>& args) {
-  Value out;
-  out.type = return_type;
-  switch (func) {
-    case FuncId::kSimilarity:
-      out.n = StringSimilarity(args[0].s, args[1].s);
-      return out;
-    case FuncId::kEditDistance:
-      out.n = EditDistance(args[0].s, args[1].s);
-      return out;
-    case FuncId::kDamerau:
-      out.n = DamerauDistance(args[0].s, args[1].s);
-      return out;
-    case FuncId::kKeyboardSimilarity:
-      out.n = KeyboardSimilarity(args[0].s, args[1].s);
-      return out;
-    case FuncId::kSoundex:
-      out.s = Soundex(args[0].s);
-      return out;
-    case FuncId::kNysiis:
-      out.s = Nysiis(args[0].s);
-      return out;
-    case FuncId::kSoundsLike:
-      out.b = SoundsAlikeSoundex(args[0].s, args[1].s);
-      return out;
-    case FuncId::kNickname:
-      out.s = NicknameTable::Default().Canonicalize(args[0].s);
-      return out;
-    case FuncId::kSameName:
-      out.b = NicknameTable::Default().SameCanonicalName(args[0].s,
-                                                         args[1].s);
-      return out;
-    case FuncId::kInitialMatch:
-      out.b = InitialMatch(args[0].s, args[1].s);
-      return out;
-    case FuncId::kTransposed:
-      out.b = IsAdjacentTransposition(args[0].s, args[1].s);
-      return out;
-    case FuncId::kEmpty:
-      out.b = args[0].s.empty();
-      return out;
-    case FuncId::kLength:
-      out.n = static_cast<double>(args[0].s.size());
-      return out;
-    case FuncId::kPrefix:
-      out.s = std::string(Prefix(args[0].s, static_cast<size_t>(args[1].n)));
-      return out;
-    case FuncId::kDigits: {
-      for (char c : args[0].s) {
-        if (c >= '0' && c <= '9') out.s += c;
-      }
-      return out;
-    }
-    case FuncId::kStreetNumber:
-      out.s = std::string(StreetNumber(args[0].s));
-      return out;
-    case FuncId::kJaroWinkler:
-      out.n = JaroWinklerSimilarity(args[0].s, args[1].s);
-      return out;
-    case FuncId::kNgramSimilarity:
-      out.n = NgramSimilarity(args[0].s, args[1].s,
-                              static_cast<size_t>(args[2].n));
-      return out;
-    case FuncId::kHyphenExtended:
-      out.b = HyphenExtended(args[0].s, args[1].s);
-      return out;
-  }
-  return out;
+bool IsTypoSimilarity(FuncId func) {
+  return func == FuncId::kSimilarity || func == FuncId::kEditSimilarity ||
+         func == FuncId::kKeyboardSimilarity;
 }
 
-bool CompareValues(CompareOp op, const Value& lhs, const Value& rhs) {
-  int cmp;
-  if (lhs.type == ValueType::kString) {
-    cmp = lhs.s.compare(rhs.s);
-  } else if (lhs.type == ValueType::kNumber) {
-    cmp = lhs.n < rhs.n ? -1 : (lhs.n > rhs.n ? 1 : 0);
-  } else {
-    cmp = (lhs.b == rhs.b) ? 0 : (lhs.b ? 1 : -1);
+double NumberBuiltin(FuncId func, std::string_view x, std::string_view y,
+                     double n) {
+  switch (func) {
+    case FuncId::kSimilarity:
+      return StringSimilarity(x, y);
+    case FuncId::kEditSimilarity: {
+      const size_t longest = std::max(x.size(), y.size());
+      if (longest == 0) return 1.0;
+      return 1.0 - static_cast<double>(EditDistance(x, y)) /
+                       static_cast<double>(longest);
+    }
+    case FuncId::kEditDistance:
+      return EditDistance(x, y);
+    case FuncId::kDamerau:
+      return DamerauDistance(x, y);
+    case FuncId::kKeyboardSimilarity:
+      return KeyboardSimilarity(x, y);
+    case FuncId::kEitherPresent:
+      return x.empty() && y.empty() ? 0.0 : 1.0;
+    case FuncId::kLength:
+      return static_cast<double>(x.size());
+    case FuncId::kJaroWinkler:
+      return JaroWinklerSimilarity(x, y);
+    case FuncId::kNgramSimilarity:
+      return NgramSimilarity(x, y, static_cast<size_t>(n));
+    default:
+      return 0.0;
   }
-  switch (op) {
-    case CompareOp::kEq:
-      return cmp == 0;
-    case CompareOp::kNe:
-      return cmp != 0;
-    case CompareOp::kLt:
-      return cmp < 0;
-    case CompareOp::kLe:
-      return cmp <= 0;
-    case CompareOp::kGt:
-      return cmp > 0;
-    case CompareOp::kGe:
-      return cmp >= 0;
+}
+
+bool PredicateBuiltin(FuncId func, std::string_view x, std::string_view y) {
+  switch (func) {
+    case FuncId::kEmpty:
+      return x.empty();
+    case FuncId::kSoundsLike:
+      return SoundsAlikeSoundex(x, y);
+    case FuncId::kSameName:
+      return NicknameTable::Default().SameCanonicalName(x, y);
+    case FuncId::kInitialMatch:
+      return InitialMatch(x, y);
+    case FuncId::kTransposed:
+      return IsAdjacentTransposition(x, y);
+    case FuncId::kHyphenExtended:
+      return HyphenExtended(x, y);
+    default:
+      return false;
   }
-  return false;
+}
+
+std::string_view StringBuiltin(FuncId func, std::string_view x, double n,
+                               std::string* buffer) {
+  switch (func) {
+    case FuncId::kSoundex:
+      *buffer = Soundex(x);
+      return *buffer;
+    case FuncId::kNysiis:
+      *buffer = Nysiis(x);
+      return *buffer;
+    case FuncId::kNickname:
+      *buffer = NicknameTable::Default().Canonicalize(x);
+      return *buffer;
+    case FuncId::kPrefix:
+      return Prefix(x, static_cast<size_t>(n));
+    case FuncId::kDigits:
+      buffer->clear();
+      for (char c : x) {
+        if (c >= '0' && c <= '9') *buffer += c;
+      }
+      return *buffer;
+    case FuncId::kStreetNumber:
+      return StreetNumber(x);
+    default:
+      return {};
+  }
 }
 
 }  // namespace rules_internal

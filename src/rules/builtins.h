@@ -1,14 +1,11 @@
-// The rule language's built-in function table and evaluator, shared by the
-// compiler/interpreter (rule_program.cc) and the static analyzer
-// (rules/analysis/). The analyzer's constant evaluation (the blank-record
-// probe behind the blank-merge lint) runs through the interpreter itself,
-// EvaluateOnBlankRecords below, so it can never drift from runtime
-// semantics.
+// The rule language's built-in function table, shared by the compiler
+// (rule_program.cc) and the static analyzer (rules/analysis/), and the
+// typed evaluators compiled programs call.
 
 #ifndef MERGEPURGE_RULES_BUILTINS_H_
 #define MERGEPURGE_RULES_BUILTINS_H_
 
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,8 +17,9 @@ namespace rules_internal {
 
 enum class ValueType { kString, kNumber, kBool };
 
-enum class FuncId {
+enum class FuncId : uint8_t {
   kSimilarity,
+  kEditSimilarity,
   kEditDistance,
   kDamerau,
   kKeyboardSimilarity,
@@ -33,6 +31,7 @@ enum class FuncId {
   kInitialMatch,
   kTransposed,
   kEmpty,
+  kEitherPresent,
   kLength,
   kPrefix,
   kDigits,
@@ -66,29 +65,18 @@ const std::vector<FuncSignature>& FunctionTable();
 // Lookup by source name; nullptr when unknown.
 const FuncSignature* FindFunction(std::string_view name);
 
-// A runtime value (also the analyzer's constant-evaluation domain).
-struct Value {
-  ValueType type = ValueType::kBool;
-  std::string s;
-  double n = 0.0;
-  bool b = false;
-};
+// True for similarity, edit_similarity and keyboard_similarity, whose
+// evaluations on non-empty strings count as rules.distance_calls.
+bool IsTypoSimilarity(FuncId func);
 
-// Evaluates a built-in on fully evaluated arguments. `args` must match the
-// signature's arity and types (the compiler guarantees this; the analyzer
-// checks before calling).
-Value EvalBuiltin(FuncId func, ValueType return_type,
-                  const std::vector<Value>& args);
-
-// Evaluates `lhs op rhs`; both values must have the same type (booleans
-// only support == and !=, which the compiler and analyzer both enforce).
-bool CompareValues(CompareOp op, const Value& lhs, const Value& rhs);
-
-// Compiles `condition` with the interpreter's compiler, against a schema of
-// the field names it references, and evaluates it on two records whose
-// fields are all empty; nullopt when it does not compile. Defined in
-// rule_program.cc.
-std::optional<bool> EvaluateOnBlankRecords(const BoolExpr& condition);
+// The built-ins by result type: `x`, `y` the string arguments in order,
+// `n` the number argument, unused ones ignored. A string result views `x`
+// or is built in `*buffer`.
+double NumberBuiltin(FuncId func, std::string_view x, std::string_view y,
+                     double n);
+bool PredicateBuiltin(FuncId func, std::string_view x, std::string_view y);
+std::string_view StringBuiltin(FuncId func, std::string_view x, double n,
+                               std::string* buffer);
 
 }  // namespace rules_internal
 }  // namespace mergepurge

@@ -1,13 +1,20 @@
-#include "rules/employee_rules_text.h"
+#include "rules/employee_theory.h"
+
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+
+#include "record/schema.h"
 
 namespace mergepurge {
 
 namespace {
 
-// Mirrors EmployeeTheory with default options: Damerau similarity,
-// name threshold 0.80 (weak 0.70), address threshold 0.75, city 0.80,
-// nickname table on, phonetic gate off. Rule order and names match
-// EmployeeTheory::RuleName.
+// Damerau similarity throughout; names differ slightly at 0.80 (0.70
+// where other evidence is strong), addresses at 0.75, cities at 0.80.
+// Conjunction order never changes a decision, only the work a pair costs,
+// so conditions lead with tests an earlier rule has usually decided (the
+// compiler then skips the rule outright).
 constexpr char kEmployeeRules[] = R"RULES(
 # Equational theory for employee records (merge/purge).
 # A pair of records is declared equivalent when ANY rule fires.
@@ -157,16 +164,16 @@ rule names-similar-address-corroborated:
   then match
 
 rule nickname-last-address:
-  if not empty(r1.first_name) and not empty(r2.first_name)
+  if r1.last_name == r2.last_name and not empty(r1.last_name)
+  and not empty(r1.first_name) and not empty(r2.first_name)
   and same_name(r1.first_name, r2.first_name)
-  and r1.last_name == r2.last_name and not empty(r1.last_name)
   and not empty(r1.address) and not empty(r2.address)
   and similarity(r1.address, r2.address) >= 0.75
   then match
 
 rule initials-address-location:
-  if initial_match(r1.first_name, r2.first_name)
-  and r1.last_name == r2.last_name and not empty(r1.last_name)
+  if r1.last_name == r2.last_name and not empty(r1.last_name)
+  and initial_match(r1.first_name, r2.first_name)
   and r1.address == r2.address and not empty(r1.address)
   and ((r1.zip == r2.zip and not empty(r1.zip))
        or (not empty(r1.city) and not empty(r2.city)
@@ -194,10 +201,10 @@ rule first-transposed-address:
   then match
 
 rule missing-first-address:
-  if ((empty(r1.first_name) and not empty(r2.first_name))
-      or (not empty(r1.first_name) and empty(r2.first_name)))
-  and r1.last_name == r2.last_name and not empty(r1.last_name)
+  if r1.last_name == r2.last_name and not empty(r1.last_name)
   and r1.address == r2.address and not empty(r1.address)
+  and ((empty(r1.first_name) and not empty(r2.first_name))
+       or (not empty(r1.first_name) and empty(r2.first_name)))
   and (empty(r1.apartment) or empty(r2.apartment)
        or r1.apartment == r2.apartment)
   and ((r1.zip == r2.zip and not empty(r1.zip))
@@ -218,21 +225,23 @@ rule hyphenated-last-address:
   then match
 
 rule street-number-zip:
-  if street_number(r1.address) == street_number(r2.address)
+  if r1.last_name == r2.last_name and not empty(r1.last_name)
+  and street_number(r1.address) == street_number(r2.address)
   and not empty(street_number(r1.address))
   and r1.zip == r2.zip and not empty(r1.zip)
-  and r1.last_name == r2.last_name and not empty(r1.last_name)
   and not empty(r1.first_name) and not empty(r2.first_name)
   and (same_name(r1.first_name, r2.first_name)
        or initial_match(r1.first_name, r2.first_name)
        or similarity(r1.first_name, r2.first_name) >= 0.80)
   then match
 
+# Address similarity is usually already known by now, so it runs before
+# the two Soundex codes.
 rule phonetic-names-address:
-  if sounds_like(r1.last_name, r2.last_name)
-  and sounds_like(r1.first_name, r2.first_name)
-  and not empty(r1.address) and not empty(r2.address)
+  if not empty(r1.address) and not empty(r2.address)
   and similarity(r1.address, r2.address) >= 0.75
+  and sounds_like(r1.last_name, r2.last_name)
+  and sounds_like(r1.first_name, r2.first_name)
   and ((r1.zip == r2.zip and not empty(r1.zip))
        or (not empty(r1.city) and not empty(r2.city)
            and (r1.city == r2.city
@@ -278,25 +287,55 @@ rule apartment-corroborated:
        or (not empty(r1.first_name) and empty(r2.first_name)))
   then match
 
-# Approximation of EmployeeTheory's weighted aggregate-similarity rule
-# (the rule language has no arithmetic; the conjunction below demands the
-# same kind of across-the-board agreement). The not-empty guards are
-# load-bearing: similarity("", "") is 1.0, so without them this rule
-# would merge every pair of blank-keyed records (caught by rulecheck's
-# blank-merge lint).
+# Weighted whole-record similarity with no SSN contradiction. Each field
+# present on either side adds its weight to the denominator and its
+# weighted similarity to the numerator, in the order ssn, last name, first
+# name, address, city, zip; an absent field adds exactly 0. The SSN test
+# comes first: it is cheap and fails for most pairs. Two blank records
+# score 0 / 0, which is 0, so the rule cannot merge them.
 rule aggregate-similarity:
-  if not empty(r1.last_name) and not empty(r2.last_name)
-  and not empty(r1.address) and not empty(r2.address)
-  and similarity(r1.ssn, r2.ssn) >= 0.85
-  and similarity(r1.last_name, r2.last_name) >= 0.85
-  and similarity(r1.first_name, r2.first_name) >= 0.80
-  and similarity(r1.address, r2.address) >= 0.80
-  and (empty(r1.ssn) or empty(r2.ssn) or damerau(r1.ssn, r2.ssn) <= 1)
+  if (empty(r1.ssn) or empty(r2.ssn) or damerau(r1.ssn, r2.ssn) <= 1)
+  and (3 * either_present(r1.ssn, r2.ssn) * similarity(r1.ssn, r2.ssn)
+       + 3 * either_present(r1.last_name, r2.last_name)
+           * similarity(r1.last_name, r2.last_name)
+       + 2 * either_present(r1.first_name, r2.first_name)
+           * similarity(r1.first_name, r2.first_name)
+       + 2 * either_present(r1.address, r2.address)
+           * similarity(r1.address, r2.address)
+       + either_present(r1.city, r2.city) * similarity(r1.city, r2.city)
+       + either_present(r1.zip, r2.zip) * similarity(r1.zip, r2.zip))
+      / (3 * either_present(r1.ssn, r2.ssn)
+         + 3 * either_present(r1.last_name, r2.last_name)
+         + 2 * either_present(r1.first_name, r2.first_name)
+         + 2 * either_present(r1.address, r2.address)
+         + either_present(r1.city, r2.city)
+         + either_present(r1.zip, r2.zip))
+      >= 0.90
   then match
 )RULES";
+
+const RuleProgram& Builtin() {
+  static const RuleProgram* const program = [] {
+    Result<RuleProgram> compiled =
+        RuleProgram::Compile(kEmployeeRules, employee::MakeSchema());
+    if (!compiled.ok()) {
+      std::fprintf(stderr, "built-in employee theory: %s\n",
+                   compiled.status().ToString().c_str());
+      std::abort();
+    }
+    return new RuleProgram(std::move(*compiled));
+  }();
+  return *program;
+}
 
 }  // namespace
 
 std::string_view EmployeeRulesText() { return kEmployeeRules; }
+
+EmployeeTheory::EmployeeTheory() : RuleProgram(Builtin()) {}
+
+TheoryFactory EmployeeTheory::Factory() {
+  return [] { return std::make_unique<EmployeeTheory>(); };
+}
 
 }  // namespace mergepurge

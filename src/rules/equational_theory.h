@@ -4,16 +4,11 @@
 // equational axioms that define equivalence, i.e., by an equational
 // theory."
 //
-// Two implementations are provided:
-//  * RuleProgram (rules/rule_program.h) — a declarative rule-language
-//    interpreter, the analogue of the paper's OPS5 program;
-//  * EmployeeTheory (rules/employee_theory.h) — the same 26-rule logic
-//    hand-coded in C++, the analogue of the paper's "recoded the rules
-//    directly in C to obtain speed-up".
-// Both call the same field predicates (text/predicates.h). Tools never
-// pick one by hand: rules/theory_loader.h turns a --rules path (or none,
-// for the built-in theory) into a TheoryFactory plus the purge policy
-// that travels with it.
+// The implementation is RuleProgram (rules/rule_program.h): rule-language
+// source compiled to branch code; the built-in employee theory
+// (rules/employee_theory.h) is one such program. rules/theory_loader.h
+// turns a --rules path (or none, for the built-in theory) into a
+// TheoryFactory plus the purge policy that travels with it.
 
 #ifndef MERGEPURGE_RULES_EQUATIONAL_THEORY_H_
 #define MERGEPURGE_RULES_EQUATIONAL_THEORY_H_

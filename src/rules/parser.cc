@@ -1,13 +1,126 @@
 #include "rules/parser.h"
 
+#include <cctype>
+#include <cstdlib>
 #include <memory>
 #include <utility>
-#include <vector>
 
-#include "rules/lexer.h"
 #include "util/string_util.h"
 
 namespace mergepurge {
+
+Result<std::vector<Token>> Tokenize(std::string_view source) {
+  std::vector<Token> tokens;
+  int line = 1;
+  size_t i = 0;
+  const size_t n = source.size();
+
+  auto error = [&line](const std::string& msg) {
+    return Status::ParseError(StringPrintf("line %d: %s", line, msg.c_str()));
+  };
+
+  while (i < n) {
+    char c = source[i];
+    if (c == '\n') {
+      ++line;
+      ++i;
+      continue;
+    }
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      ++i;
+      continue;
+    }
+    if (c == '#') {
+      while (i < n && source[i] != '\n') ++i;
+      continue;
+    }
+    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+      size_t start = i;
+      while (i < n && (std::isalnum(static_cast<unsigned char>(source[i])) ||
+                       source[i] == '_' || source[i] == '-')) {
+        ++i;
+      }
+      tokens.push_back({TokenKind::kIdentifier,
+                        std::string(source.substr(start, i - start)), 0.0,
+                        line});
+      continue;
+    }
+    if (std::isdigit(static_cast<unsigned char>(c))) {
+      size_t start = i;
+      while (i < n && (std::isdigit(static_cast<unsigned char>(source[i])) ||
+                       source[i] == '.')) {
+        ++i;
+      }
+      std::string text(source.substr(start, i - start));
+      tokens.push_back(
+          {TokenKind::kNumber, text, std::strtod(text.c_str(), nullptr),
+           line});
+      continue;
+    }
+    if (c == '"') {
+      ++i;
+      std::string text;
+      while (i < n && source[i] != '"') {
+        if (source[i] == '\n') return error("unterminated string literal");
+        text += source[i];
+        ++i;
+      }
+      if (i == n) return error("unterminated string literal");
+      ++i;  // Closing quote.
+      tokens.push_back({TokenKind::kString, std::move(text), 0.0, line});
+      continue;
+    }
+    switch (c) {
+      case '.':
+        tokens.push_back({TokenKind::kDot, ".", 0.0, line});
+        ++i;
+        continue;
+      case ',':
+        tokens.push_back({TokenKind::kComma, ",", 0.0, line});
+        ++i;
+        continue;
+      case ':':
+        tokens.push_back({TokenKind::kColon, ":", 0.0, line});
+        ++i;
+        continue;
+      case '(':
+        tokens.push_back({TokenKind::kLParen, "(", 0.0, line});
+        ++i;
+        continue;
+      case ')':
+        tokens.push_back({TokenKind::kRParen, ")", 0.0, line});
+        ++i;
+        continue;
+      case '+':
+      case '*':
+      case '/':
+        tokens.push_back({TokenKind::kArith, std::string(1, c), 0.0, line});
+        ++i;
+        continue;
+      default:
+        break;
+    }
+    // Operators.
+    if (c == '=' || c == '!' || c == '<' || c == '>') {
+      std::string op(1, c);
+      if (i + 1 < n && source[i + 1] == '=') {
+        op += '=';
+        i += 2;
+      } else {
+        ++i;
+      }
+      if (op == "=" || op == "!") {
+        return error("expected '" + op + "=' operator");
+      }
+      tokens.push_back({TokenKind::kOp, std::move(op), 0.0, line});
+      continue;
+    }
+    return error(StringPrintf("unexpected character '%c'", c));
+  }
+  tokens.push_back({TokenKind::kEnd, "", 0.0, line});
+  return tokens;
+}
+
 
 namespace {
 
@@ -143,6 +256,11 @@ class Parser {
   }
 
   // unary := "not" unary | "(" or-expr ")" | comparison
+  //
+  // A '(' opens a grouped condition or a number expression ("(a + b) / c
+  // >= 0.9"). A group followed by an operator was the latter, so it is
+  // parsed again as a comparison. (A number expression also parses as a
+  // group, so a failed group is a real error.)
   Result<std::unique_ptr<BoolExpr>> ParseUnary() {
     if (CheckIdent("not")) {
       int line = Peek().line;
@@ -156,14 +274,15 @@ class Parser {
       return node;
     }
     if (Peek().kind == TokenKind::kLParen) {
-      // A '(' here could open a grouped boolean expression; value
-      // expressions only start with '(' after a function name, which
-      // ParseExpr handles, so the grouping interpretation is unambiguous.
+      const size_t start = pos_;
       Advance();
       Result<std::unique_ptr<BoolExpr>> inner = ParseOr();
       if (!inner.ok()) return inner.status();
       MERGEPURGE_RETURN_NOT_OK(Expect(TokenKind::kRParen, "')'"));
-      return inner;
+      if (Peek().kind != TokenKind::kOp && Peek().kind != TokenKind::kArith) {
+        return inner;
+      }
+      pos_ = start;
     }
     return ParseComparison();
   }
@@ -204,7 +323,38 @@ class Parser {
     return node;
   }
 
-  Result<std::unique_ptr<Expr>> ParseExpr() {
+  // expr := product ("+" product)*
+  // product := primary (("*" | "/") primary)*
+  Result<std::unique_ptr<Expr>> ParseExpr() { return ParseArith(0); }
+
+  // Left-associative binary operators at `level` (0: +, 1: * and /).
+  Result<std::unique_ptr<Expr>> ParseArith(int level) {
+    Result<std::unique_ptr<Expr>> lhs =
+        level == 0 ? ParseArith(1) : ParsePrimary();
+    if (!lhs.ok()) return lhs.status();
+    std::unique_ptr<Expr> expr = std::move(*lhs);
+    while (Peek().kind == TokenKind::kArith &&
+           (Peek().text == "+") == (level == 0)) {
+      auto node = std::make_unique<Expr>();
+      node->kind = ExprKind::kArith;
+      node->source_line = expr->source_line;
+      const std::string& op = Advance().text;
+      node->arith_op = op == "+"   ? ArithOp::kAdd
+                       : op == "*" ? ArithOp::kMul
+                                   : ArithOp::kDiv;
+      Result<std::unique_ptr<Expr>> rhs =
+          level == 0 ? ParseArith(1) : ParsePrimary();
+      if (!rhs.ok()) return rhs.status();
+      node->args.push_back(std::move(expr));
+      node->args.push_back(std::move(*rhs));
+      expr = std::move(node);
+    }
+    return expr;
+  }
+
+  // primary := number | string | r1.field | r2.field
+  //          | name "(" [expr ("," expr)*] ")" | "(" expr ")"
+  Result<std::unique_ptr<Expr>> ParsePrimary() {
     const Token& token = Peek();
     switch (token.kind) {
       case TokenKind::kNumber: {
@@ -223,6 +373,13 @@ class Parser {
       }
       case TokenKind::kIdentifier:
         break;
+      case TokenKind::kLParen: {
+        Advance();
+        Result<std::unique_ptr<Expr>> inner = ParseExpr();
+        if (!inner.ok()) return inner.status();
+        MERGEPURGE_RETURN_NOT_OK(Expect(TokenKind::kRParen, "')'"));
+        return inner;
+      }
       default:
         return Error("expected expression");
     }

@@ -1,15 +1,14 @@
-// RuleProgram: compiles rule-language source against a schema into an
-// executable equational theory (the analogue of the paper's OPS5 program).
-//
-// Compilation performs name resolution (field refs against the schema,
-// function names against the built-in table) and full static type checking,
-// so evaluation is exception-free and cannot fail at run time. The
-// built-in functions are tabled in rules/builtins.h and documented in
-// docs/rule_language.md.
+// RuleProgram: compiles rule-language source (docs/rule_language.md)
+// against a schema into an executable equational theory, the analogue of
+// the paper's OPS5 program recoded in C (§2.3); the built-in employee
+// theory is one. Compilation resolves names and type-checks every
+// expression (so evaluation cannot fail), then lowers the rules to branch
+// code (see rule_program.cc).
 
 #ifndef MERGEPURGE_RULES_RULE_PROGRAM_H_
 #define MERGEPURGE_RULES_RULE_PROGRAM_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -17,6 +16,7 @@
 
 #include "core/purge_policy.h"
 #include "record/schema.h"
+#include "rules/ast.h"
 #include "rules/equational_theory.h"
 #include "util/status.h"
 
@@ -26,12 +26,13 @@ class AnalysisReport;
 
 namespace rules_internal {
 struct CompiledProgram;
+struct Insn;
 }  // namespace rules_internal
 
-class RuleProgram final : public EquationalTheory {
+class RuleProgram : public EquationalTheory {
  public:
-  // Parses, resolves and type-checks `source` against `schema`. With a
-  // non-null `analysis` it also runs the static analyzer
+  // Parses, resolves, type-checks and lowers `source` against `schema`.
+  // With a non-null `analysis` it also runs the static analyzer
   // (rules/analysis/) over the parsed program, honoring the source's
   // `# rulecheck: allow(...)` comments. Lint findings never fail
   // compilation — `analysis` is filled even on a compile error after a
@@ -41,30 +42,36 @@ class RuleProgram final : public EquationalTheory {
                                      const Schema& schema,
                                      AnalysisReport* analysis = nullptr);
 
+  // Compile() for an already parsed program, without the analyzer.
+  static Result<RuleProgram> FromAst(const RuleProgramAst& ast,
+                                     const Schema& schema);
+
   // Copies share the immutable compiled program; each copy has its own
-  // statistics counters (use one copy per worker thread).
+  // evaluation state and statistics (use one copy per worker thread).
   RuleProgram(const RuleProgram& other);
-  RuleProgram& operator=(const RuleProgram& other);
+  RuleProgram& operator=(const RuleProgram& other) = delete;
   ~RuleProgram() override;
 
   bool Matches(const Record& a, const Record& b) const override;
   uint64_t comparison_count() const override { return comparison_count_; }
 
-  // Index of the first rule whose conditions all hold, or -1. Also updates
-  // the per-rule fire counters.
+  // Index of the first rule whose condition holds, or -1. Also counts the
+  // firing.
   int MatchingRule(const Record& a, const Record& b) const;
 
   size_t num_rules() const;
   const std::string& rule_name(size_t index) const;
 
-  // How many times each rule has fired (same indexing as rule_name).
+  // Firings per rule so far (same indexing as rule_name).
   const std::vector<uint64_t>& rule_fire_counts() const {
-    return rule_fire_counts_;
+    return fire_counts_;
   }
 
-  // Adds rule firings since the previous flush to the global registry as
-  // rules.fired.<rule-name>. rule_fire_counts() is cumulative and is NOT
-  // reset — a high-water mirror tracks what was already flushed.
+  // Adds the statistics gathered since the previous flush to the global
+  // registry: rule firings (rules.fired.<rule-name>), typo-similarity
+  // evaluations on non-empty strings (rules.distance_calls) and the
+  // thresholded ones a bounded distance ruled out early
+  // (rules.early_exits). rule_fire_counts() is not reset.
   void FlushMetrics() const override;
 
   // The purge policy assembled from the program's `merge <field>: prefer
@@ -75,11 +82,31 @@ class RuleProgram final : public EquationalTheory {
   explicit RuleProgram(
       std::shared_ptr<const rules_internal::CompiledProgram> program);
 
+  // One leaf condition of the branch code.
+  bool Evaluate(const rules_internal::Insn& insn) const;
+  bool SimilarityAtLeast(const rules_internal::Insn& insn,
+                         std::string_view x, std::string_view y) const;
+  std::string_view Arg(int operand) const;
+  std::string_view StringValue(int node) const;
+  double NumberValue(int node) const;
+
   std::shared_ptr<const rules_internal::CompiledProgram> program_;
+
+  // Evaluation state: views of the fields read, r1's and r2's interleaved;
+  // the comparison number, and memo entries (stamp << 1 | value) valid
+  // while their stamp is current.
+  mutable std::vector<std::string_view> views_;
+  mutable uint64_t stamp_ = 0;
+  mutable std::vector<uint64_t> memo_;
+  // Buffers for built-ins that build strings, one per call site.
+  mutable std::vector<std::string> buffers_;
+
+  // Statistics; see FlushMetrics().
   mutable uint64_t comparison_count_ = 0;
-  mutable std::vector<uint64_t> rule_fire_counts_;
-  // Per-rule counts already flushed to the registry (see FlushMetrics).
+  mutable std::vector<uint64_t> fire_counts_;
   mutable std::vector<uint64_t> flushed_fire_counts_;
+  mutable uint64_t distance_calls_ = 0;
+  mutable uint64_t early_exits_ = 0;
 };
 
 }  // namespace mergepurge

@@ -1,10 +1,10 @@
 #include "rules/theory_loader.h"
 
+#include <cstdio>
 #include <memory>
 #include <utility>
 
 #include "rules/analysis/analyzer.h"
-#include "rules/employee_rules_text.h"
 #include "rules/employee_theory.h"
 #include "rules/rule_program.h"
 #include "util/fs.h"
@@ -20,6 +20,7 @@ Result<LoadedTheory> LoadTheory(const std::string& rules_path,
       *analysis = AnalyzeRuleSource(EmployeeRulesText());
     }
     loaded.factory = EmployeeTheory::Factory();
+    loaded.num_rules = EmployeeTheory().num_rules();
     return loaded;
   }
 
@@ -42,6 +43,28 @@ Result<LoadedTheory> LoadTheory(const std::string& rules_path,
   loaded.factory = [shared]() -> std::unique_ptr<EquationalTheory> {
     return std::make_unique<RuleProgram>(*shared);
   };
+  return loaded;
+}
+
+Result<LoadedTheory> LoadCheckedTheory(const std::string& rules_path,
+                                       const Schema& schema,
+                                       bool rules_check,
+                                       std::string_view lint_error_suffix) {
+  AnalysisReport analysis;
+  Result<LoadedTheory> loaded =
+      LoadTheory(rules_path, schema, rules_check ? &analysis : nullptr);
+  if (!loaded.ok()) return loaded.status();
+  if (rules_check) {
+    std::fputs(analysis.ToText(loaded->source_name).c_str(), stderr);
+  }
+  if (analysis.HasErrors()) {
+    return Status::InvalidArgument("--rules-check: theory has lint errors" +
+                                   std::string(lint_error_suffix));
+  }
+  if (!rules_path.empty()) {
+    std::fprintf(stderr, "compiled %zu rules from %s\n", loaded->num_rules,
+                 loaded->source_name.c_str());
+  }
   return loaded;
 }
 

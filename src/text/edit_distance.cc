@@ -113,9 +113,4 @@ double StringSimilarity(std::string_view a, std::string_view b) {
   return 1.0 - static_cast<double>(d) / static_cast<double>(longest);
 }
 
-bool WithinDistance(std::string_view a, std::string_view b,
-                    int max_distance) {
-  return BoundedDamerauDistance(a, b, max_distance) <= max_distance;
-}
-
 }  // namespace mergepurge

@@ -47,10 +47,6 @@ int BoundedDamerauDistance(std::string_view a, std::string_view b,
 // base thresholds.
 double StringSimilarity(std::string_view a, std::string_view b);
 
-// Returns true if the strings are within the given Damerau distance. This
-// is the form the rule base uses.
-bool WithinDistance(std::string_view a, std::string_view b, int max_distance);
-
 }  // namespace mergepurge
 
 #endif  // MERGEPURGE_TEXT_EDIT_DISTANCE_H_

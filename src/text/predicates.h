@@ -1,7 +1,7 @@
-// Field predicates shared by both equational theories (EmployeeTheory and
-// the rule language's built-ins), so the two cannot disagree on what
-// "transposed" or "initial match" means. Inline: the window scan calls
-// them once per compared pair.
+// Field predicates behind the rule language's built-ins (transposed,
+// initial_match, hyphen_extended, street_number), kept apart so their
+// exact definitions can be tested on their own. Inline: the window scan
+// calls them once per compared pair.
 
 #ifndef MERGEPURGE_TEXT_PREDICATES_H_
 #define MERGEPURGE_TEXT_PREDICATES_H_

@@ -44,8 +44,9 @@ Record Stranger() {
 }
 
 int RuleIndex(std::string_view name) {
-  for (size_t i = 0; i < EmployeeTheory::kNumRules; ++i) {
-    if (EmployeeTheory::RuleName(i) == name) return static_cast<int>(i);
+  const EmployeeTheory theory;
+  for (size_t i = 0; i < theory.num_rules(); ++i) {
+    if (theory.rule_name(i) == name) return static_cast<int>(i);
   }
   ADD_FAILURE() << "unknown rule " << name;
   return -1;
@@ -58,7 +59,7 @@ class RuleCoverageTest : public ::testing::Test {
                    std::string_view name) {
     int fired = theory_.MatchingRule(a, b);
     ASSERT_GE(fired, 0) << "no rule fired; expected " << name;
-    EXPECT_EQ(EmployeeTheory::RuleName(fired), name);
+    EXPECT_EQ(theory_.rule_name(fired), name);
     // Symmetry of the decision.
     EXPECT_GE(theory_.MatchingRule(b, a), 0);
   }
@@ -69,7 +70,7 @@ class RuleCoverageTest : public ::testing::Test {
     int fired = theory_.MatchingRule(a, b);
     ASSERT_GE(fired, 0) << "no rule fired; expected at most " << name;
     EXPECT_LE(fired, RuleIndex(name))
-        << "fired " << EmployeeTheory::RuleName(fired);
+        << "fired " << theory_.rule_name(fired);
   }
 
   void ExpectNoMatch(const Record& a, const Record& b) {

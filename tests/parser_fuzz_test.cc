@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "rules/analysis/analyzer.h"
-#include "rules/employee_rules_text.h"
+#include "rules/employee_theory.h"
 #include "rules/parser.h"
 #include "rules/rule_program.h"
 #include "util/random.h"

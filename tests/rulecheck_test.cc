@@ -1,7 +1,7 @@
 // Tests for the rule-theory static analyzer (rules/analysis/): one golden
 // seeded-defect program per lint (asserting the lint id AND the reported
 // source line), suppression comments, report rendering, and property tests
-// tying the analyzer's verdicts to the interpreter's actual behavior.
+// tying the analyzer's verdicts to the compiled program's actual behavior.
 
 #include <map>
 #include <string>
@@ -12,7 +12,6 @@
 #include "record/record.h"
 #include "rules/analysis/analyzer.h"
 #include "rules/ast_util.h"
-#include "rules/employee_rules_text.h"
 #include "rules/employee_theory.h"
 #include "rules/parser.h"
 #include "rules/rule_program.h"
@@ -66,6 +65,9 @@ TEST(RulecheckLints, AsymmetricRuleFlagsOneSidedGuard) {
       "rule one-sided:\n"                                          // line 1
       "  if similarity(r1.last_name, r2.last_name) >= 0.8\n"
       "  and not empty(r1.last_name)\n"
+      "  then match\n"
+      "rule one-sided-weight:\n"
+      "  if 2 * length(r1.ssn) > length(r2.ssn)\n"
       "  then match\n";
   AnalysisReport report = AnalyzeRuleSource(source);
   const Diagnostic* d = FindDiagnostic(report, "asymmetric-rule");
@@ -73,6 +75,7 @@ TEST(RulecheckLints, AsymmetricRuleFlagsOneSidedGuard) {
   EXPECT_EQ(d->severity, LintSeverity::kWarning);
   EXPECT_EQ(d->line, 1);
   EXPECT_EQ(d->rule_name, "one-sided");
+  EXPECT_EQ(CountDiagnostics(report, "asymmetric-rule"), 2u);
 }
 
 // The ubiquitous `r1.f == r2.f and not empty(r1.f)` idiom IS symmetric
@@ -87,6 +90,16 @@ TEST(RulecheckLints, EqualityGuardedRuleIsSymmetric) {
       "rule expr-mirror:\n"
       "  if digits(r1.zip) == digits(r2.zip)\n"
       "  and not empty(digits(r1.zip))\n"
+      "  then match\n"
+      // + and * commute exactly, so swapping r1 and r2 across them keeps
+      // a condition symmetric.
+      "rule summed:\n"
+      "  if length(r1.ssn) + length(r2.ssn) >= 18\n"
+      "  then match\n"
+      "rule weighted:\n"
+      "  if not empty(r1.zip) and not empty(r2.zip)\n"
+      "  and (either_present(r1.zip, r2.zip) * similarity(r2.zip, r1.zip))\n"
+      "      / either_present(r2.zip, r1.zip) >= 0.9\n"
       "  then match\n";
   AnalysisReport report = AnalyzeRuleSource(source);
   EXPECT_EQ(CountDiagnostics(report, "asymmetric-rule"), 0u);
@@ -131,6 +144,63 @@ TEST(RulecheckLints, SelfComparisonIsTautological) {
   // `r1.f == r1.f` also holds on blank records, so the rule is a blank
   // trap too.
   EXPECT_NE(FindDiagnostic(report, "blank-merge"), nullptr);
+}
+
+TEST(RulecheckLints, ArithmeticRangesFlagImpossibleAndVacuousScores) {
+  const std::string source =
+      "rule dead-score:\n"                                          // 1
+      "  if r1.ssn == r2.ssn and not empty(r1.ssn)\n"               // 2
+      "  and 2 * similarity(r1.city, r2.city) > 2\n"                // 3
+      "  then match\n"                                              // 4
+      "rule vacuous-score:\n"                                       // 5
+      "  if r1.ssn == r2.ssn and not empty(r1.ssn)\n"               // 6
+      "  and similarity(r1.city, r2.city) + length(r1.zip) >= 0\n"  // 7
+      "  then match\n"                                              // 8
+      "rule open-score:\n"                                          // 9
+      "  if r1.ssn == r2.ssn and not empty(r1.ssn)\n"               // 10
+      "  and similarity(r1.city, r2.city)\n"                        // 11
+      "      / either_present(r1.zip, r2.zip) >= 0.5\n"             // 12
+      "  then match\n";
+  AnalysisReport report = AnalyzeRuleSource(source);
+  const Diagnostic* dead = FindDiagnostic(report, "unsatisfiable-condition");
+  ASSERT_NE(dead, nullptr);
+  EXPECT_EQ(dead->line, 3);
+  EXPECT_EQ(dead->rule_name, "dead-score");
+  const Diagnostic* vacuous = FindDiagnostic(report, "tautological-condition");
+  ASSERT_NE(vacuous, nullptr);
+  EXPECT_EQ(vacuous->line, 7);
+  EXPECT_EQ(vacuous->rule_name, "vacuous-score");
+  // A divisor that can be 0 leaves the quotient's range open: no finding.
+  EXPECT_EQ(CountDiagnostics(report, "unsatisfiable-condition"), 1u);
+  EXPECT_EQ(CountDiagnostics(report, "tautological-condition"), 1u);
+}
+
+TEST(RulecheckLints, BlankMergeSeesThroughArithmetic) {
+  const std::string source =
+      "rule weighted:\n"                                            // 1
+      "  if (2 * either_present(r1.city, r2.city)\n"                // 2
+      "      * similarity(r1.city, r2.city))\n"                     // 3
+      "     / (2 * either_present(r1.city, r2.city)) >= 0.9\n"      // 4
+      "  then match\n"                                              // 5
+      "rule scaled-trap:\n"                                         // 6
+      "  if 2 * similarity(r1.city, r2.city) >= 1.8\n"              // 7
+      "  then match\n";
+  AnalysisReport report = AnalyzeRuleSource(source);
+  // Two blank cities weigh 0, and 0 / 0 is 0: the weighted rule is safe.
+  ASSERT_EQ(CountDiagnostics(report, "blank-merge"), 1u);
+  EXPECT_EQ(FindDiagnostic(report, "blank-merge")->line, 6);
+}
+
+TEST(RulecheckLints, AggregateSimilarityIsFalseOnBlankRecords) {
+  Result<RuleProgramAst> ast = ParseRuleProgram(EmployeeRulesText());
+  ASSERT_TRUE(ast.ok());
+  ASSERT_EQ(ast->rules.back().name, "aggregate-similarity");
+  ast->rules.erase(ast->rules.begin(), ast->rules.end() - 1);
+  Result<RuleProgram> aggregate =
+      RuleProgram::FromAst(*ast, employee::MakeSchema());
+  ASSERT_TRUE(aggregate.ok());
+  const Record blank;
+  EXPECT_FALSE(aggregate->Matches(blank, blank));
 }
 
 TEST(RulecheckLints, ConstantComparisonFlagsRecordFreeCondition) {
@@ -447,7 +517,7 @@ TEST(RulecheckTheories, BuiltinEmployeeTheoryIsCleanAtWerror) {
   EXPECT_EQ(report.rule_count(), 26u);
 }
 
-// --- Property tests: the analyzer's verdicts match the interpreter. ---------
+// --- Property tests: the analyzer's verdicts match the compiled program. ---
 
 // Random-but-valid rule programs assembled from condition templates over
 // the employee schema.
@@ -462,7 +532,7 @@ std::string RandomProgram(Rng* rng) {
     for (size_t c = 0; c < num_conjuncts; ++c) {
       if (c > 0) source += "\n  and ";
       const char* field = kFields[rng->NextBounded(6)];
-      switch (rng->NextBounded(5)) {
+      switch (rng->NextBounded(6)) {
         case 0:
           source += StringPrintf("r1.%s == r2.%s and not empty(r1.%s)",
                                  field, field, field);
@@ -482,6 +552,14 @@ std::string RandomProgram(Rng* rng) {
               "not empty(r1.%s) and edit_distance(r1.%s, r2.%s) <= %d",
               field, field, field,
               static_cast<int>(1 + rng->NextBounded(3)));
+          break;
+        case 4:
+          // A weighted score: blank records score (0 + 1) / 2.
+          source += StringPrintf(
+              "(either_present(r1.%s, r2.%s) * similarity(r1.%s, r2.%s)"
+              " + 1) / 2 >= 0.%d",
+              field, field, field, field,
+              static_cast<int>(3 + rng->NextBounded(5)));
           break;
         default:
           // Deliberately unguarded: a blank trap (similarity("", "") is
@@ -514,7 +592,7 @@ Record RandomRecord(Rng* rng) {
 // A program with no findings must compile; a program with no blank-merge
 // finding must NOT match two all-blank records, and one with a blank-merge
 // finding must. This pins the analyzer's constant evaluation to the real
-// interpreter.
+// compiled program.
 TEST(RulecheckProperties, BlankVerdictMatchesInterpreterOnBlankRecords) {
   Rng rng(20260805);
   Schema schema = employee::MakeSchema();

@@ -1,13 +1,12 @@
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "rules/analysis/diagnostics.h"
 #include "rules/employee_theory.h"
-#include "rules/lexer.h"
 #include "rules/parser.h"
 #include "rules/rule_program.h"
 #include "rules/theory_loader.h"
@@ -27,6 +26,15 @@ TEST(LexerTest, TokenKinds) {
   EXPECT_EQ((*tokens)[6].kind, TokenKind::kNumber);
   EXPECT_DOUBLE_EQ((*tokens)[6].number, 0.8);
   EXPECT_EQ(tokens->back().kind, TokenKind::kEnd);
+}
+
+TEST(LexerTest, ArithmeticOperators) {
+  auto tokens = Tokenize("(a + b) * 2 / c");
+  ASSERT_TRUE(tokens.ok());
+  EXPECT_EQ((*tokens)[2].kind, TokenKind::kArith);
+  EXPECT_EQ((*tokens)[2].text, "+");
+  EXPECT_EQ((*tokens)[5].text, "*");
+  EXPECT_EQ((*tokens)[7].text, "/");
 }
 
 TEST(LexerTest, CommentsAndStrings) {
@@ -70,6 +78,25 @@ TEST(ParserTest, BooleanStructure) {
   EXPECT_EQ(cond.children[0]->children[1]->kind, BoolKind::kNot);
 }
 
+TEST(ParserTest, ArithmeticPrecedenceAndGrouping) {
+  auto ast = ParseRuleProgram(
+      "rule r: if (length(r1.ssn) + 1) / 2 + 3 * length(r2.ssn) >= 5\n"
+      "  and (empty(r1.zip) or empty(r2.zip)) then match");
+  ASSERT_TRUE(ast.ok()) << ast.status().ToString();
+  const BoolExpr& cond = *ast->rules[0].condition;
+  ASSERT_EQ(cond.kind, BoolKind::kAnd);
+  const BoolExpr& score = *cond.children[0];
+  ASSERT_EQ(score.kind, BoolKind::kCompare);
+  // ((length + 1) / 2) + (3 * length): + binds loosest, left to right.
+  const Expr& sum = *score.lhs;
+  ASSERT_EQ(sum.kind, ExprKind::kArith);
+  EXPECT_EQ(sum.arith_op, ArithOp::kAdd);
+  EXPECT_EQ(sum.args[0]->arith_op, ArithOp::kDiv);
+  EXPECT_EQ(sum.args[0]->args[0]->arith_op, ArithOp::kAdd);
+  EXPECT_EQ(sum.args[1]->arith_op, ArithOp::kMul);
+  EXPECT_EQ(cond.children[1]->kind, BoolKind::kOr);
+}
+
 TEST(ParserTest, SyntaxErrors) {
   EXPECT_FALSE(ParseRuleProgram("").ok());
   EXPECT_FALSE(ParseRuleProgram("rule : if x then match").ok());
@@ -79,6 +106,8 @@ TEST(ParserTest, SyntaxErrors) {
   EXPECT_FALSE(
       ParseRuleProgram("rule r: if r1.ssn == r2.ssn then nomatch").ok());
   EXPECT_FALSE(ParseRuleProgram("rule r: if r1. == r2.x then match").ok());
+  EXPECT_FALSE(ParseRuleProgram("rule r: if 1 + >= 2 then match").ok());
+  EXPECT_FALSE(ParseRuleProgram("rule r: if (1 + 2 >= 2 then match").ok());
 }
 
 // --- Compilation and evaluation. ---
@@ -134,6 +163,10 @@ TEST(RuleProgramTest, CompileErrors) {
                    "rule r: if empty(r1.ssn) <= empty(r2.ssn) then match",
                    schema)
                    .ok());
+  // Arithmetic on strings.
+  EXPECT_FALSE(
+      RuleProgram::Compile("rule r: if r1.ssn + 1 >= 2 then match", schema)
+          .ok());
   // Wrong argument type.
   EXPECT_FALSE(RuleProgram::Compile(
                    "rule r: if prefix(r1.ssn, r2.ssn) == r1.ssn then match",
@@ -197,6 +230,49 @@ TEST(RuleProgramTest, BuiltinFunctions) {
   check("keyboard_similarity(r1.last_name, r2.last_name) >= 0.8", true);
   // NYSIIS keeps Y as a consonant: SMITH -> SNAT, SMYTH -> SNYT.
   check("nysiis(r1.last_name) == nysiis(r2.last_name)", false);
+  // The SSNs differ by one transposition: one Damerau edit, two
+  // Levenshtein edits.
+  check("similarity(r1.ssn, r2.ssn) >= 0.8", true);
+  check("edit_similarity(r1.ssn, r2.ssn) >= 0.8", false);
+  // Arithmetic; fields present on either side weigh 1, blank ones 0, and
+  // x / 0 is 0.
+  check("length(r1.ssn) + length(r2.ssn) == 18", true);
+  check("1 + 2 * 3 == 7 and (1 + 2) * 3 == 9 and 12 / 4 / 3 == 1", true);
+  check("5 * similarity(r1.last_name, r2.last_name) == 4", true);
+  check("either_present(r1.ssn, r2.ssn) == 1", true);
+  check("either_present(r1.apartment, r2.apartment) == 0", true);
+  check("length(r1.ssn) / length(r1.apartment) == 0", true);
+}
+
+TEST(RuleProgramTest, FlushMetricsReportsAndZeroesStatistics) {
+  auto program = RuleProgram::Compile(
+      "rule similar-last:\n"
+      "  if similarity(r1.last_name, r2.last_name) >= 0.8 then match",
+      employee::MakeSchema());
+  ASSERT_TRUE(program.ok());
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Counter* fired = registry.GetCounter("rules.fired.similar-last");
+  Counter* calls = registry.GetCounter("rules.distance_calls");
+  Counter* exits = registry.GetCounter("rules.early_exits");
+  const uint64_t fired_before = fired->Value();
+  const uint64_t calls_before = calls->Value();
+  const uint64_t exits_before = exits->Value();
+
+  Record smith = Employee("1", "A", "SMITH", "S");
+  EXPECT_TRUE(program->Matches(smith, Employee("2", "B", "SMYTH", "S")));
+  // Too far apart in length: decided without computing a distance.
+  EXPECT_FALSE(program->Matches(smith, Employee("3", "C", "SMITHSONIAN", "S")));
+  // Two blank names need no distance at all (similarity 1.0).
+  EXPECT_TRUE(program->Matches(Employee("4", "D", "", "S"),
+                               Employee("5", "E", "", "S")));
+  program->FlushMetrics();
+  EXPECT_EQ(fired->Value() - fired_before, 2u);
+  EXPECT_EQ(calls->Value() - calls_before, 2u);
+  EXPECT_EQ(exits->Value() - exits_before, 1u);
+  EXPECT_EQ(program->rule_fire_counts()[0], 2u);
+  program->FlushMetrics();
+  EXPECT_EQ(fired->Value() - fired_before, 2u);
+  EXPECT_EQ(calls->Value() - calls_before, 2u);
 }
 
 TEST(RuleProgramTest, RuleFireCountsTrackFirstMatch) {
@@ -228,138 +304,6 @@ TEST(RuleProgramTest, CopyResetsCounters) {
   EXPECT_EQ(program->comparison_count(), 1u);
 }
 
-// --- EmployeeTheory unit behaviour. ---
-
-class EmployeeTheoryTest : public ::testing::Test {
- protected:
-  EmployeeTheory theory_;
-};
-
-TEST_F(EmployeeTheoryTest, IdenticalRecordsMatchRuleZero) {
-  Record a = Employee("123456789", "JOHN", "SMITH", "1 MAIN ST");
-  EXPECT_EQ(theory_.MatchingRule(a, a), 0);
-}
-
-TEST_F(EmployeeTheoryTest, PaperExampleRuleFires) {
-  // Same last name, first differs slightly, same address.
-  Record a = Employee("123456789", "MICHAEL", "SMITH", "1 MAIN ST");
-  Record b = Employee("987654321", "MICHAL", "SMITH", "1 MAIN ST");
-  int rule = theory_.MatchingRule(a, b);
-  ASSERT_GE(rule, 0);
-  EXPECT_EQ(EmployeeTheory::RuleName(rule), "paper-example-rule");
-}
-
-TEST_F(EmployeeTheoryTest, SsnTranspositionWithNames) {
-  Record a = Employee("193456782", "JOHN", "SMITH", "1 MAIN ST");
-  Record b = Employee("913456782", "JOHN", "SMITH", "2 ELM ST");
-  EXPECT_TRUE(theory_.Matches(a, b));  // ssn close + names similar.
-}
-
-TEST_F(EmployeeTheoryTest, NicknameWithAddress) {
-  Record a = Employee("111111111", "ROBERT", "JONES", "9 PINE RD");
-  Record b = Employee("222222222", "BOB", "JONES", "9 PINE RD");
-  EXPECT_TRUE(theory_.Matches(a, b));
-}
-
-TEST_F(EmployeeTheoryTest, LastNameChangedMarriage) {
-  Record a = Employee("111111111", "MARY", "SMITH", "9 PINE RD");
-  Record b = Employee("222222222", "MARY", "JOHNSON", "9 PINE RD");
-  a.set_field(employee::kApartment, "APT 4");
-  b.set_field(employee::kApartment, "APT 4");
-  int rule = theory_.MatchingRule(a, b);
-  ASSERT_GE(rule, 0);
-  EXPECT_EQ(EmployeeTheory::RuleName(rule), "last-name-changed");
-}
-
-TEST_F(EmployeeTheoryTest, DifferentPeopleDoNotMatch) {
-  Record a = Employee("111111111", "JOHN", "SMITH", "1 MAIN ST");
-  Record b = Employee("222222222", "MARY", "JOHNSON", "7 ELM AVE");
-  b.set_field(employee::kCity, "CHICAGO");
-  b.set_field(employee::kState, "IL");
-  b.set_field(employee::kZip, "60601");
-  EXPECT_FALSE(theory_.Matches(a, b));
-}
-
-TEST_F(EmployeeTheoryTest, SameNameDifferentAddressAndSsnNoMatch) {
-  // Two John Smiths in different cities with different SSNs: distinct.
-  Record a = Employee("111111111", "JOHN", "SMITH", "1 MAIN ST");
-  Record b = Employee("222222222", "JOHN", "SMITH", "999 OTHER RD");
-  b.set_field(employee::kCity, "CHICAGO");
-  b.set_field(employee::kState, "IL");
-  b.set_field(employee::kZip, "60601");
-  EXPECT_FALSE(theory_.Matches(a, b));
-}
-
-TEST_F(EmployeeTheoryTest, SymmetricOnConstructedPairs) {
-  Record a = Employee("193456782", "ROBERT", "SMITH-JONES", "1 MAIN ST");
-  Record b = Employee("913456782", "BOB", "SMITH", "1 MAIN ST");
-  EXPECT_EQ(theory_.Matches(a, b), theory_.Matches(b, a));
-}
-
-TEST_F(EmployeeTheoryTest, HyphenatedSurnameExtension) {
-  Record a = Employee("111111111", "ANNA", "SMITH", "3 OAK LN");
-  Record b = Employee("999999999", "ANNA", "SMITH-JONES", "3 OAK LN");
-  EXPECT_TRUE(theory_.Matches(a, b));
-}
-
-TEST_F(EmployeeTheoryTest, MissingFirstName) {
-  Record a = Employee("111111111", "", "SMITH", "3 OAK LN");
-  Record b = Employee("999999999", "ANNA", "SMITH", "3 OAK LN");
-  EXPECT_TRUE(theory_.Matches(a, b));
-}
-
-TEST_F(EmployeeTheoryTest, ComparisonCounterAdvances) {
-  Record a = Employee("1", "A", "B", "C");
-  EmployeeTheory fresh;
-  fresh.Matches(a, a);
-  fresh.Matches(a, a);
-  EXPECT_EQ(fresh.comparison_count(), 2u);
-}
-
-TEST_F(EmployeeTheoryTest, DistanceOptionsChangeBehaviour) {
-  // A pure first-name transposition: Damerau distance 1 (sim 0.833),
-  // Levenshtein 2 (sim 0.667). Equal SSNs make rule 3 the only candidate:
-  // addresses and locations are made different so neither the
-  // transposition-specific rules (which require address similarity) nor
-  // the phonetic rule can fire.
-  Record a = Employee("111111111", "CARLOS", "SMITH", "1 MAIN ST");
-  Record b = Employee("111111111", "CALROS", "SMITH", "742 EVERGREEN TER");
-  b.set_field(employee::kCity, "CHICAGO");
-  b.set_field(employee::kState, "IL");
-  b.set_field(employee::kZip, "60601");
-  EmployeeTheoryOptions damerau_options;
-  damerau_options.distance = EmployeeTheoryOptions::Distance::kDamerau;
-  EmployeeTheoryOptions edit_options;
-  edit_options.distance = EmployeeTheoryOptions::Distance::kEdit;
-  EXPECT_TRUE(EmployeeTheory(damerau_options).Matches(a, b));
-  EXPECT_FALSE(EmployeeTheory(edit_options).Matches(a, b));
-}
-
-TEST_F(EmployeeTheoryTest, NicknamesCanBeDisabled) {
-  Record a = Employee("111111111", "ROBERT", "JONES", "9 PINE RD");
-  Record b = Employee("222222222", "BOB", "JONES", "9 PINE RD");
-  EmployeeTheoryOptions options;
-  options.use_nicknames = false;
-  // BOB vs ROBERT is far in edit distance; without the nickname table the
-  // nickname rules cannot fire. The pair can still match via rules that do
-  // not need first-name similarity (same address + apartment etc.), so
-  // check the firing rule is not a nickname rule.
-  EmployeeTheory theory(options);
-  int rule = theory.MatchingRule(a, b);
-  if (rule >= 0) {
-    EXPECT_NE(EmployeeTheory::RuleName(rule), "ssn-nickname");
-    EXPECT_NE(EmployeeTheory::RuleName(rule), "nickname-last-address");
-  }
-}
-
-TEST_F(EmployeeTheoryTest, RuleNamesAreDistinct) {
-  std::set<std::string_view> names;
-  for (size_t i = 0; i < EmployeeTheory::kNumRules; ++i) {
-    names.insert(EmployeeTheory::RuleName(i));
-  }
-  EXPECT_EQ(names.size(), EmployeeTheory::kNumRules);
-}
-
 // --- Theory loader. ---
 
 TEST(TheoryLoaderTest, LoadsBuiltInTheoryAndRulesFileWithItsPolicy) {
@@ -367,9 +311,10 @@ TEST(TheoryLoaderTest, LoadsBuiltInTheoryAndRulesFileWithItsPolicy) {
   auto builtin = LoadTheory("", employee::MakeSchema(), &analysis);
   ASSERT_TRUE(builtin.ok()) << builtin.status().ToString();
   EXPECT_NE(dynamic_cast<EmployeeTheory*>(builtin->factory().get()), nullptr);
+  EXPECT_EQ(builtin->num_rules, 26u);
   EXPECT_EQ(builtin->purge_policy.strategy_for(employee::kFirstName),
             MergeStrategy::kLongest);
-  EXPECT_EQ(analysis.rule_count(), EmployeeTheory::kNumRules);
+  EXPECT_EQ(analysis.rule_count(), 26u);
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "mergepurge_loader.rules")

@@ -1,8 +1,9 @@
-// Property tests over the equational theories: symmetry, the bounded
-// threshold fast path vs the exact similarity, phonetic key behaviour, and
-// determinism of the whole engine.
+// Property tests over the equational theory: symmetry, the compiler's
+// bounded-threshold lowering vs the exact similarity, phonetic key
+// behaviour, and determinism of the whole engine.
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,8 +13,10 @@
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
 #include "rules/employee_theory.h"
+#include "rules/rule_program.h"
 #include "text/normalize.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace mergepurge {
 namespace {
@@ -56,32 +59,54 @@ TEST_P(TheoryPropertyTest, MatchesIsReflexive) {
   }
 }
 
-TEST_P(TheoryPropertyTest, BoundedThresholdMatchesExactSimilarity) {
-  // SimilarityAtLeast must agree with Similarity() >= t on every boundary.
-  for (auto distance : {EmployeeTheoryOptions::Distance::kEdit,
-                        EmployeeTheoryOptions::Distance::kDamerau,
-                        EmployeeTheoryOptions::Distance::kKeyboard}) {
-    EmployeeTheoryOptions options;
-    options.distance = distance;
-    EmployeeTheory theory(options);
-    Rng rng(GetParam() * 57 + 1);
-    for (int trial = 0; trial < 1500; ++trial) {
-      // Random short strings over a tiny alphabet to hit boundaries often.
-      auto make = [&rng] {
-        std::string s;
-        size_t len = rng.NextBounded(12);
-        for (size_t i = 0; i < len; ++i) {
-          s += static_cast<char>('A' + rng.NextBounded(3));
-        }
-        return s;
-      };
-      std::string x = make();
-      std::string y = make();
-      for (double threshold : {0.0, 0.5, 0.7, 0.75, 0.8, 0.9, 1.0}) {
-        EXPECT_EQ(theory.SimilarityAtLeast(x, y, threshold),
-                  theory.Similarity(x, y) >= threshold)
-            << "x=" << x << " y=" << y << " t=" << threshold;
+TEST_P(TheoryPropertyTest, LoweredThresholdMatchesExactSimilarity) {
+  // `f(x, y) >= t` compiles to a distance bounded at the threshold;
+  // `1 * f(x, y) >= t` is evaluated in full. They must agree on every
+  // boundary, for each typo similarity; thresholds above 1 are not
+  // lowered.
+  const Schema schema = employee::MakeSchema();
+  struct Check {
+    std::string label;
+    RuleProgram lowered;
+    RuleProgram exact;
+  };
+  std::vector<Check> checks;
+  for (const char* function :
+       {"similarity", "edit_similarity", "keyboard_similarity"}) {
+    for (double threshold :
+         {0.0, 0.5, 0.7, 0.75, 0.8, 0.9, 1.0, 1.5, 99999999999.0}) {
+      const std::string call =
+          std::string(function) + "(r1.last_name, r2.last_name)";
+      const std::string bound = StringPrintf("%.17g", threshold);
+      const std::string label = call + " >= " + bound;
+      auto lowered = RuleProgram::Compile(
+          "rule t: if " + call + " >= " + bound + " then match", schema);
+      auto exact = RuleProgram::Compile(
+          "rule t: if 1 * " + call + " >= " + bound + " then match", schema);
+      ASSERT_TRUE(lowered.ok()) << label << ": " << lowered.status().ToString();
+      ASSERT_TRUE(exact.ok()) << label << ": " << exact.status().ToString();
+      checks.push_back({label, std::move(*lowered), std::move(*exact)});
+    }
+  }
+  Rng rng(GetParam() * 57 + 1);
+  for (int trial = 0; trial < 1500; ++trial) {
+    // Random short strings over a tiny alphabet to hit boundaries often.
+    auto make = [&rng] {
+      Record record;
+      std::string s;
+      size_t len = rng.NextBounded(12);
+      for (size_t i = 0; i < len; ++i) {
+        s += static_cast<char>('A' + rng.NextBounded(3));
       }
+      record.set_field(employee::kLastName, s);
+      return record;
+    };
+    const Record x = make();
+    const Record y = make();
+    for (const Check& check : checks) {
+      EXPECT_EQ(check.lowered.Matches(x, y), check.exact.Matches(x, y))
+          << check.label << ": x=" << x.DebugString()
+          << " y=" << y.DebugString();
     }
   }
 }

@@ -548,15 +548,20 @@ echo "=== bench gates ==="
 "${root}/build/bench/bench_snm" --records=20000 --window=10 --repeat=3 \
   --seed=42 --out="${root}/BENCH_snm.json"
 # The report's counters describe the best run only, the same run its
-# passes describe, and the window-scan layer numbers derived from that run
-# are present and positive.
+# passes describe; every match the scan counts has a fired rule; and the
+# window-scan layer numbers derived from that run are present and
+# positive.
 python3 - "${root}/BENCH_snm.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
-counted = report["counters"]["snm.comparisons"]
+counters = report["counters"]
+counted = counters["snm.comparisons"]
 passes = sum(p["comparisons"] for p in report["passes"])
 assert counted == passes, (
     f"snm.comparisons {counted} != sum of passes[].comparisons {passes}")
+fired = sum(v for k, v in counters.items() if k.startswith("rules.fired."))
+assert fired == counters["snm.matches"], (
+    f"rules.fired.* sum to {fired}, snm.matches is {counters['snm.matches']}")
 for key in ("ns_per_comparison", "distance_calls_per_comparison"):
     value = report["config"].get(key)
     assert isinstance(value, (int, float)) and value > 0, (

@@ -67,10 +67,8 @@
 #include "obs/progress.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
-#include "rules/analysis/diagnostics.h"
 #include "rules/theory_loader.h"
 #include "util/fault_injector.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 using namespace mergepurge;
@@ -127,15 +125,8 @@ int main(int argc, char** argv) {
     return UsageError("--output is required");
   }
 
-  if (args.Has("log-level")) {
-    std::string level_name = args.GetString("log-level", "");
-    std::optional<LogLevel> level = ParseLogLevel(level_name);
-    if (!level) {
-      return UsageError("bad --log-level '" + level_name +
-                        "' (expected debug, info, warning, or error)");
-    }
-    SetLogLevel(*level);
-  }
+  Status log_level = ApplyLogLevelFlag(args);
+  if (!log_level.ok()) return UsageError(log_level.message());
   int64_t gen_records = args.GetInt("gen", 0);
   if (args.Has("gen") && gen_records < 1) {
     return UsageError("--gen must be >= 1 (got " +
@@ -191,12 +182,9 @@ int main(int argc, char** argv) {
       args.GetString("keys", "last-name,first-name,address"));
   if (!keys.ok()) return UsageError(keys.status().message());
   options.keys = std::move(*keys);
-  int64_t window = args.GetInt("window", 10);
-  if (window < 2) {
-    return UsageError("--window must be >= 2 (got " +
-                      args.GetString("window", "") + ")");
-  }
-  options.window = static_cast<size_t>(window);
+  Result<size_t> window = WindowFlag(args);
+  if (!window.ok()) return UsageError(window.status().message());
+  options.window = *window;
   options.spell_correct_city = args.GetBool("spell-city", false);
   options.checkpoint_dir = args.GetString("resume", "");
   std::string method = args.GetString("method", "snm");
@@ -214,25 +202,13 @@ int main(int argc, char** argv) {
   }
 
   // --- Theory: built-in or a rule-language file, loaded before any data
-  // is read. --rules-check lints it (without --rules, the built-in
-  // theory's rule-language mirror) and lint errors abort the run. ---
+  // is read. --rules-check lints it (without --rules, the built-in rule
+  // text) and lint errors abort the run. ---
   Schema schema = employee::MakeSchema();
-  const std::string rules_path = args.GetString("rules", "");
-  const bool rules_check = args.GetBool("rules-check", false);
-  AnalysisReport analysis;
   Result<LoadedTheory> loaded =
-      LoadTheory(rules_path, schema, rules_check ? &analysis : nullptr);
+      LoadCheckedTheory(args.GetString("rules", ""), schema,
+                        args.GetBool("rules-check", false), " (see above)");
   if (!loaded.ok()) return Fail(loaded.status().message());
-  if (rules_check) {
-    std::fputs(analysis.ToText(loaded->source_name).c_str(), stderr);
-    if (analysis.HasErrors()) {
-      return Fail("--rules-check: theory has lint errors (see above)");
-    }
-  }
-  if (!rules_path.empty()) {
-    std::fprintf(stderr, "compiled %zu rules from %s\n", loaded->num_rules,
-                 loaded->source_name.c_str());
-  }
 
   // --- Load and concatenate the sources (or synthesize them). ---
   Dataset combined(schema);

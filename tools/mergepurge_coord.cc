@@ -40,7 +40,6 @@
 #include "obs/trace.h"
 #include "service/server.h"
 #include "shard/coordinator.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 using namespace mergepurge;
@@ -128,15 +127,8 @@ int main(int argc, char** argv) {
   const std::string unknown = args.FirstUnknownFlag(kKnownFlags);
   if (!unknown.empty()) return UsageError("unknown flag --" + unknown);
 
-  if (args.Has("log-level")) {
-    std::string level_name = args.GetString("log-level", "");
-    std::optional<LogLevel> level = ParseLogLevel(level_name);
-    if (!level) {
-      return UsageError("bad --log-level '" + level_name +
-                        "' (expected debug, info, warning, or error)");
-    }
-    SetLogLevel(*level);
-  }
+  Status log_level = ApplyLogLevelFlag(args);
+  if (!log_level.ok()) return UsageError(log_level.message());
   if (args.Has("trace-out")) TraceRecorder::Global().Enable();
 
   // --- Coordinator configuration. ---
@@ -155,12 +147,10 @@ int main(int argc, char** argv) {
   coord_options.keys_spec = CanonicalKeysSpec(
       args.GetString("keys", "last-name,first-name,address"));
   coord_options.schema = employee::MakeSchema();
-  const int64_t window = args.GetInt("window", 10);
-  if (window < 2) {
-    return UsageError("--window must be >= 2 (got " +
-                      args.GetString("window", "") + ")");
-  }
-  coord_options.window = static_cast<size_t>(window);
+  Result<size_t> window_flag = WindowFlag(args);
+  if (!window_flag.ok()) return UsageError(window_flag.status().message());
+  const size_t window = *window_flag;
+  coord_options.window = window;
   const int64_t histogram_depth = args.GetInt("histogram-depth", 3);
   if (histogram_depth < 1 || histogram_depth > 4) {
     return UsageError("--histogram-depth must be in [1, 4] (got " +

@@ -37,7 +37,7 @@
 #include "keys/standard_keys.h"
 #include "record/schema.h"
 #include "rules/analysis/analyzer.h"
-#include "rules/employee_rules_text.h"
+#include "rules/employee_theory.h"
 #include "rules/theory_loader.h"
 #include "util/fs.h"
 #include "util/string_util.h"

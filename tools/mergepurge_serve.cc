@@ -51,11 +51,9 @@
 #include "obs/drain.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
-#include "rules/analysis/diagnostics.h"
 #include "rules/theory_loader.h"
 #include "service/match_service.h"
 #include "service/server.h"
-#include "util/logging.h"
 
 using namespace mergepurge;
 
@@ -108,15 +106,8 @@ int main(int argc, char** argv) {
   const std::string unknown = args.FirstUnknownFlag(kKnownFlags);
   if (!unknown.empty()) return UsageError("unknown flag --" + unknown);
 
-  if (args.Has("log-level")) {
-    std::string level_name = args.GetString("log-level", "");
-    std::optional<LogLevel> level = ParseLogLevel(level_name);
-    if (!level) {
-      return UsageError("bad --log-level '" + level_name +
-                        "' (expected debug, info, warning, or error)");
-    }
-    SetLogLevel(*level);
-  }
+  Status log_level = ApplyLogLevelFlag(args);
+  if (!log_level.ok()) return UsageError(log_level.message());
   if (args.Has("trace-out")) TraceRecorder::Global().Enable();
 
   // --- Engine configuration. ---
@@ -125,12 +116,10 @@ int main(int argc, char** argv) {
       args.GetString("keys", "last-name,first-name,address"));
   if (!keys.ok()) return UsageError(keys.status().message());
   service_options.engine.keys = std::move(*keys);
-  const int64_t window = args.GetInt("window", 10);
-  if (window < 2) {
-    return UsageError("--window must be >= 2 (got " +
-                      args.GetString("window", "") + ")");
-  }
-  service_options.engine.window = static_cast<size_t>(window);
+  Result<size_t> window_flag = WindowFlag(args);
+  if (!window_flag.ok()) return UsageError(window_flag.status().message());
+  const size_t window = *window_flag;
+  service_options.engine.window = window;
   // Remembered for the hello handshake: a coordinator with a different
   // --keys/--window gets a config_mismatch instead of silent mis-routing.
   const std::string topology_keys = CanonicalKeysSpec(
@@ -228,22 +217,10 @@ int main(int argc, char** argv) {
   // --- Theory: compile once, instantiate per lease. --rules-check lints
   // it first: a service with a linted-broken theory (e.g. one that merges
   // all-blank records) must refuse to start. ---
-  const std::string rules_path = args.GetString("rules", "");
-  const bool rules_check = args.GetBool("rules-check", false);
-  AnalysisReport analysis;
-  Result<LoadedTheory> loaded = LoadTheory(
-      rules_path, employee::MakeSchema(), rules_check ? &analysis : nullptr);
+  Result<LoadedTheory> loaded = LoadCheckedTheory(
+      args.GetString("rules", ""), employee::MakeSchema(),
+      args.GetBool("rules-check", false), ", refusing to serve");
   if (!loaded.ok()) return Fail(loaded.status().message());
-  if (rules_check) {
-    std::fputs(analysis.ToText(loaded->source_name).c_str(), stderr);
-    if (analysis.HasErrors()) {
-      return Fail("--rules-check: theory has lint errors, refusing to serve");
-    }
-  }
-  if (!rules_path.empty()) {
-    std::fprintf(stderr, "compiled %zu rules from %s\n", loaded->num_rules,
-                 loaded->source_name.c_str());
-  }
 
   // The service constructs in the recovering state (durability on) and
   // replays on a background thread; the server starts listening right

@@ -141,12 +141,9 @@ int main(int argc, char** argv) {
       args.GetString("keys", "last-name,first-name,address"));
   if (!keys.ok()) return UsageError(keys.status().message());
   options.keys = std::move(*keys);
-  const int64_t window = args.GetInt("window", 10);
-  if (window < 2) {
-    return UsageError("--window must be >= 2 (got " +
-                      args.GetString("window", "") + ")");
-  }
-  options.window = static_cast<size_t>(window);
+  Result<size_t> window = WindowFlag(args);
+  if (!window.ok()) return UsageError(window.status().message());
+  options.window = *window;
 
   Result<LoadedTheory> loaded = LoadTheory(args.GetString("rules", ""),
                                            employee::MakeSchema(), nullptr);
