@@ -33,7 +33,7 @@ uint64_t KeySpecDigest(const KeySpec& spec) {
   uint64_t digest = Fnv1a64(spec.name);
   for (const KeyComponent& component : spec.components) {
     digest = Fnv1a64(
-        StringPrintf("|f=%u;k=%d;l=%zu", component.field,
+        StringPrintf("|f=%zu;k=%d;l=%zu", component.field,
                      static_cast<int>(component.kind), component.length),
         digest);
   }

@@ -16,8 +16,20 @@ IncrementalMergePurge::IncrementalMergePurge(MergePurgeOptions options)
   }
 }
 
-Result<uint64_t> IncrementalMergePurge::AddBatch(
-    const Dataset& batch, const EquationalTheory& theory) {
+namespace {
+
+// The total order of every key's sorted order: key, then tuple id.
+struct KeyThenTid {
+  const std::vector<std::string>& keys;
+  bool operator()(TupleId a, TupleId b) const {
+    const int cmp = keys[a].compare(keys[b]);
+    return cmp != 0 ? cmp < 0 : a < b;
+  }
+};
+
+}  // namespace
+
+Status IncrementalMergePurge::ValidateBatch(const Dataset& batch) const {
   if (options_.keys.empty()) {
     return Status::InvalidArgument("no keys configured");
   }
@@ -32,22 +44,17 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
     return Status::InvalidArgument(
         "condition_records=true requires the employee schema");
   }
-  // Validate every key before admitting anything: a bad key spec must
-  // leave the engine exactly as it was.
   for (const KeyState& state : key_states_) {
     MERGEPURGE_RETURN_NOT_OK(KeyBuilder(state.spec).Validate(batch.schema()));
   }
+  return Status::OK();
+}
 
-  // Any admitted record changes the partition (at minimum it adds a
-  // singleton): drop the label cache, and keep holding labels_mu_ for the
-  // rest of the batch so the closure_ mutations below (Grow, the scan's
-  // Unions) are covered by the same lock readers take to rebuild the
-  // cache. AddBatch callers are single-writer, so the long hold contends
-  // with nothing in correct use; it exists to make incorrect use (a
-  // reader racing a batch) crash into the lock instead of the parent
-  // array.
-  MutexLock labels_lock(labels_mu_);
-  labels_valid_ = false;
+Result<uint64_t> IncrementalMergePurge::AddBatch(
+    const Dataset& batch, const EquationalTheory& theory) {
+  // Validate before admitting anything: a rejected batch must leave the
+  // engine exactly as it was.
+  MERGEPURGE_RETURN_NOT_OK(ValidateBatch(batch));
 
   // Condition a private copy of the batch, then append to the store.
   Dataset conditioned;
@@ -62,77 +69,93 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
   for (const Record& r : incoming->records()) all_.Append(r);
   const TupleId end_new = static_cast<TupleId>(all_.size());
   closure_.Grow(all_.size());
+  touched_.clear();
 
   const size_t w = options_.window;
   uint64_t new_pairs = 0;
+  // Records a match: the pair, and — before the union changes it — the
+  // label of each resident component the union joins.
+  auto admit = [&](TupleId a, TupleId b) {
+    if (pairs_.Add(a, b)) ++new_pairs;
+    for (uint32_t label : {closure_.Label(a), closure_.Label(b)}) {
+      if (label < first_new) touched_.push_back(label);
+    }
+    closure_.Union(a, b);
+  };
 
+  std::vector<TupleId> fresh;
+  std::vector<size_t> ins;
   for (KeyState& state : key_states_) {
     KeyBuilder builder(state.spec);
+    const KeyThenTid less{state.keys};
 
     // Key + sort the new tuple ids.
     state.keys.resize(all_.size());
-    std::vector<TupleId> fresh;
-    fresh.reserve(end_new - first_new);
+    fresh.clear();
     for (TupleId t = first_new; t < end_new; ++t) {
       state.keys[t] = builder.BuildKey(all_.record(t));
       fresh.push_back(t);
     }
-    std::sort(fresh.begin(), fresh.end(),
-              [&state](TupleId a, TupleId b) {
-                int cmp = state.keys[a].compare(state.keys[b]);
-                if (cmp != 0) return cmp < 0;
-                return a < b;
-              });
+    std::sort(fresh.begin(), fresh.end(), less);
 
-    // Linear merge into the existing order; is_new marks fresh positions.
-    std::vector<TupleId> merged;
-    merged.reserve(state.order.size() + fresh.size());
-    std::vector<char> is_new;
-    is_new.reserve(merged.capacity());
-    size_t i = 0;
-    size_t j = 0;
-    while (i < state.order.size() && j < fresh.size()) {
-      int cmp = state.keys[state.order[i]].compare(state.keys[fresh[j]]);
-      bool take_old = cmp < 0 || (cmp == 0 && state.order[i] < fresh[j]);
-      merged.push_back(take_old ? state.order[i] : fresh[j]);
-      is_new.push_back(take_old ? 0 : 1);
-      take_old ? ++i : ++j;
+    // Insertion point of each fresh record among the resident ones; the
+    // points ascend with the sorted fresh records.
+    std::vector<TupleId>& order = state.order;
+    const size_t resident = order.size();
+    ins.resize(fresh.size());
+    for (size_t k = 0; k < fresh.size(); ++k) {
+      ins[k] = static_cast<size_t>(
+          std::upper_bound(order.begin(), order.end(), fresh[k], less) -
+          order.begin());
     }
-    for (; i < state.order.size(); ++i) {
-      merged.push_back(state.order[i]);
-      is_new.push_back(0);
-    }
-    for (; j < fresh.size(); ++j) {
-      merged.push_back(fresh[j]);
-      is_new.push_back(1);
+    // One backward pass: resident ids from ins[k] up to the next
+    // insertion point move up by k + 1, and fresh record k lands at
+    // ins[k] + k.
+    order.resize(resident + fresh.size());
+    size_t end = resident;
+    for (size_t k = fresh.size(); k-- > 0;) {
+      std::move_backward(order.begin() + ins[k], order.begin() + end,
+                         order.begin() + end + k + 1);
+      order[ins[k] + k] = fresh[k];
+      end = ins[k];
     }
 
     // Window-scan only the disturbed neighborhoods: every in-window pair
     // involving at least one new record.
-    for (size_t p = 0; p < merged.size(); ++p) {
-      if (!is_new[p]) continue;
+    for (size_t k = 0; k < fresh.size(); ++k) {
+      const size_t p = ins[k] + k;
       const size_t lo = p >= w - 1 ? p - (w - 1) : 0;
       for (size_t q = lo; q < p; ++q) {
         // New-new pairs are scanned once (q < p); new-old always.
-        if (theory.Matches(all_.record(merged[q]),
-                           all_.record(merged[p]))) {
-          if (pairs_.Add(merged[q], merged[p])) ++new_pairs;
-          closure_.Union(merged[q], merged[p]);
+        if (theory.Matches(all_.record(order[q]), all_.record(order[p]))) {
+          admit(order[q], order[p]);
         }
       }
-      const size_t hi = std::min(merged.size(), p + w);
+      const size_t hi = std::min(order.size(), p + w);
       for (size_t q = p + 1; q < hi; ++q) {
-        if (is_new[q]) continue;  // Handled from q's own loop.
-        if (theory.Matches(all_.record(merged[p]),
-                           all_.record(merged[q]))) {
-          if (pairs_.Add(merged[p], merged[q])) ++new_pairs;
-          closure_.Union(merged[p], merged[q]);
+        if (order[q] >= first_new) continue;  // Handled from q's own loop.
+        if (theory.Matches(all_.record(order[p]), all_.record(order[q]))) {
+          admit(order[p], order[q]);
         }
       }
     }
-    state.order = std::move(merged);
   }
   return new_pairs;
+}
+
+std::vector<std::pair<uint32_t, uint32_t>>
+IncrementalMergePurge::LastBatchMerges() const {
+  // Every member of a pre-batch component shares its old label L and its
+  // new label Label(L), so one entry per touched component reproduces the
+  // full before/after label diff.
+  std::vector<std::pair<uint32_t, uint32_t>> merges;
+  for (uint32_t absorbed : touched_) {
+    const uint32_t survivor = closure_.Label(absorbed);
+    if (survivor != absorbed) merges.emplace_back(survivor, absorbed);
+  }
+  std::sort(merges.begin(), merges.end());
+  merges.erase(std::unique(merges.begin(), merges.end()), merges.end());
+  return merges;
 }
 
 Status IncrementalMergePurge::Restore(Dataset records, PairSet pairs) {
@@ -142,8 +165,6 @@ Status IncrementalMergePurge::Restore(Dataset records, PairSet pairs) {
   if (!all_.empty()) {
     return Status::InvalidArgument("Restore requires an empty engine");
   }
-  MutexLock labels_lock(labels_mu_);
-  labels_valid_ = false;
   all_ = std::move(records);
   pairs_ = std::move(pairs);
   closure_.Grow(all_.size());
@@ -164,12 +185,7 @@ Status IncrementalMergePurge::Restore(Dataset records, PairSet pairs) {
       state.keys[t] = builder.BuildKey(all_.record(t));
       state.order[t] = t;
     }
-    std::sort(state.order.begin(), state.order.end(),
-              [&state](TupleId a, TupleId b) {
-                int cmp = state.keys[a].compare(state.keys[b]);
-                if (cmp != 0) return cmp < 0;
-                return a < b;
-              });
+    std::sort(state.order.begin(), state.order.end(), KeyThenTid{state.keys});
   }
   return Status::OK();
 }
@@ -227,22 +243,8 @@ Result<ProbeResult> IncrementalMergePurge::MatchOnly(
   return result;
 }
 
-const std::vector<uint32_t>& IncrementalMergePurge::CachedComponentLabels()
-    const {
-  MutexLock lock(labels_mu_);
-  if (!labels_valid_) {
-    labels_cache_ = closure_.ComponentLabels();
-    labels_valid_ = true;
-  }
-  return labels_cache_;
-}
-
-std::vector<uint32_t> IncrementalMergePurge::ComponentLabels() const {
-  return CachedComponentLabels();
-}
-
 Dataset IncrementalMergePurge::Purge() const {
-  return PurgePolicy().Purge(all_, CachedComponentLabels());
+  return PurgePolicy().Purge(all_, ComponentLabels());
 }
 
 }  // namespace mergepurge

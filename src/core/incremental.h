@@ -8,12 +8,16 @@
 // records seen so far and, when a batch arrives:
 //
 //   1. conditions and keys the new records,
-//   2. merges them into each key's sorted order (one linear merge),
+//   2. inserts them into each key's sorted order: a binary search per new
+//      record finds its slot, then one backward pass shifts the resident
+//      tuple ids into place (it moves 4-byte ids and reads no keys),
 //   3. window-scans ONLY the neighborhoods disturbed by insertions —
 //      every pair within the window that involves at least one new record
 //      (old-old pairs cannot become closer: insertions only push existing
 //      records apart),
-//   4. folds the discovered pairs into a persistent union-find closure.
+//   4. folds the discovered pairs into a persistent union-find closure,
+//      whose roots carry their set's smallest tuple id, so a label is one
+//      read-only walk and nothing is relabeled per batch.
 //
 // Guarantee (tested): after any sequence of batches, the incremental pair
 // set is a SUPERSET of what a from-scratch multi-pass run over the full
@@ -25,6 +29,7 @@
 #define MERGEPURGE_CORE_INCREMENTAL_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/merge_purge.h"
@@ -34,7 +39,6 @@
 #include "record/dataset.h"
 #include "rules/equational_theory.h"
 #include "util/status.h"
-#include "util/sync.h"
 
 namespace mergepurge {
 
@@ -51,17 +55,30 @@ class IncrementalMergePurge {
   // employee conditioning to each incoming batch.
   explicit IncrementalMergePurge(MergePurgeOptions options);
 
+  // Checks everything AddBatch checks before it admits a record: the
+  // engine options, the batch schema and every key spec. A batch that
+  // passes is accepted by AddBatch, so callers can validate before they
+  // log the batch durably.
+  Status ValidateBatch(const Dataset& batch) const;
+
   // Merges a new batch of records (same schema as previous batches).
-  // Returns the number of NEW matching pairs discovered.
+  // Returns the number of NEW matching pairs discovered. All-or-nothing:
+  // a batch that fails ValidateBatch leaves the engine as it was.
   Result<uint64_t> AddBatch(const Dataset& batch,
                             const EquationalTheory& theory);
+
+  // The closure delta of the last accepted batch, sorted and deduped: a
+  // {survivor, absorbed} pair for each pre-batch component labeled
+  // `absorbed` that now carries label `survivor` != absorbed — the same
+  // set a before/after diff of the resident records' labels yields.
+  std::vector<std::pair<uint32_t, uint32_t>> LastBatchMerges() const;
 
   // Restores the engine from durable state: a record store (already
   // conditioned — Restore never re-conditions) and the pair set, as
   // saved by a service snapshot (service/snapshot.h). Only valid on an
   // engine that has seen no batches. Per-key sorted orders are rebuilt
-  // by a full sort; because AddBatch's merge is ordered by the same
-  // total (key, tuple id) comparator, the rebuilt orders are identical
+  // by a full sort; because AddBatch inserts under the same total
+  // (key, tuple id) comparator, the rebuilt orders are identical
   // to the ones the original batch sequence produced, and the closure
   // rebuilt from the pairs is canonically labeled — so a restored
   // engine is indistinguishable from the live one it was copied from.
@@ -89,26 +106,24 @@ class IncrementalMergePurge {
   // All matching pairs discovered so far (before closure).
   const PairSet& pairs() const { return pairs_; }
 
-  // Current equivalence classes (transitive closure over all batches).
-  // Canonically labeled (smallest tuple id of each class, see
-  // UnionFind::ComponentLabels). The labeling is computed at most once per
-  // batch: results are cached and invalidated by AddBatch, so per-request
-  // callers (the match service) pay O(1) amortized instead of an O(n)
-  // closure walk per call.
-  std::vector<uint32_t> ComponentLabels() const;
+  // Entity label of tuple t: the smallest tuple id of its class under
+  // the transitive closure over all batches. O(log n), read-only, so
+  // concurrent readers are safe while no AddBatch runs.
+  uint32_t Label(TupleId t) const { return closure_.Label(t); }
 
-  // Zero-copy variant: a reference to the internal label cache, rebuilt
-  // if a batch invalidated it. The reference stays valid and constant
-  // until the next AddBatch. Concurrent callers serialize only on the
-  // (cheap) cache check; the union-find itself is never mutated by
-  // readers once the cache is warm.
-  const std::vector<uint32_t>& CachedComponentLabels() const;
+  // Label(t) for every admitted record.
+  std::vector<uint32_t> ComponentLabels() const {
+    return closure_.ComponentLabels();
+  }
+
+  // The same O(n) labeling as ComponentLabels(); kept under this name
+  // for the benchmark programs (perfbench/) that call it.
+  std::vector<uint32_t> CachedComponentLabels() const {
+    return ComponentLabels();
+  }
 
   // Number of distinct entities so far.
-  size_t NumEntities() const {
-    MutexLock lock(labels_mu_);
-    return closure_.NumSets();
-  }
+  size_t NumEntities() const { return closure_.NumSets(); }
 
   // One merged record per entity under the default PurgePolicy.
   Dataset Purge() const;
@@ -124,16 +139,10 @@ class IncrementalMergePurge {
   Dataset all_;
   std::vector<KeyState> key_states_;
   PairSet pairs_;
-
-  // labels_mu_ guards the label cache AND the union-find itself: readers
-  // trigger path compression inside closure_.ComponentLabels() during a
-  // rebuild, and AddBatch holds the lock across its Grow/Union mutations,
-  // so concurrent readers never race on the parent array.
-  mutable Mutex labels_mu_{lockrank::kLabels};
-  mutable UnionFind closure_ MERGEPURGE_GUARDED_BY(labels_mu_){0};
-  mutable bool labels_valid_ MERGEPURGE_GUARDED_BY(labels_mu_) = false;
-  mutable std::vector<uint32_t> labels_cache_
-      MERGEPURGE_GUARDED_BY(labels_mu_);
+  UnionFind closure_{0};
+  // Pre-union labels of the resident components the last batch's unions
+  // joined (may repeat); LastBatchMerges() maps them to the delta.
+  std::vector<uint32_t> touched_;
 };
 
 }  // namespace mergepurge

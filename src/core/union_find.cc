@@ -1,12 +1,14 @@
 #include "core/union_find.h"
 
+#include <algorithm>
 #include <numeric>
 
 namespace mergepurge {
 
 UnionFind::UnionFind(size_t n)
-    : parent_(n), size_(n, 1), num_sets_(n) {
+    : parent_(n), size_(n, 1), min_(n), num_sets_(n) {
   std::iota(parent_.begin(), parent_.end(), 0);
+  std::iota(min_.begin(), min_.end(), 0);
 }
 
 uint32_t UnionFind::Find(uint32_t x) {
@@ -30,6 +32,7 @@ bool UnionFind::Union(uint32_t a, uint32_t b) {
   if (size_[ra] < size_[rb]) std::swap(ra, rb);
   parent_[rb] = ra;
   size_[ra] += size_[rb];
+  min_[ra] = std::min(min_[ra], min_[rb]);
   --num_sets_;
   ++unions_performed_;
   return true;
@@ -42,25 +45,23 @@ void UnionFind::Grow(size_t n) {
   size_t old_size = parent_.size();
   parent_.resize(n);
   size_.resize(n, 1);
+  min_.resize(n);
   for (size_t i = old_size; i < n; ++i) {
     parent_[i] = static_cast<uint32_t>(i);
+    min_[i] = static_cast<uint32_t>(i);
   }
   num_sets_ += n - old_size;
 }
 
-std::vector<uint32_t> UnionFind::ComponentLabels() {
-  // Canonical labeling: each element gets the smallest element of its set,
-  // not the internal root. Roots depend on union order, and pair sets are
-  // hash sets whose iteration order changes across (de)serialization; a
-  // checkpointed-and-resumed closure must label identically to the run it
-  // replaced.
+uint32_t UnionFind::Label(uint32_t x) const {
+  while (parent_[x] != x) x = parent_[x];
+  return min_[x];
+}
+
+std::vector<uint32_t> UnionFind::ComponentLabels() const {
   std::vector<uint32_t> labels(parent_.size());
-  constexpr uint32_t kUnset = 0xffffffffu;
-  std::vector<uint32_t> canonical(parent_.size(), kUnset);
   for (size_t i = 0; i < parent_.size(); ++i) {
-    uint32_t root = Find(static_cast<uint32_t>(i));
-    if (canonical[root] == kUnset) canonical[root] = static_cast<uint32_t>(i);
-    labels[i] = canonical[root];
+    labels[i] = Label(static_cast<uint32_t>(i));
   }
   return labels;
 }

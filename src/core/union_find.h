@@ -3,6 +3,10 @@
 // closure over pairs of tuple ids is "executed on pairs of tuple id's ...
 // and fast solutions to compute transitive closure exist" (paper §3.3) —
 // with these two heuristics the total cost is effectively linear.
+//
+// Each root also carries the smallest element of its set, so the
+// canonical label of an element is one read-only walk to its root
+// (O(log n) under union by size) — no relabeling pass over the universe.
 
 #ifndef MERGEPURGE_CORE_UNION_FIND_H_
 #define MERGEPURGE_CORE_UNION_FIND_H_
@@ -37,11 +41,16 @@ class UnionFind {
   // No-op if n <= size(). Used by the incremental engine as batches arrive.
   void Grow(size_t n);
 
-  // Labels each element with the smallest element of its set (compresses
-  // all paths). The labeling is canonical: it depends only on the
-  // partition, not on the order unions were applied, so closures computed
-  // from differently-ordered (but equal) pair sets label identically.
-  std::vector<uint32_t> ComponentLabels();
+  // Canonical label of x: the smallest element of its set, not the
+  // internal root. Roots depend on union order, and pair sets are hash
+  // sets whose iteration order changes across (de)serialization; labels
+  // depend only on the partition, so a checkpointed-and-resumed closure
+  // labels identically to the run it replaced. Read-only (no path
+  // compression): concurrent readers are safe while no Union or Grow runs.
+  uint32_t Label(uint32_t x) const;
+
+  // Label(x) for every element.
+  std::vector<uint32_t> ComponentLabels() const;
 
   // --- Work counters (plain members: UnionFind is single-threaded).
   // The closure driver flushes these to the global registry. ---
@@ -56,6 +65,7 @@ class UnionFind {
  private:
   std::vector<uint32_t> parent_;
   std::vector<uint32_t> size_;
+  std::vector<uint32_t> min_;  // Smallest element of the set; valid at roots.
   size_t num_sets_;
   uint64_t unions_performed_ = 0;
   uint64_t union_calls_ = 0;

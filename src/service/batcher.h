@@ -1,12 +1,13 @@
 // UpsertBatcher: coalesces concurrent upsert requests into one engine
 // batch under a latency deadline.
 //
-// Why: IncrementalMergePurge::AddBatch pays one linear merge of the whole
-// sorted order PER KEY PER BATCH — O(keys * n) regardless of batch size —
-// so admitting records one request at a time is quadratic in the number
-// of requests. Coalescing K concurrent requests into one batch amortizes
-// the merges K-fold while adding at most `max_delay_ms` of latency: the
-// classic group-commit trade.
+// Why: every commit pays fixed costs that do not grow with its size — one
+// WAL append and fsync, one exclusive hand-off of the engine lock (which
+// stalls every reader), and per key one shift of the resident tuple ids
+// (a memmove; AddBatch's key work is only O(batch * log n)). Coalescing
+// K concurrent requests into one batch amortizes those K-fold while
+// adding at most `max_delay_ms` of latency: the classic group-commit
+// trade.
 //
 // One writer thread owns all commits (the engine is single-writer /
 // multi-reader); requesters park on a future. A batch commits as soon as

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -134,23 +135,20 @@ Status MatchService::InitDurability() {
                          : employee::MakeSchema());
       replay.Reserve(batch.records.size());
       for (Record& record : batch.records) replay.Append(std::move(record));
+      // CommitBatch logs only batches the engine accepts, so a replay
+      // the engine rejects means the log and the engine disagree:
+      // serving on would lose or reorder acknowledged writes.
       Result<uint64_t> added = engine_.AddBatch(replay, *theory);
-      // A batch the engine rejects now was rejected (deterministically)
-      // when it was first committed too — the client saw an error, so
-      // skipping it reproduces the acknowledged state.
-      (void)added;
+      if (!added.ok()) {
+        return Status::Internal("WAL replay of seq " +
+                                std::to_string(batch.seq) + " failed: " +
+                                added.status().ToString());
+      }
       applied_seq_ = batch.seq;
       ++recovery_.batches_replayed;
       recovery_.records_replayed += replay.size();
     }
-    // The WAL may have validated records beyond what we replayed only
-    // when the engine rejected them; either way the next sequence
-    // continues after the last logged one so replay stays gap-free.
-    if (wal_stats.last_seq > applied_seq_) applied_seq_ = wal_stats.last_seq;
     recovery_.last_seq = applied_seq_;
-    // Warm the label cache so recovery cost is paid here, not by the
-    // first request.
-    if (engine_.size() > 0) engine_.CachedComponentLabels();
   }
   recovery_.recovery_ms = recovery_timer.ElapsedSeconds() * 1e3;
 
@@ -227,10 +225,9 @@ Result<MatchService::MatchOutcome> MatchService::Match(
     if (!probe.ok()) return probe.status();
     outcome.matches = std::move(probe->matches);
     if (!outcome.matches.empty()) {
-      const std::vector<uint32_t>& labels = engine_.CachedComponentLabels();
       outcome.entities.reserve(outcome.matches.size());
       for (TupleId t : outcome.matches) {
-        outcome.entities.push_back(labels[t]);
+        outcome.entities.push_back(engine_.Label(t));
       }
       std::sort(outcome.entities.begin(), outcome.entities.end());
       outcome.entities.erase(
@@ -306,6 +303,22 @@ Result<BatchCommit> MatchService::CommitBatch(std::vector<Record> records) {
       MetricsRegistry::Global().GetGauge(
           metric_names::kServiceComponentsResident);
 
+  // Validate before the WAL append, so the log only ever holds batches
+  // the engine accepts: a rejected batch reaches neither the log nor the
+  // engine, and recovery can treat any replay failure as corruption.
+  // Only this thread writes the engine, so the schema and key checks
+  // still hold when AddBatch runs below.
+  Dataset batch;
+  {
+    GatedReaderLock lock(*this);
+    batch = Dataset(engine_.records().schema().num_fields() > 0
+                        ? engine_.records().schema()
+                        : employee::MakeSchema());
+    batch.Reserve(records.size());
+    for (Record& record : records) batch.Append(std::move(record));
+    MERGEPURGE_RETURN_NOT_OK(engine_.ValidateBatch(batch));
+  }
+
   // Write-ahead: the batch must be durable (per the fsync policy)
   // before any of it becomes visible, because the moment AddBatch runs,
   // Match results reflect it — and an acknowledgement must survive a
@@ -315,7 +328,7 @@ Result<BatchCommit> MatchService::CommitBatch(std::vector<Record> records) {
   // fail-stop — see WalWriter::Commit.
   uint64_t seq = 0;
   if (wal_ != nullptr) {
-    Result<uint64_t> committed = wal_->Commit(records);
+    Result<uint64_t> committed = wal_->Commit(batch.records());
     if (!committed.ok()) return committed.status();
     seq = *committed;
   } else {
@@ -335,47 +348,25 @@ Result<BatchCommit> MatchService::CommitBatch(std::vector<Record> records) {
     WriterLock lock(engine_mu_);
     writer_waiting_.fetch_sub(1, std::memory_order_acq_rel);
 
-    Dataset batch(engine_.records().schema().num_fields() > 0
-                      ? engine_.records().schema()
-                      : employee::MakeSchema());
-    batch.Reserve(records.size());
-    for (Record& record : records) batch.Append(std::move(record));
-
     TheoryLease theory(this);
-    const size_t first_new = engine_.size();
-    // Snapshot the pre-batch labels of the resident records: diffing
-    // them against the rebuilt cache below yields the batch's closure
-    // delta (which pre-existing components this batch united). The copy
-    // is O(n) like the rebuild itself, so it does not change the
-    // commit's complexity.
-    std::vector<uint32_t> old_labels;
-    if (first_new > 0) old_labels = engine_.CachedComponentLabels();
+    const TupleId first_new = static_cast<TupleId>(engine_.size());
     Timer stage_timer;
     Result<uint64_t> added = engine_.AddBatch(batch, *theory);
     stage_apply_us->Record(static_cast<double>(stage_timer.ElapsedMicros()));
     if (wal_ != nullptr) applied_seq_ = seq;
     if (!added.ok()) return added.status();
     last_batch_new_pairs_.store(*added, std::memory_order_relaxed);
-    // Rebuild the label cache while still exclusive, so concurrent
-    // readers after this commit only ever hit the warm cache.
+    // The batch's labels and its closure delta: O(batch) label reads,
+    // still exclusive so they describe exactly this commit.
     stage_timer.Restart();
-    const std::vector<uint32_t>& labels = engine_.CachedComponentLabels();
+    result.base_tid = first_new;
+    result.labels.reserve(batch.size());
+    for (TupleId t = first_new; t < engine_.size(); ++t) {
+      result.labels.push_back(engine_.Label(t));
+    }
+    result.merges = engine_.LastBatchMerges();
     stage_label_rebuild_us->Record(
         static_cast<double>(stage_timer.ElapsedMicros()));
-    result.base_tid = static_cast<TupleId>(first_new);
-    result.labels.assign(labels.begin() + first_new, labels.end());
-    // Closure delta: a resident record whose label changed was absorbed
-    // into another component (labels are smallest-tuple-id, so they only
-    // ever decrease). Dedup'd per (survivor, absorbed) pair.
-    for (size_t i = 0; i < old_labels.size(); ++i) {
-      if (labels[i] != old_labels[i]) {
-        result.merges.emplace_back(labels[i], old_labels[i]);
-      }
-    }
-    std::sort(result.merges.begin(), result.merges.end());
-    result.merges.erase(
-        std::unique(result.merges.begin(), result.merges.end()),
-        result.merges.end());
     // Resident sizes, refreshed while exclusive so the gauges always
     // describe a committed state (readers of the gauges take no lock).
     records_resident->Set(static_cast<double>(engine_.size()));

@@ -4,13 +4,15 @@
 // Concurrency model (documented in docs/service.md):
 //   * single writer / multiple readers over a std::shared_mutex;
 //   * ALL writes flow through one UpsertBatcher writer thread, which
-//     takes the exclusive lock only for the AddBatch call itself (plus
-//     the label-cache rebuild) — queueing and coalescing happen outside
-//     the lock, so a Match never serializes behind the batching window,
-//     only behind the (short) commit critical section;
+//     takes the exclusive lock only for the AddBatch call itself plus
+//     the O(batch) read of the new records' labels and merge delta —
+//     queueing, coalescing, validation and the WAL append happen outside
+//     it, so a Match never serializes behind the batching window or an
+//     fsync, only behind the (short) commit critical section;
 //   * Match takes the shared lock and uses the engine's read-only probe
-//     (MatchOnly) plus the cached component labels, so readers never
-//     mutate engine state and any number run concurrently.
+//     (MatchOnly) and per-record labels (Label), so readers never
+//     mutate engine state and any number run concurrently. The engine
+//     needs no lock of its own.
 //
 // Equational theories batch rule statistics in plain (non-atomic)
 // members, so instances must not be shared across threads. The service
@@ -221,14 +223,16 @@ class MatchService {
     const MatchService& service_;
   };
 
-  // Batcher commit hook: the only writer of engine_. With durability
-  // on, the batch is WAL-committed BEFORE the engine lock is taken —
-  // write-ahead ordering, and the (possibly fsyncing) append never
-  // blocks readers.
+  // Batcher commit hook: the only writer of engine_. The batch is
+  // validated first, so a rejected batch is never logged; with
+  // durability on it is then WAL-committed BEFORE the engine lock is
+  // taken — write-ahead ordering, and the (possibly fsyncing) append
+  // never blocks readers.
   Result<BatchCommit> CommitBatch(std::vector<Record> records);
 
   // Startup recovery: snapshot restore + WAL tail replay, then opens
-  // the WAL for appends and starts the snapshotter. Runs on the
+  // the WAL for appends and starts the snapshotter. A logged batch the
+  // engine rejects fails recovery, naming its WAL seq. Runs on the
   // recovery thread; RunRecovery wraps it with the lifecycle
   // transition and completion signal.
   Status InitDurability();
@@ -245,8 +249,8 @@ class MatchService {
   // reads finish but new ones queue behind the commit.
   mutable std::atomic<int> writer_waiting_{0};
   // Readers hold engine_mu_ shared and stick to the engine's const
-  // surface (MatchOnly, CachedComponentLabels); AddBatch runs only under
-  // the exclusive lock, on the batcher's writer thread.
+  // surface (MatchOnly, Label); AddBatch runs only under the exclusive
+  // lock, on the batcher's writer thread.
   IncrementalMergePurge engine_ MERGEPURGE_GUARDED_BY(engine_mu_);
 
   // Sequence of the last batch applied to the engine (== the WAL

@@ -35,8 +35,6 @@ inline constexpr int kEngine = 30;
 inline constexpr int kRecovery = 40;
 // MatchService::theory_mu_: the equational-theory lease pool.
 inline constexpr int kTheoryPool = 50;
-// IncrementalMergePurge::labels_mu_: union-find closure + label cache.
-inline constexpr int kLabels = 60;
 
 // --- Durability --------------------------------------------------------------
 // WalWriter::mu_: active WAL segment, sequence, fail-stop latch.
@@ -82,7 +80,6 @@ inline constexpr const char* LockRankName(int rank) {
     case kEngine: return "MatchService::engine_mu_";
     case kRecovery: return "MatchService::recovery_mu_";
     case kTheoryPool: return "MatchService::theory_mu_";
-    case kLabels: return "IncrementalMergePurge::labels_mu_";
     case kWal: return "WalWriter::mu_";
     case kSnapshotter: return "Snapshotter::mu_";
     case kCoordLeaf: return "CoordService leaf (routing/closure/pool)";

@@ -19,6 +19,8 @@
 #include "core/incremental.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "rules/employee_theory.h"
 #include "service/match_service.h"
 #include "service/snapshot.h"
@@ -90,8 +92,8 @@ Dataset GenerateDataset(size_t num_records, uint64_t seed) {
 
 // Serial replay of WAL batches into a fresh engine — the reference state
 // every recovery path must reproduce. Mirrors the server's replay: raw
-// records re-enter through AddBatch (which re-conditions), deterministic
-// rejections are skipped.
+// records re-enter through AddBatch (which re-conditions), and every
+// logged batch must be accepted.
 std::unique_ptr<IncrementalMergePurge> ReplaySerially(
     const std::vector<WalBatch>& batches) {
   auto engine = std::make_unique<IncrementalMergePurge>(EngineOptions());
@@ -100,7 +102,8 @@ std::unique_ptr<IncrementalMergePurge> ReplaySerially(
     Dataset dataset(employee::MakeSchema());
     dataset.Reserve(batch.records.size());
     for (const Record& record : batch.records) dataset.Append(record);
-    (void)engine->AddBatch(dataset, theory);
+    EXPECT_TRUE(engine->AddBatch(dataset, theory).ok())
+        << "WAL seq " << batch.seq;
   }
   return engine;
 }
@@ -294,6 +297,16 @@ TEST(SnapshotTest, ConfigDigestMismatchIsRefused) {
       LoadNewestSnapshot(dir.path(), EngineConfigDigest(other));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Snapshots and WALs written by earlier builds carry this digest; a
+// change to it makes every existing data dir unrecoverable.
+TEST(SnapshotTest, EngineConfigDigestOfStandardKeysIsPinned) {
+  MergePurgeOptions options;
+  options.keys = StandardThreeKeys();
+  EXPECT_EQ(EngineConfigDigest(options), 0x23683dffba68f065ull);
+  options.window = 8;
+  EXPECT_EQ(EngineConfigDigest(options), 0xec49ce7686f94458ull);
 }
 
 TEST(SnapshotTest, EmptyDirIsNotFound) {
@@ -508,6 +521,67 @@ TEST(ServiceDurabilityTest, ChangedEngineConfigRefusesToRecover) {
   MatchService service(options, EmployeeTheory::Factory());
   ASSERT_FALSE(service.init_status().ok());
   EXPECT_EQ(service.init_status().code(), StatusCode::kInvalidArgument);
+}
+
+// A key spec that fails validation against the schema: every batch is
+// rejected by the engine.
+MatchServiceOptions RejectingServiceOptions(const std::string& data_dir) {
+  MatchServiceOptions options = DurableServiceOptions(data_dir);
+  KeySpec bad;
+  bad.name = "no-such-field";
+  KeyComponent component;
+  component.field = 99;
+  bad.components.push_back(component);
+  options.engine.keys = {bad};
+  return options;
+}
+
+// All-or-nothing: a batch the engine rejects is refused before the WAL
+// append, so the log never holds a batch recovery could not replay.
+TEST(ServiceDurabilityTest, RejectedBatchIsNeverLogged) {
+  TempDir dir;
+  Counter* appends = MetricsRegistry::Global().GetCounter(
+      metric_names::kServiceWalAppends);
+  {
+    MatchService service(RejectingServiceOptions(dir.path()),
+                         EmployeeTheory::Factory());
+    ASSERT_TRUE(service.init_status().ok());
+    const uint64_t appends_before = appends->Value();
+    Result<MatchService::UpsertOutcome> outcome =
+        service.Upsert(SmallBatch(0));
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(appends->Value() - appends_before, 0u);
+    EXPECT_EQ(service.GetStats().records, 0u);
+    service.Drain();
+  }
+  Result<std::vector<WalBatch>> wal =
+      ReadWalForRecovery(dir.path(), 0, nullptr);
+  ASSERT_TRUE(wal.ok());
+  EXPECT_TRUE(wal->empty());
+  MatchService restarted(RejectingServiceOptions(dir.path()),
+                         EmployeeTheory::Factory());
+  EXPECT_TRUE(restarted.init_status().ok());
+}
+
+// A logged batch the engine rejects on replay means the log and the
+// engine disagree: recovery fails and names the batch's WAL seq.
+TEST(ServiceDurabilityTest, ReplayRejectionFailsRecoveryNamingSeq) {
+  TempDir dir;
+  {
+    WalWriter wal(FsyncPolicy::kAlways);
+    ASSERT_TRUE(wal.Open(dir.path(), 1).ok());
+    ASSERT_TRUE(wal.Commit(SmallBatch(0)).ok());
+    wal.Close();
+  }
+  MatchService service(RejectingServiceOptions(dir.path()),
+                       EmployeeTheory::Factory());
+  const Status status = service.init_status();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("seq 1"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(service.lifecycle(), MatchService::Lifecycle::kFailed);
+  EXPECT_FALSE(service.Upsert(SmallBatch(1)).ok());
 }
 
 }  // namespace

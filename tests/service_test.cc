@@ -1,7 +1,7 @@
 // Online service subsystem: wire protocol (parse / serialize / framing),
-// the read-only MatchOnly probe and label cache, the MatchService
-// concurrency contract, and the socket server's hardening against
-// malformed and hostile clients.
+// the read-only MatchOnly probe, commit labels and merge deltas, the
+// MatchService concurrency contract, and the socket server's hardening
+// against malformed and hostile clients.
 //
 // The headline test is ConcurrentMixEqualsSerialReplay: N threads issue
 // interleaved match and upsert requests; after the drain, replaying the
@@ -34,6 +34,7 @@
 #include "service/match_service.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "util/random.h"
 #include "util/sync.h"
 
 namespace mergepurge {
@@ -343,27 +344,90 @@ TEST(MatchOnlyTest, ProbeConditionsRawRecords) {
   EXPECT_FALSE(probe->matches.empty());
 }
 
-TEST(LabelCacheTest, CachedLabelsMatchAndInvalidateOnAddBatch) {
-  Dataset all = GenerateDataset(300, 2026);
-  IncrementalMergePurge engine(EngineOptions());
-  EmployeeTheory theory;
-
-  Dataset first(all.schema());
-  for (TupleId t = 0; t < all.size() / 2; ++t) first.Append(all.record(t));
-  ASSERT_TRUE(engine.AddBatch(first, theory).ok());
-  EXPECT_EQ(engine.CachedComponentLabels(), engine.ComponentLabels());
-
-  Dataset second(all.schema());
-  for (TupleId t = static_cast<TupleId>(all.size() / 2); t < all.size();
-       ++t) {
-    second.Append(all.record(t));
+// The deduplicated {new, old} label diff over the records both labelings
+// cover: the definition of a commit's merge delta.
+std::vector<std::pair<uint32_t, uint32_t>> LabelDiff(
+    const std::vector<uint32_t>& before, const std::vector<uint32_t>& after) {
+  std::vector<std::pair<uint32_t, uint32_t>> diff;
+  for (size_t t = 0; t < before.size(); ++t) {
+    if (after[t] != before[t]) diff.emplace_back(after[t], before[t]);
   }
-  ASSERT_TRUE(engine.AddBatch(second, theory).ok());
-  // The cache must have been invalidated by the second batch: it reflects
-  // the new partition and covers the new records.
-  const std::vector<uint32_t>& cached = engine.CachedComponentLabels();
-  EXPECT_EQ(cached.size(), engine.size());
-  EXPECT_EQ(cached, engine.ComponentLabels());
+  std::sort(diff.begin(), diff.end());
+  diff.erase(std::unique(diff.begin(), diff.end()), diff.end());
+  return diff;
+}
+
+// Property, after every serial upsert (batches of 1..64 records, with
+// exact duplicates of earlier and of same-batch records so keys tie):
+//   * the served merge delta equals the full before/after label diff;
+//   * the served labels and Label(t) equal ComponentLabels();
+//   * a Restore'd copy answers 200 probes exactly as the live engine,
+//     which holds only if binary-search insertion built the same sorted
+//     orders a full sort does.
+TEST(CommitPropertyTest, MergesLabelsAndOrdersMatchFullRecomputation) {
+  for (uint64_t seed : {7u, 2026u, 31337u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Dataset all = GenerateDataset(500, seed);
+    MatchServiceOptions options = ServiceOptions();
+    options.batcher.max_delay_ms = 0.0;  // One upsert == one batch.
+    MatchService service(options, EmployeeTheory::Factory());
+    IncrementalMergePurge mirror(EngineOptions());
+    EmployeeTheory theory;
+    Rng rng(seed);
+
+    size_t next = 0;
+    uint64_t merged_batches = 0;
+    while (next < all.size()) {
+      const size_t n = std::min<size_t>(1 + rng.NextBounded(64),
+                                        all.size() - next);
+      std::vector<Record> records;
+      for (size_t k = 0; k < n; ++k) {
+        records.push_back(all.record(static_cast<TupleId>(next + k)));
+      }
+      // Exact duplicates: one of an earlier record, one of this batch's.
+      records.push_back(
+          all.record(static_cast<TupleId>(rng.NextBounded(next + 1))));
+      Record twin = records[rng.NextBounded(n)];
+      records.push_back(std::move(twin));
+      next += n;
+
+      const std::vector<uint32_t> before = service.ComponentLabels();
+      Dataset batch(TestSchema());
+      for (const Record& record : records) batch.Append(record);
+      Result<MatchService::UpsertOutcome> outcome =
+          service.Upsert(std::move(records));
+      ASSERT_TRUE(outcome.ok());
+      ASSERT_TRUE(mirror.AddBatch(batch, theory).ok());
+      const std::vector<uint32_t> after = service.ComponentLabels();
+
+      EXPECT_EQ(outcome->merges, LabelDiff(before, after));
+      EXPECT_EQ(mirror.LastBatchMerges(), outcome->merges);
+      if (!outcome->merges.empty()) ++merged_batches;
+      ASSERT_EQ(outcome->base_tid, before.size());
+      ASSERT_EQ(after, mirror.ComponentLabels());
+      for (size_t i = 0; i < outcome->entities.size(); ++i) {
+        ASSERT_EQ(outcome->entities[i], after[before.size() + i]);
+      }
+      for (TupleId t = 0; t < after.size(); ++t) {
+        ASSERT_EQ(mirror.Label(t), after[t]) << "tuple " << t;
+      }
+
+      IncrementalMergePurge restored(EngineOptions());
+      ASSERT_TRUE(restored.Restore(mirror.records(), mirror.pairs()).ok());
+      ASSERT_EQ(restored.ComponentLabels(), after);
+      for (int probe = 0; probe < 200; ++probe) {
+        const Record& record =
+            all.record(static_cast<TupleId>(rng.NextBounded(all.size())));
+        Result<ProbeResult> live = mirror.MatchOnly(record, theory);
+        Result<ProbeResult> copy = restored.MatchOnly(record, theory);
+        ASSERT_TRUE(live.ok());
+        ASSERT_TRUE(copy.ok());
+        ASSERT_EQ(live->matches, copy->matches);
+      }
+    }
+    // The sequence exercised the delta, not just empty ones.
+    EXPECT_GT(merged_batches, 0u);
+  }
 }
 
 // --- Batcher. ---

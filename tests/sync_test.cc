@@ -201,11 +201,11 @@ TEST(LockOrderDeathTest, SameRankNestingAborts) {
 // validator tracks a stack, not a high-water mark.
 TEST(LockOrderDeathTest, IncreasingRanksAreSilent) {
   Mutex engine(lockrank::kEngine);
-  Mutex labels(lockrank::kLabels);
+  Mutex theory(lockrank::kTheoryPool);
   Mutex wal(lockrank::kWal);
   {
     MutexLock a(engine);
-    MutexLock b(labels);
+    MutexLock b(theory);
   }
   {
     MutexLock a(engine);

@@ -1,5 +1,6 @@
 #include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -53,6 +54,29 @@ TEST(UnionFindTest, ComponentLabelsConsistent) {
   EXPECT_NE(labels[3], labels[1]);
 }
 
+// min_ follows its set across Grow and through unions whose surviving
+// root is not the smallest element (union by size picks the bigger set).
+TEST(UnionFindTest, LabelIsSmallestElementAcrossGrowAndUnion) {
+  UnionFind uf(3);
+  EXPECT_TRUE(uf.Union(2, 1));
+  uf.Grow(7);
+  for (uint32_t i = 3; i < 7; ++i) EXPECT_EQ(uf.Label(i), i);
+  uf.Union(3, 4);
+  uf.Union(4, 5);
+  EXPECT_EQ(uf.Label(5), 3u);
+  // {3,4,5} outweighs {1,2}, so its root survives; the label is still 1.
+  uf.Union(5, 2);
+  EXPECT_NE(uf.Find(1), 1u);
+  EXPECT_NE(uf.Find(2), 2u);
+  uf.Grow(5);  // No-op: smaller than size().
+  uf.Union(6, 0);
+  EXPECT_EQ(uf.ComponentLabels(),
+            (std::vector<uint32_t>{0, 1, 1, 1, 1, 1, 0}));
+  for (uint32_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(uf.Label(i), uf.ComponentLabels()[i]);
+  }
+}
+
 // Property: union-find agrees with a brute-force equivalence relation.
 class UnionFindPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -79,11 +103,18 @@ TEST_P(UnionFindPropertyTest, MatchesBruteForce) {
       ASSERT_EQ(uf.SameSet(x, y), label[x] == label[y]);
     }
   }
-  // Set sizes agree.
+  // Set sizes agree, and every label is the smallest element of its set.
   std::map<uint32_t, uint32_t> sizes;
-  for (uint32_t i = 0; i < n; ++i) ++sizes[label[i]];
+  std::map<uint32_t, uint32_t> smallest;
+  for (uint32_t i = 0; i < n; ++i) {
+    ++sizes[label[i]];
+    smallest.emplace(label[i], i);  // Ascending i: the first one wins.
+  }
+  const std::vector<uint32_t> labels = uf.ComponentLabels();
   for (uint32_t i = 0; i < n; ++i) {
     EXPECT_EQ(uf.SetSize(i), sizes[label[i]]);
+    EXPECT_EQ(uf.Label(i), smallest[label[i]]);
+    EXPECT_EQ(labels[i], smallest[label[i]]);
   }
 }
 

@@ -1,8 +1,8 @@
 // bench_compare — the CI latency-regression gate.
 //
-//   bench_compare --baseline=bench/baselines/BENCH_service.json \
-//                 --fresh=BENCH_service.json \
-//                 --metric=config/summary/latency_request/p50_us \
+//   bench_compare --baseline=bench/baselines/BENCH_service.json
+//                 --fresh=BENCH_service.json
+//                 --metric=config/summary/latency_request/p50_us
 //                 --max-regress-pct=25
 //
 // Resolves the same '/'-separated numeric path in both documents

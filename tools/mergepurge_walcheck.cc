@@ -64,11 +64,9 @@ int UsageError(const std::string& message) {
   return kExitUsage;
 }
 
-// Replays `batches` into `engine` in sequence order. Deterministically
-// rejected batches (AddBatch returning an error) are skipped, exactly as
-// the server's recovery skips them: a batch the engine rejects now was
-// rejected identically at original commit time, so skipping reproduces
-// the acknowledged state.
+// Replays `batches` into `engine` in sequence order. The server logs only
+// batches its engine accepts, so a rejected batch fails the replay and
+// names its WAL seq, exactly as it fails the server's recovery.
 Status Replay(const std::vector<WalBatch>& batches, uint64_t after_seq,
               const EquationalTheory& theory,
               IncrementalMergePurge* engine) {
@@ -78,7 +76,11 @@ Status Replay(const std::vector<WalBatch>& batches, uint64_t after_seq,
                                        : employee::MakeSchema());
     dataset.Reserve(batch.records.size());
     for (const Record& record : batch.records) dataset.Append(record);
-    (void)engine->AddBatch(dataset, theory);
+    Result<uint64_t> added = engine->AddBatch(dataset, theory);
+    if (!added.ok()) {
+      return Status::Internal("WAL seq " + std::to_string(batch.seq) +
+                              ": " + added.status().ToString());
+    }
   }
   return Status::OK();
 }

@@ -1,7 +1,7 @@
 // validate_report — asserts a JSON document contains required key paths.
 //
-//   validate_report --file=report.json counters/snm.comparisons \
-//                   counters/closure.unions passes \
+//   validate_report --file=report.json counters/snm.comparisons
+//                   counters/closure.unions passes
 //                   window:object uptime_seconds:number state:string
 //
 // Each positional argument is a '/'-separated path of object keys,
