@@ -10,7 +10,9 @@
 // The report's "bench" config block carries the best-of-repeat wall time
 // and derived throughput; passes/closure/counters come from the best run.
 // Two window-scan layer numbers for that run sit beside them:
-// ns_per_comparison (summed pass scan time over comparisons) and
+// ns_per_comparison (the passes' summed scan busy time over comparisons,
+// a per-thread figure: the passes scan concurrently on one worker pool
+// sized to the CPU affinity, so best_seconds is wall time) and
 // distance_calls_per_comparison (the rules.distance_calls counter over
 // comparisons).
 

@@ -94,8 +94,8 @@ int main(int argc, char** argv) {
     time_table.AddRow(
         {std::to_string(w), FormatDouble(avg_pass_time(*snm)),
          FormatDouble(avg_pass_time(*cluster)),
-         FormatDouble(snm->total_seconds),
-         FormatDouble(cluster->total_seconds)});
+         FormatDouble(snm->busy_seconds()),
+         FormatDouble(cluster->busy_seconds())});
     accuracy_table.AddRow(
         {std::to_string(w), FormatPercent(avg_pass_recall(*snm)),
          FormatPercent(avg_pass_recall(*cluster)),

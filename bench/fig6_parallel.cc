@@ -3,15 +3,23 @@
 // the paper; 100 clusters per processor for the clustering method).
 //
 // Substitution (DESIGN.md §2): the paper measured an 8-node HP cluster;
-// this host has one core, so wall-clock speedup is unmeasurable. The bench
+// this bench runs on one shared-memory host. It
 //   1. runs the REAL thread-based parallel executors and verifies they
-//      produce exactly the serial pair sets (functional correctness), and
+//      produce exactly the serial pair sets and comparison counts,
 //   2. calibrates the shared-nothing cost model from measured serial phase
-//      costs and prints the modeled per-P times — reproducing figure 6's
-//      sublinear-speedup shape and the clustering method's advantage.
+//      costs and prints the modeled per-P times at the paper's database
+//      size — figure 6's sublinear-speedup shape and the clustering
+//      method's advantage — and
+//   3. for every P up to the CPUs the process may use, measures the
+//      multi-pass SNM run's wall time on the measurement database with
+//      the process pinned to P CPUs (as `taskset` would), and prints its
+//      speedup beside the model's.
 //
 //   ./build/bench/fig6_parallel [--scale=0.01] [--seed=42] [--max_procs=8]
 
+#include <sched.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -28,9 +36,49 @@
 #include "parallel/parallel_snm.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
-#include "util/timer.h"
+#include "util/thread_pool.h"
 
 using namespace mergepurge;
+
+namespace {
+
+// Pins the calling thread, and so the worker threads it starts, to the
+// first `p` CPUs of `allowed`, as `taskset` would.
+bool PinToCpus(const cpu_set_t& allowed, size_t p) {
+  cpu_set_t pinned;
+  CPU_ZERO(&pinned);
+  size_t taken = 0;
+  for (int cpu = 0; cpu < CPU_SETSIZE && taken < p; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed)) continue;
+    CPU_SET(cpu, &pinned);
+    ++taken;
+  }
+  return sched_setaffinity(0, sizeof(pinned), &pinned) == 0;
+}
+
+// Best-of-3 wall time of the multi-pass SNM run pinned to `p` CPUs (the
+// run sizes its worker pool from the affinity); negative on failure.
+double MeasuredMultipassSeconds(const Dataset& dataset,
+                                const std::vector<KeySpec>& keys,
+                                const EquationalTheory& theory,
+                                const cpu_set_t& allowed, size_t p,
+                                size_t window) {
+  double best = -1.0;
+  if (PinToCpus(allowed, p)) {
+    MultiPass mp(MultiPass::Method::kSortedNeighborhood, window);
+    for (int run = 0; run < 3; ++run) {
+      auto result = mp.Run(dataset, keys, theory);
+      if (!result.ok()) break;
+      if (best < 0 || result->total_seconds < best) {
+        best = result->total_seconds;
+      }
+    }
+  }
+  sched_setaffinity(0, sizeof(allowed), &allowed);
+  return best;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
@@ -73,19 +121,28 @@ int main(int argc, char** argv) {
     ParallelSnm snm(4, kWindow);
     auto parallel = snm.Run(db->dataset, keys[0], factory);
     if (!parallel.ok()) return 1;
-    std::printf("thread-executor check (P=4, key=%s): %zu pairs %s\n",
+    const bool exact = parallel->pairs.size() == serial->pairs.size() &&
+                       parallel->comparisons == serial->comparisons;
+    std::printf("thread-executor check (P=4, key=%s): %zu pairs, %llu "
+                "comparisons %s\n",
                 keys[0].name.c_str(), parallel->pairs.size(),
-                parallel->pairs.size() == serial->pairs.size()
-                    ? "== serial (exact)"
-                    : "!= serial (BUG)");
+                static_cast<unsigned long long>(parallel->comparisons),
+                exact ? "== serial (exact)" : "!= serial (BUG)");
   }
 
-  // --- Calibrate per-key serial cost models. ---
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  sched_getaffinity(0, sizeof(allowed), &allowed);
+
+  // --- Calibrate per-key serial cost models (on one CPU, so the fitted
+  // per-comparison cost is a serial one). ---
   std::vector<SerialCostModel> fitted;
   double closure_seconds = 0.0;
   {
+    PinToCpus(allowed, 1);
     MultiPass mp(MultiPass::Method::kSortedNeighborhood, kWindow);
     auto multi = mp.Run(db->dataset, keys, theory);
+    sched_setaffinity(0, sizeof(allowed), &allowed);
     if (!multi.ok()) return 1;
     closure_seconds = multi->closure_seconds * (static_cast<double>(model_n) /
                                                 static_cast<double>(n));
@@ -109,9 +166,22 @@ int main(int argc, char** argv) {
         CalibrateLikePaper(m, model_n, kWindow, imbalance));
   };
 
-  std::printf("\n(a) sorted-neighborhood method, modeled seconds\n");
+  // Measured: the real multi-pass run on this host for P <= its CPUs.
+  const size_t cpus = AvailableCpus();
+  std::vector<double> measured(max_procs + 1, -1.0);
+  for (size_t p = 1; p <= std::min(max_procs, cpus); ++p) {
+    measured[p] = MeasuredMultipassSeconds(db->dataset, keys, theory,
+                                           allowed, p, kWindow);
+  }
+
+  std::printf(
+      "\n(a) sorted-neighborhood method: modeled seconds at %zu records; "
+      "measured multipass wall at %zu records on %zu CPUs\n",
+      model_n, n, cpus);
   TablePrinter snm_table({"P", "last-name", "first-name", "address",
-                          "multipass (3P procs + closure)"});
+                          "multipass (3P procs + closure)", "model speedup",
+                          "measured wall (s)", "measured speedup"});
+  double modeled_p1 = 0.0;
   for (size_t p = 1; p <= max_procs; ++p) {
     std::vector<std::string> row = {std::to_string(p)};
     double slowest = 0.0;
@@ -123,7 +193,17 @@ int main(int argc, char** argv) {
     // "The total time, if we run all runs concurrently, is approximately
     // the maximum time taken by any independent run plus the time to
     // compute the closure."
-    row.push_back(FormatDouble(slowest + closure_seconds, 1));
+    const double modeled = slowest + closure_seconds;
+    if (p == 1) modeled_p1 = modeled;
+    row.push_back(FormatDouble(modeled, 1));
+    row.push_back(FormatDouble(modeled_p1 / modeled, 2) + "x");
+    if (measured[p] > 0 && measured[1] > 0) {
+      row.push_back(FormatDouble(measured[p], 3));
+      row.push_back(FormatDouble(measured[1] / measured[p], 2) + "x");
+    } else {
+      row.push_back("-");
+      row.push_back("-");
+    }
     snm_table.AddRow(std::move(row));
   }
   snm_table.Print();

@@ -108,15 +108,15 @@ int main(int argc, char** argv) {
       table.AddRow({std::to_string(base_sizes[size_index]),
                     FormatPercent(100.0 * dup_rates[rate_index]),
                     std::to_string(db->dataset.size()),
-                    FormatDouble(snm->total_seconds),
-                    FormatDouble(cluster->total_seconds)});
+                    FormatDouble(snm->busy_seconds()),
+                    FormatDouble(cluster->busy_seconds())});
       xs[rate_index].push_back(records);
-      ys_snm[rate_index].push_back(snm->total_seconds);
-      ys_cluster[rate_index].push_back(cluster->total_seconds);
+      ys_snm[rate_index].push_back(snm->busy_seconds());
+      ys_cluster[rate_index].push_back(cluster->busy_seconds());
       if (records > largest_records) {
         largest_records = records;
-        largest_snm = snm->total_seconds;
-        largest_cluster = cluster->total_seconds;
+        largest_snm = snm->busy_seconds();
+        largest_cluster = cluster->busy_seconds();
       }
     }
   }

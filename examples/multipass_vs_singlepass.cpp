@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   table.AddRow({"multi-pass (3 keys + closure)", "10",
                 FormatPercent(report.recall_percent),
                 FormatPercent(report.false_positive_percent),
-                FormatDouble(result->total_seconds)});
+                FormatDouble(result->busy_seconds())});
 
   table.Print();
   std::printf(

@@ -58,15 +58,18 @@ int main(int argc, char** argv) {
               result->num_entities,
               100.0 * (1.0 - static_cast<double>(result->num_entities) /
                                  static_cast<double>(db->dataset.size())));
+  // The passes scan concurrently, so their busy times add up to more
+  // than the run's wall time.
   for (const PassResult& pass : result->detail.passes) {
-    std::printf("  pass '%s': %zu pairs, %.2fs (%.2fs scanning)\n",
+    std::printf("  pass '%s': %zu pairs, %.2fs busy (%.2fs scanning)\n",
                 pass.key_name.c_str(), pass.pairs.size(),
                 pass.total_seconds, pass.scan_seconds);
   }
-  std::printf("  closure: %.3fs over %llu distinct pairs\n",
+  std::printf("  closure: %.3fs over %llu distinct pairs; run wall %.3fs\n",
               result->detail.closure_seconds,
               static_cast<unsigned long long>(
-                  result->detail.union_pair_count));
+                  result->detail.union_pair_count),
+              result->detail.total_seconds);
 
   AccuracyReport report =
       EvaluateComponents(result->component_of, db->truth);

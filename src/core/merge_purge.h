@@ -77,8 +77,10 @@ class MergePurgeEngine {
 
   const MergePurgeOptions& options() const { return options_; }
 
-  // Runs merge (and closure) over the dataset. The theory's comparison
-  // counter reflects the run afterwards.
+  // Runs merge (and closure) over the dataset. The sorted-neighborhood
+  // passes scan on worker threads, each with its own Clone() of `theory`,
+  // so `theory`'s own counters do not move; comparison counts are in
+  // result.detail.passes.
   Result<MergePurgeResult> Run(const Dataset& dataset,
                                const EquationalTheory& theory) const;
 

@@ -1,17 +1,26 @@
 #include "core/multipass.h"
 
 #include <filesystem>
-#include <unordered_set>
 
 #include "core/checkpoint.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "parallel/fragment_scan.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace mergepurge {
+
+namespace {
+
+// Fragments per worker and pass. More fragments than workers let the
+// pool even out passes of unequal cost; the bands add no comparisons.
+constexpr size_t kFragmentsPerWorker = 4;
+
+}  // namespace
 
 std::vector<uint32_t> TransitiveClosure(
     const std::vector<const PairSet*>& pair_sets, size_t n) {
@@ -43,15 +52,6 @@ std::vector<uint32_t> TransitiveClosure(const PairSet& pairs, size_t n) {
   return TransitiveClosure(std::vector<const PairSet*>{&pairs}, n);
 }
 
-Result<PassResult> MultiPass::RunOnePass(
-    const Dataset& dataset, const KeySpec& key,
-    const EquationalTheory& theory) const {
-  return method_ == Method::kSortedNeighborhood
-             ? SortedNeighborhood(window_).Run(dataset, key, theory)
-             : ClusteringMethod(clustering_options_).Run(dataset, key,
-                                                         theory);
-}
-
 uint64_t MultiPass::ConfigDigest() const {
   std::string config = StringPrintf(
       "method=%d;window=%zu",
@@ -69,6 +69,98 @@ uint64_t MultiPass::ConfigDigest() const {
   return Fnv1a64(config);
 }
 
+Status MultiPass::ScanPasses(const Dataset& dataset,
+                             const std::vector<KeySpec>& keys,
+                             const std::vector<size_t>& pending,
+                             const EquationalTheory& theory,
+                             MultiPassResult* result,
+                             std::vector<bool>* computed) const {
+  if (pending.empty()) return Status::OK();
+  static LatencyHistogram* const scan_us =
+      MetricsRegistry::Global().GetHistogram(metric_names::kSnmScanUs);
+  static Counter* const passes_counter =
+      MetricsRegistry::Global().GetCounter(metric_names::kSnmPasses);
+  ProgressReporter& progress = ProgressReporter::Global();
+
+  // Sort one key at a time: each key's strings are freed before the next
+  // key is built, which keeps peak memory at one key's worth.
+  const size_t workers = AvailableCpus();
+  std::vector<std::vector<TupleId>> orders(pending.size());
+  std::vector<FragmentScanJob> jobs(pending.size());
+  for (size_t k = 0; k < pending.size(); ++k) {
+    const size_t i = pending[k];
+    Span span("pass");
+    span.AddArg("index", static_cast<uint64_t>(i));
+    span.AddArg("key", keys[i].name);
+    progress.BeginPhase(StringPrintf("sort %zu/%zu (%s)", i + 1, keys.size(),
+                                     keys[i].name.c_str()));
+    orders[k] =
+        SortedNeighborhood::KeyAndSort(dataset, keys[i], &result->passes[i]);
+    progress.FinishPhase();
+    jobs[k].order = &orders[k];
+    jobs[k].fragments = MakeOverlappingFragments(
+        dataset.size(), workers * kFragmentsPerWorker, window_);
+  }
+
+  progress.BeginPhase(
+      StringPrintf("window scan (%zu passes, %zu workers)", pending.size(),
+                   workers),
+      pending.size() * dataset.size());
+  FragmentScanReport scan;
+  {
+    Span span("window-scan");
+    span.AddArg("passes", static_cast<uint64_t>(pending.size()));
+    span.AddArg("workers", static_cast<uint64_t>(workers));
+    ResilientOptions resilience;
+    resilience.num_workers = workers;
+    scan = ScanFragments(
+        dataset, window_, jobs, [&theory] { return theory.Clone(); },
+        resilience);
+  }
+  progress.FinishPhase();
+
+  for (size_t k = 0; k < pending.size(); ++k) {
+    FragmentScanResult& job = scan.jobs[k];
+    if (!job.complete) continue;
+    PassResult& pass = result->passes[pending[k]];
+    pass.pairs = std::move(job.pairs);
+    pass.windows = job.stats.windows;
+    pass.comparisons = job.stats.comparisons;
+    pass.matches = job.stats.matches;
+    pass.scan_seconds = job.busy_seconds;
+    pass.total_seconds =
+        pass.create_keys_seconds + pass.sort_seconds + pass.scan_seconds;
+    scan_us->Record(job.busy_seconds * 1e6);
+    passes_counter->Increment();
+    (*computed)[pending[k]] = true;
+  }
+  return scan.status;
+}
+
+Status MultiPass::ClusterPasses(const Dataset& dataset,
+                                const std::vector<KeySpec>& keys,
+                                const std::vector<size_t>& pending,
+                                const EquationalTheory& theory,
+                                MultiPassResult* result,
+                                std::vector<bool>* computed) const {
+  ProgressReporter& progress = ProgressReporter::Global();
+  for (size_t i : pending) {
+    Span span("pass");
+    span.AddArg("index", static_cast<uint64_t>(i));
+    span.AddArg("key", keys[i].name);
+    progress.BeginPhase(StringPrintf("pass %zu/%zu (%s)", i + 1, keys.size(),
+                                     keys[i].name.c_str()),
+                        dataset.size());
+    Result<PassResult> pass =
+        ClusteringMethod(clustering_options_).Run(dataset, keys[i], theory);
+    progress.FinishPhase();
+    if (!pass.ok()) return pass.status();
+    result->passes[i] = std::move(*pass);
+    (*computed)[i] = true;
+  }
+  return Status::OK();
+}
+
 Result<MultiPassResult> MultiPass::Run(
     const Dataset& dataset, const std::vector<KeySpec>& keys,
     const EquationalTheory& theory) const {
@@ -81,6 +173,10 @@ Result<MultiPassResult> MultiPass::Run(
     const std::string& checkpoint_dir) const {
   if (keys.empty()) {
     return Status::InvalidArgument("multi-pass requires at least one key");
+  }
+  if (window_ < 2) return Status::InvalidArgument("window must be >= 2");
+  for (const KeySpec& key : keys) {
+    MERGEPURGE_RETURN_NOT_OK(KeyBuilder(key).Validate(dataset.schema()));
   }
 
   const bool checkpointing = !checkpoint_dir.empty();
@@ -103,28 +199,25 @@ Result<MultiPassResult> MultiPass::Run(
 
   Span run_span("multipass-run");
   run_span.AddArg("keys", static_cast<uint64_t>(keys.size()));
+  Timer wall;
 
   MultiPassResult result;
+  result.passes.resize(keys.size());
+  std::vector<size_t> pending;  // Passes to compute, in pass order.
   for (size_t i = 0; i < keys.size(); ++i) {
-    const KeySpec& key = keys[i];
-    Span pass_span("pass");
-    pass_span.AddArg("index", static_cast<uint64_t>(i));
-    pass_span.AddArg("key", key.name);
-
+    PassResult& pass = result.passes[i];
+    pass.key_name = keys[i].name;
     if (checkpointing) {
       Result<PassManifest> manifest = ReadPassManifest(checkpoint_dir, i);
       if (manifest.ok() &&
-          ManifestMatches(*manifest, key.name, KeySpecDigest(key),
+          ManifestMatches(*manifest, keys[i].name, KeySpecDigest(keys[i]),
                           config_digest, dataset_digest)) {
         Result<PairSet> stored = LoadCheckpointedPairs(
             checkpoint_dir, *manifest, dataset.size());
         if (stored.ok()) {
-          PassResult pass;
-          pass.key_name = key.name;
           pass.pairs = std::move(*stored);
           pass.resumed = true;
           ++result.passes_resumed;
-          result.passes.push_back(std::move(pass));
           continue;
         }
         // A manifest whose pairs file is unreadable falls through to a
@@ -135,44 +228,54 @@ Result<MultiPassResult> MultiPass::Run(
         invalidations->Increment();
       }
     }
+    pending.push_back(i);
+  }
 
-    progress.BeginPhase(
-        StringPrintf("pass %zu/%zu (%s)", i + 1, keys.size(),
-                     key.name.c_str()),
-        dataset.size());
-    Result<PassResult> pass = RunOnePass(dataset, key, theory);
-    progress.FinishPhase();
-    if (!pass.ok()) return pass.status();
-    result.total_seconds += pass->total_seconds;
+  std::vector<bool> computed(keys.size(), false);
+  const Status status =
+      method_ == Method::kSortedNeighborhood
+          ? ScanPasses(dataset, keys, pending, theory, &result, &computed)
+          : ClusterPasses(dataset, keys, pending, theory, &result,
+                          &computed);
 
-    if (checkpointing) {
+  // Checkpoints land in pass order, and only for passes that ran to
+  // completion: a resumed run never loads a partial pair set.
+  if (checkpointing) {
+    for (size_t i : pending) {
+      if (!computed[i]) continue;
+      const PassResult& pass = result.passes[i];
       PassManifest manifest;
-      manifest.key_name = key.name;
-      manifest.key_digest = KeySpecDigest(key);
+      manifest.key_name = keys[i].name;
+      manifest.key_digest = KeySpecDigest(keys[i]);
       manifest.config_digest = config_digest;
       manifest.dataset_digest = dataset_digest;
       manifest.pairs_file = PairsFileName(i);
       manifest.complete = true;
       MERGEPURGE_RETURN_NOT_OK(
-          WritePassCheckpoint(checkpoint_dir, i, manifest, pass->pairs));
+          WritePassCheckpoint(checkpoint_dir, i, manifest, pass.pairs));
     }
-    result.passes.push_back(std::move(*pass));
   }
+  MERGEPURGE_RETURN_NOT_OK(status);
 
   progress.BeginPhase("transitive closure");
   Timer closure_timer;
-  PairSet all_pairs;
+  // Distinct pairs over all passes: each pass's pairs that no earlier
+  // pass found.
   std::vector<const PairSet*> pair_sets;
   pair_sets.reserve(result.passes.size());
   for (const PassResult& pass : result.passes) {
-    all_pairs.Merge(pass.pairs);
+    pass.pairs.ForEach([&](TupleId a, TupleId b) {
+      for (const PairSet* earlier : pair_sets) {
+        if (earlier->Contains(a, b)) return;
+      }
+      ++result.union_pair_count;
+    });
     pair_sets.push_back(&pass.pairs);
   }
-  result.union_pair_count = all_pairs.size();
   result.component_of = TransitiveClosure(pair_sets, dataset.size());
   result.closure_seconds = closure_timer.ElapsedSeconds();
-  result.total_seconds += result.closure_seconds;
   progress.FinishPhase();
+  result.total_seconds = wall.ElapsedSeconds();
   return result;
 }
 

@@ -33,13 +33,23 @@ struct MultiPassResult {
   std::vector<PassResult> passes;        // One per key, in input order.
   std::vector<uint32_t> component_of;    // Closure over all passes' pairs.
   double closure_seconds = 0.0;
-  double total_seconds = 0.0;            // Sum of pass times + closure.
+  // Wall time of the whole run. The passes' scans overlap on the worker
+  // pool, so this is less than the sum of the passes' busy times.
+  double total_seconds = 0.0;
 
   // Number of distinct pairs across all passes before closure.
   uint64_t union_pair_count = 0;
 
   // Checkpointed runs: passes loaded from disk instead of computed.
   size_t passes_resumed = 0;
+
+  // The passes' times plus the closure: the run's cost on one CPU (the
+  // paper's serial T_mp, §3.5), for comparison with serial single passes.
+  double busy_seconds() const {
+    double seconds = closure_seconds;
+    for (const PassResult& pass : passes) seconds += pass.total_seconds;
+    return seconds;
+  }
 };
 
 class MultiPass {
@@ -54,13 +64,17 @@ class MultiPass {
     clustering_options_.window = window;
   }
 
-  // Runs one pass per key and closes over the union of the results.
+  // Runs one pass per key and closes over the union of the results. The
+  // sorted-neighborhood method scans all passes together on one worker
+  // pool with a Clone() of `theory` per fragment attempt (paper §4.1:
+  // the independent runs on 3P processors); its results equal serial
+  // SortedNeighborhood runs exactly. The clustering method runs serially.
   Result<MultiPassResult> Run(const Dataset& dataset,
                               const std::vector<KeySpec>& keys,
                               const EquationalTheory& theory) const;
 
-  // Checkpointed variant: after each pass, persists that pass's pairs and
-  // a manifest under `checkpoint_dir` (created if missing; see
+  // Checkpointed variant: after the passes run, persists each completed
+  // pass's pairs, in pass order, and a manifest under `checkpoint_dir` (created if missing; see
   // core/checkpoint.h for the crash-consistency protocol). Passes whose
   // manifest matches the current dataset/key/config identity are loaded
   // from disk and skipped; the closure is always recomputed. An empty dir
@@ -71,8 +85,21 @@ class MultiPass {
                               const std::string& checkpoint_dir) const;
 
  private:
-  Result<PassResult> RunOnePass(const Dataset& dataset, const KeySpec& key,
-                                const EquationalTheory& theory) const;
+  // Computes the `pending` passes into result->passes, marking each one
+  // that ran to completion in `computed`. ScanPasses sorts each key in
+  // turn, then scans the banded fragments of every pass on one worker
+  // pool sized to the process's CPU affinity; ClusterPasses runs the
+  // clustering method one pass at a time.
+  Status ScanPasses(const Dataset& dataset, const std::vector<KeySpec>& keys,
+                    const std::vector<size_t>& pending,
+                    const EquationalTheory& theory, MultiPassResult* result,
+                    std::vector<bool>* computed) const;
+  Status ClusterPasses(const Dataset& dataset,
+                       const std::vector<KeySpec>& keys,
+                       const std::vector<size_t>& pending,
+                       const EquationalTheory& theory,
+                       MultiPassResult* result,
+                       std::vector<bool>* computed) const;
   uint64_t ConfigDigest() const;
 
   Method method_;

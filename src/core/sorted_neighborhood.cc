@@ -11,11 +11,10 @@
 
 namespace mergepurge {
 
-std::vector<TupleId> SortedNeighborhood::SortByKey(const Dataset& dataset,
-                                                   const KeySpec& key) {
-  KeyBuilder builder(key);
-  std::vector<std::string> keys = builder.BuildKeys(dataset);
-  std::vector<TupleId> order(dataset.size());
+namespace {
+
+std::vector<TupleId> OrderByKeys(const std::vector<std::string>& keys) {
+  std::vector<TupleId> order(keys.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&keys](TupleId a, TupleId b) {
     int cmp = keys[a].compare(keys[b]);
@@ -25,14 +24,44 @@ std::vector<TupleId> SortedNeighborhood::SortByKey(const Dataset& dataset,
   return order;
 }
 
+}  // namespace
+
+std::vector<TupleId> SortedNeighborhood::SortByKey(const Dataset& dataset,
+                                                   const KeySpec& key) {
+  return OrderByKeys(KeyBuilder(key).BuildKeys(dataset));
+}
+
+std::vector<TupleId> SortedNeighborhood::KeyAndSort(const Dataset& dataset,
+                                                    const KeySpec& key,
+                                                    PassResult* pass) {
+  static LatencyHistogram* const sort_us =
+      MetricsRegistry::Global().GetHistogram(metric_names::kSnmSortUs);
+  Timer phase;
+  std::vector<std::string> keys;
+  {
+    Span span("create-keys");
+    keys = KeyBuilder(key).BuildKeys(dataset);
+  }
+  pass->create_keys_seconds = phase.ElapsedSeconds();
+
+  phase.Restart();
+  std::vector<TupleId> order;
+  {
+    Span span("sort");
+    order = OrderByKeys(keys);
+  }
+  pass->sort_seconds = phase.ElapsedSeconds();
+  sort_us->Record(static_cast<double>(phase.ElapsedMicros()));
+  return order;
+}
+
 Result<PassResult> SortedNeighborhood::Run(
     const Dataset& dataset, const KeySpec& key,
     const EquationalTheory& theory) const {
   if (options_.window < 2) {
     return Status::InvalidArgument("window must be >= 2");
   }
-  KeyBuilder builder(key);
-  MERGEPURGE_RETURN_NOT_OK(builder.Validate(dataset.schema()));
+  MERGEPURGE_RETURN_NOT_OK(KeyBuilder(key).Validate(dataset.schema()));
 
   static Counter* const passes_counter =
       MetricsRegistry::Global().GetCounter(metric_names::kSnmPasses);
@@ -65,28 +94,7 @@ Result<PassResult> SortedNeighborhood::Run(
     result.sort_seconds = phase.ElapsedSeconds();
     sort_us->Record(static_cast<double>(phase.ElapsedMicros()));
   } else {
-    // Phase 1: create keys.
-    std::vector<std::string> keys;
-    {
-      Span span("create-keys");
-      keys = builder.BuildKeys(dataset);
-    }
-    result.create_keys_seconds = phase.ElapsedSeconds();
-
-    // Phase 2: sort.
-    phase.Restart();
-    {
-      Span span("sort");
-      order.resize(dataset.size());
-      std::iota(order.begin(), order.end(), 0);
-      std::sort(order.begin(), order.end(), [&keys](TupleId a, TupleId b) {
-        int cmp = keys[a].compare(keys[b]);
-        if (cmp != 0) return cmp < 0;
-        return a < b;
-      });
-    }
-    result.sort_seconds = phase.ElapsedSeconds();
-    sort_us->Record(static_cast<double>(phase.ElapsedMicros()));
+    order = KeyAndSort(dataset, key, &result);
   }
 
   // Phase 3: window scan (merge).

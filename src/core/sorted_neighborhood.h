@@ -28,8 +28,10 @@ struct PassResult {
   double create_keys_seconds = 0.0;
   double sort_seconds = 0.0;   // SNM: full sort; clustering: per-cluster sorts.
   double cluster_seconds = 0.0;  // Clustering method only.
+  // Window-scan time. MultiPass scans a pass as fragments on worker
+  // threads, and this is then their summed busy time, not wall time.
   double scan_seconds = 0.0;
-  double total_seconds = 0.0;
+  double total_seconds = 0.0;  // The phases above, summed.
   // True when the pass was loaded from a checkpoint instead of computed
   // (comparison/timing counters are then zero — the work never ran).
   bool resumed = false;
@@ -68,6 +70,13 @@ class SortedNeighborhood {
   // determinism). Exposed for the parallel implementation and tests.
   static std::vector<TupleId> SortByKey(const Dataset& dataset,
                                         const KeySpec& key);
+
+  // Phases 1-2 of an in-memory pass: SortByKey with the create-keys and
+  // sort phases timed into `pass` and traced. The key must be valid for
+  // the dataset's schema.
+  static std::vector<TupleId> KeyAndSort(const Dataset& dataset,
+                                         const KeySpec& key,
+                                         PassResult* pass);
 
  private:
   SnmOptions options_;

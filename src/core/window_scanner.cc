@@ -1,5 +1,7 @@
 #include "core/window_scanner.h"
 
+#include <algorithm>
+
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -18,29 +20,26 @@ void FlushScanStats(const ScanStats& stats) {
   matches->Add(stats.matches);
 }
 
-ScanStats WindowScanner::Scan(const Dataset& dataset,
-                              const std::vector<TupleId>& order,
-                              const EquationalTheory& theory,
-                              PairSet* pairs) const {
-  return ScanRange(dataset, order, 0, order.size(), theory, pairs);
-}
+namespace {
 
-ScanStats WindowScanner::ScanRange(const Dataset& dataset,
-                                   const std::vector<TupleId>& order,
-                                   size_t begin, size_t end,
-                                   const EquationalTheory& theory,
-                                   PairSet* pairs) const {
+// The scan loop shared by Scan and ScanRange; `emit(earlier, entering)`
+// receives each matching pair.
+template <typename Emit>
+ScanStats ScanWindows(const Dataset& dataset,
+                      const std::vector<TupleId>& order, size_t window,
+                      size_t begin, size_t fresh, size_t end,
+                      const EquationalTheory& theory, Emit&& emit) {
   // Progress is reported in chunks so the hot loop sees only local
   // arithmetic between chunk boundaries.
   constexpr uint64_t kProgressChunk = 8192;
   ProgressReporter& progress = ProgressReporter::Global();
   ScanStats stats;
-  if (window_ < 2 || begin >= end) return stats;
-  for (size_t i = begin + 1; i < end; ++i) {
+  if (window < 2 || begin >= end) return stats;
+  for (size_t i = std::max(fresh, begin + 1); i < end; ++i) {
     const TupleId entering = order[i];
     const Record& new_record = dataset.record(entering);
     const size_t window_start =
-        (i - begin >= window_ - 1) ? i - (window_ - 1) : begin;
+        (i - begin >= window - 1) ? i - (window - 1) : begin;
     ++stats.windows;
     if ((stats.windows & (kProgressChunk - 1)) == 0) {
       progress.Advance(kProgressChunk);
@@ -50,12 +49,32 @@ ScanStats WindowScanner::ScanRange(const Dataset& dataset,
       const TupleId other = order[j];
       if (theory.Matches(dataset.record(other), new_record)) {
         ++stats.matches;
-        pairs->Add(other, entering);
+        emit(other, entering);
       }
     }
   }
   progress.Advance(stats.windows & (kProgressChunk - 1));
   return stats;
+}
+
+}  // namespace
+
+ScanStats WindowScanner::Scan(const Dataset& dataset,
+                              const std::vector<TupleId>& order,
+                              const EquationalTheory& theory,
+                              PairSet* pairs) const {
+  return ScanWindows(dataset, order, window_, 0, 0, order.size(), theory,
+                     [pairs](TupleId a, TupleId b) { pairs->Add(a, b); });
+}
+
+ScanStats WindowScanner::ScanRange(
+    const Dataset& dataset, const std::vector<TupleId>& order, size_t begin,
+    size_t fresh, size_t end, const EquationalTheory& theory,
+    std::vector<std::pair<TupleId, TupleId>>* matches) const {
+  return ScanWindows(dataset, order, window_, begin, fresh, end, theory,
+                     [matches](TupleId a, TupleId b) {
+                       matches->emplace_back(a, b);
+                     });
 }
 
 }  // namespace mergepurge

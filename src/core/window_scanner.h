@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/pair_set.h"
@@ -49,13 +50,18 @@ class WindowScanner {
   ScanStats Scan(const Dataset& dataset, const std::vector<TupleId>& order,
                  const EquationalTheory& theory, PairSet* pairs) const;
 
-  // Scans a contiguous sub-range [begin, end) of `order`; used by the
-  // parallel implementation, where fragments overlap by window-1 records
-  // so the fragmentation is invisible (paper figure 5).
+  // Scans the banded fragment [begin, end) of `order` whose own positions
+  // start at `fresh` (begin <= fresh): each record entering at a position
+  // in [fresh, end) is compared with the previous window-1 records, none
+  // before `begin`. Records in [begin, fresh) are window context only, so
+  // fragments that overlap by window-1 records make exactly the global
+  // scan's comparisons between them (paper figure 5). Matching pairs are
+  // appended to `matches` in scan order as (earlier, entering).
   ScanStats ScanRange(const Dataset& dataset,
                       const std::vector<TupleId>& order, size_t begin,
-                      size_t end, const EquationalTheory& theory,
-                      PairSet* pairs) const;
+                      size_t fresh, size_t end,
+                      const EquationalTheory& theory,
+                      std::vector<std::pair<TupleId, TupleId>>* matches) const;
 
  private:
   size_t window_;

@@ -90,7 +90,7 @@ void RunReport::AddPass(const PassResult& pass) {
   p.Set("create_keys_seconds", JsonValue(pass.create_keys_seconds));
   p.Set("sort_seconds", JsonValue(pass.sort_seconds));
   p.Set("cluster_seconds", JsonValue(pass.cluster_seconds));
-  p.Set("scan_seconds", JsonValue(pass.scan_seconds));
+  p.Set("scan_busy_seconds", JsonValue(pass.scan_seconds));
   p.Set("total_seconds", JsonValue(pass.total_seconds));
   p.Set("resumed", JsonValue(pass.resumed));
   passes_.Append(std::move(p));
@@ -101,7 +101,7 @@ void RunReport::SetMultiPass(const MultiPassResult& result) {
   for (const PassResult& pass : result.passes) AddPass(pass);
   closure_.Set("union_pairs", JsonValue(result.union_pair_count));
   closure_.Set("closure_seconds", JsonValue(result.closure_seconds));
-  closure_.Set("total_seconds", JsonValue(result.total_seconds));
+  closure_.Set("run_wall_seconds", JsonValue(result.total_seconds));
   closure_.Set("passes_resumed",
                JsonValue(static_cast<uint64_t>(result.passes_resumed)));
 }
@@ -119,7 +119,7 @@ void RunReport::CaptureMetrics() {
 JsonValue RunReport::ToJson() const {
   JsonValue out = JsonValue::Object();
   out.Set("tool", JsonValue(tool_));
-  out.Set("schema_version", JsonValue(1));
+  out.Set("schema_version", JsonValue(2));
   out.Set("config", config_);
   out.Set("dataset", dataset_);
   out.Set("passes", passes_);

@@ -34,9 +34,12 @@ class RunReport {
   void SetDataset(uint64_t records, uint64_t fields);
 
   // --- Results. ---
+  // A pass's scan time is written as "scan_busy_seconds": the summed
+  // busy time of its fragment scans, which overlap other passes' scans.
   void AddPass(const PassResult& pass);
 
-  // Serializes every pass plus closure stats and the distinct-pair union.
+  // Serializes every pass plus closure stats, the distinct-pair union and
+  // "run_wall_seconds", the whole run's wall time.
   void SetMultiPass(const MultiPassResult& result);
 
   void SetOutcome(bool ok, std::string_view detail = "");

@@ -21,6 +21,7 @@ std::vector<Fragment> MakeOverlappingFragments(size_t n, size_t p,
     if (length == 0) break;
     Fragment fragment;
     fragment.begin = cursor >= overlap ? cursor - overlap : 0;
+    fragment.fresh = cursor;
     fragment.end = cursor + length;
     fragments.push_back(fragment);
     cursor += length;
@@ -49,6 +50,8 @@ std::vector<std::vector<Fragment>> MakeBlockCyclicFragments(size_t n,
   for (size_t begin = 0;; begin += stride) {
     Fragment block;
     block.begin = begin;
+    // The previous block ended `overlap` positions past this one's start.
+    block.fresh = begin == 0 ? 0 : begin + overlap;
     block.end = std::min(n, begin + m);
     per_site[site % per_site.size()].push_back(block);
     ++site;

@@ -1,8 +1,8 @@
 // Fragmentation of a sorted record list for parallel window scanning
 // (paper §4.1, figure 5): processor i's fragment replicates the last w-1
 // records of processor i-1's fragment, so the fragmentation is invisible
-// to the window scan — the union of per-fragment scans equals the global
-// scan exactly (tested in tests/parallel_test.cc).
+// to the window scan — the per-fragment scans together make exactly the
+// global scan's comparisons (tested in tests/parallel_test.cc).
 
 #ifndef MERGEPURGE_PARALLEL_COORDINATOR_H_
 #define MERGEPURGE_PARALLEL_COORDINATOR_H_
@@ -13,9 +13,13 @@
 namespace mergepurge {
 
 // Half-open range [begin, end) of positions in the sorted order. `begin`
-// already includes the replicated band from the previous fragment.
+// already includes the replicated band from the previous fragment;
+// `fresh` is the first position the fragment owns. Records in
+// [begin, fresh) are window context only: the previous fragment has
+// already compared them with each other.
 struct Fragment {
   size_t begin = 0;
+  size_t fresh = 0;
   size_t end = 0;
 
   size_t size() const { return end - begin; }

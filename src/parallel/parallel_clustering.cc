@@ -108,6 +108,7 @@ Result<ParallelRunResult> ParallelClustering::Run(
       ctx.Commit([&] {
         result.pairs.Merge(local_pairs);
         result.comparisons += stats.comparisons;
+        result.matches += stats.matches;
         result.worker_busy_seconds[ctx.worker] += busy_seconds;
         FlushScanStats(stats);
         theory->FlushMetrics();

@@ -1,12 +1,10 @@
 #include "parallel/parallel_snm.h"
 
 #include "core/sorted_neighborhood.h"
-#include "core/window_scanner.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/coordinator.h"
-#include "util/fault_injector.h"
+#include "parallel/fragment_scan.h"
 #include "util/timer.h"
 
 namespace mergepurge {
@@ -56,59 +54,30 @@ Result<ParallelRunResult> ParallelSnm::Run(
   sort_us->Record(static_cast<double>(phase.ElapsedMicros()));
 
   // Merge phase: banded fragments — either one large fragment per
-  // processor, or the coordinator's block-cyclic deal. Each fragment is
-  // one retryable task; a fragment scan is idempotent (reads the shared
-  // sorted order, writes only task-local state until commit), so the
-  // runner may re-execute it freely on any worker.
+  // processor, or the coordinator's block-cyclic deal — scanned as one
+  // retryable task each.
   phase.Restart();
-  std::vector<Fragment> fragments;
+  FragmentScanJob job;
+  job.order = &order;
   if (block_records_ > 0) {
     for (const std::vector<Fragment>& site :
          MakeBlockCyclicFragments(order.size(), num_processors_,
                                   block_records_, window_)) {
-      fragments.insert(fragments.end(), site.begin(), site.end());
+      job.fragments.insert(job.fragments.end(), site.begin(), site.end());
     }
   } else {
-    fragments =
+    job.fragments =
         MakeOverlappingFragments(order.size(), num_processors_, window_);
   }
-
-  result.worker_busy_seconds.assign(num_processors_, 0.0);
-  std::vector<ResilientTask> tasks;
-  tasks.reserve(fragments.size());
-  for (const Fragment& fragment : fragments) {
-    tasks.push_back([&, fragment](const AttemptContext& ctx) -> Status {
-      MERGEPURGE_RETURN_NOT_OK(
-          FaultInjector::Global().OnPoint(fault_points::kFragmentScan));
-      Timer busy;
-      Span span("fragment-scan");
-      span.AddArg("begin", static_cast<uint64_t>(fragment.begin));
-      span.AddArg("end", static_cast<uint64_t>(fragment.end));
-      std::unique_ptr<EquationalTheory> theory = theory_factory();
-      WindowScanner scanner(window_);
-      PairSet local_pairs;
-      ScanStats stats = scanner.ScanRange(dataset, order, fragment.begin,
-                                          fragment.end, *theory,
-                                          &local_pairs);
-      double busy_seconds = busy.ElapsedSeconds();
-      // Metrics flush rides the commit: an attempt that loses the
-      // exactly-once race contributes nothing to the global registry.
-      ctx.Commit([&] {
-        result.pairs.Merge(local_pairs);
-        result.comparisons += stats.comparisons;
-        result.worker_busy_seconds[ctx.worker] += busy_seconds;
-        FlushScanStats(stats);
-        theory->FlushMetrics();
-      });
-      return Status::OK();
-    });
-  }
-
-  ResilientRunner runner(resilience_);
-  ResilientReport report = runner.Run(tasks);
-  result.retries = report.retries;
-  result.speculations = report.speculations;
-  if (!report.status.ok()) return report.status;
+  FragmentScanReport scan =
+      ScanFragments(dataset, window_, {job}, theory_factory, resilience_);
+  result.retries = scan.retries;
+  result.speculations = scan.speculations;
+  if (!scan.status.ok()) return scan.status;
+  result.pairs = std::move(scan.jobs[0].pairs);
+  result.comparisons = scan.jobs[0].stats.comparisons;
+  result.matches = scan.jobs[0].stats.matches;
+  result.worker_busy_seconds = std::move(scan.worker_busy_seconds);
 
   result.scan_seconds = phase.ElapsedSeconds();
   scan_us->Record(static_cast<double>(phase.ElapsedMicros()));

@@ -1,7 +1,8 @@
 // Parallel sorted-neighborhood method (paper §4.1): sort, fragment the
 // sorted list with w-1 replicated bands, and window-scan the fragments on
-// worker threads. Produces exactly the same pair set as the serial method
-// (the bands make the fragmentation invisible).
+// worker threads (parallel/fragment_scan.h). Produces exactly the serial
+// method's pair set and comparison count (the bands make the
+// fragmentation invisible).
 
 #ifndef MERGEPURGE_PARALLEL_PARALLEL_SNM_H_
 #define MERGEPURGE_PARALLEL_PARALLEL_SNM_H_
@@ -21,6 +22,7 @@ namespace mergepurge {
 struct ParallelRunResult {
   PairSet pairs;
   uint64_t comparisons = 0;
+  uint64_t matches = 0;
   double sort_seconds = 0.0;
   double cluster_seconds = 0.0;  // Clustering variant only.
   double scan_seconds = 0.0;     // Wall time of the parallel scan phase.

@@ -42,6 +42,10 @@ class EquationalTheory {
   // speculative executions that were abandoned never reach the registry.
   // Default: theory exposes no rule-level metrics.
   virtual void FlushMetrics() const {}
+
+  // A fresh instance of the same theory with zeroed statistics, for one
+  // concurrent scan (the batch pipeline clones one per fragment attempt).
+  virtual std::unique_ptr<EquationalTheory> Clone() const = 0;
 };
 
 // Makes one theory instance per worker or lease: instances keep plain

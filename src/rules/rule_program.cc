@@ -601,6 +601,10 @@ RuleProgram::RuleProgram(const RuleProgram& other)
 
 RuleProgram::~RuleProgram() = default;
 
+std::unique_ptr<EquationalTheory> RuleProgram::Clone() const {
+  return std::make_unique<RuleProgram>(*this);
+}
+
 void RuleProgram::FlushMetrics() const {
   MetricsRegistry& registry = MetricsRegistry::Global();
   for (size_t i = 0; i < fire_counts_.size(); ++i) {

@@ -74,6 +74,9 @@ class RuleProgram : public EquationalTheory {
   // (rules.early_exits). rule_fire_counts() is not reset.
   void FlushMetrics() const override;
 
+  // A copy (see the copy constructor): shares the compiled program.
+  std::unique_ptr<EquationalTheory> Clone() const override;
+
   // The purge policy assembled from the program's `merge <field>: prefer
   // <strategy>` directives (fields without a directive keep the default).
   const PurgePolicy& purge_policy() const;

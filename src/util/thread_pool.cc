@@ -1,6 +1,19 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 namespace mergepurge {
+
+size_t AvailableCpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return static_cast<size_t>(count);
+  }
+  const unsigned hardware = std::thread::hardware_concurrency();
+  return hardware > 0 ? hardware : 1;
+}
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;

@@ -19,6 +19,10 @@
 
 namespace mergepurge {
 
+// CPUs this process may run on (its sched_getaffinity mask, so `taskset`
+// limits it); at least 1.
+size_t AvailableCpus();
+
 class ThreadPool {
  public:
   // Spawns num_threads workers. num_threads == 0 is clamped to 1.

@@ -3,16 +3,24 @@
 // beats every constituent single pass.
 
 #include <algorithm>
+#include <filesystem>
+#include <set>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
 #include "core/merge_purge.h"
 #include "core/multipass.h"
 #include "eval/metrics.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
+#include "util/fault_injector.h"
 
 namespace mergepurge {
 namespace {
@@ -126,6 +134,20 @@ TEST_F(MultiPassTest, UnionPairCountAtLeastLargestPass) {
   EXPECT_GE(result->union_pair_count, largest);
 }
 
+TEST_F(MultiPassTest, UnionPairCountEqualsBruteForceUnion) {
+  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 10);
+  auto result = mp.Run(dataset_, StandardThreeKeys(), theory_);
+  ASSERT_TRUE(result.ok());
+  std::set<std::pair<TupleId, TupleId>> all;
+  size_t summed = 0;
+  for (const PassResult& pass : result->passes) {
+    for (const auto& pair : pass.pairs.ToSortedVector()) all.insert(pair);
+    summed += pass.pairs.size();
+  }
+  EXPECT_EQ(result->union_pair_count, all.size());
+  EXPECT_LT(result->union_pair_count, summed);  // The passes overlap.
+}
+
 TEST_F(MultiPassTest, ClusteringMethodVariantRuns) {
   ClusteringOptions options;
   options.num_clusters = 16;
@@ -229,6 +251,148 @@ TEST_F(MultiPassTest, EngineClusteringMethod) {
   ASSERT_TRUE(result.ok());
   AccuracyReport report = EvaluateComponents(result->component_of, truth_);
   EXPECT_GT(report.recall_percent, 60.0);
+}
+
+// --- The engine's parallel passes against the serial reference. ---
+
+Dataset ConditionedDatabase(uint64_t seed) {
+  GeneratorConfig config;
+  config.num_records = 1500;
+  config.duplicate_selection_rate = 0.5;
+  config.max_duplicates_per_record = 4;
+  config.seed = seed;
+  auto db = DatabaseGenerator(config).Generate();
+  EXPECT_TRUE(db.ok());
+  ConditionEmployeeDataset(&db->dataset);
+  return std::move(db->dataset);
+}
+
+// Serial SortedNeighborhood::Run per key, then TransitiveClosure: what
+// every multi-pass result must equal exactly.
+struct SerialReference {
+  std::vector<PassResult> passes;
+  std::vector<uint32_t> component_of;
+};
+
+SerialReference RunSerially(const Dataset& dataset, size_t window) {
+  SerialReference reference;
+  std::vector<const PairSet*> pair_sets;
+  for (const KeySpec& key : StandardThreeKeys()) {
+    EmployeeTheory theory;
+    auto pass = SortedNeighborhood(window).Run(dataset, key, theory);
+    EXPECT_TRUE(pass.ok());
+    reference.passes.push_back(std::move(*pass));
+  }
+  for (const PassResult& pass : reference.passes) {
+    pair_sets.push_back(&pass.pairs);
+  }
+  reference.component_of = TransitiveClosure(pair_sets, dataset.size());
+  return reference;
+}
+
+void ExpectEqualsSerial(const MultiPassResult& result,
+                        const SerialReference& reference) {
+  ASSERT_EQ(result.passes.size(), reference.passes.size());
+  for (size_t i = 0; i < result.passes.size(); ++i) {
+    const PassResult& pass = result.passes[i];
+    const PassResult& serial = reference.passes[i];
+    EXPECT_EQ(pass.pairs.ToSortedVector(), serial.pairs.ToSortedVector())
+        << "pass " << pass.key_name;
+    EXPECT_EQ(pass.windows, serial.windows) << "pass " << pass.key_name;
+    EXPECT_EQ(pass.comparisons, serial.comparisons)
+        << "pass " << pass.key_name;
+    EXPECT_EQ(pass.matches, serial.matches) << "pass " << pass.key_name;
+  }
+  EXPECT_EQ(result.component_of, reference.component_of);
+}
+
+class EngineEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EngineEquivalenceTest, ParallelPassesEqualSerialPassesAndClosure) {
+  const Dataset dataset = ConditionedDatabase(GetParam());
+  const SerialReference reference = RunSerially(dataset, 10);
+
+  MergePurgeOptions options;
+  options.keys = StandardThreeKeys();
+  options.window = 10;
+  options.condition_records = false;  // Conditioned above.
+  EmployeeTheory theory;
+  auto result = MergePurgeEngine(options).Run(dataset, theory);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectEqualsSerial(result->detail, reference);
+  EXPECT_EQ(result->component_of, reference.component_of);
+}
+
+INSTANTIATE_TEST_SUITE_P(GeneratorSeeds, EngineEquivalenceTest,
+                         ::testing::Values(7u, 1234u, 20240707u));
+
+class MultiPassFaultTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    FaultInjector::Global().Reset();
+    dataset_ = ConditionedDatabase(99);
+    dir_ = std::filesystem::temp_directory_path() /
+           ("mergepurge_multipass_" +
+            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+            "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+  }
+
+  void TearDown() override {
+    FaultInjector::Global().Reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  Dataset dataset_;
+  std::filesystem::path dir_;
+  EmployeeTheory theory_;
+};
+
+TEST_F(MultiPassFaultTest, FailedFragmentScanIsRetriedAndOutputUnchanged) {
+  const SerialReference reference = RunSerially(dataset_, 10);
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.Reset();
+  FaultInjector::Global().Arm(fault_points::kFragmentScan,
+                              FaultSchedule::FailOnce());
+  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 10);
+  auto result = mp.Run(dataset_, StandardThreeKeys(), theory_);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.counter(metric_names::kFaultsTripped), 1u);
+  EXPECT_EQ(snapshot.counter(metric_names::kResilientRetries), 1u);
+  ExpectEqualsSerial(*result, reference);
+  // The failed attempt flushed nothing: the counters cover the committed
+  // scans exactly.
+  uint64_t comparisons = 0;
+  for (const PassResult& pass : reference.passes) {
+    comparisons += pass.comparisons;
+  }
+  EXPECT_EQ(snapshot.counter(metric_names::kSnmComparisons), comparisons);
+}
+
+TEST_F(MultiPassFaultTest, ExhaustedRetriesFailWithoutCheckpoints) {
+  FaultInjector::Global().Arm(fault_points::kFragmentScan,
+                              FaultSchedule::FailN(1u << 20));
+  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 10);
+  auto result =
+      mp.Run(dataset_, StandardThreeKeys(), theory_, dir_.string());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kPartialFailure);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(ReadPassManifest(dir_.string(), i).status().code(),
+              StatusCode::kNotFound)
+        << "pass " << i;
+  }
+
+  // With the fault gone, the same directory resumes nothing and the run
+  // equals the serial reference.
+  FaultInjector::Global().Reset();
+  auto rerun =
+      mp.Run(dataset_, StandardThreeKeys(), theory_, dir_.string());
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_EQ(rerun->passes_resumed, 0u);
+  ExpectEqualsSerial(*rerun, RunSerially(dataset_, 10));
 }
 
 }  // namespace

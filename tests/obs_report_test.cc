@@ -72,6 +72,19 @@ TEST(RunReportTest, SerializesPassAndClosureStats) {
   EXPECT_EQ(passes->at(0).Find("key")->string_value(), "last-name");
   EXPECT_EQ(passes->at(0).Find("windows")->int_value(), 99);
   EXPECT_EQ(passes->at(0).Find("comparisons")->int_value(), 450);
+  // Scan time is labelled as busy time; the run's wall time sits in the
+  // closure block.
+  EXPECT_NE(passes->at(0).Find("scan_busy_seconds"), nullptr);
+  EXPECT_EQ(passes->at(0).Find("scan_seconds"), nullptr);
+  MultiPassResult multipass;
+  multipass.passes.push_back(pass);
+  multipass.total_seconds = 1.5;
+  report.SetMultiPass(multipass);
+  const JsonValue with_closure = report.ToJson();
+  const JsonValue* closure = with_closure.Find("closure");
+  ASSERT_NE(closure, nullptr);
+  ASSERT_NE(closure->Find("run_wall_seconds"), nullptr);
+  EXPECT_DOUBLE_EQ(closure->Find("run_wall_seconds")->double_value(), 1.5);
   // The document must round-trip through text for the validators.
   Result<JsonValue> parsed = JsonValue::Parse(doc.Dump(1));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();

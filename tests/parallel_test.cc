@@ -228,6 +228,9 @@ TEST_P(ParallelEquivalenceTest, SnmMatchesSerialExactly) {
   serial->pairs.ForEach([&](TupleId a, TupleId b) {
     EXPECT_TRUE(result->pairs.Contains(a, b));
   });
+  // The bands are context only: no boundary pair is compared twice.
+  EXPECT_EQ(result->comparisons, serial->comparisons);
+  EXPECT_EQ(result->matches, serial->matches);
 }
 
 TEST_P(ParallelEquivalenceTest, BlockCyclicSnmMatchesSerialExactly) {
@@ -246,6 +249,9 @@ TEST_P(ParallelEquivalenceTest, BlockCyclicSnmMatchesSerialExactly) {
   serial->pairs.ForEach([&](TupleId a, TupleId b) {
     EXPECT_TRUE(result->pairs.Contains(a, b));
   });
+  // The bands are context only: no boundary pair is compared twice.
+  EXPECT_EQ(result->comparisons, serial->comparisons);
+  EXPECT_EQ(result->matches, serial->matches);
 }
 
 TEST(BlockCyclicTest, TinyBlocksClampedForCoverage) {

@@ -28,6 +28,9 @@ class NumericTheory final : public EquationalTheory {
     return std::labs(x - y) <= 1;
   }
   uint64_t comparison_count() const override { return count_; }
+  std::unique_ptr<EquationalTheory> Clone() const override {
+    return std::make_unique<NumericTheory>(*this);
+  }
 
  private:
   mutable uint64_t count_ = 0;
@@ -90,9 +93,12 @@ TEST(WindowScannerTest, WindowTooSmallOrEmptyRangeIsNoop) {
   PairSet pairs;
   EXPECT_EQ(WindowScanner(1).Scan(d, order, theory, &pairs).comparisons,
             0u);
-  EXPECT_EQ(
-      WindowScanner(3).ScanRange(d, order, 1, 1, theory, &pairs).comparisons,
-      0u);
+  std::vector<std::pair<TupleId, TupleId>> matches;
+  EXPECT_EQ(WindowScanner(3)
+                .ScanRange(d, order, 1, 1, 1, theory, &matches)
+                .comparisons,
+            0u);
+  EXPECT_TRUE(matches.empty());
 }
 
 TEST(WindowScannerTest, FullWindowEqualsAllPairs) {

@@ -31,6 +31,9 @@ class ModTheory final : public EquationalTheory {
     return value(a) % k_ == value(b) % k_;
   }
   uint64_t comparison_count() const override { return count_; }
+  std::unique_ptr<EquationalTheory> Clone() const override {
+    return std::make_unique<ModTheory>(*this);
+  }
 
  private:
   TupleId k_;
@@ -61,13 +64,22 @@ TEST_P(BandInvariantTest, OverlappingFragmentsReproduceGlobalScan) {
   ModTheory theory(5);
   WindowScanner scanner(w);
   PairSet global;
-  scanner.Scan(d, order, theory, &global);
+  const ScanStats global_stats = scanner.Scan(d, order, theory, &global);
 
-  PairSet fragmented;
+  // Fragments compare each pair once: the bands are context only, so the
+  // matches list has no repeats and the counts equal the global scan's.
+  std::vector<std::pair<TupleId, TupleId>> matches;
+  ScanStats stats;
   for (const Fragment& fragment : MakeOverlappingFragments(n, p, w)) {
-    scanner.ScanRange(d, order, fragment.begin, fragment.end, theory,
-                      &fragmented);
+    stats += scanner.ScanRange(d, order, fragment.begin, fragment.fresh,
+                               fragment.end, theory, &matches);
   }
+  EXPECT_EQ(stats.windows, global_stats.windows);
+  EXPECT_EQ(stats.comparisons, global_stats.comparisons);
+  EXPECT_EQ(stats.matches, global_stats.matches);
+  EXPECT_EQ(matches.size(), global.size());
+  PairSet fragmented;
+  for (const auto& [a, b] : matches) fragmented.Add(a, b);
   EXPECT_EQ(fragmented.size(), global.size())
       << "n=" << n << " w=" << w << " p=" << p;
   global.ForEach([&](TupleId a, TupleId b) {
@@ -88,16 +100,23 @@ TEST_P(BandInvariantTest, BlockCyclicReproducesGlobalScan) {
   ModTheory theory(7);
   WindowScanner scanner(w);
   PairSet global;
-  scanner.Scan(d, order, theory, &global);
+  const ScanStats global_stats = scanner.Scan(d, order, theory, &global);
 
   // Deliberately small blocks (clamped internally to 2*(w-1)).
-  PairSet fragmented;
+  std::vector<std::pair<TupleId, TupleId>> matches;
+  ScanStats stats;
   for (const auto& site : MakeBlockCyclicFragments(n, p, w + 3, w)) {
     for (const Fragment& block : site) {
-      scanner.ScanRange(d, order, block.begin, block.end, theory,
-                        &fragmented);
+      stats += scanner.ScanRange(d, order, block.begin, block.fresh,
+                                 block.end, theory, &matches);
     }
   }
+  EXPECT_EQ(stats.windows, global_stats.windows);
+  EXPECT_EQ(stats.comparisons, global_stats.comparisons);
+  EXPECT_EQ(stats.matches, global_stats.matches);
+  EXPECT_EQ(matches.size(), global.size());
+  PairSet fragmented;
+  for (const auto& [a, b] : matches) fragmented.Add(a, b);
   EXPECT_EQ(fragmented.size(), global.size())
       << "n=" << n << " w=" << w << " p=" << p;
   global.ForEach([&](TupleId a, TupleId b) {

@@ -38,12 +38,12 @@ run_suite "${root}/build" "" -DMERGEPURGE_SANITIZE="" \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 run_suite "${root}/build-san" "" "-DMERGEPURGE_SANITIZE=address;undefined"
 # TSan is incompatible with ASan, so it gets its own tree; run the suites
-# that exercise threads (parallel engine, resilient retry, incremental
-# engine, the TCP service, fault-tolerance, the sync primitives) rather
-# than all of ctest. The lock-order validator runs here as in every
-# build, now under TSan's thread schedules.
+# that exercise threads (parallel engine, the batch multi-pass engine,
+# resilient retry, incremental engine, the TCP service, fault-tolerance,
+# the sync primitives) rather than all of ctest. The lock-order validator
+# runs here as in every build, now under TSan's thread schedules.
 run_suite "${root}/build-tsan" \
-  "parallel_test|incremental_test|incremental_property_test|service_test|shard_test|fault_tolerance_test|metrics_test|obs_window_test|sync_test|durability_test" \
+  "parallel_test|multipass_test|engine_matrix_test|incremental_test|incremental_property_test|service_test|shard_test|fault_tolerance_test|metrics_test|obs_window_test|sync_test|durability_test" \
   "-DMERGEPURGE_SANITIZE=thread"
 
 # Compile-time lock discipline (clang only): build the whole tree with
