@@ -4,8 +4,9 @@
 //
 // Substitution (DESIGN.md §2): the paper measured an 8-node HP cluster;
 // this bench runs on one shared-memory host. It
-//   1. runs the REAL thread-based parallel executors and verifies they
-//      produce exactly the serial pair sets and comparison counts,
+//   1. runs the REAL thread-based pass executor (MultiPass over one key)
+//      and verifies it produces exactly the serial pair set and
+//      comparison count,
 //   2. calibrates the shared-nothing cost model from measured serial phase
 //      costs and prints the modeled per-P times at the paper's database
 //      size — figure 6's sublinear-speedup shape and the clustering
@@ -21,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,8 +32,7 @@
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
 #include "parallel/cost_model.h"
-#include "parallel/parallel_clustering.h"
-#include "parallel/parallel_snm.h"
+#include "parallel/load_balance.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
 #include "util/thread_pool.h"
@@ -111,22 +110,23 @@ int main(int argc, char** argv) {
 
   const std::vector<KeySpec> keys = StandardThreeKeys();
   EmployeeTheory theory;
-  TheoryFactory factory = [] { return std::make_unique<EmployeeTheory>(); };
 
-  // --- Functional check: thread executors == serial. ---
+  // --- Functional check: thread executor == serial. ---
   {
     auto serial = SortedNeighborhood(kWindow).Run(db->dataset, keys[0],
                                                   theory);
     if (!serial.ok()) return 1;
-    ParallelSnm snm(4, kWindow);
-    auto parallel = snm.Run(db->dataset, keys[0], factory);
+    auto parallel = MultiPass(MultiPass::Method::kSortedNeighborhood, kWindow)
+                        .Run(db->dataset, {keys[0]}, theory);
     if (!parallel.ok()) return 1;
-    const bool exact = parallel->pairs.size() == serial->pairs.size() &&
-                       parallel->comparisons == serial->comparisons;
-    std::printf("thread-executor check (P=4, key=%s): %zu pairs, %llu "
+    const PassResult& pass = parallel->passes[0];
+    const bool exact =
+        pass.pairs.ToSortedVector() == serial->pairs.ToSortedVector() &&
+        pass.comparisons == serial->comparisons;
+    std::printf("thread-executor check (P=%zu, key=%s): %zu pairs, %llu "
                 "comparisons %s\n",
-                keys[0].name.c_str(), parallel->pairs.size(),
-                static_cast<unsigned long long>(parallel->comparisons),
+                AvailableCpus(), keys[0].name.c_str(), pass.pairs.size(),
+                static_cast<unsigned long long>(pass.comparisons),
                 exact ? "== serial (exact)" : "!= serial (BUG)");
   }
 
@@ -151,14 +151,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // LPT imbalance measured from a real parallel clustering run.
+  // LPT imbalance of the clustering method's real partition: 100
+  // clusters per processor (the paper's setting) dealt to P = 4.
   ClusteringOptions cluster_options;
-  cluster_options.num_clusters = 100;  // Paper: 100 clusters/processor.
-  cluster_options.window = kWindow;
-  ParallelClustering clustering(4, cluster_options);
-  auto cluster_run = clustering.Run(db->dataset, keys[0], factory);
-  if (!cluster_run.ok()) return 1;
-  double imbalance = clustering.last_balance().imbalance;
+  cluster_options.num_clusters = 100 * 4;
+  PassResult cluster_pass;
+  auto clustered =
+      ClusterOrder(db->dataset, keys[0], cluster_options, &cluster_pass);
+  if (!clustered.ok()) return 1;
+  const double imbalance = LptAssign(clustered->Sizes(), 4).imbalance;
 
   // --- Modeled figure 6 series (paper-ratio I/O calibration). ---
   auto make_cluster = [&](const SerialCostModel& m) {

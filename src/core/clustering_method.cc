@@ -12,27 +12,127 @@
 
 namespace mergepurge {
 
+std::vector<uint64_t> ClusteredOrder::Sizes() const {
+  std::vector<uint64_t> sizes;
+  for (size_t c = 0; c + 1 < bounds.size(); ++c) {
+    sizes.push_back(bounds[c + 1] - bounds[c]);
+  }
+  return sizes;
+}
+
+std::vector<Fragment> ClusteredOrder::Fragments() const {
+  std::vector<Fragment> fragments;
+  for (size_t c = 0; c + 1 < bounds.size(); ++c) {
+    if (bounds[c + 1] - bounds[c] < 2) continue;
+    fragments.push_back({bounds[c], bounds[c], bounds[c + 1]});
+  }
+  return fragments;
+}
+
+Result<ClusteredOrder> ClusterOrder(const Dataset& dataset,
+                                    const KeySpec& key,
+                                    const ClusteringOptions& options,
+                                    PassResult* pass) {
+  if (options.num_clusters == 0) {
+    return Status::InvalidArgument("num_clusters must be >= 1");
+  }
+  KeyBuilder full_builder(key);
+  MERGEPURGE_RETURN_NOT_OK(full_builder.Validate(dataset.schema()));
+  ClusteredOrder clustered;
+  clustered.bounds.push_back(0);
+  if (dataset.empty()) return clustered;
+
+  static LatencyHistogram* const sort_us =
+      MetricsRegistry::Global().GetHistogram(metric_names::kSnmSortUs);
+
+  // --- Phase 1: extract the fixed-size key and cluster the data. ---
+  Timer phase;
+  std::vector<std::string> keys;
+  {
+    Span span("create-keys");
+    keys = KeyBuilder(key.FixedWidth(options.fixed_key_prefix))
+               .BuildKeys(dataset);
+  }
+  pass->create_keys_seconds = phase.ElapsedSeconds();
+
+  phase.Restart();
+  {
+    Span span("cluster");
+    Rng rng(options.seed);
+    Histogram histogram = BuildHistogram(keys, options.histogram_depth,
+                                         options.histogram_sample, &rng);
+    Result<KeyPartitioner> partitioner =
+        KeyPartitioner::FromHistogram(histogram, options.num_clusters);
+    if (!partitioner.ok()) return partitioner.status();
+
+    // Counting sort by cluster: each cluster's tuple ids stay ascending.
+    std::vector<uint32_t> cluster_of(dataset.size());
+    clustered.bounds.assign(partitioner->num_clusters() + 1, 0);
+    for (size_t t = 0; t < dataset.size(); ++t) {
+      cluster_of[t] = static_cast<uint32_t>(partitioner->ClusterOf(keys[t]));
+      ++clustered.bounds[cluster_of[t] + 1];
+    }
+    for (size_t c = 1; c < clustered.bounds.size(); ++c) {
+      clustered.bounds[c] += clustered.bounds[c - 1];
+    }
+    std::vector<size_t> next(clustered.bounds.begin(),
+                             clustered.bounds.end() - 1);
+    clustered.order.resize(dataset.size());
+    for (size_t t = 0; t < dataset.size(); ++t) {
+      clustered.order[next[cluster_of[t]]++] = static_cast<TupleId>(t);
+    }
+  }
+  pass->cluster_seconds = phase.ElapsedSeconds();
+
+  // Surface severe key skew ("we must expect to compute very large
+  // clusters and some empty clusters", §2.2.1): a hot cluster erodes both
+  // the method's speed advantage and downstream load balance.
+  const size_t num_clusters = clustered.bounds.size() - 1;
+  const std::vector<uint64_t> sizes = clustered.Sizes();
+  const uint64_t largest = *std::max_element(sizes.begin(), sizes.end());
+  const size_t average = dataset.size() / num_clusters;
+  if (average > 0 && largest > 4 * average) {
+    MERGEPURGE_LOG(kWarning)
+        << "clustering key '" << key.name << "': largest cluster holds "
+        << largest << " records (" << num_clusters << " clusters, average "
+        << average << ") — key prefix is skewed";
+  }
+
+  // --- Phase 2's sorts: by the fixed cluster key (paper), or by the full
+  // key (ablation), which then replaces it in `keys`. ---
+  if (options.sort_with_full_key) {
+    phase.Restart();
+    Span span("create-keys");
+    keys = full_builder.BuildKeys(dataset);
+    pass->create_keys_seconds += phase.ElapsedSeconds();
+  }
+  phase.Restart();
+  {
+    Span span("sort");
+    for (size_t c = 0; c < num_clusters; ++c) {
+      std::sort(clustered.order.begin() + clustered.bounds[c],
+                clustered.order.begin() + clustered.bounds[c + 1],
+                [&keys](TupleId a, TupleId b) {
+                  int cmp = keys[a].compare(keys[b]);
+                  if (cmp != 0) return cmp < 0;
+                  return a < b;
+                });
+    }
+  }
+  pass->sort_seconds = phase.ElapsedSeconds();
+  sort_us->Record(static_cast<double>(phase.ElapsedMicros()));
+  return clustered;
+}
+
 Result<PassResult> ClusteringMethod::Run(
     const Dataset& dataset, const KeySpec& key,
     const EquationalTheory& theory) const {
   if (options_.window < 2) {
     return Status::InvalidArgument("window must be >= 2");
   }
-  if (options_.num_clusters == 0) {
-    return Status::InvalidArgument("num_clusters must be >= 1");
-  }
-  KeyBuilder full_builder(key);
-  MERGEPURGE_RETURN_NOT_OK(full_builder.Validate(dataset.schema()));
-  if (dataset.empty()) {
-    PassResult empty;
-    empty.key_name = key.name;
-    return empty;
-  }
 
   static Counter* const passes_counter =
       MetricsRegistry::Global().GetCounter(metric_names::kSnmPasses);
-  static LatencyHistogram* const sort_us =
-      MetricsRegistry::Global().GetHistogram(metric_names::kSnmSortUs);
   static LatencyHistogram* const scan_us =
       MetricsRegistry::Global().GetHistogram(metric_names::kSnmScanUs);
 
@@ -42,92 +142,37 @@ Result<PassResult> ClusteringMethod::Run(
   PassResult result;
   result.key_name = key.name;
   Timer total;
-
-  // --- Phase 1: extract the fixed-size key and cluster the data. ---
-  Timer phase;
-  const KeySpec fixed_spec = key.FixedWidth(options_.fixed_key_prefix);
-  KeyBuilder fixed_builder(fixed_spec);
-  std::vector<std::string> cluster_keys = fixed_builder.BuildKeys(dataset);
-  result.create_keys_seconds = phase.ElapsedSeconds();
-
-  phase.Restart();
-  Rng rng(options_.seed);
-  Histogram histogram =
-      BuildHistogram(cluster_keys, options_.histogram_depth,
-                     options_.histogram_sample, &rng);
-  Result<KeyPartitioner> partitioner =
-      KeyPartitioner::FromHistogram(histogram, options_.num_clusters);
-  if (!partitioner.ok()) return partitioner.status();
-
-  std::vector<std::vector<TupleId>> clusters(partitioner->num_clusters());
-  for (size_t t = 0; t < dataset.size(); ++t) {
-    clusters[partitioner->ClusterOf(cluster_keys[t])].push_back(
-        static_cast<TupleId>(t));
-  }
-  result.cluster_seconds = phase.ElapsedSeconds();
-
-  last_stats_ = ClusterStats();
-  last_stats_.num_clusters = clusters.size();
-  last_stats_.smallest_cluster = dataset.size();
-  for (const std::vector<TupleId>& cluster : clusters) {
-    last_stats_.largest_cluster =
-        std::max(last_stats_.largest_cluster, cluster.size());
-    last_stats_.smallest_cluster =
-        std::min(last_stats_.smallest_cluster, cluster.size());
-    if (cluster.empty()) ++last_stats_.empty_clusters;
-  }
-  // Surface severe key skew ("we must expect to compute very large
-  // clusters and some empty clusters", §2.2.1): a hot cluster erodes both
-  // the method's speed advantage and downstream load balance.
-  const size_t average = dataset.size() / clusters.size();
-  if (average > 0 && last_stats_.largest_cluster > 4 * average) {
-    MERGEPURGE_LOG(kWarning)
-        << "clustering key '" << key.name << "': largest cluster holds "
-        << last_stats_.largest_cluster << " records (" << clusters.size()
-        << " clusters, average " << average << ") — key prefix is skewed";
-  }
+  Result<ClusteredOrder> clustered =
+      ClusterOrder(dataset, key, options_, &result);
+  if (!clustered.ok()) return clustered.status();
+  if (dataset.empty()) return result;
 
   // --- Phase 2: sorted-neighborhood inside each cluster. ---
-  // Sort key: the fixed cluster key (paper), or the full key (ablation).
-  std::vector<std::string> sort_keys;
-  if (options_.sort_with_full_key) {
-    sort_keys = full_builder.BuildKeys(dataset);
-  }
-  const std::vector<std::string>& keys_for_sort =
-      options_.sort_with_full_key ? sort_keys : cluster_keys;
-
-  WindowScanner scanner(options_.window);
-  ScanStats pass_stats;
+  Timer phase;
+  ScanStats stats;
+  std::vector<std::pair<TupleId, TupleId>> matches;
   {
     Span span("cluster-scan");
-    for (std::vector<TupleId>& cluster : clusters) {
-      if (cluster.size() < 2) continue;
-      phase.Restart();
-      std::sort(cluster.begin(), cluster.end(),
-                [&keys_for_sort](TupleId a, TupleId b) {
-                  int cmp = keys_for_sort[a].compare(keys_for_sort[b]);
-                  if (cmp != 0) return cmp < 0;
-                  return a < b;
-                });
-      result.sort_seconds += phase.ElapsedSeconds();
-
-      phase.Restart();
-      ScanStats stats =
-          scanner.Scan(dataset, cluster, theory, &result.pairs);
-      result.scan_seconds += phase.ElapsedSeconds();
-      pass_stats += stats;
+    WindowScanner scanner(options_.window);
+    for (const Fragment& cluster : clustered->Fragments()) {
+      stats += scanner.ScanRange(dataset, clustered->order, cluster.begin,
+                                 cluster.fresh, cluster.end, theory,
+                                 &matches);
     }
-    span.AddArg("clusters", static_cast<uint64_t>(clusters.size()));
-    span.AddArg("comparisons", pass_stats.comparisons);
+    span.AddArg("clusters",
+                static_cast<uint64_t>(clustered->bounds.size() - 1));
+    span.AddArg("comparisons", stats.comparisons);
   }
-  result.windows = pass_stats.windows;
-  result.comparisons = pass_stats.comparisons;
-  result.matches = pass_stats.matches;
+  result.scan_seconds = phase.ElapsedSeconds();
+  result.pairs.Reserve(matches.size());
+  for (const auto& [a, b] : matches) result.pairs.Add(a, b);
+  result.windows = stats.windows;
+  result.comparisons = stats.comparisons;
+  result.matches = stats.matches;
 
-  FlushScanStats(pass_stats);
+  FlushScanStats(stats);
   theory.FlushMetrics();
   passes_counter->Increment();
-  sort_us->Record(result.sort_seconds * 1e6);
   scan_us->Record(result.scan_seconds * 1e6);
 
   result.total_seconds = total.ElapsedSeconds();

@@ -18,6 +18,7 @@
 
 #include "core/sorted_neighborhood.h"
 #include "keys/key_builder.h"
+#include "parallel/coordinator.h"
 #include "record/dataset.h"
 #include "rules/equational_theory.h"
 #include "util/status.h"
@@ -50,12 +51,31 @@ struct ClusteringOptions {
   uint64_t seed = 7;
 };
 
-struct ClusterStats {
-  size_t num_clusters = 0;
-  size_t largest_cluster = 0;
-  size_t smallest_cluster = 0;
-  size_t empty_clusters = 0;
+// A clustering pass's record order: the clusters concatenated in cluster
+// order, each sorted by its sort key. Cluster c holds positions
+// [bounds[c], bounds[c + 1]) of `order`; a cluster may be empty.
+struct ClusteredOrder {
+  std::vector<TupleId> order;
+  std::vector<size_t> bounds;  // One more entry than there are clusters.
+
+  // Each cluster's record count, in cluster order.
+  std::vector<uint64_t> Sizes() const;
+
+  // The pass's scan units: one unbanded fragment per cluster of at least
+  // two records. Clusters share no window (§2.2.1), so each is scanned on
+  // its own, by one processor in the parallel form (§4.2).
+  std::vector<Fragment> Fragments() const;
 };
+
+// Everything of one clustering pass but the scans: builds the fixed-size
+// cluster key, range-partitions the records into options.num_clusters
+// clusters by its histogram, and sorts each cluster by that key (or by
+// the full key with options.sort_with_full_key). Times the create-keys,
+// cluster and sort phases into `pass`, and warns when the key is skewed.
+Result<ClusteredOrder> ClusterOrder(const Dataset& dataset,
+                                    const KeySpec& key,
+                                    const ClusteringOptions& options,
+                                    PassResult* pass);
 
 class ClusteringMethod {
  public:
@@ -63,17 +83,14 @@ class ClusteringMethod {
 
   const ClusteringOptions& options() const { return options_; }
 
-  // Runs one clustering-method pass with `key` over `dataset`.
+  // Runs one clustering-method pass with `key` over `dataset`: ClusterOrder,
+  // then a window scan of each cluster on the calling thread. The serial
+  // reference for MultiPass's clustering passes.
   Result<PassResult> Run(const Dataset& dataset, const KeySpec& key,
                          const EquationalTheory& theory) const;
 
-  // Statistics of the most recent Run's partition (for load-balance and
-  // skew reporting).
-  const ClusterStats& last_cluster_stats() const { return last_stats_; }
-
  private:
   ClusteringOptions options_;
-  mutable ClusterStats last_stats_;
 };
 
 }  // namespace mergepurge

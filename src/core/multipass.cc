@@ -81,9 +81,10 @@ Status MultiPass::ScanPasses(const Dataset& dataset,
   static Counter* const passes_counter =
       MetricsRegistry::Global().GetCounter(metric_names::kSnmPasses);
   ProgressReporter& progress = ProgressReporter::Global();
+  const bool clustering = method_ == Method::kClustering;
 
-  // Sort one key at a time: each key's strings are freed before the next
-  // key is built, which keeps peak memory at one key's worth.
+  // Order one key at a time: each key's strings are freed before the
+  // next key is built, which keeps peak memory at one key's worth.
   const size_t workers = AvailableCpus();
   std::vector<std::vector<TupleId>> orders(pending.size());
   std::vector<FragmentScanJob> jobs(pending.size());
@@ -92,14 +93,23 @@ Status MultiPass::ScanPasses(const Dataset& dataset,
     Span span("pass");
     span.AddArg("index", static_cast<uint64_t>(i));
     span.AddArg("key", keys[i].name);
-    progress.BeginPhase(StringPrintf("sort %zu/%zu (%s)", i + 1, keys.size(),
-                                     keys[i].name.c_str()));
-    orders[k] =
-        SortedNeighborhood::KeyAndSort(dataset, keys[i], &result->passes[i]);
-    progress.FinishPhase();
+    progress.BeginPhase(StringPrintf("%s %zu/%zu (%s)",
+                                     clustering ? "cluster" : "sort", i + 1,
+                                     keys.size(), keys[i].name.c_str()));
     jobs[k].order = &orders[k];
-    jobs[k].fragments = MakeOverlappingFragments(
-        dataset.size(), workers * kFragmentsPerWorker, window_);
+    if (clustering) {
+      Result<ClusteredOrder> clustered = ClusterOrder(
+          dataset, keys[i], clustering_options_, &result->passes[i]);
+      if (!clustered.ok()) return clustered.status();
+      jobs[k].fragments = clustered->Fragments();
+      orders[k] = std::move(clustered->order);
+    } else {
+      orders[k] = SortedNeighborhood::KeyAndSort(dataset, keys[i],
+                                                 &result->passes[i]);
+      jobs[k].fragments = MakeOverlappingFragments(
+          dataset.size(), workers * kFragmentsPerWorker, window_);
+    }
+    progress.FinishPhase();
   }
 
   progress.BeginPhase(
@@ -111,11 +121,9 @@ Status MultiPass::ScanPasses(const Dataset& dataset,
     Span span("window-scan");
     span.AddArg("passes", static_cast<uint64_t>(pending.size()));
     span.AddArg("workers", static_cast<uint64_t>(workers));
-    ResilientOptions resilience;
-    resilience.num_workers = workers;
     scan = ScanFragments(
         dataset, window_, jobs, [&theory] { return theory.Clone(); },
-        resilience);
+        workers);
   }
   progress.FinishPhase();
 
@@ -128,37 +136,13 @@ Status MultiPass::ScanPasses(const Dataset& dataset,
     pass.comparisons = job.stats.comparisons;
     pass.matches = job.stats.matches;
     pass.scan_seconds = job.busy_seconds;
-    pass.total_seconds =
-        pass.create_keys_seconds + pass.sort_seconds + pass.scan_seconds;
+    pass.total_seconds = pass.create_keys_seconds + pass.cluster_seconds +
+                         pass.sort_seconds + pass.scan_seconds;
     scan_us->Record(job.busy_seconds * 1e6);
     passes_counter->Increment();
     (*computed)[pending[k]] = true;
   }
   return scan.status;
-}
-
-Status MultiPass::ClusterPasses(const Dataset& dataset,
-                                const std::vector<KeySpec>& keys,
-                                const std::vector<size_t>& pending,
-                                const EquationalTheory& theory,
-                                MultiPassResult* result,
-                                std::vector<bool>* computed) const {
-  ProgressReporter& progress = ProgressReporter::Global();
-  for (size_t i : pending) {
-    Span span("pass");
-    span.AddArg("index", static_cast<uint64_t>(i));
-    span.AddArg("key", keys[i].name);
-    progress.BeginPhase(StringPrintf("pass %zu/%zu (%s)", i + 1, keys.size(),
-                                     keys[i].name.c_str()),
-                        dataset.size());
-    Result<PassResult> pass =
-        ClusteringMethod(clustering_options_).Run(dataset, keys[i], theory);
-    progress.FinishPhase();
-    if (!pass.ok()) return pass.status();
-    result->passes[i] = std::move(*pass);
-    (*computed)[i] = true;
-  }
-  return Status::OK();
 }
 
 Result<MultiPassResult> MultiPass::Run(
@@ -233,10 +217,7 @@ Result<MultiPassResult> MultiPass::Run(
 
   std::vector<bool> computed(keys.size(), false);
   const Status status =
-      method_ == Method::kSortedNeighborhood
-          ? ScanPasses(dataset, keys, pending, theory, &result, &computed)
-          : ClusterPasses(dataset, keys, pending, theory, &result,
-                          &computed);
+      ScanPasses(dataset, keys, pending, theory, &result, &computed);
 
   // Checkpoints land in pass order, and only for passes that ran to
   // completion: a resumed run never loads a partial pair set.

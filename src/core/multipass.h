@@ -64,11 +64,13 @@ class MultiPass {
     clustering_options_.window = window;
   }
 
-  // Runs one pass per key and closes over the union of the results. The
-  // sorted-neighborhood method scans all passes together on one worker
-  // pool with a Clone() of `theory` per fragment attempt (paper §4.1:
-  // the independent runs on 3P processors); its results equal serial
-  // SortedNeighborhood runs exactly. The clustering method runs serially.
+  // Runs one pass per key and closes over the union of the results. All
+  // passes, of either method, are scanned together on one worker pool
+  // with a Clone() of `theory` per fragment attempt (paper §4: the
+  // independent runs on 3P processors); the sorted-neighborhood method
+  // scans banded fragments of each sorted list, the clustering method one
+  // fragment per cluster. Each pass equals the serial method's pass
+  // (SortedNeighborhood or ClusteringMethod::Run) exactly.
   Result<MultiPassResult> Run(const Dataset& dataset,
                               const std::vector<KeySpec>& keys,
                               const EquationalTheory& theory) const;
@@ -86,20 +88,13 @@ class MultiPass {
 
  private:
   // Computes the `pending` passes into result->passes, marking each one
-  // that ran to completion in `computed`. ScanPasses sorts each key in
-  // turn, then scans the banded fragments of every pass on one worker
-  // pool sized to the process's CPU affinity; ClusterPasses runs the
-  // clustering method one pass at a time.
+  // that ran to completion in `computed`: orders each key in turn, then
+  // scans the fragments of every pass on one worker pool sized to the
+  // process's CPU affinity.
   Status ScanPasses(const Dataset& dataset, const std::vector<KeySpec>& keys,
                     const std::vector<size_t>& pending,
                     const EquationalTheory& theory, MultiPassResult* result,
                     std::vector<bool>* computed) const;
-  Status ClusterPasses(const Dataset& dataset,
-                       const std::vector<KeySpec>& keys,
-                       const std::vector<size_t>& pending,
-                       const EquationalTheory& theory,
-                       MultiPassResult* result,
-                       std::vector<bool>* computed) const;
   uint64_t ConfigDigest() const;
 
   Method method_;

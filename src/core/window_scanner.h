@@ -33,9 +33,9 @@ struct ScanStats {
 };
 
 // Adds `stats` to the global snm.* counters. Call once per completed
-// scan (serial) or inside the task commit (parallel) so speculative or
-// retried executions are counted exactly once per committed unit of
-// work. Kept out of the scan loop: the loop accumulates plain locals.
+// scan (serial) or per successful fragment attempt (parallel) so retried
+// executions are counted exactly once per committed unit of work. Kept
+// out of the scan loop: the loop accumulates plain locals.
 void FlushScanStats(const ScanStats& stats);
 
 class WindowScanner {

@@ -4,9 +4,8 @@
 // New metrics may be added freely; document additions in
 // docs/observability.md.
 //
-// Two families take a dynamic suffix:
+// One family takes a dynamic suffix:
 //   rules.fired.<rule-id>          one counter per equational-theory rule
-//   parallel.worker_tasks.<w>      committed tasks per virtual worker
 
 #ifndef MERGEPURGE_OBS_METRIC_NAMES_H_
 #define MERGEPURGE_OBS_METRIC_NAMES_H_
@@ -29,9 +28,9 @@ inline constexpr char kSortEntriesRead[] = "sort.entries_read";
 inline constexpr char kSortInitialRuns[] = "sort.initial_runs";
 
 // --- Window scan / SNM merge phase (both methods, serial + parallel).
-// Counts COMMITTED work only: parallel fragments flush inside the
-// exactly-once commit, so a retried or speculated fragment contributes
-// once no matter how many attempts ran (see docs/observability.md). ---
+// Counts COMMITTED work only: only a fragment's successful attempt
+// flushes, so a retried fragment contributes once no matter how many
+// attempts ran (see docs/observability.md). ---
 inline constexpr char kSnmWindows[] = "snm.windows";
 inline constexpr char kSnmComparisons[] = "snm.comparisons";
 inline constexpr char kSnmMatches[] = "snm.matches";
@@ -51,17 +50,12 @@ inline constexpr char kClosurePathCompressions[] =
     "closure.path_compressions";
 inline constexpr char kClosureUs[] = "closure.us";           // Histogram.
 
-// --- Parallel executors (src/parallel). ---
+// --- Fragment scans (src/parallel/fragment_scan): committed fragments,
+// re-attempts after a failed or throwing attempt, and fragments that
+// exhausted their attempts. ---
 inline constexpr char kParallelTasks[] = "parallel.tasks";
-inline constexpr char kParallelWorkerTasksPrefix[] =
-    "parallel.worker_tasks.";                                // + worker id.
-
-// --- ResilientRunner fault-tolerance accounting. ---
 inline constexpr char kResilientRetries[] = "resilient.retries";
-inline constexpr char kResilientSpeculations[] = "resilient.speculations";
 inline constexpr char kResilientExhausted[] = "resilient.exhausted";
-inline constexpr char kResilientQueueWaitUs[] =
-    "resilient.queue_wait_us";                               // Histogram.
 
 // --- Fault injection (src/util/fault_injector). ---
 inline constexpr char kFaultsTripped[] = "faults.tripped";

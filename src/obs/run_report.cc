@@ -17,9 +17,9 @@ void PreregisterStandardMetrics(MetricsRegistry& registry) {
         mn::kSnmMatches, mn::kSnmPasses, mn::kRulesDistanceCalls,
         mn::kRulesEarlyExits, mn::kClosureUnions, mn::kClosureUnionCalls,
         mn::kClosurePathCompressions, mn::kParallelTasks,
-        mn::kResilientRetries, mn::kResilientSpeculations,
-        mn::kResilientExhausted, mn::kFaultsTripped, mn::kCheckpointSaves,
-        mn::kCheckpointLoads, mn::kCheckpointInvalidations,
+        mn::kResilientRetries, mn::kResilientExhausted, mn::kFaultsTripped,
+        mn::kCheckpointSaves, mn::kCheckpointLoads,
+        mn::kCheckpointInvalidations,
         mn::kServiceConnections, mn::kServiceConnectionsRejected,
         mn::kServiceRequests, mn::kServiceMatchRequests,
         mn::kServiceUpsertRequests, mn::kServiceUpsertRecords,
@@ -35,8 +35,7 @@ void PreregisterStandardMetrics(MetricsRegistry& registry) {
   }
   for (const char* name :
        {mn::kSnmScanUs, mn::kSnmSortUs, mn::kClosureUs,
-        mn::kResilientQueueWaitUs, mn::kServiceRequestUs,
-        mn::kServiceMatchUs, mn::kServiceUpsertUs, mn::kServiceQueueWaitUs,
+        mn::kServiceRequestUs, mn::kServiceMatchUs, mn::kServiceUpsertUs, mn::kServiceQueueWaitUs,
         mn::kServiceClientRequestUs, mn::kServiceClientMatchUs,
         mn::kServiceClientUpsertUs, mn::kServiceWalAppendUs,
         mn::kServiceSnapshotWriteUs, mn::kServiceRecoveryUs,

@@ -16,30 +16,18 @@ namespace mergepurge {
 // already includes the replicated band from the previous fragment;
 // `fresh` is the first position the fragment owns. Records in
 // [begin, fresh) are window context only: the previous fragment has
-// already compared them with each other.
+// already compared them with each other. A clustering pass's fragment is
+// one whole cluster, with no band (begin == fresh).
 struct Fragment {
   size_t begin = 0;
   size_t fresh = 0;
   size_t end = 0;
-
-  size_t size() const { return end - begin; }
 };
 
 // Splits n positions into at most p fragments of near-equal size, each
 // extended backwards by w-1 replicated positions (except the first).
 // Returns fewer than p fragments when n is too small to populate them.
 std::vector<Fragment> MakeOverlappingFragments(size_t n, size_t p, size_t w);
-
-// The paper's memory-bounded variant: the coordinator streams blocks of at
-// most m records (again overlapping by w-1) and deals them round-robin to
-// p sites; site s processes blocks s, s+p, s+2p, ... Returns the per-site
-// block lists. m is clamped to at least 2*(w-1) so the fresh regions tile
-// the input (scanning the blocks independently then reproduces the global
-// window scan exactly).
-std::vector<std::vector<Fragment>> MakeBlockCyclicFragments(size_t n,
-                                                            size_t p,
-                                                            size_t m,
-                                                            size_t w);
 
 }  // namespace mergepurge
 

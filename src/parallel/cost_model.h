@@ -13,16 +13,16 @@
 //    sort comparison cost ratio) are fitted from a measured serial pass.
 //
 // 2. SimulatedCluster — a discrete shared-nothing cluster model for the
-//    parallel experiments (paper §4, figure 6). The host machine has one
-//    core, so wall-clock speedup cannot be measured; instead the model is
+//    parallel experiments (paper §4, figure 6). One shared-memory host
+//    cannot measure the paper's 8-node cluster, so the model is
 //    calibrated from measured serial phase costs and composes them the way
 //    the paper's HP-cluster implementation does: a serial coordinator
-//    broadcast, parallel local sorts, a P-way merge at the coordinator,
-//    and parallel window scans. This reproduces figure 6's sublinear
-//    speedup shape. Functional correctness of the parallel algorithms is
-//    established separately by the thread-based executors (parallel_snm,
-//    parallel_clustering), which produce pair sets identical to the serial
-//    runs.
+//    broadcast (with the block-cyclic deal of §4.1), parallel local sorts,
+//    a P-way merge at the coordinator, LPT-balanced clusters, and parallel
+//    window scans. This reproduces figure 6's sublinear speedup shape.
+//    Functional correctness of the parallel algorithms is established
+//    separately by the thread-based fragment scan (fragment_scan.h), whose
+//    passes of either method equal the serial runs exactly.
 
 #ifndef MERGEPURGE_PARALLEL_COST_MODEL_H_
 #define MERGEPURGE_PARALLEL_COST_MODEL_H_

@@ -1,28 +1,31 @@
-// The one fragment-scan path of the parallel sorted-neighborhood method
-// (paper §4.1): every banded fragment of every sorted order is one task of
-// one ResilientRunner, so a multi-pass run scans all of its passes on one
-// worker pool ("the independent runs ... on 3P processors") and the most
-// expensive pass never leaves a core idle. ParallelSnm (one key) and
-// MultiPass (every key) both scan through ScanFragments.
+// The one pass executor of both methods' parallel forms (paper §4): every
+// fragment of every pass's record order is one task on one worker pool,
+// so a multi-pass run scans all of its passes together ("the independent
+// runs ... on 3P processors") and the most expensive pass never leaves a
+// core idle. A sorted-neighborhood pass contributes banded fragments of
+// its sorted list (§4.1); a clustering pass contributes one unbanded
+// fragment per cluster (§4.2). MultiPass::Run is the caller.
 
 #ifndef MERGEPURGE_PARALLEL_FRAGMENT_SCAN_H_
 #define MERGEPURGE_PARALLEL_FRAGMENT_SCAN_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "core/pair_set.h"
 #include "core/window_scanner.h"
 #include "parallel/coordinator.h"
-#include "parallel/resilient_runner.h"
 #include "record/dataset.h"
 #include "rules/equational_theory.h"
 #include "util/status.h"
 
 namespace mergepurge {
 
-// One sorted order (a pass's tuple ids in key order) cut into banded
-// fragments that together cover it.
+// Attempts each fragment gets before the call gives it up.
+inline constexpr size_t kMaxAttempts = 4;
+
+// One record order (a pass's tuple ids) cut into fragments that together
+// cover the positions to scan.
 struct FragmentScanJob {
   const std::vector<TupleId>* order = nullptr;
   std::vector<Fragment> fragments;
@@ -40,24 +43,24 @@ struct FragmentScanResult {
 
 struct FragmentScanReport {
   std::vector<FragmentScanResult> jobs;  // One per job, in job order.
-  // Scan time per virtual worker (for load-balance reporting).
-  std::vector<double> worker_busy_seconds;
-  uint64_t retries = 0;
-  uint64_t speculations = 0;
-  // OK, or the runner's PartialFailure naming the unprocessed tasks.
+  // OK, or PartialFailure naming the fragments that exhausted their
+  // attempts.
   Status status;
 };
 
-// Scans every fragment of every job with `window`, each attempt with its
-// own theory from `theory_factory`, on resilience.num_workers threads.
-// Each task checks the parallel.fragment_scan fault point, buffers its
-// matches, and on commit flushes its scan and rule metrics, so retried or
-// speculative attempts count once. The pair sets are built on the calling
-// thread after the pool drains.
+// Scans every fragment of every job with `window` on a pool of `workers`
+// threads. Each fragment is one task that makes up to kMaxAttempts
+// attempts, each with its own theory from `theory_factory`; an attempt
+// checks the parallel.fragment_scan fault point, and one that fails or
+// throws publishes nothing and queues the fragment's next attempt behind
+// every task already queued. The attempt that succeeds stores the
+// fragment's matches and flushes its scan and rule metrics, so counters
+// cover committed work exactly once. The pair sets are built on the
+// calling thread after the pool drains.
 FragmentScanReport ScanFragments(const Dataset& dataset, size_t window,
                                  const std::vector<FragmentScanJob>& jobs,
                                  const TheoryFactory& theory_factory,
-                                 const ResilientOptions& resilience);
+                                 size_t workers);
 
 }  // namespace mergepurge
 

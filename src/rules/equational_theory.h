@@ -38,8 +38,8 @@ class EquationalTheory {
   // distance calls, early exits) to the global MetricsRegistry and clears
   // the local accumulators. Theories batch stats in plain members —
   // instances are not shared across threads — and the pipeline flushes
-  // at pass boundaries (serial) or task commit (parallel), so retried or
-  // speculative executions that were abandoned never reach the registry.
+  // at pass boundaries (serial) or after a fragment's successful attempt
+  // (parallel), so failed attempts never reach the registry.
   // Default: theory exposes no rule-level metrics.
   virtual void FlushMetrics() const {}
 

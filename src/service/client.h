@@ -46,8 +46,8 @@ class ServiceClient {
 };
 
 // Retry schedule for transient failures (connection refused while a
-// server restarts, ECONNRESET, a peer close mid-response). Same shape as
-// ResilientRunner's backoff: the delay before attempt k (k >= 2) is
+// server restarts, ECONNRESET, a peer close mid-response). Capped
+// exponential backoff: the delay before attempt k (k >= 2) is
 // min(base * mult^(k-2), cap) plus jitter drawn uniformly from
 // [0, base).
 struct RetryOptions {

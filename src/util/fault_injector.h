@@ -35,7 +35,6 @@ namespace mergepurge {
 // Canonical fault-point names used by library code.
 namespace fault_points {
 inline constexpr char kFragmentScan[] = "parallel.fragment_scan";
-inline constexpr char kClusterSnm[] = "parallel.cluster_snm";
 inline constexpr char kSortSpill[] = "sort.spill";
 inline constexpr char kPairsWrite[] = "io.pairs_write";
 // Durability crash points (service WAL + snapshot paths). Each models

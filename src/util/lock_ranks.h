@@ -50,8 +50,6 @@ inline constexpr int kSnapshotter = 80;
 inline constexpr int kCoordLeaf = 90;
 
 // --- Parallel batch engine ---------------------------------------------------
-// ResilientRunner::RunContext::mu: per-run task states and counters.
-inline constexpr int kResilientRun = 100;
 // ThreadPool::mu_: the task queue; released while a task runs.
 inline constexpr int kThreadPool = 110;
 
@@ -83,7 +81,6 @@ inline constexpr const char* LockRankName(int rank) {
     case kWal: return "WalWriter::mu_";
     case kSnapshotter: return "Snapshotter::mu_";
     case kCoordLeaf: return "CoordService leaf (routing/closure/pool)";
-    case kResilientRun: return "ResilientRunner::RunContext::mu";
     case kThreadPool: return "ThreadPool::mu_";
     case kFaultInjector: return "FaultInjector::mu_";
     case kSnapshotRing: return "SnapshotRing::mu_";

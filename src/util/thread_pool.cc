@@ -41,19 +41,20 @@ void ThreadPool::Submit(std::function<void()> task) {
   task_available_.NotifyOne();
 }
 
+void ThreadPool::SubmitAll(std::vector<std::function<void()>> tasks) {
+  {
+    MutexLock lock(mu_);
+    for (std::function<void()>& task : tasks) {
+      queue_.push_back(std::move(task));
+    }
+    in_flight_ += tasks.size();
+  }
+  task_available_.NotifyAll();
+}
+
 void ThreadPool::Wait() {
   MutexLock lock(mu_);
   while (in_flight_ != 0) all_done_.Wait(mu_);
-}
-
-size_t ThreadPool::exceptions_caught() const {
-  MutexLock lock(mu_);
-  return exceptions_caught_;
-}
-
-std::string ThreadPool::first_exception_message() const {
-  MutexLock lock(mu_);
-  return first_exception_message_;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -69,25 +70,13 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    std::string exception_message;
-    bool threw = false;
     try {
       task();
-    } catch (const std::exception& e) {
-      threw = true;
-      exception_message = e.what();
     } catch (...) {
-      threw = true;
-      exception_message = "unknown exception";
+      // The pool survives; see Submit().
     }
     {
       MutexLock lock(mu_);
-      if (threw) {
-        if (exceptions_caught_ == 0) {
-          first_exception_message_ = std::move(exception_message);
-        }
-        ++exceptions_caught_;
-      }
       --in_flight_;
       if (in_flight_ == 0) all_done_.NotifyAll();
     }

@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,22 +33,19 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Enqueues a task. A task that throws is caught by the worker (the pool
-  // survives); the count and first exception message are retrievable via
-  // exceptions_caught() / first_exception_message().
+  // Enqueues a task. A task that throws is caught by the worker, so the
+  // pool survives; a task that must report failure catches its own.
   void Submit(std::function<void()> task);
+
+  // Enqueues every task of `tasks` under one lock, so no worker starts one
+  // before the last is queued. A running task may Submit more (a retry, at
+  // the back of the queue); Wait() also waits for those.
+  void SubmitAll(std::vector<std::function<void()>> tasks);
 
   // Blocks until every submitted task has finished executing.
   void Wait();
 
   size_t num_threads() const { return workers_.size(); }
-
-  // Number of tasks that exited via an exception since construction.
-  size_t exceptions_caught() const;
-
-  // what() of the first caught exception ("" if none; "unknown exception"
-  // for non-std::exception throws).
-  std::string first_exception_message() const;
 
  private:
   void WorkerLoop();
@@ -60,8 +56,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ MERGEPURGE_GUARDED_BY(mu_);
   size_t in_flight_ MERGEPURGE_GUARDED_BY(mu_) = 0;
   bool shutting_down_ MERGEPURGE_GUARDED_BY(mu_) = false;
-  size_t exceptions_caught_ MERGEPURGE_GUARDED_BY(mu_) = 0;
-  std::string first_exception_message_ MERGEPURGE_GUARDED_BY(mu_);
   std::vector<std::thread> workers_;
 };
 

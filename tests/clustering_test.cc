@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -228,16 +229,36 @@ TEST_F(ClusteringMethodTest, FullKeyAblationStaysComparable) {
               10.0);
 }
 
-TEST_F(ClusteringMethodTest, ClusterStatsPopulated) {
+TEST_F(ClusteringMethodTest, ClusterOrderPartitionsAndSortsEveryRecord) {
   ClusteringOptions options;
   options.num_clusters = 16;
-  ClusteringMethod method(options);
-  auto pass = method.Run(dataset_, LastNameKey(), theory_);
-  ASSERT_TRUE(pass.ok());
-  const ClusterStats& stats = method.last_cluster_stats();
-  EXPECT_EQ(stats.num_clusters, 16u);
-  EXPECT_GT(stats.largest_cluster, 0u);
-  EXPECT_LE(stats.largest_cluster, dataset_.size());
+  PassResult timings;
+  auto clustered = ClusterOrder(dataset_, LastNameKey(), options, &timings);
+  ASSERT_TRUE(clustered.ok()) << clustered.status().ToString();
+  const std::vector<size_t>& bounds = clustered->bounds;
+  ASSERT_EQ(bounds.size(), 17u);
+  EXPECT_EQ(bounds.front(), 0u);
+  EXPECT_EQ(bounds.back(), dataset_.size());
+
+  // Every record appears once, and each cluster is sorted by the fixed
+  // cluster key (ties by tuple id).
+  std::vector<TupleId> sorted = clustered->order;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t t = 0; t < sorted.size(); ++t) EXPECT_EQ(sorted[t], t);
+  const std::vector<std::string> keys =
+      KeyBuilder(LastNameKey().FixedWidth(options.fixed_key_prefix))
+          .BuildKeys(dataset_);
+  size_t largest = 0;
+  for (size_t c = 0; c + 1 < bounds.size(); ++c) {
+    ASSERT_LE(bounds[c], bounds[c + 1]);
+    largest = std::max(largest, bounds[c + 1] - bounds[c]);
+    for (size_t i = bounds[c] + 1; i < bounds[c + 1]; ++i) {
+      const TupleId a = clustered->order[i - 1];
+      const TupleId b = clustered->order[i];
+      EXPECT_TRUE(keys[a] < keys[b] || (keys[a] == keys[b] && a < b));
+    }
+  }
+  EXPECT_LT(largest, dataset_.size());
 }
 
 TEST_F(ClusteringMethodTest, RejectsBadOptions) {

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
+#include <new>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -267,19 +270,23 @@ Dataset ConditionedDatabase(uint64_t seed) {
   return std::move(db->dataset);
 }
 
-// Serial SortedNeighborhood::Run per key, then TransitiveClosure: what
-// every multi-pass result must equal exactly.
+// The serial method's pass per key (SortedNeighborhood::Run, or
+// ClusteringMethod::Run when `clustering` is given), then
+// TransitiveClosure: what every multi-pass result must equal exactly.
 struct SerialReference {
   std::vector<PassResult> passes;
   std::vector<uint32_t> component_of;
 };
 
-SerialReference RunSerially(const Dataset& dataset, size_t window) {
+SerialReference RunSerially(const Dataset& dataset, size_t window,
+                            const ClusteringOptions* clustering = nullptr) {
   SerialReference reference;
   std::vector<const PairSet*> pair_sets;
   for (const KeySpec& key : StandardThreeKeys()) {
     EmployeeTheory theory;
-    auto pass = SortedNeighborhood(window).Run(dataset, key, theory);
+    auto pass = clustering != nullptr
+                    ? ClusteringMethod(*clustering).Run(dataset, key, theory)
+                    : SortedNeighborhood(window).Run(dataset, key, theory);
     EXPECT_TRUE(pass.ok());
     reference.passes.push_back(std::move(*pass));
   }
@@ -325,6 +332,33 @@ TEST_P(EngineEquivalenceTest, ParallelPassesEqualSerialPassesAndClosure) {
 
 INSTANTIATE_TEST_SUITE_P(GeneratorSeeds, EngineEquivalenceTest,
                          ::testing::Values(7u, 1234u, 20240707u));
+
+// MultiPass's clustering passes (one fragment per cluster on the worker
+// pool) against serial ClusteringMethod::Run, with the paper's fixed
+// cluster key and with the full-key ablation.
+class ClusteringEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(ClusteringEquivalenceTest, ParallelPassesEqualSerialPasses) {
+  const auto [seed, full_key] = GetParam();
+  const Dataset dataset = ConditionedDatabase(seed);
+  ClusteringOptions options;
+  options.num_clusters = 12;
+  options.window = 10;
+  options.sort_with_full_key = full_key;
+  const SerialReference reference = RunSerially(dataset, 10, &options);
+
+  EmployeeTheory theory;
+  auto result = MultiPass(MultiPass::Method::kClustering, 10, options)
+                    .Run(dataset, StandardThreeKeys(), theory);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectEqualsSerial(*result, reference);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GeneratorSeedsAndSortKeys, ClusteringEquivalenceTest,
+    ::testing::Combine(::testing::Values(7u, 1234u, 20240707u),
+                       ::testing::Bool()));
 
 class MultiPassFaultTest : public ::testing::Test {
  protected:
@@ -393,6 +427,50 @@ TEST_F(MultiPassFaultTest, ExhaustedRetriesFailWithoutCheckpoints) {
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
   EXPECT_EQ(rerun->passes_resumed, 0u);
   ExpectEqualsSerial(*rerun, RunSerially(dataset_, 10));
+}
+
+// The employee theory, except that any comparison involving one record
+// throws std::bad_alloc, on every attempt.
+class ThrowingTheory final : public EquationalTheory {
+ public:
+  explicit ThrowingTheory(const Record* poison) : poison_(poison) {}
+  bool Matches(const Record& a, const Record& b) const override {
+    if (&a == poison_ || &b == poison_) throw std::bad_alloc();
+    return inner_.Matches(a, b);
+  }
+  uint64_t comparison_count() const override {
+    return inner_.comparison_count();
+  }
+  std::unique_ptr<EquationalTheory> Clone() const override {
+    return std::make_unique<ThrowingTheory>(poison_);
+  }
+
+ private:
+  const Record* poison_;
+  EmployeeTheory inner_;
+};
+
+TEST_F(MultiPassFaultTest, ThrowingComparisonFailsTheRunInsteadOfHanging) {
+  const ThrowingTheory theory(&dataset_.record(700));
+  for (MultiPass::Method method : {MultiPass::Method::kSortedNeighborhood,
+                                   MultiPass::Method::kClustering}) {
+    MetricsRegistry::Global().Reset();
+    auto result = MultiPass(method, 10).Run(dataset_, StandardThreeKeys(),
+                                            theory, dir_.string());
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kPartialFailure);
+    EXPECT_NE(result.status().message().find("bad_alloc"), std::string::npos)
+        << result.status().message();
+    // Every pass scans record 700 somewhere, so no pass is checkpointed.
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(ReadPassManifest(dir_.string(), i).status().code(),
+                StatusCode::kNotFound)
+          << "pass " << i;
+    }
+    EXPECT_GT(MetricsRegistry::Global().Snapshot().counter(
+                  metric_names::kResilientExhausted),
+              0u);
+  }
 }
 
 }  // namespace

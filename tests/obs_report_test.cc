@@ -1,7 +1,7 @@
 // RunReport + pipeline instrumentation: the standard catalog is
-// pre-registered at zero, a fault-injected parallel run reports nonzero
+// pre-registered at zero, a fault-injected multi-pass run reports nonzero
 // resilient.retries / faults.tripped while producing exactly the
-// fault-free pair set, and committed counters are exactly-once (retried
+// fault-free pair sets, and committed counters are exactly-once (retried
 // fragments do not double-count comparisons).
 
 #include <memory>
@@ -17,7 +17,6 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
-#include "parallel/parallel_snm.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
 #include "util/fault_injector.h"
@@ -107,16 +106,17 @@ class FaultedRunMetricsTest : public ::testing::Test {
   void TearDown() override { FaultInjector::Global().Reset(); }
 
   Dataset dataset_;
-  const TheoryFactory factory_ = EmployeeTheory::Factory();
+  EmployeeTheory theory_;
 };
 
 TEST_F(FaultedRunMetricsTest, FaultedRunReportsRetriesAndSamePairs) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  ParallelSnm parallel(4, 10);
+  MultiPass multipass(MultiPass::Method::kSortedNeighborhood, 10);
+  const std::vector<KeySpec> keys = StandardThreeKeys();
 
   // Baseline: clean parallel run; note committed comparison count.
   registry.Reset();
-  auto clean = parallel.Run(dataset_, LastNameKey(), factory_);
+  auto clean = multipass.Run(dataset_, keys, theory_);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   MetricsSnapshot clean_snap = registry.Snapshot();
   ASSERT_EQ(clean_snap.counter(mn::kResilientRetries), 0u);
@@ -125,24 +125,25 @@ TEST_F(FaultedRunMetricsTest, FaultedRunReportsRetriesAndSamePairs) {
       clean_snap.counter(mn::kSnmComparisons);
   ASSERT_GT(clean_comparisons, 0u);
 
-  // Faulted: every fragment's first scan attempt fails; the run must
-  // retry, trip fault points, and still commit the identical pair set.
+  // Faulted: the first four scan attempts fail; the run must retry, trip
+  // fault points, and still commit the identical pair sets.
   registry.Reset();
   FaultInjectorGuard guard;
   FaultInjector::Global().Arm(fault_points::kFragmentScan,
                               FaultSchedule::FailN(4));
-  auto faulted = parallel.Run(dataset_, LastNameKey(), factory_);
+  auto faulted = multipass.Run(dataset_, keys, theory_);
   ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
 
   MetricsSnapshot faulted_snap = registry.Snapshot();
   EXPECT_GT(faulted_snap.counter(mn::kResilientRetries), 0u);
   EXPECT_GT(faulted_snap.counter(mn::kFaultsTripped), 0u);
 
-  // Same pair set as the clean run.
-  EXPECT_EQ(faulted->pairs.size(), clean->pairs.size());
-  clean->pairs.ForEach([&](TupleId a, TupleId b) {
-    EXPECT_TRUE(faulted->pairs.Contains(a, b));
-  });
+  // Same pair sets as the clean run.
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(faulted->passes[i].pairs.ToSortedVector(),
+              clean->passes[i].pairs.ToSortedVector());
+  }
+  EXPECT_EQ(faulted->component_of, clean->component_of);
 
   // Exactly-once: failed attempts flush nothing, so the committed
   // comparison count matches the clean run despite the retries.

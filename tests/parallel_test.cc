@@ -1,7 +1,7 @@
 // Parallel implementations: fragmentation coverage properties, LPT load
-// balancing, and the key correctness property — the parallel executors
-// produce EXACTLY the serial pair sets (the replicated bands make the
-// fragmentation invisible, paper figure 5).
+// balancing, the cost models, and the key correctness property — the
+// fragment scan produces EXACTLY the serial passes of both methods (the
+// replicated bands make the fragmentation invisible, paper figure 5).
 
 #include <algorithm>
 #include <cmath>
@@ -19,9 +19,8 @@
 #include "keys/standard_keys.h"
 #include "parallel/coordinator.h"
 #include "parallel/cost_model.h"
+#include "parallel/fragment_scan.h"
 #include "parallel/load_balance.h"
-#include "parallel/parallel_clustering.h"
-#include "parallel/parallel_snm.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
 
@@ -57,87 +56,6 @@ TEST(FragmentsTest, WindowLargerThanFragment) {
     EXPECT_LE(f.end, 10u);
   }
   EXPECT_EQ(fragments.back().end, 10u);
-}
-
-TEST(BlockCyclicTest, BlocksTileWithBands) {
-  auto per_site = MakeBlockCyclicFragments(100, 3, 20, 5);
-  ASSERT_EQ(per_site.size(), 3u);
-  // Collect all blocks, verify stride m-(w-1)=16 and full coverage.
-  std::vector<Fragment> blocks;
-  for (const auto& site_blocks : per_site) {
-    blocks.insert(blocks.end(), site_blocks.begin(), site_blocks.end());
-  }
-  std::sort(blocks.begin(), blocks.end(),
-            [](const Fragment& a, const Fragment& b) {
-              return a.begin < b.begin;
-            });
-  EXPECT_EQ(blocks.front().begin, 0u);
-  EXPECT_EQ(blocks.back().end, 100u);
-  for (size_t i = 1; i < blocks.size(); ++i) {
-    EXPECT_EQ(blocks[i].begin, blocks[i - 1].begin + 16);
-    // Overlap of w-1 = 4 positions.
-    EXPECT_EQ(blocks[i - 1].end - blocks[i].begin, 4u);
-  }
-}
-
-TEST(BlockCyclicTest, InputSmallerThanWindow) {
-  // n < w: everything fits in one block; no bands are possible.
-  auto per_site = MakeBlockCyclicFragments(5, 3, 20, 10);
-  size_t blocks = 0;
-  size_t covered_end = 0;
-  for (const auto& site : per_site) {
-    for (const Fragment& block : site) {
-      ++blocks;
-      EXPECT_EQ(block.begin, 0u);
-      covered_end = std::max(covered_end, block.end);
-    }
-  }
-  EXPECT_EQ(blocks, 1u);
-  EXPECT_EQ(covered_end, 5u);
-}
-
-TEST(BlockCyclicTest, BlockSizeBelowClampIsRaised) {
-  // m below 2*(w-1) would drop boundary pairs; the coordinator raises it
-  // to the clamp, so every stride is m_eff - (w-1) >= w-1.
-  auto per_site = MakeBlockCyclicFragments(200, 3, 2, 8);
-  std::vector<Fragment> blocks;
-  for (const auto& site : per_site) {
-    blocks.insert(blocks.end(), site.begin(), site.end());
-  }
-  std::sort(blocks.begin(), blocks.end(),
-            [](const Fragment& a, const Fragment& b) {
-              return a.begin < b.begin;
-            });
-  ASSERT_FALSE(blocks.empty());
-  EXPECT_EQ(blocks.front().begin, 0u);
-  EXPECT_EQ(blocks.back().end, 200u);
-  for (size_t i = 1; i < blocks.size(); ++i) {
-    // Consecutive blocks overlap by exactly w-1 = 7 positions.
-    EXPECT_EQ(blocks[i - 1].end - blocks[i].begin, 7u);
-    EXPECT_GE(blocks[i - 1].size(), 14u);  // Clamped to 2*(w-1).
-  }
-}
-
-TEST(BlockCyclicTest, MoreProcessorsThanRecords) {
-  // p > n: extra sites simply receive no blocks; coverage is unaffected.
-  auto per_site = MakeBlockCyclicFragments(6, 16, 20, 3);
-  ASSERT_EQ(per_site.size(), 16u);
-  size_t blocks = 0;
-  size_t covered_end = 0;
-  for (const auto& site : per_site) {
-    for (const Fragment& block : site) {
-      ++blocks;
-      covered_end = std::max(covered_end, block.end);
-      EXPECT_LE(block.end, 6u);
-    }
-  }
-  EXPECT_GE(blocks, 1u);
-  EXPECT_EQ(covered_end, 6u);
-}
-
-TEST(BlockCyclicTest, ZeroRecordsYieldsNoBlocks) {
-  auto per_site = MakeBlockCyclicFragments(0, 4, 20, 5);
-  for (const auto& site : per_site) EXPECT_TRUE(site.empty());
 }
 
 // --- LPT. ---
@@ -193,7 +111,29 @@ TEST(LptTest, AssignmentIndicesValid) {
   for (uint32_t p : result.assignment) EXPECT_LT(p, 3u);
 }
 
-// --- Parallel == serial equivalence. ---
+TEST(LptTest, BalancesClusterOrderSizes) {
+  // The cost model's load-balance input: LPT over the clustering
+  // method's cluster sizes (paper §4.2, 10 clusters per processor).
+  GeneratorConfig config;
+  config.num_records = 800;
+  config.seed = 9;
+  auto db = DatabaseGenerator(config).Generate();
+  ASSERT_TRUE(db.ok());
+  ConditionEmployeeDataset(&db->dataset);
+
+  ClusteringOptions options;
+  options.num_clusters = 10 * 4;
+  PassResult timings;
+  auto clustered = ClusterOrder(db->dataset, LastNameKey(), options, &timings);
+  ASSERT_TRUE(clustered.ok()) << clustered.status().ToString();
+  const LoadBalanceResult balance = LptAssign(clustered->Sizes(), 4);
+  EXPECT_EQ(balance.loads.size(), 4u);
+  EXPECT_GE(balance.imbalance, 1.0);
+  EXPECT_LT(balance.imbalance, 2.0);
+}
+
+// --- Parallel == serial equivalence: ScanFragments over either method's
+// fragments reproduces the serial pass exactly. ---
 
 class ParallelEquivalenceTest : public ::testing::TestWithParam<size_t> {
  protected:
@@ -209,119 +149,62 @@ class ParallelEquivalenceTest : public ::testing::TestWithParam<size_t> {
     ConditionEmployeeDataset(&dataset_);
   }
 
+  // Scans `job` on GetParam() workers and expects the serial pass.
+  void ExpectSerialPass(const FragmentScanJob& job, const PassResult& serial) {
+    FragmentScanReport report =
+        ScanFragments(dataset_, 10, {job}, factory_, GetParam());
+    ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+    const FragmentScanResult& result = report.jobs[0];
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(result.pairs.ToSortedVector(), serial.pairs.ToSortedVector());
+    // The bands are context only: no boundary pair is compared twice.
+    EXPECT_EQ(result.stats.windows, serial.windows);
+    EXPECT_EQ(result.stats.comparisons, serial.comparisons);
+    EXPECT_EQ(result.stats.matches, serial.matches);
+  }
+
   Dataset dataset_;
   const TheoryFactory factory_ = EmployeeTheory::Factory();
 };
 
 TEST_P(ParallelEquivalenceTest, SnmMatchesSerialExactly) {
-  const size_t processors = GetParam();
   EmployeeTheory serial_theory;
   auto serial =
       SortedNeighborhood(10).Run(dataset_, LastNameKey(), serial_theory);
   ASSERT_TRUE(serial.ok());
 
-  ParallelSnm parallel(processors, 10);
-  auto result = parallel.Run(dataset_, LastNameKey(), factory_);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  EXPECT_EQ(result->pairs.size(), serial->pairs.size());
-  serial->pairs.ForEach([&](TupleId a, TupleId b) {
-    EXPECT_TRUE(result->pairs.Contains(a, b));
-  });
-  // The bands are context only: no boundary pair is compared twice.
-  EXPECT_EQ(result->comparisons, serial->comparisons);
-  EXPECT_EQ(result->matches, serial->matches);
-}
-
-TEST_P(ParallelEquivalenceTest, BlockCyclicSnmMatchesSerialExactly) {
-  const size_t processors = GetParam();
-  EmployeeTheory serial_theory;
-  auto serial =
-      SortedNeighborhood(10).Run(dataset_, LastNameKey(), serial_theory);
-  ASSERT_TRUE(serial.ok());
-
-  // Block-cyclic coordinator deal with small memory blocks.
-  ParallelSnm parallel(processors, 10, /*block_records=*/64);
-  auto result = parallel.Run(dataset_, LastNameKey(), factory_);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  EXPECT_EQ(result->pairs.size(), serial->pairs.size());
-  serial->pairs.ForEach([&](TupleId a, TupleId b) {
-    EXPECT_TRUE(result->pairs.Contains(a, b));
-  });
-  // The bands are context only: no boundary pair is compared twice.
-  EXPECT_EQ(result->comparisons, serial->comparisons);
-  EXPECT_EQ(result->matches, serial->matches);
-}
-
-TEST(BlockCyclicTest, TinyBlocksClampedForCoverage) {
-  // Blocks smaller than 2*(w-1) would lose boundary pairs; the coordinator
-  // clamps them.
-  auto per_site = MakeBlockCyclicFragments(100, 2, 4, 10);
-  for (const auto& site : per_site) {
-    for (const Fragment& block : site) {
-      EXPECT_GE(block.size(), 9u);  // >= 2*(w-1), or the tail remainder.
-    }
+  const std::vector<TupleId> order =
+      SortedNeighborhood::SortByKey(dataset_, LastNameKey());
+  // One fragment per worker, and many small ones (the bands then cover a
+  // large share of each fragment).
+  for (size_t fragments : {GetParam(), size_t{37}}) {
+    FragmentScanJob job;
+    job.order = &order;
+    job.fragments = MakeOverlappingFragments(order.size(), fragments, 10);
+    ExpectSerialPass(job, *serial);
   }
 }
 
-TEST_P(ParallelEquivalenceTest, ClusteringMatchesSerialPairSet) {
-  const size_t processors = GetParam();
-  // Serial clustering with the same TOTAL cluster count as the parallel
-  // run (C per processor * P).
-  ClusteringOptions serial_options;
-  serial_options.num_clusters = 8 * processors;
-  serial_options.window = 10;
+TEST_P(ParallelEquivalenceTest, ClusteringMatchesSerialExactly) {
+  ClusteringOptions options;
+  options.num_clusters = 8 * GetParam();
+  options.window = 10;
   EmployeeTheory serial_theory;
-  auto serial = ClusteringMethod(serial_options)
-                    .Run(dataset_, LastNameKey(), serial_theory);
+  auto serial =
+      ClusteringMethod(options).Run(dataset_, LastNameKey(), serial_theory);
   ASSERT_TRUE(serial.ok());
 
-  ClusteringOptions parallel_options;
-  parallel_options.num_clusters = 8;  // Per processor.
-  parallel_options.window = 10;
-  ParallelClustering parallel(processors, parallel_options);
-  auto result = parallel.Run(dataset_, LastNameKey(), factory_);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  EXPECT_EQ(result->pairs.size(), serial->pairs.size());
-  serial->pairs.ForEach([&](TupleId a, TupleId b) {
-    EXPECT_TRUE(result->pairs.Contains(a, b));
-  });
+  PassResult timings;
+  auto clustered = ClusterOrder(dataset_, LastNameKey(), options, &timings);
+  ASSERT_TRUE(clustered.ok()) << clustered.status().ToString();
+  FragmentScanJob job;
+  job.order = &clustered->order;
+  job.fragments = clustered->Fragments();
+  ExpectSerialPass(job, *serial);
 }
 
-INSTANTIATE_TEST_SUITE_P(Processors, ParallelEquivalenceTest,
+INSTANTIATE_TEST_SUITE_P(Workers, ParallelEquivalenceTest,
                          ::testing::Values(1, 2, 3, 4, 7));
-
-TEST(ParallelSnmTest, RejectsTinyWindow) {
-  Dataset d(employee::MakeSchema());
-  ParallelSnm parallel(2, 1);
-  auto result = parallel.Run(d, LastNameKey(), [] {
-    return std::make_unique<EmployeeTheory>();
-  });
-  EXPECT_FALSE(result.ok());
-}
-
-TEST(ParallelClusteringTest, ReportsBalance) {
-  GeneratorConfig config;
-  config.num_records = 800;
-  config.seed = 9;
-  auto db = DatabaseGenerator(config).Generate();
-  ASSERT_TRUE(db.ok());
-  ConditionEmployeeDataset(&db->dataset);
-
-  ClusteringOptions options;
-  options.num_clusters = 10;
-  ParallelClustering parallel(4, options);
-  auto result = parallel.Run(db->dataset, LastNameKey(), [] {
-    return std::make_unique<EmployeeTheory>();
-  });
-  ASSERT_TRUE(result.ok());
-  const LoadBalanceResult& balance = parallel.last_balance();
-  EXPECT_EQ(balance.loads.size(), 4u);
-  EXPECT_GE(balance.imbalance, 1.0);
-  EXPECT_LT(balance.imbalance, 2.0);
-}
 
 // --- Cost models. ---
 

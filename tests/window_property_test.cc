@@ -91,39 +91,6 @@ TEST_P(BandInvariantTest, OverlappingFragmentsReproduceGlobalScan) {
   });
 }
 
-TEST_P(BandInvariantTest, BlockCyclicReproducesGlobalScan) {
-  auto [n, w, p] = GetParam();
-  Dataset d = IdDataset(n);
-  std::vector<TupleId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-
-  ModTheory theory(7);
-  WindowScanner scanner(w);
-  PairSet global;
-  const ScanStats global_stats = scanner.Scan(d, order, theory, &global);
-
-  // Deliberately small blocks (clamped internally to 2*(w-1)).
-  std::vector<std::pair<TupleId, TupleId>> matches;
-  ScanStats stats;
-  for (const auto& site : MakeBlockCyclicFragments(n, p, w + 3, w)) {
-    for (const Fragment& block : site) {
-      stats += scanner.ScanRange(d, order, block.begin, block.fresh,
-                                 block.end, theory, &matches);
-    }
-  }
-  EXPECT_EQ(stats.windows, global_stats.windows);
-  EXPECT_EQ(stats.comparisons, global_stats.comparisons);
-  EXPECT_EQ(stats.matches, global_stats.matches);
-  EXPECT_EQ(matches.size(), global.size());
-  PairSet fragmented;
-  for (const auto& [a, b] : matches) fragmented.Add(a, b);
-  EXPECT_EQ(fragmented.size(), global.size())
-      << "n=" << n << " w=" << w << " p=" << p;
-  global.ForEach([&](TupleId a, TupleId b) {
-    EXPECT_TRUE(fragmented.Contains(a, b));
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Grid, BandInvariantTest,
     ::testing::Combine(::testing::Values(1u, 2u, 7u, 50u, 173u),

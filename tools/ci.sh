@@ -1,14 +1,14 @@
 #!/bin/sh
 # Tier-1 CI: build and run the full test suite three times — plain, with
 # AddressSanitizer + UndefinedBehaviorSanitizer, and (concurrency tests
-# only) with ThreadSanitizer — so data races on the retry/speculation
-# paths and lifetime bugs in the checkpoint code surface before merge.
+# only) with ThreadSanitizer — so data races on the fragment-scan retry
+# path and lifetime bugs in the checkpoint code surface before merge.
 # The runtime lock-order validator (util/sync.cc) is compiled into every
 # build, so each leg also aborts on the first lock-rank inversion its
 # tests reach. Then: a clang -Wthread-safety build (when available), the
 # lockcheck lock-discipline lint, clang-tidy over src/ (when available),
-# the rulecheck theory lint gate, the observability + service end-to-end
-# contracts, and the latency-regression bench gates.
+# the rulecheck theory lint gate, the observability + clustering-retry +
+# service end-to-end contracts, and the latency-regression bench gates.
 #
 # Usage: tools/ci.sh [jobs]      (from the repository root)
 set -eu
@@ -38,9 +38,9 @@ run_suite "${root}/build" "" -DMERGEPURGE_SANITIZE="" \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 run_suite "${root}/build-san" "" "-DMERGEPURGE_SANITIZE=address;undefined"
 # TSan is incompatible with ASan, so it gets its own tree; run the suites
-# that exercise threads (parallel engine, the batch multi-pass engine,
-# resilient retry, incremental engine, the TCP service, fault-tolerance,
-# the sync primitives) rather than all of ctest. The lock-order validator
+# that exercise threads (the fragment scan and its retries, the batch
+# multi-pass engine, incremental engine, the TCP service,
+# fault-tolerance, the sync primitives) rather than all of ctest. The lock-order validator
 # runs here as in every build, now under TSan's thread schedules.
 run_suite "${root}/build-tsan" \
   "parallel_test|multipass_test|engine_matrix_test|incremental_test|incremental_property_test|service_test|shard_test|fault_tolerance_test|metrics_test|obs_window_test|sync_test|durability_test" \
@@ -127,6 +127,31 @@ echo "=== obs e2e (${obs_dir}) ==="
   counters/faults.tripped histograms/snm.scan_us histograms/closure.us
 "${root}/build/tools/validate_report" --file="${obs_dir}/trace.json" \
   traceEvents displayTimeUnit
+
+# Clustering passes run on the fragment scan: two injected scan failures
+# are retried (faults.tripped = resilient.retries = 2) and the purged
+# output and entity mapping stay byte-identical to a fault-free run.
+echo "=== clustering retry e2e (${obs_dir}) ==="
+"${root}/build/tools/mergepurge" --gen=2000 --method=cluster \
+  --output="${obs_dir}/cluster_clean.csv" \
+  --entities="${obs_dir}/cluster_clean_entities.csv"
+"${root}/build/tools/mergepurge" --gen=2000 --method=cluster \
+  --output="${obs_dir}/cluster_faulted.csv" \
+  --entities="${obs_dir}/cluster_faulted_entities.csv" \
+  --faults=parallel.fragment_scan=fail:2 \
+  --metrics-out="${obs_dir}/cluster_faulted.json"
+cmp "${obs_dir}/cluster_clean.csv" "${obs_dir}/cluster_faulted.csv"
+cmp "${obs_dir}/cluster_clean_entities.csv" \
+  "${obs_dir}/cluster_faulted_entities.csv"
+python3 - "${obs_dir}/cluster_faulted.json" <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+tripped, retries = counters["faults.tripped"], counters["resilient.retries"]
+assert tripped == 2 and retries == 2, (
+    f"clustering run: faults.tripped {tripped}, resilient.retries {retries};"
+    " expected 2 and 2")
+print("ci: clustering retry ok: 2 faults tripped, 2 retries, output identical")
+EOF
 
 # Service e2e: serve on an ephemeral loopback port — WAL durability ON
 # (--data-dir, --fsync=group) so the latency gate below prices the WAL
