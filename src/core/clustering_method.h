@@ -18,7 +18,7 @@
 
 #include "core/sorted_neighborhood.h"
 #include "keys/key_builder.h"
-#include "parallel/coordinator.h"
+#include "parallel/fragment_scan.h"
 #include "record/dataset.h"
 #include "rules/equational_theory.h"
 #include "util/status.h"

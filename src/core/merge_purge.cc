@@ -49,11 +49,7 @@ Result<MergePurgeResult> MergePurgeEngine::Run(
     input = &conditioned;
   }
 
-  MultiPass::Method method =
-      options_.method == MergePurgeOptions::Method::kSortedNeighborhood
-          ? MultiPass::Method::kSortedNeighborhood
-          : MultiPass::Method::kClustering;
-  MultiPass multipass(method, options_.window, options_.clustering);
+  MultiPass multipass(options_.method, options_.window, options_.clustering);
   Result<MultiPassResult> detail =
       multipass.Run(*input, options_.keys, theory, options_.checkpoint_dir);
   if (!detail.ok()) return detail.status();

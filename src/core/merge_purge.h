@@ -28,7 +28,7 @@
 namespace mergepurge {
 
 struct MergePurgeOptions {
-  enum class Method { kSortedNeighborhood, kClustering };
+  using Method = MultiPass::Method;
 
   Method method = Method::kSortedNeighborhood;
 

@@ -14,12 +14,31 @@
 
 #include "core/pair_set.h"
 #include "core/window_scanner.h"
-#include "parallel/coordinator.h"
 #include "record/dataset.h"
 #include "rules/equational_theory.h"
 #include "util/status.h"
 
 namespace mergepurge {
+
+// Half-open range [begin, end) of positions in the sorted order. `begin`
+// already includes the replicated band from the previous fragment;
+// `fresh` is the first position the fragment owns. Records in
+// [begin, fresh) are window context only: the previous fragment has
+// already compared them with each other. A clustering pass's fragment is
+// one whole cluster, with no band (begin == fresh).
+struct Fragment {
+  size_t begin = 0;
+  size_t fresh = 0;
+  size_t end = 0;
+};
+
+// Splits n positions into at most p fragments of near-equal size, each
+// extended backwards by w-1 replicated positions (except the first), so
+// the fragmentation is invisible to the window scan (paper §4.1, figure
+// 5): the per-fragment scans together make exactly the global scan's
+// comparisons. Returns fewer than p fragments when n is too small to
+// populate them.
+std::vector<Fragment> MakeOverlappingFragments(size_t n, size_t p, size_t w);
 
 // Attempts each fragment gets before the call gives it up.
 inline constexpr size_t kMaxAttempts = 4;

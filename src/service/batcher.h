@@ -91,7 +91,7 @@ class UpsertBatcher {
   // Sizes (in records) of every committed batch, in commit order. The
   // exact serial replay schedule: feeding these slices of the admitted
   // record sequence to AddBatch reproduces the service's partition
-  // (tests/service_test.cc holds the service to that). Call after
+  // (tests/contract_test.cc holds the service to that). Call after
   // Drain(); during operation it returns a snapshot.
   std::vector<size_t> committed_batch_sizes() const;
 

@@ -6,8 +6,8 @@
 // engine's closure depends only on the multiset of records and the
 // total (key, tuple-id) order — not on batch boundaries — replaying the
 // logged batches through IncrementalMergePurge::AddBatch reproduces a
-// byte-identical closure (tests/durability_test.cc proves this per
-// crash point).
+// byte-identical closure (tests/contract_test.cc checks this per
+// crash point and for a torn tail).
 //
 // On-disk layout (all integers little-endian):
 //   <dir>/wal-<16-hex first_seq>.log

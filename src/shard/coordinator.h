@@ -134,8 +134,8 @@ class CoordService : public RequestDispatcher {
 
   // Canonical global label of every admitted record, in admission order
   // — the global analogue of MatchService::ComponentLabels(), used by
-  // the shard-count-invariance contract test to compare a sharded run's
-  // partition against a single engine's.
+  // the cross-path contract test to compare a sharded run's partition
+  // against a single engine's.
   std::vector<uint32_t> GlobalLabels();
 
  private:

@@ -38,8 +38,8 @@ class GlobalClosure {
   uint32_t NewId();
 
   // Canonical (smallest) global id of `gid`'s entity — mirroring the
-  // engines' smallest-label convention so the 2-shard contract test can
-  // compare partitions against a single-engine run directly.
+  // engines' smallest-label convention so the cross-path contract test
+  // can compare partitions against a single-engine run directly.
   uint32_t Find(uint32_t gid);
 
   void Union(uint32_t a, uint32_t b);

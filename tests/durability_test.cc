@@ -1,13 +1,10 @@
-// Durability subsystem: WAL framing and torn-tail recovery, snapshot
-// round trips and config-digest refusal, engine Restore ≡ incremental
-// replay, and the service-level crash matrix — for every injected crash
-// point, a service reconstructed over the same data dir must reach
-// exactly the state a serial replay of the WAL reaches, and must never
-// lose an acknowledged upsert.
+// Durability subsystem: WAL framing and torn-tail recovery at every byte
+// offset, snapshot round trips and config-digest refusal, and the
+// service's restart paths (clean drain, changed config, rejected
+// batches). That a crashed service recovers exactly the serial replay of
+// the batches it keeps, losing no acknowledged one, is the cross-path
+// contract (contract_test).
 
-#include <unistd.h>
-
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "core/incremental.h"
-#include "gen/generator.h"
 #include "keys/standard_keys.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -25,45 +21,12 @@
 #include "service/match_service.h"
 #include "service/snapshot.h"
 #include "service/wal.h"
-#include "util/fault_injector.h"
 #include "util/fs.h"
+
+#include "test_support.h"
 
 namespace mergepurge {
 namespace {
-
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/mergepurge_durability_XXXXXX";
-    char* made = ::mkdtemp(tmpl);
-    EXPECT_NE(made, nullptr);
-    path_ = made != nullptr ? made : "/tmp/mergepurge_durability_bad";
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-class FaultInjectorGuard {
- public:
-  FaultInjectorGuard() { FaultInjector::Global().Reset(); }
-  ~FaultInjectorGuard() { FaultInjector::Global().Reset(); }
-};
-
-Record MakeRecord(std::string_view ssn, std::string_view first,
-                  std::string_view last, std::string_view address) {
-  Record r;
-  r.set_field(employee::kSsn, std::string(ssn));
-  r.set_field(employee::kFirstName, std::string(first));
-  r.set_field(employee::kLastName, std::string(last));
-  r.set_field(employee::kAddress, std::string(address));
-  r.set_field(employee::kCity, "SPRINGFIELD");
-  r.set_field(employee::kState, "IL");
-  r.set_field(employee::kZip, "62701");
-  return r;
-}
 
 std::vector<Record> SmallBatch(int tag) {
   return {
@@ -72,56 +35,6 @@ std::vector<Record> SmallBatch(int tag) {
       MakeRecord("11111111" + std::to_string(tag), "JANE", "ROE",
                  std::to_string(tag) + " OAK AVE"),
   };
-}
-
-MergePurgeOptions EngineOptions() {
-  MergePurgeOptions options;
-  options.keys = StandardThreeKeys();
-  options.window = 8;
-  return options;
-}
-
-Dataset GenerateDataset(size_t num_records, uint64_t seed) {
-  GeneratorConfig config;
-  config.num_records = num_records;
-  config.seed = seed;
-  auto db = DatabaseGenerator(config).Generate();
-  EXPECT_TRUE(db.ok());
-  return std::move(db->dataset);
-}
-
-// Serial replay of WAL batches into a fresh engine — the reference state
-// every recovery path must reproduce. Mirrors the server's replay: raw
-// records re-enter through AddBatch (which re-conditions), and every
-// logged batch must be accepted.
-std::unique_ptr<IncrementalMergePurge> ReplaySerially(
-    const std::vector<WalBatch>& batches) {
-  auto engine = std::make_unique<IncrementalMergePurge>(EngineOptions());
-  EmployeeTheory theory;
-  for (const WalBatch& batch : batches) {
-    Dataset dataset(employee::MakeSchema());
-    dataset.Reserve(batch.records.size());
-    for (const Record& record : batch.records) dataset.Append(record);
-    EXPECT_TRUE(engine->AddBatch(dataset, theory).ok())
-        << "WAL seq " << batch.seq;
-  }
-  return engine;
-}
-
-void ExpectSameState(const Dataset& got_records,
-                     const std::vector<uint32_t>& got_labels,
-                     const IncrementalMergePurge& want) {
-  ASSERT_EQ(got_records.size(), want.size());
-  const Dataset& expect = want.records();
-  const size_t fields = expect.schema().num_fields();
-  for (size_t t = 0; t < expect.size(); ++t) {
-    for (size_t f = 0; f < fields; ++f) {
-      ASSERT_EQ(got_records.record(static_cast<TupleId>(t)).field(f),
-                expect.record(static_cast<TupleId>(t)).field(f))
-          << "tuple " << t << " field " << f;
-    }
-  }
-  EXPECT_EQ(got_labels, want.ComponentLabels());
 }
 
 // --- WAL framing. ---
@@ -274,7 +187,8 @@ TEST(SnapshotTest, SaveAndLoadRoundTrip) {
   ASSERT_TRUE(
       restored.Restore(std::move(loaded->records), std::move(loaded->pairs))
           .ok());
-  ExpectSameState(restored.records(), restored.ComponentLabels(), engine);
+  ExpectSameRecords(restored.records(), engine.records());
+  EXPECT_EQ(restored.ComponentLabels(), engine.ComponentLabels());
 }
 
 TEST(SnapshotTest, ConfigDigestMismatchIsRefused) {
@@ -317,161 +231,18 @@ TEST(SnapshotTest, EmptyDirIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
-// --- Restore ≡ replay at the engine level. ---
-
-TEST(RestoreTest, RestoreMidstreamMatchesUninterruptedRun) {
-  Dataset data = GenerateDataset(120, 11);
-  EmployeeTheory theory;
-  const size_t half = data.size() / 2;
-
-  // Reference: one engine sees everything in two batches.
-  IncrementalMergePurge reference(EngineOptions());
-  Dataset first(data.schema());
-  Dataset second(data.schema());
-  for (size_t i = 0; i < data.size(); ++i) {
-    (i < half ? first : second).Append(data.record(static_cast<TupleId>(i)));
-  }
-  ASSERT_TRUE(reference.AddBatch(first, theory).ok());
-
-  // Snapshot the midpoint, restore into a fresh engine, continue there.
-  Dataset snapshot_records = reference.records();
-  PairSet snapshot_pairs = reference.pairs();
-  IncrementalMergePurge restored(EngineOptions());
-  ASSERT_TRUE(restored
-                  .Restore(std::move(snapshot_records),
-                           std::move(snapshot_pairs))
-                  .ok());
-
-  ASSERT_TRUE(reference.AddBatch(second, theory).ok());
-  ASSERT_TRUE(restored.AddBatch(second, theory).ok());
-
-  ExpectSameState(restored.records(), restored.ComponentLabels(), reference);
-  EXPECT_EQ(restored.pairs().ToSortedVector(),
-            reference.pairs().ToSortedVector());
-}
-
-// --- The service-level crash matrix. ---
-
-MatchServiceOptions DurableServiceOptions(const std::string& data_dir) {
-  MatchServiceOptions options;
-  options.engine = EngineOptions();
-  // One upsert == one batch (the test thread is the only client).
-  options.batcher.max_delay_ms = 0.0;
-  options.durability.data_dir = data_dir;
-  options.durability.fsync = FsyncPolicy::kAlways;
-  options.durability.snapshot_every_batches = 3;
-  options.durability.snapshot_interval_ms = 20;
-  options.durability.keep_wal = true;  // Full log for the replay diff.
-  return options;
-}
-
-struct CrashCase {
-  const char* point;
-  // Number of faulted OnPoint calls to skip first (0 = fail immediately).
-  uint64_t skip;
-};
-
-class CrashMatrixTest : public ::testing::TestWithParam<CrashCase> {};
-
-TEST_P(CrashMatrixTest, RecoveryEqualsSerialReplayAndKeepsAckedRecords) {
-  FaultInjectorGuard guard;
-  const CrashCase param = GetParam();
-  TempDir dir;
-  Dataset data = GenerateDataset(80, 23);
-  constexpr size_t kBatch = 4;
-
-  uint64_t acked_records = 0;
-  {
-    MatchService service(DurableServiceOptions(dir.path()),
-                         EmployeeTheory::Factory());
-    ASSERT_TRUE(service.init_status().ok());
-
-    // Healthy prefix: enough batches that a background snapshot lands.
-    size_t next = 0;
-    for (int i = 0; i < 8 && next + kBatch <= data.size(); ++i) {
-      std::vector<Record> batch;
-      for (size_t r = 0; r < kBatch; ++r) {
-        batch.push_back(data.record(static_cast<TupleId>(next + r)));
-      }
-      Result<MatchService::UpsertOutcome> outcome =
-          service.Upsert(std::move(batch));
-      ASSERT_TRUE(outcome.ok());
-      acked_records += kBatch;
-      next += kBatch;
-    }
-
-    // Arm the crash point, then keep the workload running into it. A
-    // WAL-point fault makes the in-flight upsert fail (never acked); a
-    // snapshot-point fault breaks the snapshotter while upserts keep
-    // committing. Either way the process then "crashes".
-    FaultInjector::Global().Arm(param.point,
-                                FaultSchedule::FailN(1, param.skip));
-    (void)service.SnapshotNow();  // Deterministic hit for snapshot points.
-    for (int i = 0; i < 4 && next + kBatch <= data.size(); ++i) {
-      std::vector<Record> batch;
-      for (size_t r = 0; r < kBatch; ++r) {
-        batch.push_back(data.record(static_cast<TupleId>(next + r)));
-      }
-      Result<MatchService::UpsertOutcome> outcome =
-          service.Upsert(std::move(batch));
-      if (outcome.ok()) acked_records += kBatch;
-      next += kBatch;
-    }
-    service.SimulateCrashForTesting();
-    service.Drain();
-  }
-  FaultInjector::Global().Reset();
-
-  // Restart over the crashed data dir.
-  MatchService recovered(DurableServiceOptions(dir.path()),
-                         EmployeeTheory::Factory());
-  ASSERT_TRUE(recovered.init_status().ok());
-  MatchService::Stats stats = recovered.GetStats();
-
-  // Zero acknowledged upserts lost. (A batch whose WAL append completed
-  // but whose fsync "failed" may survive unacknowledged — at-least-once,
-  // never at-most.)
-  EXPECT_GE(stats.records, acked_records) << "crash point " << param.point;
-  EXPECT_LE(stats.records, acked_records + kBatch)
-      << "crash point " << param.point;
-
-  // Recovery ≡ serial replay of the surviving WAL.
-  Result<std::vector<WalBatch>> wal =
-      ReadWalForRecovery(dir.path(), 0, nullptr);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_FALSE(wal->empty());
-  ASSERT_EQ(wal->front().seq, 1u) << "keep_wal must preserve the full log";
-  std::unique_ptr<IncrementalMergePurge> reference = ReplaySerially(*wal);
-  recovered.Drain();
-  ExpectSameState(recovered.CopyRecords(), recovered.ComponentLabels(),
-                  *reference);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllCrashPoints, CrashMatrixTest,
-    ::testing::Values(CrashCase{fault_points::kWalAppend, 0},
-                      CrashCase{fault_points::kWalFsync, 0},
-                      CrashCase{fault_points::kSnapshotWrite, 0},
-                      CrashCase{fault_points::kSnapshotRename, 0}),
-    [](const ::testing::TestParamInfo<CrashCase>& info) {
-      std::string name = info.param.point;
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+// --- The service over a data dir. ---
 
 // Clean drain + restart: the final snapshot covers everything, the WAL
-// is truncated (keep_wal off), and recovery replays nothing.
+// is truncated, and recovery replays nothing.
 TEST(ServiceDurabilityTest, CleanRestartRecoversFromSnapshotAlone) {
   TempDir dir;
   Dataset data = GenerateDataset(60, 31);
   Dataset before_records{employee::MakeSchema()};
   std::vector<uint32_t> before_labels;
   {
-    MatchServiceOptions options = DurableServiceOptions(dir.path());
-    options.durability.keep_wal = false;
-    MatchService service(options, EmployeeTheory::Factory());
+    MatchService service(DurableServiceOptions(dir.path()),
+                         EmployeeTheory::Factory());
     ASSERT_TRUE(service.init_status().ok());
     for (size_t next = 0; next + 4 <= data.size(); next += 4) {
       std::vector<Record> batch;
@@ -485,9 +256,8 @@ TEST(ServiceDurabilityTest, CleanRestartRecoversFromSnapshotAlone) {
     before_labels = service.ComponentLabels();
   }
 
-  MatchServiceOptions options = DurableServiceOptions(dir.path());
-  options.durability.keep_wal = false;
-  MatchService recovered(options, EmployeeTheory::Factory());
+  MatchService recovered(DurableServiceOptions(dir.path()),
+                         EmployeeTheory::Factory());
   ASSERT_TRUE(recovered.init_status().ok());
   MatchService::DurabilityInfo info = recovered.GetDurability();
   EXPECT_TRUE(info.enabled);

@@ -36,6 +36,8 @@
 #include "util/fault_injector.h"
 #include "util/thread_pool.h"
 
+#include "test_support.h"
+
 namespace mergepurge {
 namespace {
 
@@ -459,15 +461,6 @@ class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FaultInjector::Global().Reset();
-    dir_ = std::filesystem::temp_directory_path() /
-           ("mergepurge_ckpt_" +
-            std::to_string(::testing::UnitTest::GetInstance()
-                               ->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
-    std::filesystem::remove_all(dir_);
-
     GeneratorConfig config;
     config.num_records = 500;
     config.duplicate_selection_rate = 0.5;
@@ -478,20 +471,16 @@ class CheckpointTest : public ::testing::Test {
     ConditionEmployeeDataset(&dataset_);
   }
 
-  void TearDown() override {
-    FaultInjector::Global().Reset();
-    std::filesystem::remove_all(dir_);
-  }
+  void TearDown() override { FaultInjector::Global().Reset(); }
 
-  std::string dir() const { return dir_.string(); }
+  const std::string& dir() const { return dir_.path(); }
 
-  std::filesystem::path dir_;
+  TempDir dir_;
   Dataset dataset_;
   EmployeeTheory theory_;
 };
 
 TEST_F(CheckpointTest, ManifestRoundTrips) {
-  std::filesystem::create_directories(dir_);
   PassManifest manifest;
   manifest.key_name = "last-name";
   manifest.key_digest = 0xabcdef;
@@ -516,7 +505,7 @@ TEST_F(CheckpointTest, ManifestRoundTrips) {
   EXPECT_TRUE(stored->Contains(3, 9));
 
   // No stray temp files after the write-to-temp + rename protocol.
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir())) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   }
   EXPECT_EQ(ReadPassManifest(dir(), 1).status().code(),
@@ -627,7 +616,6 @@ TEST_F(CheckpointTest, SortSpillFaultAbortsExternalSortPass) {
   options.window = 10;
   options.external_sort_memory = 64;
   options.temp_dir = dir();
-  std::filesystem::create_directories(dir_);
   auto result =
       SortedNeighborhood(options).Run(dataset_, LastNameKey(), theory_);
   ASSERT_FALSE(result.ok());

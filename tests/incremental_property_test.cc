@@ -1,7 +1,8 @@
-// Deeper incremental-engine properties: batch-order insensitivity of the
-// final entity count ceiling, monotone pair accumulation, and agreement
-// between incremental components and an offline closure over the same
-// accumulated pairs.
+// Deeper incremental-engine properties: monotone pair accumulation, the
+// entity count, and agreement between incremental components and an
+// offline closure over the same accumulated pairs. That any batching
+// keeps every pair of a from-scratch run is the cross-path contract
+// (contract_test).
 
 #include <algorithm>
 
@@ -9,7 +10,6 @@
 
 #include "core/incremental.h"
 #include "core/multipass.h"
-#include "eval/metrics.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
 #include "rules/employee_theory.h"
@@ -40,7 +40,6 @@ class IncrementalPropertyTest : public ::testing::TestWithParam<uint64_t> {
     auto db = DatabaseGenerator(config).Generate();
     ASSERT_TRUE(db.ok());
     raw_ = std::move(db->dataset);
-    truth_ = std::move(db->truth);
   }
 
   MergePurgeOptions Options() const {
@@ -51,7 +50,6 @@ class IncrementalPropertyTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   Dataset raw_;
-  GroundTruth truth_;
   EmployeeTheory theory_;
 };
 
@@ -98,29 +96,6 @@ TEST_P(IncrementalPropertyTest, EntityCountMatchesClosure) {
       static_cast<size_t>(std::unique(labels.begin(), labels.end()) -
                           labels.begin());
   EXPECT_EQ(engine.NumEntities(), distinct);
-}
-
-TEST_P(IncrementalPropertyTest, FinerBatchingNeverLosesRecall) {
-  // Smaller batches mean more snapshots of "within w at some point" —
-  // recall is monotone (non-strictly) as batches get finer.
-  double coarse_recall = 0.0;
-  {
-    IncrementalMergePurge engine(Options());
-    for (const Dataset& batch : SplitEvery(raw_, raw_.size())) {
-      ASSERT_TRUE(engine.AddBatch(batch, theory_).ok());
-    }
-    coarse_recall =
-        EvaluateComponents(engine.ComponentLabels(), truth_).recall_percent;
-  }
-  {
-    IncrementalMergePurge engine(Options());
-    for (const Dataset& batch : SplitEvery(raw_, 60)) {
-      ASSERT_TRUE(engine.AddBatch(batch, theory_).ok());
-    }
-    double fine_recall =
-        EvaluateComponents(engine.ComponentLabels(), truth_).recall_percent;
-    EXPECT_GE(fine_recall, coarse_recall - 1e-9);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalPropertyTest,

@@ -1,18 +1,17 @@
-// IncrementalMergePurge: batch-at-a-time operation. Key property: after
-// any batch sequence the incremental pair set contains every pair a
-// from-scratch multi-pass run over the full concatenation would find.
+// IncrementalMergePurge: batch-at-a-time operation — option and schema
+// validation, all-or-nothing admission, and how entities, purge output
+// and new-pair counts evolve over batches. That any batch sequence finds
+// every pair a from-scratch run finds is the cross-path contract
+// (contract_test).
 
 #include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "core/incremental.h"
-#include "core/multipass.h"
-#include "eval/metrics.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
 #include "rules/employee_theory.h"
-#include "text/normalize.h"
 
 namespace mergepurge {
 namespace {
@@ -27,100 +26,6 @@ std::vector<Dataset> SplitBatches(const Dataset& all, size_t parts) {
   }
   return batches;
 }
-
-class IncrementalTest : public ::testing::TestWithParam<size_t> {
- protected:
-  void SetUp() override {
-    GeneratorConfig config;
-    config.num_records = 1000;
-    config.duplicate_selection_rate = 0.5;
-    config.max_duplicates_per_record = 4;
-    config.seed = 777;
-    auto db = DatabaseGenerator(config).Generate();
-    ASSERT_TRUE(db.ok());
-    raw_ = std::move(db->dataset);
-    truth_ = std::move(db->truth);
-  }
-
-  MergePurgeOptions Options() const {
-    MergePurgeOptions options;
-    options.keys = StandardThreeKeys();
-    options.window = 8;
-    return options;
-  }
-
-  Dataset raw_;
-  GroundTruth truth_;
-  EmployeeTheory theory_;
-};
-
-TEST_P(IncrementalTest, SupersetOfFromScratchRun) {
-  const size_t num_batches = GetParam();
-  IncrementalMergePurge incremental(Options());
-  for (const Dataset& batch : SplitBatches(raw_, num_batches)) {
-    auto added = incremental.AddBatch(batch, theory_);
-    ASSERT_TRUE(added.ok()) << added.status().ToString();
-  }
-  ASSERT_EQ(incremental.size(), raw_.size());
-
-  // From-scratch reference over the identical (conditioned) data.
-  Dataset conditioned = raw_;
-  ConditionEmployeeDataset(&conditioned);
-  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 8);
-  auto reference = mp.Run(conditioned, StandardThreeKeys(), theory_);
-  ASSERT_TRUE(reference.ok());
-
-  PairSet reference_pairs;
-  for (const PassResult& pass : reference->passes) {
-    reference_pairs.Merge(pass.pairs);
-  }
-  reference_pairs.ForEach([&](TupleId a, TupleId b) {
-    EXPECT_TRUE(incremental.pairs().Contains(a, b))
-        << "from-scratch pair (" << a << "," << b
-        << ") missing incrementally";
-  });
-  EXPECT_GE(incremental.pairs().size(), reference_pairs.size());
-}
-
-TEST_P(IncrementalTest, AccuracyAtLeastFromScratch) {
-  const size_t num_batches = GetParam();
-  IncrementalMergePurge incremental(Options());
-  for (const Dataset& batch : SplitBatches(raw_, num_batches)) {
-    ASSERT_TRUE(incremental.AddBatch(batch, theory_).ok());
-  }
-  AccuracyReport inc_report =
-      EvaluateComponents(incremental.ComponentLabels(), truth_);
-
-  Dataset conditioned = raw_;
-  ConditionEmployeeDataset(&conditioned);
-  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 8);
-  auto reference = mp.Run(conditioned, StandardThreeKeys(), theory_);
-  ASSERT_TRUE(reference.ok());
-  AccuracyReport ref_report =
-      EvaluateComponents(reference->component_of, truth_);
-
-  EXPECT_GE(inc_report.recall_percent, ref_report.recall_percent - 1e-9);
-}
-
-TEST_P(IncrementalTest, SingleBatchEqualsFromScratchExactly) {
-  if (GetParam() != 1) GTEST_SKIP();
-  IncrementalMergePurge incremental(Options());
-  ASSERT_TRUE(incremental.AddBatch(raw_, theory_).ok());
-
-  Dataset conditioned = raw_;
-  ConditionEmployeeDataset(&conditioned);
-  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 8);
-  auto reference = mp.Run(conditioned, StandardThreeKeys(), theory_);
-  ASSERT_TRUE(reference.ok());
-  PairSet reference_pairs;
-  for (const PassResult& pass : reference->passes) {
-    reference_pairs.Merge(pass.pairs);
-  }
-  EXPECT_EQ(incremental.pairs().size(), reference_pairs.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(Batches, IncrementalTest,
-                         ::testing::Values(1, 2, 5, 10));
 
 TEST(IncrementalEdgeTest, ValidatesOptionsAndSchemas) {
   MergePurgeOptions no_keys;

@@ -2,13 +2,10 @@
 // including the paper's headline property: multi-pass with a small window
 // beats every constituent single pass.
 
-#include <algorithm>
-#include <filesystem>
 #include <memory>
 #include <new>
 #include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -24,6 +21,8 @@
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
 #include "util/fault_injector.h"
+
+#include "test_support.h"
 
 namespace mergepurge {
 namespace {
@@ -113,28 +112,6 @@ TEST_F(MultiPassTest, MultipassBeatsEverySinglePass) {
   // margin but require clearly useful accuracy.
   EXPECT_GT(multipass.recall_percent, 75.0);
   EXPECT_LT(multipass.false_positive_percent, 10.0);
-}
-
-TEST_F(MultiPassTest, ClosureContainsEveryPassPair) {
-  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 6);
-  auto result = mp.Run(dataset_, StandardThreeKeys(), theory_);
-  ASSERT_TRUE(result.ok());
-  for (const PassResult& pass : result->passes) {
-    pass.pairs.ForEach([&](TupleId a, TupleId b) {
-      EXPECT_EQ(result->component_of[a], result->component_of[b]);
-    });
-  }
-}
-
-TEST_F(MultiPassTest, UnionPairCountAtLeastLargestPass) {
-  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 6);
-  auto result = mp.Run(dataset_, StandardThreeKeys(), theory_);
-  ASSERT_TRUE(result.ok());
-  size_t largest = 0;
-  for (const PassResult& pass : result->passes) {
-    largest = std::max(largest, pass.pairs.size());
-  }
-  EXPECT_GE(result->union_pair_count, largest);
 }
 
 TEST_F(MultiPassTest, UnionPairCountEqualsBruteForceUnion) {
@@ -256,8 +233,6 @@ TEST_F(MultiPassTest, EngineClusteringMethod) {
   EXPECT_GT(report.recall_percent, 60.0);
 }
 
-// --- The engine's parallel passes against the serial reference. ---
-
 Dataset ConditionedDatabase(uint64_t seed) {
   GeneratorConfig config;
   config.num_records = 1500;
@@ -270,163 +245,79 @@ Dataset ConditionedDatabase(uint64_t seed) {
   return std::move(db->dataset);
 }
 
-// The serial method's pass per key (SortedNeighborhood::Run, or
-// ClusteringMethod::Run when `clustering` is given), then
-// TransitiveClosure: what every multi-pass result must equal exactly.
-struct SerialReference {
-  std::vector<PassResult> passes;
-  std::vector<uint32_t> component_of;
-};
-
-SerialReference RunSerially(const Dataset& dataset, size_t window,
-                            const ClusteringOptions* clustering = nullptr) {
-  SerialReference reference;
-  std::vector<const PairSet*> pair_sets;
-  for (const KeySpec& key : StandardThreeKeys()) {
-    EmployeeTheory theory;
-    auto pass = clustering != nullptr
-                    ? ClusteringMethod(*clustering).Run(dataset, key, theory)
-                    : SortedNeighborhood(window).Run(dataset, key, theory);
-    EXPECT_TRUE(pass.ok());
-    reference.passes.push_back(std::move(*pass));
+// A faulted run must commit what a clean run commits. (That a clean run
+// equals the serial passes is the cross-path contract, contract_test.)
+void ExpectSameResult(const MultiPassResult& got, const MultiPassResult& want) {
+  ASSERT_EQ(got.passes.size(), want.passes.size());
+  for (size_t i = 0; i < got.passes.size(); ++i) {
+    EXPECT_EQ(got.passes[i].pairs.ToSortedVector(),
+              want.passes[i].pairs.ToSortedVector())
+        << "pass " << i;
   }
-  for (const PassResult& pass : reference.passes) {
-    pair_sets.push_back(&pass.pairs);
-  }
-  reference.component_of = TransitiveClosure(pair_sets, dataset.size());
-  return reference;
+  EXPECT_EQ(got.component_of, want.component_of);
 }
-
-void ExpectEqualsSerial(const MultiPassResult& result,
-                        const SerialReference& reference) {
-  ASSERT_EQ(result.passes.size(), reference.passes.size());
-  for (size_t i = 0; i < result.passes.size(); ++i) {
-    const PassResult& pass = result.passes[i];
-    const PassResult& serial = reference.passes[i];
-    EXPECT_EQ(pass.pairs.ToSortedVector(), serial.pairs.ToSortedVector())
-        << "pass " << pass.key_name;
-    EXPECT_EQ(pass.windows, serial.windows) << "pass " << pass.key_name;
-    EXPECT_EQ(pass.comparisons, serial.comparisons)
-        << "pass " << pass.key_name;
-    EXPECT_EQ(pass.matches, serial.matches) << "pass " << pass.key_name;
-  }
-  EXPECT_EQ(result.component_of, reference.component_of);
-}
-
-class EngineEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(EngineEquivalenceTest, ParallelPassesEqualSerialPassesAndClosure) {
-  const Dataset dataset = ConditionedDatabase(GetParam());
-  const SerialReference reference = RunSerially(dataset, 10);
-
-  MergePurgeOptions options;
-  options.keys = StandardThreeKeys();
-  options.window = 10;
-  options.condition_records = false;  // Conditioned above.
-  EmployeeTheory theory;
-  auto result = MergePurgeEngine(options).Run(dataset, theory);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectEqualsSerial(result->detail, reference);
-  EXPECT_EQ(result->component_of, reference.component_of);
-}
-
-INSTANTIATE_TEST_SUITE_P(GeneratorSeeds, EngineEquivalenceTest,
-                         ::testing::Values(7u, 1234u, 20240707u));
-
-// MultiPass's clustering passes (one fragment per cluster on the worker
-// pool) against serial ClusteringMethod::Run, with the paper's fixed
-// cluster key and with the full-key ablation.
-class ClusteringEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
-
-TEST_P(ClusteringEquivalenceTest, ParallelPassesEqualSerialPasses) {
-  const auto [seed, full_key] = GetParam();
-  const Dataset dataset = ConditionedDatabase(seed);
-  ClusteringOptions options;
-  options.num_clusters = 12;
-  options.window = 10;
-  options.sort_with_full_key = full_key;
-  const SerialReference reference = RunSerially(dataset, 10, &options);
-
-  EmployeeTheory theory;
-  auto result = MultiPass(MultiPass::Method::kClustering, 10, options)
-                    .Run(dataset, StandardThreeKeys(), theory);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectEqualsSerial(*result, reference);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    GeneratorSeedsAndSortKeys, ClusteringEquivalenceTest,
-    ::testing::Combine(::testing::Values(7u, 1234u, 20240707u),
-                       ::testing::Bool()));
 
 class MultiPassFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FaultInjector::Global().Reset();
     dataset_ = ConditionedDatabase(99);
-    dir_ = std::filesystem::temp_directory_path() /
-           ("mergepurge_multipass_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    std::filesystem::remove_all(dir_);
   }
 
-  void TearDown() override {
-    FaultInjector::Global().Reset();
-    std::filesystem::remove_all(dir_);
-  }
+  void TearDown() override { FaultInjector::Global().Reset(); }
 
   Dataset dataset_;
-  std::filesystem::path dir_;
+  TempDir dir_;
   EmployeeTheory theory_;
 };
 
 TEST_F(MultiPassFaultTest, FailedFragmentScanIsRetriedAndOutputUnchanged) {
-  const SerialReference reference = RunSerially(dataset_, 10);
+  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 10);
+  auto clean = mp.Run(dataset_, StandardThreeKeys(), theory_);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.Reset();
   FaultInjector::Global().Arm(fault_points::kFragmentScan,
                               FaultSchedule::FailOnce());
-  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 10);
   auto result = mp.Run(dataset_, StandardThreeKeys(), theory_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.counter(metric_names::kFaultsTripped), 1u);
   EXPECT_EQ(snapshot.counter(metric_names::kResilientRetries), 1u);
-  ExpectEqualsSerial(*result, reference);
+  ExpectSameResult(*result, *clean);
   // The failed attempt flushed nothing: the counters cover the committed
   // scans exactly.
   uint64_t comparisons = 0;
-  for (const PassResult& pass : reference.passes) {
+  for (const PassResult& pass : clean->passes) {
     comparisons += pass.comparisons;
   }
   EXPECT_EQ(snapshot.counter(metric_names::kSnmComparisons), comparisons);
 }
 
 TEST_F(MultiPassFaultTest, ExhaustedRetriesFailWithoutCheckpoints) {
+  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 10);
+  auto clean = mp.Run(dataset_, StandardThreeKeys(), theory_);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   FaultInjector::Global().Arm(fault_points::kFragmentScan,
                               FaultSchedule::FailN(1u << 20));
-  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 10);
   auto result =
-      mp.Run(dataset_, StandardThreeKeys(), theory_, dir_.string());
+      mp.Run(dataset_, StandardThreeKeys(), theory_, dir_.path());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kPartialFailure);
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(ReadPassManifest(dir_.string(), i).status().code(),
+    EXPECT_EQ(ReadPassManifest(dir_.path(), i).status().code(),
               StatusCode::kNotFound)
         << "pass " << i;
   }
 
   // With the fault gone, the same directory resumes nothing and the run
-  // equals the serial reference.
+  // equals a clean one.
   FaultInjector::Global().Reset();
   auto rerun =
-      mp.Run(dataset_, StandardThreeKeys(), theory_, dir_.string());
+      mp.Run(dataset_, StandardThreeKeys(), theory_, dir_.path());
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
   EXPECT_EQ(rerun->passes_resumed, 0u);
-  ExpectEqualsSerial(*rerun, RunSerially(dataset_, 10));
+  ExpectSameResult(*rerun, *clean);
 }
 
 // The employee theory, except that any comparison involving one record
@@ -456,14 +347,14 @@ TEST_F(MultiPassFaultTest, ThrowingComparisonFailsTheRunInsteadOfHanging) {
                                    MultiPass::Method::kClustering}) {
     MetricsRegistry::Global().Reset();
     auto result = MultiPass(method, 10).Run(dataset_, StandardThreeKeys(),
-                                            theory, dir_.string());
+                                            theory, dir_.path());
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kPartialFailure);
     EXPECT_NE(result.status().message().find("bad_alloc"), std::string::npos)
         << result.status().message();
     // Every pass scans record 700 somewhere, so no pass is checkpointed.
     for (size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(ReadPassManifest(dir_.string(), i).status().code(),
+      EXPECT_EQ(ReadPassManifest(dir_.path(), i).status().code(),
                 StatusCode::kNotFound)
           << "pass " << i;
     }

@@ -1,12 +1,9 @@
-// Parallel implementations: fragmentation coverage properties, LPT load
-// balancing, the cost models, and the key correctness property — the
-// fragment scan produces EXACTLY the serial passes of both methods (the
-// replicated bands make the fragmentation invisible, paper figure 5).
+// Parallel building blocks: fragmentation coverage properties, LPT load
+// balancing and the cost models. That the fragment scan reproduces the
+// serial passes of both methods exactly is checked in contract_test.
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,10 +11,8 @@
 #include "util/random.h"
 
 #include "core/clustering_method.h"
-#include "core/sorted_neighborhood.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
-#include "parallel/coordinator.h"
 #include "parallel/cost_model.h"
 #include "parallel/fragment_scan.h"
 #include "parallel/load_balance.h"
@@ -131,80 +126,6 @@ TEST(LptTest, BalancesClusterOrderSizes) {
   EXPECT_GE(balance.imbalance, 1.0);
   EXPECT_LT(balance.imbalance, 2.0);
 }
-
-// --- Parallel == serial equivalence: ScanFragments over either method's
-// fragments reproduces the serial pass exactly. ---
-
-class ParallelEquivalenceTest : public ::testing::TestWithParam<size_t> {
- protected:
-  void SetUp() override {
-    GeneratorConfig config;
-    config.num_records = 1200;
-    config.duplicate_selection_rate = 0.5;
-    config.max_duplicates_per_record = 4;
-    config.seed = 2024;
-    auto db = DatabaseGenerator(config).Generate();
-    ASSERT_TRUE(db.ok());
-    dataset_ = std::move(db->dataset);
-    ConditionEmployeeDataset(&dataset_);
-  }
-
-  // Scans `job` on GetParam() workers and expects the serial pass.
-  void ExpectSerialPass(const FragmentScanJob& job, const PassResult& serial) {
-    FragmentScanReport report =
-        ScanFragments(dataset_, 10, {job}, factory_, GetParam());
-    ASSERT_TRUE(report.status.ok()) << report.status.ToString();
-    const FragmentScanResult& result = report.jobs[0];
-    EXPECT_TRUE(result.complete);
-    EXPECT_EQ(result.pairs.ToSortedVector(), serial.pairs.ToSortedVector());
-    // The bands are context only: no boundary pair is compared twice.
-    EXPECT_EQ(result.stats.windows, serial.windows);
-    EXPECT_EQ(result.stats.comparisons, serial.comparisons);
-    EXPECT_EQ(result.stats.matches, serial.matches);
-  }
-
-  Dataset dataset_;
-  const TheoryFactory factory_ = EmployeeTheory::Factory();
-};
-
-TEST_P(ParallelEquivalenceTest, SnmMatchesSerialExactly) {
-  EmployeeTheory serial_theory;
-  auto serial =
-      SortedNeighborhood(10).Run(dataset_, LastNameKey(), serial_theory);
-  ASSERT_TRUE(serial.ok());
-
-  const std::vector<TupleId> order =
-      SortedNeighborhood::SortByKey(dataset_, LastNameKey());
-  // One fragment per worker, and many small ones (the bands then cover a
-  // large share of each fragment).
-  for (size_t fragments : {GetParam(), size_t{37}}) {
-    FragmentScanJob job;
-    job.order = &order;
-    job.fragments = MakeOverlappingFragments(order.size(), fragments, 10);
-    ExpectSerialPass(job, *serial);
-  }
-}
-
-TEST_P(ParallelEquivalenceTest, ClusteringMatchesSerialExactly) {
-  ClusteringOptions options;
-  options.num_clusters = 8 * GetParam();
-  options.window = 10;
-  EmployeeTheory serial_theory;
-  auto serial =
-      ClusteringMethod(options).Run(dataset_, LastNameKey(), serial_theory);
-  ASSERT_TRUE(serial.ok());
-
-  PassResult timings;
-  auto clustered = ClusterOrder(dataset_, LastNameKey(), options, &timings);
-  ASSERT_TRUE(clustered.ok()) << clustered.status().ToString();
-  FragmentScanJob job;
-  job.order = &clustered->order;
-  job.fragments = clustered->Fragments();
-  ExpectSerialPass(job, *serial);
-}
-
-INSTANTIATE_TEST_SUITE_P(Workers, ParallelEquivalenceTest,
-                         ::testing::Values(1, 2, 3, 4, 7));
 
 // --- Cost models. ---
 

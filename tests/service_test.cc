@@ -1,13 +1,8 @@
 // Online service subsystem: wire protocol (parse / serialize / framing),
 // the read-only MatchOnly probe, commit labels and merge deltas, the
-// MatchService concurrency contract, and the socket server's hardening
-// against malformed and hostile clients.
-//
-// The headline test is ConcurrentMixEqualsSerialReplay: N threads issue
-// interleaved match and upsert requests; after the drain, replaying the
-// committed batches serially through a fresh IncrementalMergePurge must
-// produce the identical entity partition — concurrency must not change
-// the semantics, only the schedule.
+// MatchService API, and the socket server's hardening against malformed
+// and hostile clients. That a concurrent mix equals a serial replay of
+// the committed batches is the cross-path contract (contract_test).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -15,9 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,8 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "core/incremental.h"
-#include "gen/generator.h"
-#include "keys/standard_keys.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "rules/employee_theory.h"
@@ -37,44 +28,17 @@
 #include "util/random.h"
 #include "util/sync.h"
 
+#include "test_support.h"
+
 namespace mergepurge {
 namespace {
 
 Schema TestSchema() { return employee::MakeSchema(); }
 
-Record MakeRecord(std::string_view ssn, std::string_view first,
-                  std::string_view last, std::string_view address) {
-  Record r;
-  r.set_field(employee::kSsn, std::string(ssn));
-  r.set_field(employee::kFirstName, std::string(first));
-  r.set_field(employee::kLastName, std::string(last));
-  r.set_field(employee::kAddress, std::string(address));
-  r.set_field(employee::kCity, "SPRINGFIELD");
-  r.set_field(employee::kState, "IL");
-  r.set_field(employee::kZip, "62701");
-  return r;
-}
-
-MergePurgeOptions EngineOptions() {
-  MergePurgeOptions options;
-  options.keys = StandardThreeKeys();
-  options.window = 8;
-  return options;
-}
-
 MatchServiceOptions ServiceOptions() {
   MatchServiceOptions options;
   options.engine = EngineOptions();
   return options;
-}
-
-Dataset GenerateDataset(size_t num_records, uint64_t seed) {
-  GeneratorConfig config;
-  config.num_records = num_records;
-  config.seed = seed;
-  auto db = DatabaseGenerator(config).Generate();
-  EXPECT_TRUE(db.ok());
-  return std::move(db->dataset);
 }
 
 // --- Protocol: request parsing. ---
@@ -548,93 +512,6 @@ TEST(MatchServiceTest, UpsertAfterDrainFails) {
   EXPECT_EQ(service.GetStats().records, 1u);
 }
 
-// The concurrency contract: an interleaved concurrent mix must be
-// indistinguishable (by final state) from a serial replay of the batches
-// the writer actually committed.
-TEST(MatchServiceTest, ConcurrentMixEqualsSerialReplay) {
-  Dataset all = GenerateDataset(400, 31337);
-
-  MatchServiceOptions options = ServiceOptions();
-  options.batcher.max_batch_records = 64;
-  options.batcher.max_delay_ms = 1.0;
-  MatchService service(options, EmployeeTheory::Factory());
-
-  constexpr size_t kWriters = 4;
-  constexpr size_t kReaders = 4;
-  std::atomic<bool> writers_done{false};
-  std::atomic<uint64_t> matches_served{0};
-
-  std::vector<std::thread> threads;
-  // Writers: partition the dataset, upsert small uneven slices.
-  const size_t total = all.size();
-  for (size_t w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&, w] {
-      const size_t begin = total * w / kWriters;
-      const size_t end = total * (w + 1) / kWriters;
-      size_t i = begin;
-      size_t step = 1 + w;  // Uneven request sizes across writers.
-      while (i < end) {
-        const size_t n = std::min(step, end - i);
-        std::vector<Record> records;
-        records.reserve(n);
-        for (size_t k = 0; k < n; ++k) {
-          records.push_back(all.record(static_cast<TupleId>(i + k)));
-        }
-        Result<MatchService::UpsertOutcome> outcome =
-            service.Upsert(std::move(records));
-        ASSERT_TRUE(outcome.ok());
-        ASSERT_EQ(outcome->entities.size(), n);
-        i += n;
-        step = (step % 7) + 1;
-      }
-    });
-  }
-  // Readers: hammer Match with records from the dataset while writers
-  // are admitting them.
-  for (size_t r = 0; r < kReaders; ++r) {
-    threads.emplace_back([&, r] {
-      uint64_t probes = 0;
-      TupleId t = static_cast<TupleId>(r * 17 % total);
-      while (!writers_done.load(std::memory_order_acquire)) {
-        Result<MatchService::MatchOutcome> outcome =
-            service.Match(all.record(t));
-        ASSERT_TRUE(outcome.ok());
-        t = static_cast<TupleId>((t + 13) % total);
-        ++probes;
-      }
-      matches_served.fetch_add(probes);
-    });
-  }
-  for (size_t w = 0; w < kWriters; ++w) threads[w].join();
-  writers_done.store(true, std::memory_order_release);
-  for (size_t r = kWriters; r < threads.size(); ++r) threads[r].join();
-  service.Drain();
-
-  // Replay the committed batches serially through a fresh engine.
-  Dataset admitted = service.CopyRecords();
-  ASSERT_EQ(admitted.size(), total);
-  const std::vector<size_t> batch_sizes = service.committed_batch_sizes();
-  size_t replayed = 0;
-  IncrementalMergePurge serial(EngineOptions());
-  EmployeeTheory theory;
-  for (size_t batch_size : batch_sizes) {
-    Dataset batch(admitted.schema());
-    for (size_t k = 0; k < batch_size; ++k) {
-      batch.Append(admitted.record(static_cast<TupleId>(replayed + k)));
-    }
-    ASSERT_TRUE(serial.AddBatch(batch, theory).ok());
-    replayed += batch_size;
-  }
-  ASSERT_EQ(replayed, total);
-
-  // Same partition, same pair count: concurrency changed nothing.
-  EXPECT_EQ(service.ComponentLabels(), serial.ComponentLabels());
-  EXPECT_EQ(service.GetStats().pairs, serial.pairs().size());
-  EXPECT_EQ(service.GetStats().entities, serial.NumEntities());
-  // The readers actually ran concurrently with the writers.
-  EXPECT_GT(matches_served.load(), 0u);
-}
-
 // --- Server end-to-end over loopback sockets. ---
 
 // Minimal blocking test client.
@@ -900,12 +777,9 @@ TEST_F(ServerTest, StateNameReflectsDrain) {
 // ("recovering") immediately, refuses writes with a retryable error, and
 // flips to serving once the replay lands.
 TEST(ServerRecoveryTest, HealthAnswersDuringRecoveryAndUpsertsRefused) {
-  char tmpl[] = "/tmp/mergepurge_service_recovery_XXXXXX";
-  char* dir = ::mkdtemp(tmpl);
-  ASSERT_NE(dir, nullptr);
-
+  TempDir dir;
   MatchServiceOptions options = ServiceOptions();
-  options.durability.data_dir = dir;
+  options.durability.data_dir = dir.path();
   options.durability.fsync = FsyncPolicy::kNone;
   options.durability.recovery_delay_for_testing_ms = 400;
   MatchService service(options, EmployeeTheory::Factory());
@@ -950,7 +824,6 @@ TEST(ServerRecoveryTest, HealthAnswersDuringRecoveryAndUpsertsRefused) {
   client.Close();
   server.RequestDrain();
   server.Join();
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ServerTest, InvalidJsonGetsTypedErrorAndConnectionSurvives) {

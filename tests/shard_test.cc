@@ -1,10 +1,8 @@
 // Shard subsystem: router determinism over histogram edge cases,
 // boundary-band membership (the paper's §4 fragmentation rule applied
-// online), the global-closure label algebra, and the headline 2-shard
-// in-process coordinator contract test — the entity partition produced
-// through a coordinator fronting two shard engines must equal the
-// partition a single engine produces over the same record stream
-// (shard-count invariance, docs/sharding.md).
+// online), the global-closure label algebra, and the coordinator's
+// topology handshake. That a coordinator over 2-4 shards reproduces one
+// engine's partition is the cross-path contract (contract_test).
 
 #include <algorithm>
 #include <set>
@@ -13,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "gen/generator.h"
 #include "keys/standard_keys.h"
 #include "obs/json.h"
 #include "rules/employee_theory.h"
@@ -43,15 +40,6 @@ std::vector<Record> LastNameRecords(
     records.push_back(LastNameRecord(name));
   }
   return records;
-}
-
-Dataset GenerateDataset(size_t num_records, uint64_t seed) {
-  GeneratorConfig config;
-  config.num_records = num_records;
-  config.seed = seed;
-  auto db = DatabaseGenerator(config).Generate();
-  EXPECT_TRUE(db.ok());
-  return std::move(db->dataset);
 }
 
 // --- ShardRouter. ---
@@ -329,7 +317,7 @@ TEST(ShardLabelSpaceTest, BindingsReconcileThroughTidUnions) {
   EXPECT_EQ(closure.num_entities(), 1u);
 }
 
-// --- Coordinator contract: shard-count invariance. ---
+// --- Config handshake: a coordinator must refuse a mismatched fleet. ---
 
 MatchServiceOptions SingleKeyEngine() {
   MatchServiceOptions options;
@@ -337,97 +325,6 @@ MatchServiceOptions SingleKeyEngine() {
   options.engine.window = 8;
   return options;
 }
-
-TEST(CoordinatorTest, TwoShardPartitionEqualsSingleEngine) {
-  MatchService shard0(SingleKeyEngine(), EmployeeTheory::Factory());
-  MatchService shard1(SingleKeyEngine(), EmployeeTheory::Factory());
-  ServerOptions server_options;
-  server_options.port = 0;
-  Server server0(server_options, &shard0);
-  Server server1(server_options, &shard1);
-  Result<uint16_t> port0 = server0.Start();
-  Result<uint16_t> port1 = server1.Start();
-  ASSERT_TRUE(port0.ok());
-  ASSERT_TRUE(port1.ok());
-
-  CoordinatorOptions coord_options;
-  coord_options.shards = {{"127.0.0.1", *port0}, {"127.0.0.1", *port1}};
-  coord_options.schema = employee::MakeSchema();
-  coord_options.keys = {LastNameKey()};
-  coord_options.window = 8;
-  CoordService coord(std::move(coord_options));
-
-  Dataset dataset = GenerateDataset(240, 20260809);
-  ASSERT_TRUE(coord.SeedRouter(dataset.records()).ok());
-
-  MatchService single(SingleKeyEngine(), EmployeeTheory::Factory());
-
-  const size_t kBatch = 7;  // Deliberately not a divisor of 240.
-  for (size_t begin = 0; begin < dataset.size(); begin += kBatch) {
-    const size_t end = std::min(begin + kBatch, dataset.size());
-    std::vector<Record> batch;
-    std::vector<Record> replay;
-    for (size_t i = begin; i < end; ++i) {
-      batch.push_back(dataset.record(static_cast<TupleId>(i)));
-      replay.push_back(dataset.record(static_cast<TupleId>(i)));
-    }
-    const std::string line = coord.HandleUpsert(nullptr, std::move(batch));
-    Result<JsonValue> response = ParseResponseLine(line);
-    ASSERT_TRUE(response.ok());
-    const JsonValue* ok = response->Find("ok");
-    ASSERT_NE(ok, nullptr);
-    ASSERT_TRUE(ok->bool_value()) << line;
-    ASSERT_EQ(response->Find("entities")->size(), end - begin);
-    ASSERT_TRUE(single.Upsert(std::move(replay)).ok());
-  }
-
-  single.Drain();
-  const std::vector<uint32_t> expected = single.ComponentLabels();
-  const std::vector<uint32_t> actual = coord.GlobalLabels();
-  ASSERT_EQ(actual.size(), expected.size());
-  EXPECT_EQ(actual, expected);
-
-  // The merged stats keep the global view: every record counted once
-  // despite boundary replicas, per-shard sections nested under shards.
-  const JsonValue extra = JsonValue::Object();
-  Result<JsonValue> stats =
-      ParseResponseLine(coord.HandleStats(nullptr, extra));
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(static_cast<size_t>(stats->Find("records")->int_value()),
-            dataset.size());
-  ASSERT_NE(stats->Find("shards"), nullptr);
-  EXPECT_EQ(stats->Find("shards")->size(), 2u);
-  // The shards together hold at least every record once; replicas can
-  // only add.
-  uint64_t resident = 0;
-  for (const JsonValue& shard : stats->Find("shards")->elements()) {
-    resident += static_cast<uint64_t>(shard.Find("records")->int_value());
-  }
-  EXPECT_GE(resident, dataset.size());
-
-  // A match through the coordinator resolves in the GLOBAL id space:
-  // probing with an exact copy of record 0 must report record 0's own
-  // global entity among the matched components.
-  const std::string match_line =
-      coord.HandleMatch(nullptr, {dataset.record(0)});
-  Result<JsonValue> match = ParseResponseLine(match_line);
-  ASSERT_TRUE(match.ok());
-  ASSERT_TRUE(match->Find("ok")->bool_value());
-  ASSERT_FALSE(match->Find("entity")->is_null());
-  bool found = false;
-  for (const JsonValue& e : match->Find("entities")->elements()) {
-    if (static_cast<uint32_t>(e.int_value()) == actual[0]) found = true;
-  }
-  EXPECT_TRUE(found) << match_line;
-
-  coord.Drain();
-  server0.RequestDrain();
-  server1.RequestDrain();
-  server0.Join();
-  server1.Join();
-}
-
-// --- Config handshake: a coordinator must refuse a mismatched fleet. ---
 
 TEST(CoordinatorTest, HelloHandshakeVerifiesTopology) {
   MatchService shard(SingleKeyEngine(), EmployeeTheory::Factory());

@@ -10,7 +10,7 @@
 
 #include "core/window_scanner.h"
 #include "gen/generator.h"
-#include "parallel/coordinator.h"
+#include "parallel/fragment_scan.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
 #include "util/random.h"

@@ -38,12 +38,13 @@ run_suite "${root}/build" "" -DMERGEPURGE_SANITIZE="" \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 run_suite "${root}/build-san" "" "-DMERGEPURGE_SANITIZE=address;undefined"
 # TSan is incompatible with ASan, so it gets its own tree; run the suites
-# that exercise threads (the fragment scan and its retries, the batch
-# multi-pass engine, incremental engine, the TCP service,
-# fault-tolerance, the sync primitives) rather than all of ctest. The lock-order validator
-# runs here as in every build, now under TSan's thread schedules.
+# that exercise threads (the cross-path contract, the fragment scan and
+# its retries, the batch multi-pass engine, incremental engine, the TCP
+# service, fault-tolerance, the sync primitives) rather than all of
+# ctest. The lock-order validator runs here as in every build, now under
+# TSan's thread schedules.
 run_suite "${root}/build-tsan" \
-  "parallel_test|multipass_test|engine_matrix_test|incremental_test|incremental_property_test|service_test|shard_test|fault_tolerance_test|metrics_test|obs_window_test|sync_test|durability_test" \
+  "contract_test|parallel_test|multipass_test|engine_matrix_test|incremental_test|incremental_property_test|service_test|shard_test|fault_tolerance_test|metrics_test|obs_window_test|sync_test|durability_test" \
   "-DMERGEPURGE_SANITIZE=thread"
 
 # Compile-time lock discipline (clang only): build the whole tree with
@@ -380,8 +381,8 @@ fi
 # entities (a lost cross-boundary match would split an entity — the
 # boundary band exists to make that impossible), and may merge at most
 # a sliver more (conservative band replicas and at-least-once resends
-# can only add genuine matches; tests/shard_test.cc pins exact label
-# equality for the deterministic in-process case).
+# can only add genuine matches; tests/contract_test.cc pins exact label
+# equality for the deterministic in-process one-key case).
 coord_dir="$(mktemp -d)"
 trap 'kill "${serve_pid}" 2>/dev/null || true; kill -9 "${crash_pid}" 2>/dev/null || true; for f in "${coord_dir}"/pid_*; do kill -9 "$(cat "${f}")" 2>/dev/null || true; done; rm -rf "${lint_dir}" "${obs_dir}" "${svc_dir}" "${crash_dir}" "${coord_dir}"' EXIT
 echo "=== coordinator e2e (${coord_dir}) ==="
