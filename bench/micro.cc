@@ -16,7 +16,6 @@
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
 #include "rules/employee_theory.h"
-#include "sort/external_sort.h"
 #include "text/edit_distance.h"
 #include "text/keyboard_distance.h"
 #include "text/nicknames.h"
@@ -266,21 +265,6 @@ void BM_UnionFind(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnionFind)->Unit(benchmark::kMillisecond);
-
-void BM_ExternalSort(benchmark::State& state) {
-  const auto& db = SharedDatabase();
-  ExternalSortOptions options;
-  options.memory_records = static_cast<size_t>(state.range(0));
-  options.fan_in = 16;
-  options.temp_dir = "/tmp";
-  ExternalSorter sorter(options);
-  for (auto _ : state) {
-    auto order = sorter.Sort(db.dataset, LastNameKey(), nullptr);
-    benchmark::DoNotOptimize(order);
-  }
-}
-BENCHMARK(BM_ExternalSort)->Arg(2000)->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mergepurge

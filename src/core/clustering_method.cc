@@ -58,9 +58,8 @@ Result<ClusteredOrder> ClusterOrder(const Dataset& dataset,
   phase.Restart();
   {
     Span span("cluster");
-    Rng rng(options.seed);
-    Histogram histogram = BuildHistogram(keys, options.histogram_depth,
-                                         options.histogram_sample, &rng);
+    // A full scan of every key at the paper's depth of three characters.
+    Histogram histogram = BuildHistogram(keys, 3, 0, nullptr);
     Result<KeyPartitioner> partitioner =
         KeyPartitioner::FromHistogram(histogram, options.num_clusters);
     if (!partitioner.ok()) return partitioner.status();

@@ -37,18 +37,10 @@ struct ClusteringOptions {
   // fixed-size cluster key (the paper's 3-letter example).
   size_t fixed_key_prefix = 3;
 
-  // Histogram depth (prefix characters -> 27^depth bins).
-  size_t histogram_depth = 3;
-
-  // Sample size for the histogram; 0 = exact scan of all keys.
-  size_t histogram_sample = 0;
-
   // Ablation: sort clusters by the full variable-length key instead of the
   // fixed cluster key (closes the accuracy gap vs SNM; not what the paper's
   // clustering method does).
   bool sort_with_full_key = false;
-
-  uint64_t seed = 7;
 };
 
 // A clustering pass's record order: the clusters concatenated in cluster

@@ -58,13 +58,10 @@ uint64_t MultiPass::ConfigDigest() const {
       static_cast<int>(method_), window_);
   if (method_ == Method::kClustering) {
     config += StringPrintf(
-        ";clusters=%zu;prefix=%zu;depth=%zu;sample=%zu;full_key=%d;seed=%llu",
+        ";clusters=%zu;prefix=%zu;full_key=%d",
         clustering_options_.num_clusters,
         clustering_options_.fixed_key_prefix,
-        clustering_options_.histogram_depth,
-        clustering_options_.histogram_sample,
-        clustering_options_.sort_with_full_key ? 1 : 0,
-        static_cast<unsigned long long>(clustering_options_.seed));
+        clustering_options_.sort_with_full_key ? 1 : 0);
   }
   return Fnv1a64(config);
 }

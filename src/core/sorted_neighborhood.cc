@@ -6,7 +6,6 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sort/external_sort.h"
 #include "util/timer.h"
 
 namespace mergepurge {
@@ -58,15 +57,13 @@ std::vector<TupleId> SortedNeighborhood::KeyAndSort(const Dataset& dataset,
 Result<PassResult> SortedNeighborhood::Run(
     const Dataset& dataset, const KeySpec& key,
     const EquationalTheory& theory) const {
-  if (options_.window < 2) {
+  if (window_ < 2) {
     return Status::InvalidArgument("window must be >= 2");
   }
   MERGEPURGE_RETURN_NOT_OK(KeyBuilder(key).Validate(dataset.schema()));
 
   static Counter* const passes_counter =
       MetricsRegistry::Global().GetCounter(metric_names::kSnmPasses);
-  static LatencyHistogram* const sort_us =
-      MetricsRegistry::Global().GetHistogram(metric_names::kSnmSortUs);
   static LatencyHistogram* const scan_us =
       MetricsRegistry::Global().GetHistogram(metric_names::kSnmScanUs);
 
@@ -76,33 +73,14 @@ Result<PassResult> SortedNeighborhood::Run(
   PassResult result;
   result.key_name = key.name;
   Timer total;
-  Timer phase;
-  std::vector<TupleId> order;
-
-  if (options_.external_sort_memory > 0) {
-    // I/O-bound regime: key creation is folded into run formation inside
-    // the external sorter, so both phases are reported as sort time.
-    Span span("external-sort");
-    ExternalSortOptions sort_options;
-    sort_options.memory_records = options_.external_sort_memory;
-    sort_options.fan_in = options_.external_sort_fan_in;
-    sort_options.temp_dir = options_.temp_dir;
-    Result<std::vector<TupleId>> sorted =
-        ExternalSorter(sort_options).Sort(dataset, key, nullptr);
-    if (!sorted.ok()) return sorted.status();
-    order = std::move(*sorted);
-    result.sort_seconds = phase.ElapsedSeconds();
-    sort_us->Record(static_cast<double>(phase.ElapsedMicros()));
-  } else {
-    order = KeyAndSort(dataset, key, &result);
-  }
+  std::vector<TupleId> order = KeyAndSort(dataset, key, &result);
 
   // Phase 3: window scan (merge).
-  phase.Restart();
+  Timer phase;
   ScanStats stats;
   {
     Span span("window-scan");
-    WindowScanner scanner(options_.window);
+    WindowScanner scanner(window_);
     stats = scanner.Scan(dataset, order, theory, &result.pairs);
     span.AddArg("windows", stats.windows);
     span.AddArg("comparisons", stats.comparisons);

@@ -37,30 +37,11 @@ struct PassResult {
   bool resumed = false;
 };
 
-struct SnmOptions {
-  size_t window = 10;
-
-  // When > 0, the sort phase runs through the external k-way merge sorter
-  // with at most this many (key, tid) entries in memory — the paper's
-  // I/O-bound regime (§2.2: "for very large databases the dominant cost
-  // will be disk I/O"). 0 = in-memory sort.
-  size_t external_sort_memory = 0;
-
-  // Merge fan-in for the external sort (paper used 16).
-  size_t external_sort_fan_in = 16;
-
-  // Run-file directory for the external sort.
-  std::string temp_dir = "/tmp";
-};
-
 class SortedNeighborhood {
  public:
-  explicit SortedNeighborhood(size_t window) { options_.window = window; }
-  explicit SortedNeighborhood(SnmOptions options)
-      : options_(std::move(options)) {}
+  explicit SortedNeighborhood(size_t window) : window_(window) {}
 
-  size_t window() const { return options_.window; }
-  const SnmOptions& options() const { return options_; }
+  size_t window() const { return window_; }
 
   // Runs one full pass with `key` over `dataset`. window >= 2 required.
   Result<PassResult> Run(const Dataset& dataset, const KeySpec& key,
@@ -71,7 +52,7 @@ class SortedNeighborhood {
   static std::vector<TupleId> SortByKey(const Dataset& dataset,
                                         const KeySpec& key);
 
-  // Phases 1-2 of an in-memory pass: SortByKey with the create-keys and
+  // Phases 1-2 of a pass: SortByKey with the create-keys and
   // sort phases timed into `pass` and traced. The key must be valid for
   // the dataset's schema.
   static std::vector<TupleId> KeyAndSort(const Dataset& dataset,
@@ -79,7 +60,7 @@ class SortedNeighborhood {
                                          PassResult* pass);
 
  private:
-  SnmOptions options_;
+  size_t window_;
 };
 
 }  // namespace mergepurge

@@ -28,8 +28,7 @@ Status WriteCsvFile(const Dataset& dataset, const std::string& path);
 // Reads a CSV file whose header must match the given schema's field names.
 Result<Dataset> ReadCsvFile(const Schema& schema, const std::string& path);
 
-// Serializes to / parses from an in-memory CSV string (used by tests and by
-// the external sorter's run files).
+// Serializes to / parses from an in-memory CSV string.
 std::string WriteCsvString(const Dataset& dataset);
 Result<Dataset> ReadCsvString(const Schema& schema, std::string_view text);
 

@@ -20,13 +20,6 @@ namespace metric_names {
 inline constexpr char kGenRecords[] = "gen.records";
 inline constexpr char kGenDuplicates[] = "gen.duplicates";
 
-// --- External sort (src/sort). ---
-inline constexpr char kSortSpills[] = "sort.spills";
-inline constexpr char kSortMergePasses[] = "sort.merge_passes";
-inline constexpr char kSortEntriesWritten[] = "sort.entries_written";
-inline constexpr char kSortEntriesRead[] = "sort.entries_read";
-inline constexpr char kSortInitialRuns[] = "sort.initial_runs";
-
 // --- Window scan / SNM merge phase (both methods, serial + parallel).
 // Counts COMMITTED work only: only a fragment's successful attempt
 // flushes, so a retried fragment contributes once no matter how many

@@ -11,12 +11,11 @@ namespace mergepurge {
 void PreregisterStandardMetrics(MetricsRegistry& registry) {
   namespace mn = metric_names;
   for (const char* name :
-       {mn::kGenRecords, mn::kGenDuplicates, mn::kSortSpills,
-        mn::kSortMergePasses, mn::kSortEntriesWritten, mn::kSortEntriesRead,
-        mn::kSortInitialRuns, mn::kSnmWindows, mn::kSnmComparisons,
-        mn::kSnmMatches, mn::kSnmPasses, mn::kRulesDistanceCalls,
-        mn::kRulesEarlyExits, mn::kClosureUnions, mn::kClosureUnionCalls,
-        mn::kClosurePathCompressions, mn::kParallelTasks,
+       {mn::kGenRecords, mn::kGenDuplicates, mn::kSnmWindows,
+        mn::kSnmComparisons, mn::kSnmMatches, mn::kSnmPasses,
+        mn::kRulesDistanceCalls, mn::kRulesEarlyExits, mn::kClosureUnions,
+        mn::kClosureUnionCalls, mn::kClosurePathCompressions,
+        mn::kParallelTasks,
         mn::kResilientRetries, mn::kResilientExhausted, mn::kFaultsTripped,
         mn::kCheckpointSaves, mn::kCheckpointLoads,
         mn::kCheckpointInvalidations,

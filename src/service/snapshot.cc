@@ -29,19 +29,10 @@ std::string EncodeBody(uint64_t config_digest, const SnapshotState& state) {
   std::string body;
   PutU64(&body, state.seq);
   PutU64(&body, config_digest);
-  const Schema& schema = state.records.schema();
-  PutU32(&body, static_cast<uint32_t>(schema.num_fields()));
-  for (const std::string& name : schema.field_names()) {
-    PutU32(&body, static_cast<uint32_t>(name.size()));
-    body.append(name);
-  }
+  PutStringList(&body, state.records.schema().field_names());
   PutU64(&body, state.records.size());
   for (const Record& record : state.records.records()) {
-    PutU32(&body, static_cast<uint32_t>(record.fields().size()));
-    for (const std::string& field : record.fields()) {
-      PutU32(&body, static_cast<uint32_t>(field.size()));
-      body.append(field);
-    }
+    PutStringList(&body, record.fields());
   }
   const auto pairs = state.pairs.ToSortedVector();
   PutU64(&body, pairs.size());
@@ -56,10 +47,8 @@ Status DecodeBody(std::string_view body, const std::string& path,
                   uint64_t expected_config, SnapshotState* out) {
   size_t pos = 0;
   uint64_t config_digest = 0;
-  uint32_t field_count = 0;
   if (!GetU64(body, &pos, &out->seq) ||
-      !GetU64(body, &pos, &config_digest) ||
-      !GetU32(body, &pos, &field_count)) {
+      !GetU64(body, &pos, &config_digest)) {
     return Status::ParseError(path + ": truncated snapshot header");
   }
   if (config_digest != expected_config) {
@@ -70,14 +59,8 @@ Status DecodeBody(std::string_view body, const std::string& path,
         static_cast<unsigned long long>(expected_config)));
   }
   std::vector<std::string> field_names;
-  field_names.reserve(field_count);
-  for (uint32_t f = 0; f < field_count; ++f) {
-    uint32_t len = 0;
-    if (!GetU32(body, &pos, &len) || body.size() - pos < len) {
-      return Status::ParseError(path + ": truncated schema");
-    }
-    field_names.emplace_back(body.substr(pos, len));
-    pos += len;
+  if (!GetStringList(body, &pos, &field_names)) {
+    return Status::ParseError(path + ": truncated schema");
   }
   out->records = Dataset(Schema(std::move(field_names)));
   uint64_t record_count = 0;
@@ -86,19 +69,9 @@ Status DecodeBody(std::string_view body, const std::string& path,
   }
   out->records.Reserve(record_count);
   for (uint64_t r = 0; r < record_count; ++r) {
-    uint32_t record_fields = 0;
-    if (!GetU32(body, &pos, &record_fields)) {
-      return Status::ParseError(path + ": truncated record");
-    }
     std::vector<std::string> fields;
-    fields.reserve(record_fields);
-    for (uint32_t f = 0; f < record_fields; ++f) {
-      uint32_t len = 0;
-      if (!GetU32(body, &pos, &len) || body.size() - pos < len) {
-        return Status::ParseError(path + ": truncated record field");
-      }
-      fields.emplace_back(body.substr(pos, len));
-      pos += len;
+    if (!GetStringList(body, &pos, &fields)) {
+      return Status::ParseError(path + ": truncated record");
     }
     out->records.Append(Record(std::move(fields)));
   }

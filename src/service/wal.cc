@@ -31,11 +31,7 @@ std::string EncodePayload(uint64_t seq, const std::vector<Record>& records) {
   PutU64(&payload, seq);
   PutU32(&payload, static_cast<uint32_t>(records.size()));
   for (const Record& record : records) {
-    PutU32(&payload, static_cast<uint32_t>(record.fields().size()));
-    for (const std::string& field : record.fields()) {
-      PutU32(&payload, static_cast<uint32_t>(field.size()));
-      payload.append(field);
-    }
+    PutStringList(&payload, record.fields());
   }
   return payload;
 }
@@ -48,17 +44,8 @@ bool DecodePayload(std::string_view payload, WalBatch* out) {
   out->records.clear();
   out->records.reserve(record_count);
   for (uint32_t r = 0; r < record_count; ++r) {
-    uint32_t field_count = 0;
-    if (!GetU32(payload, &pos, &field_count)) return false;
     std::vector<std::string> fields;
-    fields.reserve(field_count);
-    for (uint32_t f = 0; f < field_count; ++f) {
-      uint32_t len = 0;
-      if (!GetU32(payload, &pos, &len)) return false;
-      if (payload.size() - pos < len) return false;
-      fields.emplace_back(payload.substr(pos, len));
-      pos += len;
-    }
+    if (!GetStringList(payload, &pos, &fields)) return false;
     out->records.emplace_back(std::move(fields));
   }
   return pos == payload.size();

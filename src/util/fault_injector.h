@@ -1,8 +1,8 @@
 // FaultInjector: programmable fault points for chaos-testing the parallel
 // and multi-pass pipelines. Library code consults a named fault point at
-// the top of each unit of restartable work (fragment scan, cluster SNM,
-// sort spill, pairs-file write); tests and the CLI arm points with
-// deterministic failure schedules. With no schedule armed, a point check
+// the top of each unit of restartable work (fragment scan, pairs-file
+// write); tests and the CLI arm points with deterministic failure
+// schedules. With no schedule armed, a point check
 // is a single relaxed atomic load — safe to leave in production paths.
 //
 // Schedules:
@@ -35,7 +35,6 @@ namespace mergepurge {
 // Canonical fault-point names used by library code.
 namespace fault_points {
 inline constexpr char kFragmentScan[] = "parallel.fragment_scan";
-inline constexpr char kSortSpill[] = "sort.spill";
 inline constexpr char kPairsWrite[] = "io.pairs_write";
 // Durability crash points (service WAL + snapshot paths). Each models
 // the process dying at that instant: a tripped point leaves partial

@@ -111,12 +111,12 @@ TEST(FaultInjectorTest, ArmFromSpecParsesMultipleClauses) {
   ASSERT_TRUE(injector
                   .ArmFromSpec("parallel.fragment_scan=fail:2;"
                                "io.pairs_write=rate:0.5:seed=3;"
-                               "sort.spill=straggle:5")
+                               "wal-append=straggle:5")
                   .ok());
   EXPECT_FALSE(injector.OnPoint(fault_points::kFragmentScan).ok());
   EXPECT_FALSE(injector.OnPoint(fault_points::kFragmentScan).ok());
   EXPECT_TRUE(injector.OnPoint(fault_points::kFragmentScan).ok());
-  EXPECT_TRUE(injector.OnPoint(fault_points::kSortSpill).ok());
+  EXPECT_TRUE(injector.OnPoint(fault_points::kWalAppend).ok());
 }
 
 TEST(FaultInjectorTest, ArmFromSpecRejectsMalformedClauses) {
@@ -605,27 +605,6 @@ TEST_F(CheckpointTest, EngineResumesToByteIdenticalOutput) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed->detail.passes_resumed, 1u);
   EXPECT_EQ(WriteCsvString(resumed->Purge(dataset_)), baseline_csv);
-}
-
-TEST_F(CheckpointTest, SortSpillFaultAbortsExternalSortPass) {
-  // The sort.spill point wires the external-sort spill path into the
-  // same injector; a spill failure surfaces as a Status, not a crash.
-  FaultInjector::Global().Arm(fault_points::kSortSpill,
-                              FaultSchedule::FailOnce());
-  SnmOptions options;
-  options.window = 10;
-  options.external_sort_memory = 64;
-  options.temp_dir = dir();
-  auto result =
-      SortedNeighborhood(options).Run(dataset_, LastNameKey(), theory_);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInjectedFault);
-
-  // Disarmed, the same configuration succeeds.
-  FaultInjector::Global().Reset();
-  auto retry =
-      SortedNeighborhood(options).Run(dataset_, LastNameKey(), theory_);
-  EXPECT_TRUE(retry.ok()) << retry.status().ToString();
 }
 
 }  // namespace

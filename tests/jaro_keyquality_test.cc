@@ -1,14 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "core/sorted_neighborhood.h"
-#include "eval/key_quality.h"
-#include "eval/metrics.h"
-#include "gen/generator.h"
-#include "keys/standard_keys.h"
-#include "rules/employee_theory.h"
+#include <string>
+
+#include "record/record.h"
+#include "record/schema.h"
 #include "rules/rule_program.h"
 #include "text/jaro_winkler.h"
-#include "text/normalize.h"
 #include "util/random.h"
 
 namespace mergepurge {
@@ -110,81 +107,6 @@ TEST(NgramJaroDslTest, AvailableAsBuiltins) {
   Record b;
   b.set_field(employee::kLastName, "MARHTA");
   EXPECT_TRUE(program->Matches(a, b));
-}
-
-// --- Key quality analyzer. ---
-
-class KeyQualityTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    GeneratorConfig config;
-    config.num_records = 1500;
-    config.duplicate_selection_rate = 0.5;
-    config.seed = 404;
-    auto db = DatabaseGenerator(config).Generate();
-    ASSERT_TRUE(db.ok());
-    dataset_ = std::move(db->dataset);
-    truth_ = std::move(db->truth);
-    ConditionEmployeeDataset(&dataset_);
-  }
-
-  Dataset dataset_;
-  GroundTruth truth_;
-};
-
-TEST_F(KeyQualityTest, ReportIsInternallyConsistent) {
-  auto report = AnalyzeKeyQuality(dataset_, truth_, LastNameKey());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->true_pairs, truth_.NumTruePairs());
-  EXPECT_LE(report->adjacent_pairs, report->true_pairs);
-  EXPECT_LE(report->median_gap, report->p90_gap);
-  EXPECT_LE(report->p90_gap, report->max_gap);
-  EXPECT_GE(report->far_fraction, 0.0);
-  EXPECT_LE(report->far_fraction, 1.0);
-  // Coverage is monotone in w and consistent with far_fraction at w=50.
-  ASSERT_EQ(report->coverage_windows.size(), 5u);
-  for (size_t i = 1; i < report->coverage_percent.size(); ++i) {
-    EXPECT_GE(report->coverage_percent[i], report->coverage_percent[i - 1]);
-  }
-  // Gap <= 50 iff NOT far; window 51 would be the exact complement, so
-  // coverage at w=50 (gap <= 49) is bounded by 1 - far_fraction.
-  EXPECT_LE(report->coverage_percent.back(),
-            100.0 * (1.0 - report->far_fraction) + 1e-9);
-}
-
-TEST_F(KeyQualityTest, CeilingBoundsActualSnmRecall) {
-  // The ceiling at w must upper-bound what a real pass with window w
-  // achieves (the theory can only lose pairs, never add).
-  auto report = AnalyzeKeyQuality(dataset_, truth_, LastNameKey(), {10});
-  ASSERT_TRUE(report.ok());
-  EmployeeTheory theory;
-  auto pass = SortedNeighborhood(10).Run(dataset_, LastNameKey(), theory);
-  ASSERT_TRUE(pass.ok());
-  AccuracyReport accuracy =
-      EvaluatePairSet(pass->pairs, dataset_.size(), truth_);
-  // Direct (pre-closure) recall cannot exceed the ceiling; closure can
-  // bridge a few extra pairs, so allow a small margin.
-  EXPECT_LE(accuracy.recall_percent,
-            report->coverage_percent[0] + 5.0);
-}
-
-TEST_F(KeyQualityTest, PerfectKeyHasTinyGaps) {
-  // A key on the ORIGIN id itself (planted via ssn of uncorrupted data)
-  // would give gap 1 for all pairs; approximate with dup rate 0 edge case.
-  GeneratorConfig config;
-  config.num_records = 100;
-  config.duplicate_selection_rate = 0.0;
-  config.seed = 1;
-  auto db = DatabaseGenerator(config).Generate();
-  ASSERT_TRUE(db.ok());
-  auto report = AnalyzeKeyQuality(db->dataset, db->truth, LastNameKey());
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->true_pairs, 0u);  // No duplicates -> no gaps.
-}
-
-TEST_F(KeyQualityTest, RejectsInvalidKey) {
-  KeySpec bad{"bad", {KeyComponent::Full(99)}};
-  EXPECT_FALSE(AnalyzeKeyQuality(dataset_, truth_, bad).ok());
 }
 
 }  // namespace

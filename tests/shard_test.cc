@@ -5,6 +5,7 @@
 // engine's partition is the cross-path contract (contract_test).
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -314,6 +315,19 @@ TEST(ShardLabelSpaceTest, BindingsReconcileThroughTidUnions) {
   // Replays are harmless.
   space.UnionTids(10, 20);
   space.Bind(30, g2);
+  EXPECT_EQ(closure.num_entities(), 1u);
+}
+
+TEST(ShardLabelSpaceTest, UnionMovesBindingToSmallerUnboundRoot) {
+  // A bound tid joins a smaller tid that was never bound: the smaller tid
+  // becomes the component root and must take over the binding.
+  GlobalClosure closure;
+  ShardLabelSpace space(&closure);
+  const uint32_t g = closure.NewId();
+  space.Bind(20, g);
+  space.UnionTids(20, 5);
+  EXPECT_EQ(space.Lookup(5), std::optional<uint32_t>(g));
+  EXPECT_EQ(space.Lookup(20), std::optional<uint32_t>(g));
   EXPECT_EQ(closure.num_entities(), 1u);
 }
 

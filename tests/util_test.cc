@@ -1,10 +1,13 @@
 #include <atomic>
 #include <functional>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/coding.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -242,6 +245,25 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   pool.Submit([&counter] { counter.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(counter.load(), 1);
+}
+
+TEST(CodingTest, StringListRoundTripsAndRejectsEveryTruncation) {
+  const std::vector<std::string> fields = {"SMITH", "",
+                                           std::string("A\0B", 3)};
+  std::string data;
+  PutStringList(&data, fields);
+  EXPECT_EQ(data.size(), 4u + 3 * 4 + 5 + 0 + 3);
+  size_t pos = 0;
+  std::vector<std::string> decoded;
+  ASSERT_TRUE(GetStringList(data, &pos, &decoded));
+  EXPECT_EQ(decoded, fields);
+  EXPECT_EQ(pos, data.size());
+  for (size_t cut = 0; cut < data.size(); ++cut) {
+    pos = 0;
+    EXPECT_FALSE(GetStringList(std::string_view(data).substr(0, cut), &pos,
+                               &decoded))
+        << cut;
+  }
 }
 
 }  // namespace
