@@ -4,6 +4,7 @@
 
 #include "core/purge_policy.h"
 #include "gen/places_data.h"
+#include "obs/trace.h"
 #include "text/normalize.h"
 #include "text/spell.h"
 
@@ -35,6 +36,7 @@ Result<MergePurgeResult> MergePurgeEngine::Run(
         "pre-condition custom schemas and set condition_records=false");
   }
   if (options_.condition_records) {
+    Span span("condition");
     conditioned = dataset;
     ConditionEmployeeDataset(&conditioned);
     if (options_.spell_correct_city) {

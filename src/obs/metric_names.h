@@ -21,9 +21,9 @@ inline constexpr char kGenRecords[] = "gen.records";
 inline constexpr char kGenDuplicates[] = "gen.duplicates";
 
 // --- Window scan / SNM merge phase (both methods, serial + parallel).
-// Counts COMMITTED work only: only a fragment's successful attempt
-// flushes, so a retried fragment contributes once no matter how many
-// attempts ran (see docs/observability.md). ---
+// Counts COMMITTED work only: a fragment flushes when its scan succeeds,
+// and a fragment whose scan throws flushes nothing (see
+// docs/observability.md). ---
 inline constexpr char kSnmWindows[] = "snm.windows";
 inline constexpr char kSnmComparisons[] = "snm.comparisons";
 inline constexpr char kSnmMatches[] = "snm.matches";
@@ -43,12 +43,9 @@ inline constexpr char kClosurePathCompressions[] =
     "closure.path_compressions";
 inline constexpr char kClosureUs[] = "closure.us";           // Histogram.
 
-// --- Fragment scans (src/parallel/fragment_scan): committed fragments,
-// re-attempts after a failed or throwing attempt, and fragments that
-// exhausted their attempts. ---
+// --- Fragment scans (src/parallel/fragment_scan): fragments whose scan
+// succeeded. ---
 inline constexpr char kParallelTasks[] = "parallel.tasks";
-inline constexpr char kResilientRetries[] = "resilient.retries";
-inline constexpr char kResilientExhausted[] = "resilient.exhausted";
 
 // --- Fault injection (src/util/fault_injector). ---
 inline constexpr char kFaultsTripped[] = "faults.tripped";
@@ -174,8 +171,8 @@ inline constexpr char kCoordGlobalEntities[] =
 
 // Registers every catalogued fixed-name metric in `registry` so snapshots
 // and run reports always contain the full key set, zero-valued when a
-// stage never ran (e.g. resilient.retries in a serial run). RunReport
-// calls this on construction; tests call it directly.
+// stage never ran (e.g. checkpoint.loads in a run without --resume).
+// RunReport calls this on construction; tests call it directly.
 void PreregisterStandardMetrics(MetricsRegistry& registry);
 
 }  // namespace mergepurge

@@ -15,8 +15,7 @@ void PreregisterStandardMetrics(MetricsRegistry& registry) {
         mn::kSnmComparisons, mn::kSnmMatches, mn::kSnmPasses,
         mn::kRulesDistanceCalls, mn::kRulesEarlyExits, mn::kClosureUnions,
         mn::kClosureUnionCalls, mn::kClosurePathCompressions,
-        mn::kParallelTasks,
-        mn::kResilientRetries, mn::kResilientExhausted, mn::kFaultsTripped,
+        mn::kParallelTasks, mn::kFaultsTripped,
         mn::kCheckpointSaves, mn::kCheckpointLoads,
         mn::kCheckpointInvalidations,
         mn::kServiceConnections, mn::kServiceConnectionsRejected,

@@ -40,9 +40,6 @@ struct Fragment {
 // populate them.
 std::vector<Fragment> MakeOverlappingFragments(size_t n, size_t p, size_t w);
 
-// Attempts each fragment gets before the call gives it up.
-inline constexpr size_t kMaxAttempts = 4;
-
 // One record order (a pass's tuple ids) cut into fragments that together
 // cover the positions to scan.
 struct FragmentScanJob {
@@ -52,7 +49,7 @@ struct FragmentScanJob {
 
 // A job's committed work. `pairs` holds the fragments' matches inserted in
 // fragment order, which is the serial scan's order; it stays empty unless
-// every fragment of the job committed.
+// every fragment of the job succeeded.
 struct FragmentScanResult {
   PairSet pairs;
   ScanStats stats;
@@ -62,20 +59,21 @@ struct FragmentScanResult {
 
 struct FragmentScanReport {
   std::vector<FragmentScanResult> jobs;  // One per job, in job order.
-  // OK, or PartialFailure naming the fragments that exhausted their
-  // attempts.
+  // OK, or PartialFailure naming the fragments that failed.
   Status status;
 };
 
 // Scans every fragment of every job with `window` on a pool of `workers`
-// threads. Each fragment is one task that makes up to kMaxAttempts
-// attempts, each with its own theory from `theory_factory`; an attempt
-// checks the parallel.fragment_scan fault point, and one that fails or
-// throws publishes nothing and queues the fragment's next attempt behind
-// every task already queued. The attempt that succeeds stores the
-// fragment's matches and flushes its scan and rule metrics, so counters
-// cover committed work exactly once. The pair sets are built on the
-// calling thread after the pool drains.
+// threads. Each fragment is one task that runs exactly once, with its own
+// theory from `theory_factory`. A task that succeeds stores its matches
+// and flushes its scan and rule metrics; one that throws stores the error
+// in its slot and flushes nothing, so counters cover completed fragments
+// only. A job is complete only when all of its fragments succeeded, and
+// its pair set is built on the calling thread after the pool drains. A
+// scan is a deterministic function of the dataset and the theory, so a
+// failed fragment is not re-run: the call returns PartialFailure naming
+// every failed fragment as job:begin-end, with the first error in task
+// order, and MultiPass checkpoints the complete jobs' passes.
 FragmentScanReport ScanFragments(const Dataset& dataset, size_t window,
                                  const std::vector<FragmentScanJob>& jobs,
                                  const TheoryFactory& theory_factory,

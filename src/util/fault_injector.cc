@@ -1,9 +1,5 @@
 #include "util/fault_injector.h"
 
-#include <chrono>
-#include <cstdlib>
-#include <thread>
-
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "util/string_util.h"
@@ -19,100 +15,8 @@ void FaultInjector::Arm(const std::string& point, FaultSchedule schedule) {
   MutexLock lock(mu_);
   PointState state;
   state.schedule = schedule;
-  state.rng = Rng(schedule.seed);
-  points_[point] = std::move(state);
+  points_[point] = state;
   armed_.store(true, std::memory_order_release);
-}
-
-Status FaultInjector::ArmFromSpec(const std::string& spec) {
-  for (std::string_view clause : SplitView(spec, ';')) {
-    clause = TrimAscii(clause);
-    if (clause.empty()) continue;
-    size_t eq = clause.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      return Status::InvalidArgument(
-          "fault spec clause missing 'point=schedule': " +
-          std::string(clause));
-    }
-    std::string point(TrimAscii(clause.substr(0, eq)));
-    std::string_view sched = clause.substr(eq + 1);
-    std::vector<std::string_view> parts = SplitView(sched, ':');
-    if (parts.empty()) {
-      return Status::InvalidArgument("empty fault schedule for " + point);
-    }
-    std::string_view kind = parts[0];
-    if (kind == "fail") {
-      uint64_t n = 1;
-      uint64_t skip = 0;
-      if (parts.size() > 3) {
-        return Status::InvalidArgument("fail takes at most two arguments: " +
-                                       std::string(sched));
-      }
-      if (parts.size() >= 2) {
-        char* end = nullptr;
-        std::string arg(parts[1]);
-        n = std::strtoull(arg.c_str(), &end, 10);
-        if (end == arg.c_str() || *end != '\0' || n == 0) {
-          return Status::InvalidArgument("bad fail count: " + arg);
-        }
-      }
-      if (parts.size() == 3) {
-        std::string_view skip_part = parts[2];
-        if (skip_part.rfind("skip=", 0) != 0) {
-          return Status::InvalidArgument("expected 'skip=K': " +
-                                         std::string(skip_part));
-        }
-        char* end = nullptr;
-        std::string skip_str(skip_part.substr(5));
-        skip = std::strtoull(skip_str.c_str(), &end, 10);
-        if (end == skip_str.c_str() || *end != '\0') {
-          return Status::InvalidArgument("bad skip count: " + skip_str);
-        }
-      }
-      Arm(point, FaultSchedule::FailN(n, skip));
-    } else if (kind == "straggle") {
-      if (parts.size() != 2) {
-        return Status::InvalidArgument("straggle needs ':MS': " +
-                                       std::string(sched));
-      }
-      std::string arg(parts[1]);
-      char* end = nullptr;
-      long ms = std::strtol(arg.c_str(), &end, 10);
-      if (end == arg.c_str() || *end != '\0' || ms < 0) {
-        return Status::InvalidArgument("bad straggle duration: " + arg);
-      }
-      Arm(point, FaultSchedule::StraggleMs(static_cast<int>(ms)));
-    } else if (kind == "rate") {
-      if (parts.size() < 2 || parts.size() > 3) {
-        return Status::InvalidArgument("rate needs ':P[:seed=S]': " +
-                                       std::string(sched));
-      }
-      std::string arg(parts[1]);
-      char* end = nullptr;
-      double p = std::strtod(arg.c_str(), &end);
-      if (end == arg.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
-        return Status::InvalidArgument("bad fault rate: " + arg);
-      }
-      uint64_t seed = 1;
-      if (parts.size() == 3) {
-        std::string_view seed_part = parts[2];
-        if (seed_part.rfind("seed=", 0) != 0) {
-          return Status::InvalidArgument("expected 'seed=S': " +
-                                         std::string(seed_part));
-        }
-        std::string seed_str(seed_part.substr(5));
-        seed = std::strtoull(seed_str.c_str(), &end, 10);
-        if (end == seed_str.c_str() || *end != '\0') {
-          return Status::InvalidArgument("bad fault seed: " + seed_str);
-        }
-      }
-      Arm(point, FaultSchedule::RandomRate(p, seed));
-    } else {
-      return Status::InvalidArgument("unknown fault schedule kind: " +
-                                     std::string(kind));
-    }
-  }
-  return Status::OK();
 }
 
 void FaultInjector::Reset() {
@@ -126,7 +30,6 @@ Status FaultInjector::OnPoint(const char* point) {
   // Fast path: nothing armed anywhere.
   if (!armed_.load(std::memory_order_acquire)) return Status::OK();
 
-  int straggle_ms = 0;
   Status verdict = Status::OK();
   {
     MutexLock lock(mu_);
@@ -134,44 +37,21 @@ Status FaultInjector::OnPoint(const char* point) {
     if (it == points_.end()) return Status::OK();
     PointState& state = it->second;
     ++state.hits;
-    switch (state.schedule.kind) {
-      case FaultSchedule::Kind::kFailN:
-        if (state.hits > state.schedule.skip &&
-            state.failures_delivered < state.schedule.count) {
-          ++state.failures_delivered;
-          verdict = Status::InjectedFault(
-              StringPrintf("%s: injected failure %llu/%llu", point,
-                           static_cast<unsigned long long>(
-                               state.failures_delivered),
-                           static_cast<unsigned long long>(
-                               state.schedule.count)));
-        }
-        break;
-      case FaultSchedule::Kind::kStraggle:
-        straggle_ms = state.schedule.straggle_ms;
-        break;
-      case FaultSchedule::Kind::kRandom:
-        if (state.rng.NextBernoulli(state.schedule.rate)) {
-          ++state.failures_delivered;
-          verdict = Status::InjectedFault(
-              StringPrintf("%s: injected random failure (hit %llu)", point,
-                           static_cast<unsigned long long>(state.hits)));
-        }
-        break;
+    if (state.hits <= state.schedule.skip ||
+        state.failures_delivered >= state.schedule.count) {
+      return Status::OK();
     }
+    ++state.failures_delivered;
+    verdict = Status::InjectedFault(StringPrintf(
+        "%s: injected failure %llu/%llu", point,
+        static_cast<unsigned long long>(state.failures_delivered),
+        static_cast<unsigned long long>(state.schedule.count)));
   }
-  if (!verdict.ok()) {
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
-    static Counter* const tripped =
-        MetricsRegistry::Global().GetCounter(metric_names::kFaultsTripped);
-    tripped->Increment();
-    return verdict;
-  }
-  if (straggle_ms > 0) {
-    // Sleep outside the lock so a straggler never blocks other points.
-    std::this_thread::sleep_for(std::chrono::milliseconds(straggle_ms));
-  }
-  return Status::OK();
+  faults_injected_.fetch_add(1, std::memory_order_relaxed);
+  static Counter* const tripped =
+      MetricsRegistry::Global().GetCounter(metric_names::kFaultsTripped);
+  tripped->Increment();
+  return verdict;
 }
 
 uint64_t FaultInjector::HitCount(const std::string& point) const {

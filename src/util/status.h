@@ -25,10 +25,10 @@ enum class StatusCode {
   kInternal,
   kUnimplemented,
   // Some, but not all, of the requested work completed (e.g. a parallel
-  // run whose retries were exhausted on a subset of fragments). The
-  // message names the unprocessed units.
+  // run in which some fragments failed). The message names the failed
+  // units.
   kPartialFailure,
-  // A fault injected by FaultInjector (tests / chaos runs only).
+  // A fault injected by FaultInjector (tests only).
   kInjectedFault,
 };
 

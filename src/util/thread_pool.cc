@@ -41,17 +41,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   task_available_.NotifyOne();
 }
 
-void ThreadPool::SubmitAll(std::vector<std::function<void()>> tasks) {
-  {
-    MutexLock lock(mu_);
-    for (std::function<void()>& task : tasks) {
-      queue_.push_back(std::move(task));
-    }
-    in_flight_ += tasks.size();
-  }
-  task_available_.NotifyAll();
-}
-
 void ThreadPool::Wait() {
   MutexLock lock(mu_);
   while (in_flight_ != 0) all_done_.Wait(mu_);

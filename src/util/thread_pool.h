@@ -1,9 +1,9 @@
-// A fixed-size worker pool used by the parallel merge/purge implementations.
-//
-// Design notes: the shared-nothing coordinator in src/parallel assigns whole
-// fragments or clusters as tasks; tasks are coarse, so a simple mutex-guarded
-// queue is sufficient (no work stealing needed). Wait() provides a barrier so
-// phases (cluster -> sort -> window-scan) stay ordered as in the paper.
+// A fixed-size worker pool with a mutex-guarded FIFO queue. Tasks are
+// coarse, so no work stealing is needed. Two users: ScanFragments
+// (src/parallel/fragment_scan.h) submits each fragment of a multi-pass
+// run as one task, runs it exactly once and uses Wait() as the barrier
+// before it builds the pair sets; the service's Server hands each
+// connection to a worker for its lifetime.
 
 #ifndef MERGEPURGE_UTIL_THREAD_POOL_H_
 #define MERGEPURGE_UTIL_THREAD_POOL_H_
@@ -36,11 +36,6 @@ class ThreadPool {
   // Enqueues a task. A task that throws is caught by the worker, so the
   // pool survives; a task that must report failure catches its own.
   void Submit(std::function<void()> task);
-
-  // Enqueues every task of `tasks` under one lock, so no worker starts one
-  // before the last is queued. A running task may Submit more (a retry, at
-  // the back of the queue); Wait() also waits for those.
-  void SubmitAll(std::vector<std::function<void()>> tasks);
 
   // Blocks until every submitted task has finished executing.
   void Wait();

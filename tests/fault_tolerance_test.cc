@@ -1,13 +1,9 @@
-// Fault-tolerance layer: FaultInjector schedules, ThreadPool exception
-// capture, ScanFragments' attempt/retry/exhaustion semantics, the
-// fault-injection equivalence matrix (multi-pass runs of both methods
-// under every programmed failure schedule produce the fault-free pair
-// set), and checkpoint/resume for multi-pass runs.
-
-#include <sched.h>
+// Fault-tolerance layer: the FaultInjector schedule, ThreadPool exception
+// capture, ScanFragments' failure semantics (a throwing fragment fails
+// its job once, is named, and leaves the other jobs complete), and
+// checkpoint/resume for multi-pass runs.
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -15,7 +11,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,7 +18,6 @@
 #include "core/checkpoint.h"
 #include "core/merge_purge.h"
 #include "core/multipass.h"
-#include "core/sorted_neighborhood.h"
 #include "gen/generator.h"
 #include "io/csv.h"
 #include "io/pairs_io.h"
@@ -54,14 +48,14 @@ class FaultInjectorGuard {
 TEST(FaultInjectorTest, DisarmedIsOk) {
   FaultInjectorGuard guard;
   EXPECT_TRUE(
-      FaultInjector::Global().OnPoint(fault_points::kFragmentScan).ok());
+      FaultInjector::Global().OnPoint(fault_points::kPairsWrite).ok());
   EXPECT_EQ(FaultInjector::Global().faults_injected(), 0u);
 }
 
 TEST(FaultInjectorTest, FailOnceFailsExactlyOnce) {
   FaultInjectorGuard guard;
   FaultInjector injector;
-  injector.Arm("p", FaultSchedule::FailOnce());
+  injector.Arm("p", FaultSchedule::FailN(1));
   Status first = injector.OnPoint("p");
   EXPECT_EQ(first.code(), StatusCode::kInjectedFault);
   EXPECT_TRUE(injector.OnPoint("p").ok());
@@ -79,56 +73,6 @@ TEST(FaultInjectorTest, FailNWithSkip) {
   EXPECT_TRUE(injector.OnPoint("p").ok());    // Budget spent.
 }
 
-TEST(FaultInjectorTest, RandomRateIsSeededDeterministic) {
-  auto run = [] {
-    FaultInjector injector;
-    injector.Arm("p", FaultSchedule::RandomRate(0.3, 99));
-    std::vector<bool> verdicts;
-    for (int i = 0; i < 64; ++i) verdicts.push_back(injector.OnPoint("p").ok());
-    return verdicts;
-  };
-  auto a = run();
-  auto b = run();
-  EXPECT_EQ(a, b);
-  // With rate 0.3 over 64 hits, both outcomes must occur.
-  EXPECT_NE(std::count(a.begin(), a.end(), false), 0);
-  EXPECT_NE(std::count(a.begin(), a.end(), true), 0);
-}
-
-TEST(FaultInjectorTest, StraggleDelaysButSucceeds) {
-  FaultInjector injector;
-  injector.Arm("p", FaultSchedule::StraggleMs(30));
-  auto start = std::chrono::steady_clock::now();
-  EXPECT_TRUE(injector.OnPoint("p").ok());
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  EXPECT_GE(elapsed, 25);
-}
-
-TEST(FaultInjectorTest, ArmFromSpecParsesMultipleClauses) {
-  FaultInjector injector;
-  ASSERT_TRUE(injector
-                  .ArmFromSpec("parallel.fragment_scan=fail:2;"
-                               "io.pairs_write=rate:0.5:seed=3;"
-                               "wal-append=straggle:5")
-                  .ok());
-  EXPECT_FALSE(injector.OnPoint(fault_points::kFragmentScan).ok());
-  EXPECT_FALSE(injector.OnPoint(fault_points::kFragmentScan).ok());
-  EXPECT_TRUE(injector.OnPoint(fault_points::kFragmentScan).ok());
-  EXPECT_TRUE(injector.OnPoint(fault_points::kWalAppend).ok());
-}
-
-TEST(FaultInjectorTest, ArmFromSpecRejectsMalformedClauses) {
-  FaultInjector injector;
-  EXPECT_FALSE(injector.ArmFromSpec("nopoint").ok());
-  EXPECT_FALSE(injector.ArmFromSpec("p=explode").ok());
-  EXPECT_FALSE(injector.ArmFromSpec("p=fail:0").ok());
-  EXPECT_FALSE(injector.ArmFromSpec("p=rate:1.5").ok());
-  EXPECT_FALSE(injector.ArmFromSpec("p=rate:0.2:sneed=1").ok());
-  EXPECT_FALSE(injector.ArmFromSpec("p=straggle").ok());
-}
-
 // --- ThreadPool exception capture. ---
 
 TEST(ThreadPoolTest, ThrowingTaskIsCaught) {
@@ -142,11 +86,11 @@ TEST(ThreadPoolTest, ThrowingTaskIsCaught) {
   EXPECT_EQ(survivors.load(), 2);
 }
 
-// --- ScanFragments: attempts, retries and exhaustion. ---
+// --- ScanFragments: one run per fragment, failures named. ---
 
-// Matches records whose ids are congruent mod 7; throws on every
-// comparison that involves id `poison`, so each attempt at a fragment
-// that scans that record fails.
+// Matches records whose ids are congruent mod 3; throws on every
+// comparison that involves id `poison`, so a fragment that scans that
+// record fails.
 class PoisonedModTheory final : public EquationalTheory {
  public:
   explicit PoisonedModTheory(unsigned long poison) : poison_(poison) {}
@@ -155,7 +99,7 @@ class PoisonedModTheory final : public EquationalTheory {
     if (Id(a) == poison_ || Id(b) == poison_) {
       throw std::runtime_error("poisoned comparison");
     }
-    return Id(a) % 7 == Id(b) % 7;
+    return Id(a) % 3 == Id(b) % 3;
   }
   uint64_t comparison_count() const override { return count_; }
   std::unique_ptr<EquationalTheory> Clone() const override {
@@ -176,7 +120,6 @@ class ScanFragmentsTest : public ::testing::Test {
   // into 10 fragments of 40 positions with a window-4 band (fragment f is
   // [40f - 4, 40f + 40)).
   void SetUp() override {
-    FaultInjector::Global().Reset();
     MetricsRegistry::Global().Reset();
     for (size_t i = 0; i < 400; ++i) {
       dataset_.Append(Record({std::to_string(i)}));
@@ -197,8 +140,6 @@ class ScanFragmentsTest : public ::testing::Test {
             .comparisons;
   }
 
-  void TearDown() override { FaultInjector::Global().Reset(); }
-
   FragmentScanReport Scan(unsigned long poison, size_t workers) {
     return ScanFragments(
         dataset_, kWindow, jobs_,
@@ -216,6 +157,7 @@ class ScanFragmentsTest : public ::testing::Test {
 };
 
 TEST_F(ScanFragmentsTest, CommitsEveryFragmentOnceWithoutFaults) {
+  ASSERT_FALSE(serial_.empty());
   FragmentScanReport report = Scan(/*poison=*/1000, /*workers=*/3);
   ASSERT_TRUE(report.status.ok()) << report.status.ToString();
   for (const FragmentScanResult& job : report.jobs) {
@@ -225,235 +167,61 @@ TEST_F(ScanFragmentsTest, CommitsEveryFragmentOnceWithoutFaults) {
   }
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(snapshot.counter(metric_names::kParallelTasks), 20u);
-  EXPECT_EQ(snapshot.counter(metric_names::kResilientRetries), 0u);
   EXPECT_EQ(snapshot.counter(metric_names::kSnmComparisons),
             2 * serial_comparisons_);
-}
-
-TEST_F(ScanFragmentsTest, RetriesFailedAttemptsAndFlushesOnce) {
-  // The first four attempts fail. A failed fragment retries behind the
-  // other queued fragments, so the failures land on several fragments
-  // (on one worker, on the first four); every fragment commits, and only
-  // its successful attempt flushes.
-  for (size_t workers : {1, 2}) {
-    SCOPED_TRACE(workers);
-    FaultInjector::Global().Arm(fault_points::kFragmentScan,
-                                FaultSchedule::FailN(4));
-    MetricsRegistry::Global().Reset();
-    FragmentScanReport report = Scan(/*poison=*/1000, workers);
-    ASSERT_TRUE(report.status.ok()) << report.status.ToString();
-    for (const FragmentScanResult& job : report.jobs) {
-      EXPECT_TRUE(job.complete);
-      EXPECT_EQ(job.pairs.ToSortedVector(), serial_.ToSortedVector());
-    }
-    MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-    EXPECT_EQ(snapshot.counter(metric_names::kFaultsTripped), 4u);
-    EXPECT_EQ(snapshot.counter(metric_names::kResilientRetries), 4u);
-    EXPECT_EQ(snapshot.counter(metric_names::kParallelTasks), 20u);
-    EXPECT_EQ(snapshot.counter(metric_names::kSnmComparisons),
-              2 * serial_comparisons_);
-  }
 }
 
 TEST_F(ScanFragmentsTest, ThrowingFragmentsExhaustAndAreNamed) {
   // Id 150 sits at position 150 of the ascending order (fragment 3,
   // [116, 160)) and 249 of the descending one (fragment 6, [236, 280));
-  // no other fragment's window reaches it.
+  // no other fragment's window reaches it. A third job's order groups
+  // the ids by residue mod 3, so most of its pairs match, and leaves id 150
+  // out, so that job completes beside the two failed ones.
+  std::vector<TupleId> without_poison;
+  for (TupleId residue = 0; residue < 3; ++residue) {
+    for (TupleId t = residue; t < 400; t += 3) {
+      if (t != 150) without_poison.push_back(t);
+    }
+  }
+  FragmentScanJob third;
+  third.order = &without_poison;
+  third.fragments =
+      MakeOverlappingFragments(without_poison.size(), 10, kWindow);
+  jobs_.push_back(third);
+  PairSet third_serial;
+  PoisonedModTheory theory(/*poison=*/150);
+  WindowScanner(kWindow).Scan(dataset_, without_poison, theory,
+                              &third_serial);
+
   FragmentScanReport report = Scan(/*poison=*/150, /*workers=*/3);
   EXPECT_EQ(report.status.code(), StatusCode::kPartialFailure);
-  EXPECT_NE(report.status.message().find("2 of 20 fragments unprocessed"),
-            std::string::npos)
-      << report.status.message();
-  EXPECT_NE(report.status.message().find("[0:116-160,1:236-280]"),
+  EXPECT_NE(report.status.message().find(
+                "2 of 30 fragments failed (job:begin-end): "
+                "[0:116-160,1:236-280]; first error: "),
             std::string::npos)
       << report.status.message();
   EXPECT_NE(report.status.message().find("poisoned comparison"),
             std::string::npos)
       << report.status.message();
+  ASSERT_EQ(report.jobs.size(), 3u);
+  for (size_t j = 0; j < 2; ++j) {
+    EXPECT_FALSE(report.jobs[j].complete) << j;
+    EXPECT_TRUE(report.jobs[j].pairs.empty()) << j;
+  }
+  EXPECT_TRUE(report.jobs[2].complete);
+  EXPECT_FALSE(third_serial.empty());
+  EXPECT_EQ(report.jobs[2].pairs.ToSortedVector(),
+            third_serial.ToSortedVector());
+  // 18 of the poisoned jobs' 20 fragments succeed, and all 10 of the
+  // third job's; only those flush their comparisons.
+  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(snapshot.counter(metric_names::kParallelTasks), 18u + 10u);
+  uint64_t committed = 0;
   for (const FragmentScanResult& job : report.jobs) {
-    EXPECT_FALSE(job.complete);
-    EXPECT_TRUE(job.pairs.empty());
+    committed += job.stats.comparisons;
   }
-  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  EXPECT_EQ(snapshot.counter(metric_names::kResilientExhausted), 2u);
-  EXPECT_EQ(snapshot.counter(metric_names::kResilientRetries),
-            2 * (kMaxAttempts - 1));
-  EXPECT_EQ(snapshot.counter(metric_names::kParallelTasks), 18u);
+  EXPECT_EQ(snapshot.counter(metric_names::kSnmComparisons), committed);
 }
-
-// --- Fault-injection equivalence matrix (the acceptance criterion):
-// MultiPass under every programmed failure schedule, for both methods,
-// produces the fault-free serial pass or names what it lost. ---
-
-// Pins the process to its first allowed CPU for the object's lifetime, so
-// MultiPass's pool has one worker and a fault schedule's verdicts reach
-// the fragments in a fixed order.
-class OneCpu {
- public:
-  OneCpu() {
-    sched_getaffinity(0, sizeof(allowed_), &allowed_);
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (!CPU_ISSET(cpu, &allowed_)) continue;
-      CPU_SET(cpu, &one);
-      break;
-    }
-    sched_setaffinity(0, sizeof(one), &one);
-  }
-  ~OneCpu() { sched_setaffinity(0, sizeof(allowed_), &allowed_); }
-
- private:
-  cpu_set_t allowed_;
-};
-
-class FaultMatrixTest : public ::testing::TestWithParam<MultiPass::Method> {
- protected:
-  void SetUp() override {
-    FaultInjector::Global().Reset();
-    GeneratorConfig config;
-    config.num_records = 900;
-    config.duplicate_selection_rate = 0.5;
-    config.max_duplicates_per_record = 4;
-    config.seed = 4242;
-    auto db = DatabaseGenerator(config).Generate();
-    ASSERT_TRUE(db.ok());
-    dataset_ = std::move(db->dataset);
-    ConditionEmployeeDataset(&dataset_);
-    options_.num_clusters = 24;
-
-    for (const KeySpec& key : StandardThreeKeys()) {
-      EmployeeTheory theory;
-      auto serial = clustering()
-                        ? ClusteringMethod(options_).Run(dataset_, key, theory)
-                        : SortedNeighborhood(10).Run(dataset_, key, theory);
-      ASSERT_TRUE(serial.ok());
-      serial_.push_back(std::move(*serial));
-    }
-    MetricsRegistry::Global().Reset();
-  }
-
-  void TearDown() override { FaultInjector::Global().Reset(); }
-
-  bool clustering() const {
-    return GetParam() == MultiPass::Method::kClustering;
-  }
-
-  Result<MultiPassResult> Run() {
-    return MultiPass(GetParam(), 10, options_)
-        .Run(dataset_, StandardThreeKeys(), theory_);
-  }
-
-  // The run equals the serial passes, and the committed counters count
-  // each comparison once however many attempts ran.
-  void ExpectSerialPasses(const MultiPassResult& result) {
-    ASSERT_EQ(result.passes.size(), serial_.size());
-    uint64_t comparisons = 0;
-    for (size_t i = 0; i < serial_.size(); ++i) {
-      const PassResult& pass = result.passes[i];
-      EXPECT_EQ(pass.pairs.ToSortedVector(),
-                serial_[i].pairs.ToSortedVector());
-      EXPECT_EQ(pass.comparisons, serial_[i].comparisons);
-      EXPECT_EQ(pass.matches, serial_[i].matches);
-      comparisons += serial_[i].comparisons;
-    }
-    EXPECT_EQ(MetricsRegistry::Global().Snapshot().counter(
-                  metric_names::kSnmComparisons),
-              comparisons);
-  }
-
-  Dataset dataset_;
-  ClusteringOptions options_;
-  EmployeeTheory theory_;
-  std::vector<PassResult> serial_;
-};
-
-TEST_P(FaultMatrixTest, SurvivesFailedAttempts) {
-  // The first four attempts fail, on the host's every CPU. The run has
-  // more fragments than workers, so a failed fragment's retry waits
-  // behind other fragments and the four failures cannot all land on it.
-  FaultInjector::Global().Arm(fault_points::kFragmentScan,
-                              FaultSchedule::FailN(4));
-  auto result = Run();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(MetricsRegistry::Global().Snapshot().counter(
-                metric_names::kResilientRetries),
-            4u);
-  ExpectSerialPasses(*result);
-}
-
-TEST_P(FaultMatrixTest, SurvivesSeededRandomFailures) {
-  // On one worker the verdicts reach the fragments in a fixed order. At
-  // rate 0.2 a fragment fails all four attempts with probability 0.0016,
-  // so the seeds are picked for that order: each fails some attempts and
-  // none a fragment's fourth. (For the 12 SNM fragments seed 2026 fails
-  // nothing; for the 72 clustering fragments seed 7 exhausts one.)
-  FaultInjector::Global().Arm(
-      fault_points::kFragmentScan,
-      FaultSchedule::RandomRate(0.2, clustering() ? 2026 : 7));
-  OneCpu pinned;
-  auto result = Run();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(MetricsRegistry::Global().Snapshot().counter(
-                metric_names::kResilientRetries),
-            0u);
-  ExpectSerialPasses(*result);
-}
-
-TEST_P(FaultMatrixTest, ConcurrentRandomFailuresCommitOrNameTheirLoss) {
-  // On every CPU, which fragment draws which verdict depends on timing,
-  // and a fragment may draw four failures. Either way each failed attempt
-  // was retried or exhausted its fragment, and a run that succeeds equals
-  // the serial passes.
-  FaultInjector::Global().Arm(
-      fault_points::kFragmentScan,
-      FaultSchedule::RandomRate(0.2, clustering() ? 7 : 2026));
-  auto result = Run();
-  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  const uint64_t exhausted =
-      snapshot.counter(metric_names::kResilientExhausted);
-  EXPECT_EQ(snapshot.counter(metric_names::kFaultsTripped),
-            snapshot.counter(metric_names::kResilientRetries) + exhausted);
-  if (result.ok()) {
-    EXPECT_EQ(exhausted, 0u);
-    ExpectSerialPasses(*result);
-  } else {
-    EXPECT_EQ(result.status().code(), StatusCode::kPartialFailure);
-    EXPECT_GT(exhausted, 0u);
-  }
-}
-
-TEST_P(FaultMatrixTest, SurvivesPermanentStraggler) {
-  // Every scan attempt straggles; the slow attempts still commit, once.
-  FaultInjector::Global().Arm(fault_points::kFragmentScan,
-                              FaultSchedule::StraggleMs(60));
-  auto result = Run();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectSerialPasses(*result);
-}
-
-TEST_P(FaultMatrixTest, ReportsPartialFailureWhenRetriesExhausted) {
-  FaultInjector::Global().Arm(fault_points::kFragmentScan,
-                              FaultSchedule::FailN(1u << 20));
-  auto result = Run();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kPartialFailure);
-  EXPECT_NE(result.status().message().find("unprocessed"),
-            std::string::npos);
-  EXPECT_GT(MetricsRegistry::Global().Snapshot().counter(
-                metric_names::kResilientExhausted),
-            0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Methods, FaultMatrixTest,
-    ::testing::Values(MultiPass::Method::kSortedNeighborhood,
-                      MultiPass::Method::kClustering),
-    [](const ::testing::TestParamInfo<MultiPass::Method>& info) {
-      return info.param == MultiPass::Method::kClustering
-                 ? std::string("Clustering")
-                 : std::string("SortedNeighborhood");
-    });
 
 // --- Checkpoint/resume. ---
 

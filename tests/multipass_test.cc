@@ -16,11 +16,8 @@
 #include "eval/metrics.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
-#include "obs/metric_names.h"
-#include "obs/metrics.h"
 #include "rules/employee_theory.h"
 #include "text/normalize.h"
-#include "util/fault_injector.h"
 
 #include "test_support.h"
 
@@ -245,8 +242,9 @@ Dataset ConditionedDatabase(uint64_t seed) {
   return std::move(db->dataset);
 }
 
-// A faulted run must commit what a clean run commits. (That a clean run
-// equals the serial passes is the cross-path contract, contract_test.)
+// A rerun after a failure must commit what a clean run commits. (That a
+// clean run equals the serial passes is the cross-path contract,
+// contract_test.)
 void ExpectSameResult(const MultiPassResult& got, const MultiPassResult& want) {
   ASSERT_EQ(got.passes.size(), want.passes.size());
   for (size_t i = 0; i < got.passes.size(); ++i) {
@@ -259,69 +257,14 @@ void ExpectSameResult(const MultiPassResult& got, const MultiPassResult& want) {
 
 class MultiPassFaultTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    FaultInjector::Global().Reset();
-    dataset_ = ConditionedDatabase(99);
-  }
-
-  void TearDown() override { FaultInjector::Global().Reset(); }
+  void SetUp() override { dataset_ = ConditionedDatabase(99); }
 
   Dataset dataset_;
-  TempDir dir_;
   EmployeeTheory theory_;
 };
 
-TEST_F(MultiPassFaultTest, FailedFragmentScanIsRetriedAndOutputUnchanged) {
-  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 10);
-  auto clean = mp.Run(dataset_, StandardThreeKeys(), theory_);
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.Reset();
-  FaultInjector::Global().Arm(fault_points::kFragmentScan,
-                              FaultSchedule::FailOnce());
-  auto result = mp.Run(dataset_, StandardThreeKeys(), theory_);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.counter(metric_names::kFaultsTripped), 1u);
-  EXPECT_EQ(snapshot.counter(metric_names::kResilientRetries), 1u);
-  ExpectSameResult(*result, *clean);
-  // The failed attempt flushed nothing: the counters cover the committed
-  // scans exactly.
-  uint64_t comparisons = 0;
-  for (const PassResult& pass : clean->passes) {
-    comparisons += pass.comparisons;
-  }
-  EXPECT_EQ(snapshot.counter(metric_names::kSnmComparisons), comparisons);
-}
-
-TEST_F(MultiPassFaultTest, ExhaustedRetriesFailWithoutCheckpoints) {
-  MultiPass mp(MultiPass::Method::kSortedNeighborhood, 10);
-  auto clean = mp.Run(dataset_, StandardThreeKeys(), theory_);
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  FaultInjector::Global().Arm(fault_points::kFragmentScan,
-                              FaultSchedule::FailN(1u << 20));
-  auto result =
-      mp.Run(dataset_, StandardThreeKeys(), theory_, dir_.path());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kPartialFailure);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(ReadPassManifest(dir_.path(), i).status().code(),
-              StatusCode::kNotFound)
-        << "pass " << i;
-  }
-
-  // With the fault gone, the same directory resumes nothing and the run
-  // equals a clean one.
-  FaultInjector::Global().Reset();
-  auto rerun =
-      mp.Run(dataset_, StandardThreeKeys(), theory_, dir_.path());
-  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-  EXPECT_EQ(rerun->passes_resumed, 0u);
-  ExpectSameResult(*rerun, *clean);
-}
-
 // The employee theory, except that any comparison involving one record
-// throws std::bad_alloc, on every attempt.
+// throws std::bad_alloc.
 class ThrowingTheory final : public EquationalTheory {
  public:
   explicit ThrowingTheory(const Record* poison) : poison_(poison) {}
@@ -345,22 +288,29 @@ TEST_F(MultiPassFaultTest, ThrowingComparisonFailsTheRunInsteadOfHanging) {
   const ThrowingTheory theory(&dataset_.record(700));
   for (MultiPass::Method method : {MultiPass::Method::kSortedNeighborhood,
                                    MultiPass::Method::kClustering}) {
-    MetricsRegistry::Global().Reset();
-    auto result = MultiPass(method, 10).Run(dataset_, StandardThreeKeys(),
-                                            theory, dir_.path());
+    SCOPED_TRACE(static_cast<int>(method));
+    const MultiPass mp(method, 10);
+    TempDir dir;
+    auto result = mp.Run(dataset_, StandardThreeKeys(), theory, dir.path());
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kPartialFailure);
     EXPECT_NE(result.status().message().find("bad_alloc"), std::string::npos)
         << result.status().message();
     // Every pass scans record 700 somewhere, so no pass is checkpointed.
     for (size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(ReadPassManifest(dir_.path(), i).status().code(),
+      EXPECT_EQ(ReadPassManifest(dir.path(), i).status().code(),
                 StatusCode::kNotFound)
           << "pass " << i;
     }
-    EXPECT_GT(MetricsRegistry::Global().Snapshot().counter(
-                  metric_names::kResilientExhausted),
-              0u);
+
+    // With a plain theory, the same directory resumes nothing and the
+    // run equals a clean one.
+    auto rerun = mp.Run(dataset_, StandardThreeKeys(), theory_, dir.path());
+    ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+    EXPECT_EQ(rerun->passes_resumed, 0u);
+    auto clean = mp.Run(dataset_, StandardThreeKeys(), theory_);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    ExpectSameResult(*rerun, *clean);
   }
 }
 

@@ -147,7 +147,7 @@ TEST(MetricsRegistryTest, StandardCatalogPreregistersRequiredKeys) {
   MetricsSnapshot snap = registry.Snapshot();
   for (const char* name :
        {metric_names::kSnmWindows, metric_names::kSnmComparisons,
-        metric_names::kClosureUnions, metric_names::kResilientRetries,
+        metric_names::kClosureUnions, metric_names::kParallelTasks,
         metric_names::kFaultsTripped}) {
     EXPECT_TRUE(snap.counters.count(name)) << name;
     EXPECT_EQ(snap.counter(name), 0u) << name;

@@ -1,5 +1,4 @@
 #include <atomic>
-#include <functional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -221,21 +220,6 @@ TEST(ThreadPoolTest, WaitIsReusable) {
   pool.Submit([&counter] { counter.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPoolTest, TaskSubmittedByATaskQueuesLastAndIsWaitedFor) {
-  ThreadPool pool(1);
-  std::vector<int> order;  // Written by the pool's one thread only.
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([&] {
-    order.push_back(0);
-    pool.Submit([&order] { order.push_back(3); });
-  });
-  tasks.push_back([&order] { order.push_back(1); });
-  tasks.push_back([&order] { order.push_back(2); });
-  pool.SubmitAll(std::move(tasks));
-  pool.Wait();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {

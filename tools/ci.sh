@@ -1,14 +1,14 @@
 #!/bin/sh
 # Tier-1 CI: build and run the full test suite three times — plain, with
 # AddressSanitizer + UndefinedBehaviorSanitizer, and (concurrency tests
-# only) with ThreadSanitizer — so data races on the fragment-scan retry
-# path and lifetime bugs in the checkpoint code surface before merge.
+# only) with ThreadSanitizer — so data races in the fragment scan and
+# lifetime bugs in the checkpoint code surface before merge.
 # The runtime lock-order validator (util/sync.cc) is compiled into every
 # build, so each leg also aborts on the first lock-rank inversion its
 # tests reach. Then: a clang -Wthread-safety build (when available), the
 # lockcheck lock-discipline lint, clang-tidy over src/ (when available),
-# the rulecheck theory lint gate, the observability + clustering-retry +
-# service end-to-end contracts, and the latency-regression bench gates.
+# the rulecheck theory lint gate, the observability + CPU-count + service
+# end-to-end contracts, and the latency-regression bench gates.
 #
 # Usage: tools/ci.sh [jobs]      (from the repository root)
 set -eu
@@ -38,8 +38,8 @@ run_suite "${root}/build" "" -DMERGEPURGE_SANITIZE="" \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 run_suite "${root}/build-san" "" "-DMERGEPURGE_SANITIZE=address;undefined"
 # TSan is incompatible with ASan, so it gets its own tree; run the suites
-# that exercise threads (the cross-path contract, the fragment scan and
-# its retries, the batch multi-pass engine, incremental engine, the TCP
+# that exercise threads (the cross-path contract, the fragment scan, the
+# batch multi-pass engine, incremental engine, the TCP
 # service, fault-tolerance, the sync primitives) rather than all of
 # ctest. The lock-order validator runs here as in every build, now under
 # TSan's thread schedules.
@@ -113,7 +113,8 @@ fi
 
 # End-to-end observability contract: a generated CLI run must produce a
 # run report and a Chrome trace whose required keys all resolve
-# (docs/observability.md documents both schemas).
+# (docs/observability.md documents both schemas), and the trace must hold
+# a span for every batch phase; csv-read needs a run over an input file.
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "${lint_dir}" "${obs_dir}"' EXIT
 echo "=== obs e2e (${obs_dir}) ==="
@@ -124,35 +125,40 @@ echo "=== obs e2e (${obs_dir}) ==="
 "${root}/build/tools/validate_report" --file="${obs_dir}/metrics.json" \
   passes closure outcome \
   counters/snm.windows counters/snm.comparisons counters/snm.matches \
-  counters/closure.unions counters/resilient.retries \
+  counters/closure.unions \
   counters/faults.tripped histograms/snm.scan_us histograms/closure.us
 "${root}/build/tools/validate_report" --file="${obs_dir}/trace.json" \
   traceEvents displayTimeUnit
-
-# Clustering passes run on the fragment scan: two injected scan failures
-# are retried (faults.tripped = resilient.retries = 2) and the purged
-# output and entity mapping stay byte-identical to a fault-free run.
-echo "=== clustering retry e2e (${obs_dir}) ==="
-"${root}/build/tools/mergepurge" --gen=2000 --method=cluster \
-  --output="${obs_dir}/cluster_clean.csv" \
-  --entities="${obs_dir}/cluster_clean_entities.csv"
-"${root}/build/tools/mergepurge" --gen=2000 --method=cluster \
-  --output="${obs_dir}/cluster_faulted.csv" \
-  --entities="${obs_dir}/cluster_faulted_entities.csv" \
-  --faults=parallel.fragment_scan=fail:2 \
-  --metrics-out="${obs_dir}/cluster_faulted.json"
-cmp "${obs_dir}/cluster_clean.csv" "${obs_dir}/cluster_faulted.csv"
-cmp "${obs_dir}/cluster_clean_entities.csv" \
-  "${obs_dir}/cluster_faulted_entities.csv"
-python3 - "${obs_dir}/cluster_faulted.json" <<'EOF'
+"${root}/build/tools/mergepurge" --input="${obs_dir}/out.csv" \
+  --output="${obs_dir}/reread.csv" --trace-out="${obs_dir}/trace_input.json"
+python3 - "${obs_dir}/trace.json" "${obs_dir}/trace_input.json" <<'EOF'
 import json, sys
-counters = json.load(open(sys.argv[1]))["counters"]
-tripped, retries = counters["faults.tripped"], counters["resilient.retries"]
-assert tripped == 2 and retries == 2, (
-    f"clustering run: faults.tripped {tripped}, resilient.retries {retries};"
-    " expected 2 and 2")
-print("ci: clustering retry ok: 2 faults tripped, 2 retries, output identical")
+def names(path):
+    return {event["name"] for event in json.load(open(path))["traceEvents"]}
+generated, read = names(sys.argv[1]), names(sys.argv[2])
+missing = [name for name in ("generate", "condition", "pair-set-build",
+                             "purge", "csv-write") if name not in generated]
+missing += [name for name in ("csv-read",) if name not in read]
+assert not missing, f"batch phases without a span: {missing}"
+print("ci: batch phase spans ok")
 EOF
+
+# The batch run's output does not depend on how many CPUs it may use:
+# for both methods, a run pinned to one CPU and a run on every CPU write
+# byte-identical purged output and entity mappings.
+echo "=== cpu-count e2e (${obs_dir}) ==="
+for method in snm cluster; do
+  taskset -c 0 "${root}/build/tools/mergepurge" --gen=2000 \
+    --method="${method}" --output="${obs_dir}/${method}_one.csv" \
+    --entities="${obs_dir}/${method}_one_entities.csv"
+  "${root}/build/tools/mergepurge" --gen=2000 \
+    --method="${method}" --output="${obs_dir}/${method}_all.csv" \
+    --entities="${obs_dir}/${method}_all_entities.csv"
+  cmp "${obs_dir}/${method}_one.csv" "${obs_dir}/${method}_all.csv"
+  cmp "${obs_dir}/${method}_one_entities.csv" \
+    "${obs_dir}/${method}_all_entities.csv"
+done
+echo "ci: cpu-count ok: one CPU and every CPU give identical output"
 
 # Service e2e: serve on an ephemeral loopback port — WAL durability ON
 # (--data-dir, --fsync=group) so the latency gate below prices the WAL

@@ -22,9 +22,6 @@
 //                                           interrupted run restarted with
 //                                           the same flags resumes instead
 //                                           of starting over)
-//              [--faults=SPEC]             (arm fault-injection points,
-//                                           e.g. "io.pairs_write=fail:1";
-//                                           see util/fault_injector.h)
 //              [--gen=N]                   (instead of --input: synthesize
 //                                           N original records plus
 //                                           duplicates with the paper's
@@ -68,7 +65,6 @@
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "rules/theory_loader.h"
-#include "util/fault_injector.h"
 #include "util/string_util.h"
 
 using namespace mergepurge;
@@ -83,7 +79,7 @@ constexpr const char* kUsage =
     "[--method=snm|cluster] [--window=N] [--keys=...] [--rules=FILE] "
     "[--clusters=N] [--spell-city] [--entities=FILE] [--report] "
     "[--pairs-out=PREFIX] [--pairs-in=a.mpp,...] [--resume=DIR] "
-    "[--faults=SPEC] [--gen=N] [--gen-seed=S] [--metrics-out=FILE.json] "
+    "[--gen=N] [--gen-seed=S] [--metrics-out=FILE.json] "
     "[--trace-out=FILE.json] [--progress] [--log-level=LEVEL] "
     "[--rules-check]";
 
@@ -91,9 +87,8 @@ constexpr const char* kUsage =
 constexpr const char* kKnownFlags[] = {
     "input",    "output",   "method",   "window",   "keys",
     "rules",    "clusters", "spell-city", "entities", "report",
-    "pairs-out", "pairs-in", "resume",  "faults",   "gen",
-    "gen-seed", "metrics-out", "trace-out", "progress", "log-level",
-    "rules-check",
+    "pairs-out", "pairs-in", "resume",  "gen",      "gen-seed",
+    "metrics-out", "trace-out", "progress", "log-level", "rules-check",
 };
 
 int Fail(const std::string& message) {
@@ -169,12 +164,6 @@ int main(int argc, char** argv) {
     });
   }
 
-  if (args.Has("faults")) {
-    Status armed =
-        FaultInjector::Global().ArmFromSpec(args.GetString("faults", ""));
-    if (!armed.ok()) return UsageError(armed.message());
-  }
-
   // --- Configure the engine (all usage validation happens before any
   // input is read, so bad flags exit 2 even when inputs are bad too). ---
   MergePurgeOptions options;
@@ -213,6 +202,7 @@ int main(int argc, char** argv) {
   // --- Load and concatenate the sources (or synthesize them). ---
   Dataset combined(schema);
   if (args.Has("gen")) {
+    Span span("generate");
     GeneratorConfig gen_config;
     gen_config.num_records = static_cast<size_t>(gen_records);
     gen_config.seed = static_cast<uint64_t>(args.GetInt("gen-seed", 42));
@@ -229,6 +219,8 @@ int main(int argc, char** argv) {
        input_list.empty() ? std::vector<std::string_view>{}
                           : SplitView(input_list, ',')) {
     std::string path(path_view);
+    Span span("csv-read");
+    span.AddArg("path", path);
     Result<Dataset> source = ReadCsvFile(schema, path);
     if (!source.ok()) {
       return Fail(path + ": " + source.status().ToString());
@@ -303,16 +295,24 @@ int main(int argc, char** argv) {
   }
 
   // --- Purge (with the rules file's merge directives) and write. ---
-  Dataset purged =
-      loaded->purge_policy.Purge(combined, result->component_of);
+  Dataset purged(schema);
+  {
+    Span span("purge");
+    purged = loaded->purge_policy.Purge(combined, result->component_of);
+  }
   std::string out_path = args.GetString("output", "");
-  Status write = WriteCsvFile(purged, out_path);
-  if (!write.ok()) return Fail(write.ToString());
+  {
+    Span span("csv-write");
+    span.AddArg("path", out_path);
+    Status write = WriteCsvFile(purged, out_path);
+    if (!write.ok()) return Fail(write.ToString());
+  }
   std::fprintf(stderr, "%zu records -> %zu entities -> %s\n",
                combined.size(), purged.size(), out_path.c_str());
 
   // Optional tuple -> entity mapping.
   if (args.Has("entities")) {
+    Span span("csv-write");
     Dataset mapping(Schema({"tuple_id", "entity_id"}));
     for (size_t t = 0; t < result->component_of.size(); ++t) {
       mapping.Append(Record({std::to_string(t),
