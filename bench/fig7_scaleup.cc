@@ -50,6 +50,26 @@ double LinearFitR2(const std::vector<double>& x,
   return ss_tot > 0 ? 1.0 - ss_res / ss_tot : 1.0;
 }
 
+// Runs per database; each database's time is the best of them.
+constexpr int kRuns = 3;
+
+// The smallest busy time (MultiPassResult::busy_seconds, summed task time)
+// of kRuns runs, or -1 when a run fails. Preemption by other work on a
+// shared host only ever adds time, so the minimum measures the code.
+double BestBusySeconds(const MultiPass& multipass, const Dataset& dataset,
+                       const std::vector<KeySpec>& keys,
+                       const EquationalTheory& theory) {
+  double best = -1.0;
+  for (int run = 0; run < kRuns; ++run) {
+    auto result = multipass.Run(dataset, keys, theory);
+    if (!result.ok()) return -1.0;
+    if (best < 0 || result->busy_seconds() < best) {
+      best = result->busy_seconds();
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -99,26 +119,26 @@ int main(int argc, char** argv) {
       }
       ConditionEmployeeDataset(&db->dataset);
 
-      MultiPass snm_mp(MultiPass::Method::kSortedNeighborhood, 10);
-      auto snm = snm_mp.Run(db->dataset, keys, theory);
-      MultiPass cluster_mp(MultiPass::Method::kClustering, 10,
-                           cluster_options);
-      auto cluster = cluster_mp.Run(db->dataset, keys, theory);
-      if (!snm.ok() || !cluster.ok()) return 1;
+      const double snm = BestBusySeconds(
+          MultiPass(MultiPass::Method::kSortedNeighborhood, 10), db->dataset,
+          keys, theory);
+      const double cluster = BestBusySeconds(
+          MultiPass(MultiPass::Method::kClustering, 10, cluster_options),
+          db->dataset, keys, theory);
+      if (snm < 0 || cluster < 0) return 1;
 
       double records = static_cast<double>(db->dataset.size());
       table.AddRow({std::to_string(base_sizes[size_index]),
                     FormatPercent(100.0 * dup_rates[rate_index]),
-                    std::to_string(db->dataset.size()),
-                    FormatDouble(snm->busy_seconds()),
-                    FormatDouble(cluster->busy_seconds())});
+                    std::to_string(db->dataset.size()), FormatDouble(snm),
+                    FormatDouble(cluster)});
       xs[rate_index].push_back(records);
-      ys_snm[rate_index].push_back(snm->busy_seconds());
-      ys_cluster[rate_index].push_back(cluster->busy_seconds());
+      ys_snm[rate_index].push_back(snm);
+      ys_cluster[rate_index].push_back(cluster);
       if (records > largest_records) {
         largest_records = records;
-        largest_snm = snm->busy_seconds();
-        largest_cluster = cluster->busy_seconds();
+        largest_snm = snm;
+        largest_cluster = cluster;
       }
     }
   }

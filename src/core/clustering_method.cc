@@ -3,11 +3,13 @@
 #include <algorithm>
 
 #include "cluster/partitioner.h"
+#include "core/key_order.h"
 #include "core/window_scanner.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace mergepurge {
@@ -44,49 +46,57 @@ Result<ClusteredOrder> ClusterOrder(const Dataset& dataset,
 
   static LatencyHistogram* const sort_us =
       MetricsRegistry::Global().GetHistogram(metric_names::kSnmSortUs);
+  const size_t workers = AvailableCpus();
 
   // --- Phase 1: extract the fixed-size key and cluster the data. ---
-  Timer phase;
   std::vector<std::string> keys;
   {
     Span span("create-keys");
+    pass->create_keys_seconds = 0.0;
     keys = KeyBuilder(key.FixedWidth(options.fixed_key_prefix))
-               .BuildKeys(dataset);
+               .BuildKeys(dataset, &pass->create_keys_seconds);
   }
-  pass->create_keys_seconds = phase.ElapsedSeconds();
 
-  phase.Restart();
+  std::vector<uint32_t> cluster_of(dataset.size());
+  size_t num_clusters = 0;
   {
     Span span("cluster");
+    Timer phase;
     // A full scan of every key at the paper's depth of three characters.
     Histogram histogram = BuildHistogram(keys, 3, 0, nullptr);
     Result<KeyPartitioner> partitioner =
         KeyPartitioner::FromHistogram(histogram, options.num_clusters);
     if (!partitioner.ok()) return partitioner.status();
-
-    // Counting sort by cluster: each cluster's tuple ids stay ascending.
-    std::vector<uint32_t> cluster_of(dataset.size());
-    clustered.bounds.assign(partitioner->num_clusters() + 1, 0);
-    for (size_t t = 0; t < dataset.size(); ++t) {
-      cluster_of[t] = static_cast<uint32_t>(partitioner->ClusterOf(keys[t]));
-      ++clustered.bounds[cluster_of[t] + 1];
-    }
-    for (size_t c = 1; c < clustered.bounds.size(); ++c) {
-      clustered.bounds[c] += clustered.bounds[c - 1];
-    }
-    std::vector<size_t> next(clustered.bounds.begin(),
-                             clustered.bounds.end() - 1);
-    clustered.order.resize(dataset.size());
-    for (size_t t = 0; t < dataset.size(); ++t) {
-      clustered.order[next[cluster_of[t]]++] = static_cast<TupleId>(t);
-    }
+    num_clusters = partitioner->num_clusters();
+    pass->cluster_seconds =
+        phase.ElapsedSeconds() +
+        ParallelFor(dataset.size(), workers, [&](size_t begin, size_t end) {
+          for (size_t t = begin; t < end; ++t) {
+            cluster_of[t] =
+                static_cast<uint32_t>(partitioner->ClusterOf(keys[t]));
+          }
+        });
   }
-  pass->cluster_seconds = phase.ElapsedSeconds();
+
+  // --- Phase 2's sorts: by the fixed cluster key (paper), or by the full
+  // key (ablation), which then replaces it in `keys`. ---
+  if (options.sort_with_full_key) {
+    Span span("create-keys");
+    keys = full_builder.BuildKeys(dataset, &pass->create_keys_seconds);
+  }
+  KeyOrder sorted;
+  {
+    Span span("sort");
+    sorted = OrderByBuckets(keys, cluster_of, num_clusters, workers);
+  }
+  pass->sort_seconds = sorted.busy_seconds;
+  sort_us->Record(sorted.busy_seconds * 1e6);
+  clustered.order = std::move(sorted.order);
+  clustered.bounds = std::move(sorted.bounds);
 
   // Surface severe key skew ("we must expect to compute very large
   // clusters and some empty clusters", §2.2.1): a hot cluster erodes both
   // the method's speed advantage and downstream load balance.
-  const size_t num_clusters = clustered.bounds.size() - 1;
   const std::vector<uint64_t> sizes = clustered.Sizes();
   const uint64_t largest = *std::max_element(sizes.begin(), sizes.end());
   const size_t average = dataset.size() / num_clusters;
@@ -96,30 +106,6 @@ Result<ClusteredOrder> ClusterOrder(const Dataset& dataset,
         << largest << " records (" << num_clusters << " clusters, average "
         << average << ") — key prefix is skewed";
   }
-
-  // --- Phase 2's sorts: by the fixed cluster key (paper), or by the full
-  // key (ablation), which then replaces it in `keys`. ---
-  if (options.sort_with_full_key) {
-    phase.Restart();
-    Span span("create-keys");
-    keys = full_builder.BuildKeys(dataset);
-    pass->create_keys_seconds += phase.ElapsedSeconds();
-  }
-  phase.Restart();
-  {
-    Span span("sort");
-    for (size_t c = 0; c < num_clusters; ++c) {
-      std::sort(clustered.order.begin() + clustered.bounds[c],
-                clustered.order.begin() + clustered.bounds[c + 1],
-                [&keys](TupleId a, TupleId b) {
-                  int cmp = keys[a].compare(keys[b]);
-                  if (cmp != 0) return cmp < 0;
-                  return a < b;
-                });
-    }
-  }
-  pass->sort_seconds = phase.ElapsedSeconds();
-  sort_us->Record(static_cast<double>(phase.ElapsedMicros()));
   return clustered;
 }
 

@@ -62,8 +62,11 @@ struct ClusteredOrder {
 // Everything of one clustering pass but the scans: builds the fixed-size
 // cluster key, range-partitions the records into options.num_clusters
 // clusters by its histogram, and sorts each cluster by that key (or by
-// the full key with options.sort_with_full_key). Times the create-keys,
-// cluster and sort phases into `pass`, and warns when the key is skewed.
+// the full key with options.sort_with_full_key) with the order builder of
+// core/key_order.h, whose buckets are the clusters. Key builds, cluster
+// lookups and sorts run on the pool. Times the create-keys, cluster and
+// sort phases into `pass` as summed task time, and warns when the key is
+// skewed.
 Result<ClusteredOrder> ClusterOrder(const Dataset& dataset,
                                     const KeySpec& key,
                                     const ClusteringOptions& options,

@@ -1,12 +1,11 @@
 #include "core/merge_purge.h"
 
-#include <unordered_map>
-
 #include "core/purge_policy.h"
 #include "gen/places_data.h"
 #include "obs/trace.h"
 #include "text/normalize.h"
 #include "text/spell.h"
+#include "util/thread_pool.h"
 
 namespace mergepurge {
 
@@ -37,17 +36,27 @@ Result<MergePurgeResult> MergePurgeEngine::Run(
   }
   if (options_.condition_records) {
     Span span("condition");
-    conditioned = dataset;
-    ConditionEmployeeDataset(&conditioned);
+    const SpellCorrector* corrector = nullptr;
     if (options_.spell_correct_city) {
-      static const SpellCorrector* corrector =
+      static const SpellCorrector* const city_corrector =
           new SpellCorrector(AllCityNames());
-      for (size_t t = 0; t < conditioned.size(); ++t) {
-        Record& r = conditioned.mutable_record(static_cast<TupleId>(t));
-        r.set_field(employee::kCity,
-                    corrector->Correct(r.field(employee::kCity)));
-      }
+      corrector = city_corrector;
     }
+    // The copy is built and conditioned range by range on the pool.
+    std::vector<Record> records(dataset.size());
+    auto condition = [&](size_t begin, size_t end) {
+      for (size_t t = begin; t < end; ++t) {
+        Record& r = records[t];
+        r = dataset.record(static_cast<TupleId>(t));
+        ConditionEmployeeRecord(&r);
+        if (corrector != nullptr) {
+          r.set_field(employee::kCity,
+                      corrector->Correct(r.field(employee::kCity)));
+        }
+      }
+    };
+    ParallelFor(records.size(), AvailableCpus(), condition);
+    conditioned = Dataset(dataset.schema(), std::move(records));
     input = &conditioned;
   }
 
@@ -60,9 +69,11 @@ Result<MergePurgeResult> MergePurgeEngine::Run(
   result.detail = std::move(*detail);
   result.component_of = result.detail.component_of;
 
-  std::unordered_map<uint32_t, bool> seen;
-  for (uint32_t component : result.component_of) seen.emplace(component, true);
-  result.num_entities = seen.size();
+  // A label is its component's smallest tid (UnionFind::Label), so each
+  // entity has exactly one tid labelled with itself.
+  for (size_t t = 0; t < result.component_of.size(); ++t) {
+    if (result.component_of[t] == t) ++result.num_entities;
+  }
   return result;
 }
 

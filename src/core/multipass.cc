@@ -236,22 +236,34 @@ Result<MultiPassResult> MultiPass::Run(
   MERGEPURGE_RETURN_NOT_OK(status);
 
   progress.BeginPhase("transitive closure");
-  Timer closure_timer;
   // Distinct pairs over all passes: each pass's pairs that no earlier
-  // pass found.
+  // pass found, one task per pass. Its summed task time counts into the
+  // closure's, the cost on one CPU.
   std::vector<const PairSet*> pair_sets;
-  pair_sets.reserve(result.passes.size());
   for (const PassResult& pass : result.passes) {
-    pass.pairs.ForEach([&](TupleId a, TupleId b) {
-      for (const PairSet* earlier : pair_sets) {
-        if (earlier->Contains(a, b)) return;
-      }
-      ++result.union_pair_count;
-    });
     pair_sets.push_back(&pass.pairs);
   }
+  {
+    Span span("distinct-pairs");
+    std::vector<uint64_t> fresh(pair_sets.size(), 0);
+    result.closure_seconds = ParallelFor(
+        pair_sets.size(), AvailableCpus(),
+        [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            pair_sets[i]->ForEach([&](TupleId a, TupleId b) {
+              for (size_t earlier = 0; earlier < i; ++earlier) {
+                if (pair_sets[earlier]->Contains(a, b)) return;
+              }
+              ++fresh[i];
+            });
+          }
+        },
+        /*grain=*/1);
+    for (uint64_t count : fresh) result.union_pair_count += count;
+  }
+  Timer closure_timer;
   result.component_of = TransitiveClosure(pair_sets, dataset.size());
-  result.closure_seconds = closure_timer.ElapsedSeconds();
+  result.closure_seconds += closure_timer.ElapsedSeconds();
   progress.FinishPhase();
   result.total_seconds = wall.ElapsedSeconds();
   return result;

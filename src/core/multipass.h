@@ -32,6 +32,7 @@ std::vector<uint32_t> TransitiveClosure(const PairSet& pairs, size_t n);
 struct MultiPassResult {
   std::vector<PassResult> passes;        // One per key, in input order.
   std::vector<uint32_t> component_of;    // Closure over all passes' pairs.
+  // The distinct-pair count's summed task time plus the closure.
   double closure_seconds = 0.0;
   // Wall time of the whole run. The passes' scans overlap on the worker
   // pool, so this is less than the sum of the passes' busy times.

@@ -4,6 +4,8 @@
 #include <map>
 #include <unordered_map>
 
+#include "util/thread_pool.h"
+
 namespace mergepurge {
 
 Result<MergeStrategy> MergeStrategyFromName(std::string_view name) {
@@ -104,11 +106,14 @@ Dataset PurgePolicy::Purge(const Dataset& dataset,
     if (inserted) groups.emplace_back();
     groups[it->second].push_back(static_cast<TupleId>(t));
   }
-  Dataset out(dataset.schema());
-  for (const std::vector<TupleId>& group : groups) {
-    out.Append(MergeClass(dataset, group));
-  }
-  return out;
+  // Groups are merged range by range on the pool, each into its slot.
+  std::vector<Record> merged(groups.size());
+  ParallelFor(groups.size(), AvailableCpus(), [&](size_t begin, size_t end) {
+    for (size_t g = begin; g < end; ++g) {
+      merged[g] = MergeClass(dataset, groups[g]);
+    }
+  });
+  return Dataset(dataset.schema(), std::move(merged));
 }
 
 }  // namespace mergepurge

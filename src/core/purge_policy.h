@@ -60,7 +60,8 @@ class PurgePolicy {
                     const std::vector<TupleId>& members) const;
 
   // Purges a whole dataset given per-tuple component labels: one merged
-  // record per class, classes ordered by first appearance.
+  // record per class, classes ordered by first appearance. The classes
+  // are merged range by range on a pool of AvailableCpus() threads.
   Dataset Purge(const Dataset& dataset,
                 const std::vector<uint32_t>& component_of) const;
 

@@ -1,33 +1,20 @@
 #include "core/sorted_neighborhood.h"
 
-#include <algorithm>
-#include <numeric>
-
+#include "core/key_order.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace mergepurge {
 
-namespace {
-
-std::vector<TupleId> OrderByKeys(const std::vector<std::string>& keys) {
-  std::vector<TupleId> order(keys.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&keys](TupleId a, TupleId b) {
-    int cmp = keys[a].compare(keys[b]);
-    if (cmp != 0) return cmp < 0;
-    return a < b;
-  });
-  return order;
-}
-
-}  // namespace
-
 std::vector<TupleId> SortedNeighborhood::SortByKey(const Dataset& dataset,
                                                    const KeySpec& key) {
-  return OrderByKeys(KeyBuilder(key).BuildKeys(dataset));
+  const size_t workers = AvailableCpus();
+  return OrderByKeyRanges(KeyBuilder(key).BuildKeys(dataset),
+                          workers * kBucketsPerWorker, workers)
+      .order;
 }
 
 std::vector<TupleId> SortedNeighborhood::KeyAndSort(const Dataset& dataset,
@@ -35,23 +22,21 @@ std::vector<TupleId> SortedNeighborhood::KeyAndSort(const Dataset& dataset,
                                                     PassResult* pass) {
   static LatencyHistogram* const sort_us =
       MetricsRegistry::Global().GetHistogram(metric_names::kSnmSortUs);
-  Timer phase;
   std::vector<std::string> keys;
   {
     Span span("create-keys");
-    keys = KeyBuilder(key).BuildKeys(dataset);
+    pass->create_keys_seconds = 0.0;
+    keys = KeyBuilder(key).BuildKeys(dataset, &pass->create_keys_seconds);
   }
-  pass->create_keys_seconds = phase.ElapsedSeconds();
-
-  phase.Restart();
-  std::vector<TupleId> order;
+  KeyOrder sorted;
   {
     Span span("sort");
-    order = OrderByKeys(keys);
+    const size_t workers = AvailableCpus();
+    sorted = OrderByKeyRanges(keys, workers * kBucketsPerWorker, workers);
   }
-  pass->sort_seconds = phase.ElapsedSeconds();
-  sort_us->Record(static_cast<double>(phase.ElapsedMicros()));
-  return order;
+  pass->sort_seconds = sorted.busy_seconds;
+  sort_us->Record(sorted.busy_seconds * 1e6);
+  return std::move(sorted.order);
 }
 
 Result<PassResult> SortedNeighborhood::Run(

@@ -25,11 +25,12 @@ struct PassResult {
   uint64_t windows = 0;  // Window positions scanned.
   uint64_t comparisons = 0;
   uint64_t matches = 0;
+  // The phase times below are summed task time, not wall time: key
+  // builds, sorts and MultiPass's fragment scans run on worker threads,
+  // and their sum is the pass's cost on one CPU.
   double create_keys_seconds = 0.0;
   double sort_seconds = 0.0;   // SNM: full sort; clustering: per-cluster sorts.
   double cluster_seconds = 0.0;  // Clustering method only.
-  // Window-scan time. MultiPass scans a pass as fragments on worker
-  // threads, and this is then their summed busy time, not wall time.
   double scan_seconds = 0.0;
   double total_seconds = 0.0;  // The phases above, summed.
   // True when the pass was loaded from a checkpoint instead of computed
@@ -48,13 +49,14 @@ class SortedNeighborhood {
                          const EquationalTheory& theory) const;
 
   // Sorts tuple ids of `dataset` by the key (ties broken by tuple id for
-  // determinism). Exposed for the parallel implementation and tests.
+  // determinism), building the keys and sorting their range-partitioned
+  // buckets on the pool (core/key_order.h).
   static std::vector<TupleId> SortByKey(const Dataset& dataset,
                                         const KeySpec& key);
 
-  // Phases 1-2 of a pass: SortByKey with the create-keys and
-  // sort phases timed into `pass` and traced. The key must be valid for
-  // the dataset's schema.
+  // Phases 1-2 of a pass: SortByKey with the create-keys and sort phases
+  // timed into `pass`, as summed task time, and traced. The key must be
+  // valid for the dataset's schema.
   static std::vector<TupleId> KeyAndSort(const Dataset& dataset,
                                          const KeySpec& key,
                                          PassResult* pass);

@@ -1,9 +1,12 @@
 #include "io/pairs_io.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
+#include "io/chunked_write.h"
 #include "util/fault_injector.h"
 #include "util/string_util.h"
 
@@ -16,14 +19,20 @@ constexpr char kMagic[] = "MPP1";
 Status WritePairSetFile(const PairSet& pairs, const std::string& path) {
   MERGEPURGE_RETURN_NOT_OK(
       FaultInjector::Global().OnPoint(fault_points::kPairsWrite));
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << kMagic << '\n';
-  for (const auto& [lo, hi] : pairs.ToSortedVector()) {
-    out << lo << ' ' << hi << '\n';
-  }
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  const std::vector<std::pair<TupleId, TupleId>> sorted =
+      pairs.ToSortedVector();
+  return WriteRowsInChunks(
+      path, std::string(kMagic) + "\n", sorted.size(),
+      [&sorted](size_t begin, size_t end, std::string* out) {
+        char line[32];  // Two 10-digit ids, a space and a newline.
+        for (size_t i = begin; i < end; ++i) {
+          char* cursor = std::to_chars(line, line + 11, sorted[i].first).ptr;
+          *cursor++ = ' ';
+          cursor = std::to_chars(cursor, cursor + 11, sorted[i].second).ptr;
+          *cursor++ = '\n';
+          out->append(line, cursor);
+        }
+      });
 }
 
 Result<PairSet> ReadPairSetFile(const std::string& path,

@@ -5,6 +5,7 @@
 #include "text/phonetic.h"
 
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace mergepurge {
 
@@ -68,12 +69,16 @@ std::string KeyBuilder::BuildKey(const Record& record) const {
   return key;
 }
 
-std::vector<std::string> KeyBuilder::BuildKeys(const Dataset& dataset) const {
-  std::vector<std::string> keys;
-  keys.reserve(dataset.size());
-  for (const Record& record : dataset.records()) {
-    keys.push_back(BuildKey(record));
-  }
+std::vector<std::string> KeyBuilder::BuildKeys(const Dataset& dataset,
+                                               double* busy_seconds) const {
+  std::vector<std::string> keys(dataset.size());
+  const double busy = ParallelFor(
+      dataset.size(), AvailableCpus(), [&](size_t begin, size_t end) {
+        for (size_t t = begin; t < end; ++t) {
+          keys[t] = BuildKey(dataset.record(static_cast<TupleId>(t)));
+        }
+      });
+  if (busy_seconds != nullptr) *busy_seconds += busy;
   return keys;
 }
 

@@ -80,8 +80,11 @@ class KeyBuilder {
   // with only fixed components have equal width.
   std::string BuildKey(const Record& record) const;
 
-  // Renders keys for every record in order.
-  std::vector<std::string> BuildKeys(const Dataset& dataset) const;
+  // Renders keys for every record in order, range by range on a pool of
+  // AvailableCpus() threads (util/thread_pool.h). Adds the ranges' summed
+  // run time, the cost on one CPU, to *busy_seconds when given.
+  std::vector<std::string> BuildKeys(const Dataset& dataset,
+                                     double* busy_seconds = nullptr) const;
 
   // Validates the spec against a schema (fields in range, lengths set).
   Status Validate(const Schema& schema) const;

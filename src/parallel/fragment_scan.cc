@@ -43,8 +43,9 @@ FragmentScanReport ScanFragments(const Dataset& dataset, size_t window,
                                  const std::vector<FragmentScanJob>& jobs,
                                  const TheoryFactory& theory_factory,
                                  size_t workers) {
-  // One task per fragment; its worker is the only writer of its slot
-  // until the pool drains.
+  // One task per fragment, laid out job by job: job j's tasks are
+  // [job_begin[j], job_begin[j + 1]). A task's worker is the only writer
+  // of its slot until ParallelFor returns.
   struct Task {
     size_t job = 0;
     Fragment fragment;
@@ -54,12 +55,14 @@ FragmentScanReport ScanFragments(const Dataset& dataset, size_t window,
     double busy_seconds = 0.0;
   };
   std::vector<Task> tasks;
+  std::vector<size_t> job_begin(1, 0);
   for (size_t j = 0; j < jobs.size(); ++j) {
     for (const Fragment& fragment : jobs[j].fragments) {
       tasks.emplace_back();
       tasks.back().job = j;
       tasks.back().fragment = fragment;
     }
+    job_begin.push_back(tasks.size());
   }
 
   auto scan = [&](Task& task) {
@@ -77,23 +80,21 @@ FragmentScanReport ScanFragments(const Dataset& dataset, size_t window,
     FlushScanStats(stats);
     theory->FlushMetrics();
   };
-
-  if (!tasks.empty()) {
-    ThreadPool pool(workers);
-    for (Task& task : tasks) {
-      pool.Submit([&scan, &task] {
-        try {
-          scan(task);
-        } catch (const std::exception& e) {
-          task.error = Status::Internal(
-              std::string("fragment scan threw: ") + e.what());
-        } catch (...) {
-          task.error = Status::Internal("fragment scan threw");
+  ParallelFor(
+      tasks.size(), workers,
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          try {
+            scan(tasks[i]);
+          } catch (const std::exception& e) {
+            tasks[i].error = Status::Internal(
+                std::string("fragment scan threw: ") + e.what());
+          } catch (...) {
+            tasks[i].error = Status::Internal("fragment scan threw");
+          }
         }
-      });
-    }
-    pool.Wait();
-  }
+      },
+      /*grain=*/1);
 
   FragmentScanReport report;
   report.jobs.resize(jobs.size());
@@ -120,17 +121,26 @@ FragmentScanReport ScanFragments(const Dataset& dataset, size_t window,
   parallel_tasks->Add(tasks.size() - failed);
 
   {
+    // One task per job: its pairs in fragment order, the serial order.
     Span span("pair-set-build");
-    for (FragmentScanResult& job : report.jobs) {
-      if (job.complete) job.pairs.Reserve(job.stats.matches);
-    }
-    for (Task& task : tasks) {
-      FragmentScanResult& job = report.jobs[task.job];
-      if (job.complete) {
-        for (const auto& [a, b] : task.matches) job.pairs.Add(a, b);
-      }
-      std::vector<std::pair<TupleId, TupleId>>().swap(task.matches);
-    }
+    ParallelFor(
+        jobs.size(), workers,
+        [&](size_t begin, size_t end) {
+          for (size_t j = begin; j < end; ++j) {
+            FragmentScanResult& job = report.jobs[j];
+            if (job.complete) job.pairs.Reserve(job.stats.matches);
+            for (size_t i = job_begin[j]; i < job_begin[j + 1]; ++i) {
+              if (job.complete) {
+                for (const auto& [a, b] : tasks[i].matches) {
+                  job.pairs.Add(a, b);
+                }
+              }
+              std::vector<std::pair<TupleId, TupleId>>().swap(
+                  tasks[i].matches);
+            }
+          }
+        },
+        /*grain=*/1);
   }
 
   if (failed > 0) {

@@ -64,12 +64,13 @@ struct FragmentScanReport {
 };
 
 // Scans every fragment of every job with `window` on a pool of `workers`
-// threads. Each fragment is one task that runs exactly once, with its own
-// theory from `theory_factory`. A task that succeeds stores its matches
-// and flushes its scan and rule metrics; one that throws stores the error
-// in its slot and flushes nothing, so counters cover completed fragments
-// only. A job is complete only when all of its fragments succeeded, and
-// its pair set is built on the calling thread after the pool drains. A
+// threads (ParallelFor, util/thread_pool.h). Each fragment is one task
+// that runs exactly once, with its own theory from `theory_factory`. A
+// task that succeeds stores its matches and flushes its scan and rule
+// metrics; one that throws stores the error in its slot and flushes
+// nothing, so counters cover completed fragments only. A job is complete
+// only when all of its fragments succeeded; once every scan has finished,
+// each complete job's pair set is built as one task per job. A
 // scan is a deterministic function of the dataset and the theory, so a
 // failed fragment is not re-run: the call returns PartialFailure naming
 // every failed fragment as job:begin-end, with the first error in task

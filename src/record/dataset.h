@@ -19,6 +19,10 @@ class Dataset {
  public:
   Dataset() = default;
   explicit Dataset(Schema schema) : schema_(std::move(schema)) {}
+  // Takes `records` as tuples 0..n-1, for callers that build them in
+  // place (a range per worker) instead of appending one by one.
+  Dataset(Schema schema, std::vector<Record> records)
+      : schema_(std::move(schema)), records_(std::move(records)) {}
 
   const Schema& schema() const { return schema_; }
 

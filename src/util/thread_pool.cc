@@ -2,6 +2,11 @@
 
 #include <sched.h>
 
+#include <algorithm>
+#include <exception>
+
+#include "util/timer.h"
+
 namespace mergepurge {
 
 size_t AvailableCpus() {
@@ -70,6 +75,42 @@ void ThreadPool::WorkerLoop() {
       if (in_flight_ == 0) all_done_.NotifyAll();
     }
   }
+}
+
+double ParallelFor(size_t n, size_t workers,
+                   const std::function<void(size_t begin, size_t end)>& fn,
+                   size_t grain) {
+  if (n == 0) return 0.0;
+  if (grain == 0) grain = 1;
+  if (workers <= 1 || n <= grain) {
+    Timer timer;
+    fn(0, n);
+    return timer.ElapsedSeconds();
+  }
+  const size_t ranges = (n + grain - 1) / grain;
+  std::vector<double> seconds(ranges, 0.0);
+  std::vector<std::exception_ptr> errors(ranges);
+  {
+    ThreadPool pool(std::min(workers, ranges));
+    for (size_t r = 0; r < ranges; ++r) {
+      pool.Submit([&, r] {
+        Timer timer;
+        try {
+          fn(r * grain, std::min(n, (r + 1) * grain));
+        } catch (...) {
+          errors[r] = std::current_exception();
+        }
+        seconds[r] = timer.ElapsedSeconds();
+      });
+    }
+    pool.Wait();
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  double total = 0.0;
+  for (double s : seconds) total += s;
+  return total;
 }
 
 }  // namespace mergepurge

@@ -1,8 +1,8 @@
 // A fixed-size worker pool with a mutex-guarded FIFO queue. Tasks are
-// coarse, so no work stealing is needed. Two users: ScanFragments
-// (src/parallel/fragment_scan.h) submits each fragment of a multi-pass
-// run as one task, runs it exactly once and uses Wait() as the barrier
-// before it builds the pair sets; the service's Server hands each
+// coarse, so no work stealing is needed. Two users: ParallelFor below,
+// which every parallel phase of a batch run goes through (CSV parse and
+// write, conditioning, key build and sort, fragment scan, pair-set build,
+// distinct-pair count, purge); and the service's Server, which hands each
 // connection to a worker for its lifetime.
 
 #ifndef MERGEPURGE_UTIL_THREAD_POOL_H_
@@ -53,6 +53,23 @@ class ThreadPool {
   bool shutting_down_ MERGEPURGE_GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;
 };
+
+// Indices per range of a per-record phase: a range of this many records
+// costs milliseconds, far more than handing it to a worker.
+inline constexpr size_t kParallelGrain = 4096;
+
+// Runs fn(begin, end) over the ranges [k * grain, (k + 1) * grain) of
+// [0, n), the last one cut at n, on a ThreadPool of `workers` threads,
+// and returns once every range has run. Runs inline, as one range on the
+// calling thread, when workers <= 1 or n <= grain. Per-record phases use
+// the default grain; a caller whose indices are already coarse tasks
+// (chunks, buckets, fragments, passes) passes grain 1, so each task is
+// its own range. An exception thrown by fn is rethrown on the calling
+// thread after every range has finished, the first in range order.
+// Returns the summed run time of the ranges: the work's cost on one CPU.
+double ParallelFor(size_t n, size_t workers,
+                   const std::function<void(size_t begin, size_t end)>& fn,
+                   size_t grain = kParallelGrain);
 
 }  // namespace mergepurge
 

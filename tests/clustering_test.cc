@@ -261,6 +261,58 @@ TEST_F(ClusteringMethodTest, ClusterOrderPartitionsAndSortsEveryRecord) {
   EXPECT_LT(largest, dataset_.size());
 }
 
+// ClusterOrder equals the reference it replaced: a counting sort by
+// cluster, tids ascending, then std::sort of each cluster by (key, tid).
+// The dataset is above the pool's grain, so keys, cluster lookups and
+// cluster sorts run on worker threads.
+TEST(ClusterOrderTest, EqualsCountingSortThenPerClusterSort) {
+  GeneratorConfig config;
+  config.num_records = 5000;
+  config.seed = 78;
+  auto db = DatabaseGenerator(config).Generate();
+  ASSERT_TRUE(db.ok());
+  ConditionEmployeeDataset(&db->dataset);
+  const Dataset& dataset = db->dataset;
+  ASSERT_GT(dataset.size(), 8192u);
+  for (bool full_key : {false, true}) {
+    ClusteringOptions options;
+    options.sort_with_full_key = full_key;
+    PassResult timings;
+    auto clustered = ClusterOrder(dataset, LastNameKey(), options, &timings);
+    ASSERT_TRUE(clustered.ok()) << clustered.status().ToString();
+
+    const std::vector<std::string> fixed =
+        KeyBuilder(LastNameKey().FixedWidth(options.fixed_key_prefix))
+            .BuildKeys(dataset);
+    auto partitioner = KeyPartitioner::FromHistogram(
+        BuildHistogram(fixed, 3, 0, nullptr), options.num_clusters);
+    ASSERT_TRUE(partitioner.ok());
+    std::vector<size_t> bounds(partitioner->num_clusters() + 1, 0);
+    for (const std::string& key : fixed) {
+      ++bounds[partitioner->ClusterOf(key) + 1];
+    }
+    for (size_t c = 1; c < bounds.size(); ++c) bounds[c] += bounds[c - 1];
+    std::vector<size_t> next(bounds.begin(), bounds.end() - 1);
+    std::vector<TupleId> order(dataset.size());
+    for (size_t t = 0; t < dataset.size(); ++t) {
+      order[next[partitioner->ClusterOf(fixed[t])]++] =
+          static_cast<TupleId>(t);
+    }
+    const std::vector<std::string> sort_keys =
+        full_key ? KeyBuilder(LastNameKey()).BuildKeys(dataset) : fixed;
+    for (size_t c = 0; c + 1 < bounds.size(); ++c) {
+      std::sort(order.begin() + static_cast<long>(bounds[c]),
+                order.begin() + static_cast<long>(bounds[c + 1]),
+                [&sort_keys](TupleId a, TupleId b) {
+                  const int cmp = sort_keys[a].compare(sort_keys[b]);
+                  return cmp != 0 ? cmp < 0 : a < b;
+                });
+    }
+    EXPECT_EQ(clustered->bounds, bounds) << "full key " << full_key;
+    EXPECT_EQ(clustered->order, order) << "full key " << full_key;
+  }
+}
+
 TEST_F(ClusteringMethodTest, RejectsBadOptions) {
   ClusteringOptions options;
   options.window = 1;

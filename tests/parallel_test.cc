@@ -1,6 +1,7 @@
-// Parallel building blocks: fragmentation coverage properties, LPT load
-// balancing and the cost models. That the fragment scan reproduces the
-// serial passes of both methods exactly is checked in contract_test.
+// Parallel building blocks: the range-partitioned order builder,
+// fragmentation coverage properties, LPT load balancing and the cost
+// models. That the fragment scan reproduces the serial passes of both
+// methods exactly is checked in contract_test.
 
 #include <algorithm>
 #include <cmath>
@@ -11,6 +12,7 @@
 #include "util/random.h"
 
 #include "core/clustering_method.h"
+#include "core/key_order.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
 #include "parallel/cost_model.h"
@@ -21,6 +23,101 @@
 
 namespace mergepurge {
 namespace {
+
+// --- The order builder. ---
+
+// The reference: a serial std::sort by (key, tid).
+std::vector<TupleId> SerialKeyOrder(const std::vector<std::string>& keys) {
+  std::vector<TupleId> order(keys.size());
+  for (size_t t = 0; t < order.size(); ++t) order[t] = static_cast<TupleId>(t);
+  std::sort(order.begin(), order.end(), [&keys](TupleId a, TupleId b) {
+    const int cmp = keys[a].compare(keys[b]);
+    return cmp != 0 ? cmp < 0 : a < b;
+  });
+  return order;
+}
+
+// Keys over bytes that a signed-char or case-folding comparison would
+// misorder: NUL, space, both cases, 0x7f, 0x80 and 0xff, and lengths
+// around the 8-byte sort prefix.
+std::vector<std::string> ByteKeys(size_t n, uint64_t seed) {
+  static constexpr char kBytes[] = {'\0', ' ', 'A', 'a', 'z', '\x7f',
+                                    '\x80', '\xff'};
+  Rng rng(seed);
+  std::vector<std::string> keys(n);
+  for (std::string& key : keys) {
+    const size_t length = rng.NextBounded(12);
+    for (size_t i = 0; i < length; ++i) {
+      key.push_back(kBytes[rng.NextBounded(sizeof(kBytes))]);
+    }
+  }
+  return keys;
+}
+
+void ExpectSerialOrder(const std::vector<std::string>& keys,
+                       size_t num_buckets, size_t workers) {
+  const KeyOrder sorted = OrderByKeyRanges(keys, num_buckets, workers);
+  EXPECT_EQ(sorted.order, SerialKeyOrder(keys))
+      << keys.size() << " keys, " << num_buckets << " buckets, " << workers
+      << " workers";
+  ASSERT_EQ(sorted.bounds.size(), num_buckets + 1);
+  EXPECT_EQ(sorted.bounds.front(), 0u);
+  EXPECT_EQ(sorted.bounds.back(), keys.size());
+}
+
+TEST(OrderBuilderTest, EqualsSerialSortForEveryBucketAndWorkerCount) {
+  // 20,000 keys are above the grain, so four workers run on the pool.
+  for (size_t n : {size_t{1000}, size_t{20000}}) {
+    const std::vector<std::string> keys = ByteKeys(n, n);
+    for (size_t buckets : {size_t{1}, size_t{3}, size_t{16}}) {
+      for (size_t workers : {size_t{1}, size_t{4}}) {
+        ExpectSerialOrder(keys, buckets, workers);
+      }
+    }
+  }
+}
+
+TEST(OrderBuilderTest, EqualsSerialSortOnDegenerateKeys) {
+  ExpectSerialOrder(std::vector<std::string>(20000, "SMITH"), 16, 4);
+  ExpectSerialOrder(std::vector<std::string>(20000, ""), 16, 4);
+  std::vector<std::string> some_empty = ByteKeys(20000, 3);
+  for (size_t t = 0; t < some_empty.size(); t += 3) some_empty[t].clear();
+  ExpectSerialOrder(some_empty, 16, 4);
+  ExpectSerialOrder(ByteKeys(5, 4), 16, 4);  // n < P.
+  ExpectSerialOrder({}, 16, 4);              // n = 0.
+}
+
+TEST(OrderBuilderTest, BucketsAreContiguousKeyRangesOfNearEqualSize) {
+  const std::vector<std::string> keys = ByteKeys(20000, 5);
+  const KeyOrder sorted = OrderByKeyRanges(keys, 16, 4);
+  for (size_t b = 0; b + 1 < sorted.bounds.size(); ++b) {
+    const size_t size = sorted.bounds[b + 1] - sorted.bounds[b];
+    EXPECT_GT(size, 20000u / 16 / 2) << "bucket " << b;
+    EXPECT_LT(size, 20000u / 16 * 2) << "bucket " << b;
+  }
+}
+
+TEST(OrderBuilderTest, OrderByBucketsKeepsBucketsAndSortsInside) {
+  const std::vector<std::string> keys = ByteKeys(20000, 6);
+  std::vector<uint32_t> bucket_of(keys.size());
+  for (size_t t = 0; t < keys.size(); ++t) bucket_of[t] = (t * 7) % 5;
+  const KeyOrder sorted = OrderByBuckets(keys, bucket_of, 5, 4);
+  ASSERT_EQ(sorted.bounds.size(), 6u);
+  for (size_t b = 0; b < 5; ++b) {
+    std::vector<TupleId> members;
+    for (size_t t = 0; t < keys.size(); ++t) {
+      if (bucket_of[t] == b) members.push_back(static_cast<TupleId>(t));
+    }
+    std::sort(members.begin(), members.end(), [&keys](TupleId x, TupleId y) {
+      const int cmp = keys[x].compare(keys[y]);
+      return cmp != 0 ? cmp < 0 : x < y;
+    });
+    const std::vector<TupleId> got(
+        sorted.order.begin() + static_cast<long>(sorted.bounds[b]),
+        sorted.order.begin() + static_cast<long>(sorted.bounds[b + 1]));
+    EXPECT_EQ(got, members) << "bucket " << b;
+  }
+}
 
 // --- Fragmentation. ---
 

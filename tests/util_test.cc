@@ -1,7 +1,11 @@
+#include <algorithm>
 #include <atomic>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -229,6 +233,72 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   pool.Submit([&counter] { counter.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(counter.load(), 1);
+}
+
+TEST(ParallelForTest, RangesCoverEveryIndexOnceInGrainSizedPieces) {
+  constexpr size_t kN = 10 * kParallelGrain + 17;
+  std::vector<std::atomic<int>> visits(kN);
+  std::atomic<size_t> ranges{0};
+  ParallelFor(kN, 4, [&](size_t begin, size_t end) {
+    EXPECT_EQ(begin % kParallelGrain, 0u);
+    EXPECT_EQ(end, std::min(kN, begin + kParallelGrain));
+    ranges.fetch_add(1);
+    for (size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
+  });
+  EXPECT_EQ(ranges.load(), 11u);
+  for (size_t i = 0; i < kN; ++i) ASSERT_EQ(visits[i].load(), 1) << i;
+}
+
+TEST(ParallelForTest, RunsInlineForOneWorkerOrBelowTheGrain) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (auto [n, workers, grain] :
+       {std::tuple<size_t, size_t, size_t>{kParallelGrain, 4, kParallelGrain},
+        {5 * kParallelGrain, 1, kParallelGrain},
+        {1, 4, 1}}) {
+    size_t calls = 0;
+    ParallelFor(
+        n, workers,
+        [&](size_t begin, size_t end) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          EXPECT_EQ(begin, 0u);
+          EXPECT_EQ(end, n);
+          ++calls;
+        },
+        grain);
+    EXPECT_EQ(calls, 1u);
+  }
+  ParallelFor(0, 4, [](size_t, size_t) { FAIL() << "no range for n = 0"; });
+}
+
+TEST(ParallelForTest, GrainOneMakesEachIndexATask) {
+  std::vector<int> seen(7, 0);
+  ParallelFor(
+      seen.size(), 3,
+      [&](size_t begin, size_t end) {
+        EXPECT_EQ(end, begin + 1);
+        seen[begin] = 1;
+      },
+      /*grain=*/1);
+  EXPECT_EQ(seen, std::vector<int>(7, 1));
+}
+
+TEST(ParallelForTest, RethrowsTheFirstExceptionInRangeOrder) {
+  std::atomic<size_t> ran{0};
+  try {
+    ParallelFor(
+        8, 4,
+        [&](size_t begin, size_t) {
+          ran.fetch_add(1);
+          if (begin == 5 || begin == 2) {
+            throw std::runtime_error("range " + std::to_string(begin));
+          }
+        },
+        /*grain=*/1);
+    FAIL() << "ParallelFor swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "range 2");
+  }
+  EXPECT_EQ(ran.load(), 8u);  // Every range ran before the rethrow.
 }
 
 TEST(CodingTest, StringListRoundTripsAndRejectsEveryTruncation) {

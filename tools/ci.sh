@@ -39,12 +39,13 @@ run_suite "${root}/build" "" -DMERGEPURGE_SANITIZE="" \
 run_suite "${root}/build-san" "" "-DMERGEPURGE_SANITIZE=address;undefined"
 # TSan is incompatible with ASan, so it gets its own tree; run the suites
 # that exercise threads (the cross-path contract, the fragment scan, the
-# batch multi-pass engine, incremental engine, the TCP
+# batch multi-pass engine, the parallel CSV reader and order builder,
+# ParallelFor itself, incremental engine, the TCP
 # service, fault-tolerance, the sync primitives) rather than all of
 # ctest. The lock-order validator runs here as in every build, now under
 # TSan's thread schedules.
 run_suite "${root}/build-tsan" \
-  "contract_test|parallel_test|multipass_test|engine_matrix_test|incremental_test|incremental_property_test|service_test|shard_test|fault_tolerance_test|metrics_test|obs_window_test|sync_test|durability_test" \
+  "contract_test|parallel_test|multipass_test|csv_test|util_test|clustering_test|engine_matrix_test|incremental_test|incremental_property_test|service_test|shard_test|fault_tolerance_test|metrics_test|obs_window_test|sync_test|durability_test" \
   "-DMERGEPURGE_SANITIZE=thread"
 
 # Compile-time lock discipline (clang only): build the whole tree with
@@ -119,7 +120,7 @@ obs_dir="$(mktemp -d)"
 trap 'rm -rf "${lint_dir}" "${obs_dir}"' EXIT
 echo "=== obs e2e (${obs_dir}) ==="
 "${root}/build/tools/mergepurge" --gen=2000 --output="${obs_dir}/out.csv" \
-  --rules-check \
+  --rules-check --pairs-out="${obs_dir}/obs_pairs" \
   --metrics-out="${obs_dir}/metrics.json" \
   --trace-out="${obs_dir}/trace.json" --progress --log-level=info
 "${root}/build/tools/validate_report" --file="${obs_dir}/metrics.json" \
@@ -137,7 +138,8 @@ def names(path):
     return {event["name"] for event in json.load(open(path))["traceEvents"]}
 generated, read = names(sys.argv[1]), names(sys.argv[2])
 missing = [name for name in ("generate", "condition", "pair-set-build",
-                             "purge", "csv-write") if name not in generated]
+                             "distinct-pairs", "pairs-write", "purge",
+                             "csv-write") if name not in generated]
 missing += [name for name in ("csv-read",) if name not in read]
 assert not missing, f"batch phases without a span: {missing}"
 print("ci: batch phase spans ok")
@@ -145,18 +147,33 @@ EOF
 
 # The batch run's output does not depend on how many CPUs it may use:
 # for both methods, a run pinned to one CPU and a run on every CPU write
-# byte-identical purged output and entity mappings.
+# byte-identical purged output, entity mappings and per-pass pair files.
+# --gen=20000 (about 50k records) is above the pool's grain, so every
+# phase runs on worker threads; the --input runs read a written CSV
+# through the parallel reader.
 echo "=== cpu-count e2e (${obs_dir}) ==="
+one_and_all_cpus() {  # name, then the run's flags
+  local name="$1"
+  shift
+  taskset -c 0 "${root}/build/tools/mergepurge" "$@" \
+    --output="${obs_dir}/${name}_one.csv" \
+    --entities="${obs_dir}/${name}_one_entities.csv" \
+    --pairs-out="${obs_dir}/${name}_one"
+  "${root}/build/tools/mergepurge" "$@" \
+    --output="${obs_dir}/${name}_all.csv" \
+    --entities="${obs_dir}/${name}_all_entities.csv" \
+    --pairs-out="${obs_dir}/${name}_all"
+  for suffix in .csv _entities.csv .last-name.mpp .first-name.mpp \
+      .address.mpp; do
+    cmp "${obs_dir}/${name}_one${suffix}" "${obs_dir}/${name}_all${suffix}"
+  done
+}
 for method in snm cluster; do
-  taskset -c 0 "${root}/build/tools/mergepurge" --gen=2000 \
-    --method="${method}" --output="${obs_dir}/${method}_one.csv" \
-    --entities="${obs_dir}/${method}_one_entities.csv"
-  "${root}/build/tools/mergepurge" --gen=2000 \
-    --method="${method}" --output="${obs_dir}/${method}_all.csv" \
-    --entities="${obs_dir}/${method}_all_entities.csv"
-  cmp "${obs_dir}/${method}_one.csv" "${obs_dir}/${method}_all.csv"
-  cmp "${obs_dir}/${method}_one_entities.csv" \
-    "${obs_dir}/${method}_all_entities.csv"
+  one_and_all_cpus "${method}" --gen=20000 --method="${method}"
+done
+for method in snm cluster; do
+  one_and_all_cpus "${method}_input" --input="${obs_dir}/snm_all.csv" \
+    --method="${method}"
 done
 echo "ci: cpu-count ok: one CPU and every CPU give identical output"
 

@@ -57,6 +57,7 @@
 #include "eval/table_printer.h"
 #include "core/multipass.h"
 #include "gen/generator.h"
+#include "io/chunked_write.h"
 #include "io/csv.h"
 #include "io/pairs_io.h"
 #include "keys/standard_keys.h"
@@ -225,10 +226,14 @@ int main(int argc, char** argv) {
     if (!source.ok()) {
       return Fail(path + ": " + source.status().ToString());
     }
-    Status concat = combined.Concatenate(*source);
-    if (!concat.ok()) return Fail(concat.ToString());
     std::fprintf(stderr, "loaded %s (%zu records)\n", path.c_str(),
                  source->size());
+    if (combined.empty()) {
+      combined = std::move(*source);
+      continue;
+    }
+    Status concat = combined.Concatenate(*source);
+    if (!concat.ok()) return Fail(concat.ToString());
   }
   if (combined.empty()) return Fail("no input records");
 
@@ -267,6 +272,7 @@ int main(int argc, char** argv) {
 
   // --- Pipelined pair storage / reuse (paper §4.1). ---
   if (args.Has("pairs-out")) {
+    Span span("pairs-write");
     std::string prefix = args.GetString("pairs-out", "pairs");
     for (const PassResult& pass : result->detail.passes) {
       std::string path = prefix + "." + pass.key_name + ".mpp";
@@ -313,13 +319,18 @@ int main(int argc, char** argv) {
   // Optional tuple -> entity mapping.
   if (args.Has("entities")) {
     Span span("csv-write");
-    Dataset mapping(Schema({"tuple_id", "entity_id"}));
-    for (size_t t = 0; t < result->component_of.size(); ++t) {
-      mapping.Append(Record({std::to_string(t),
-                             std::to_string(result->component_of[t])}));
-    }
+    const std::vector<uint32_t>& labels = result->component_of;
     std::string entities_path = args.GetString("entities", "");
-    Status entities_write = WriteCsvFile(mapping, entities_path);
+    Status entities_write = WriteRowsInChunks(
+        entities_path, "tuple_id,entity_id\n", labels.size(),
+        [&labels](size_t begin, size_t end, std::string* out) {
+          for (size_t t = begin; t < end; ++t) {
+            *out += std::to_string(t);
+            *out += ',';
+            *out += std::to_string(labels[t]);
+            *out += '\n';
+          }
+        });
     if (!entities_write.ok()) return Fail(entities_write.ToString());
     std::fprintf(stderr, "wrote entity mapping to %s\n",
                  entities_path.c_str());
