@@ -27,10 +27,13 @@ namespace rules_internal {
 // negative jump target ends the run with result ~target: a rule index, or
 // num_rules when no rule fired. To keep a comparison as cheap as
 // hand-written code:
+//  * the leaf tests are a switch inside the dispatch loop
+//    (MatchingRule), so the ~16 leaves a comparison visits cost no call;
 //  * leaves read fields as string_views;
 //  * `similarity(x, y) >= t` computes a distance bounded at the largest
 //    one that still meets t (same floating-point boundary), and
-//    `damerau(x, y) <= k` one bounded at k;
+//    `damerau(x, y) <= k` one bounded at k; the bounded distance decides
+//    most of these without its kernel (text/edit_distance.h);
 //  * `not empty(x) and not empty(y)` and `x == y and not empty(x)` are
 //    one leaf each;
 //  * a test the path already decided is skipped (Thread()): once
@@ -626,6 +629,10 @@ void RuleProgram::FlushMetrics() const {
   early_exits_ = 0;
 }
 
+inline std::string_view RuleProgram::Arg(int operand) const {
+  return operand >= 0 ? views_[operand] : StringValue(~operand);
+}
+
 int RuleProgram::MatchingRule(const Record& a, const Record& b) const {
   ++comparison_count_;
   ++stamp_;
@@ -638,11 +645,50 @@ int RuleProgram::MatchingRule(const Record& a, const Record& b) const {
   int pc = program_->entry;
   while (pc >= 0) {
     const Insn& insn = code[pc];
-    bool value;
+    bool value = false;
     if (insn.memo >= 0 && (memo_[insn.memo] >> 1) == stamp_) {
       value = (memo_[insn.memo] & 1) != 0;
     } else {
-      value = Evaluate(insn);
+      // The leaf tests, in the loop so that a leaf costs no call.
+      switch (insn.op) {
+        case LeafOp::kEmpty:
+          value = Arg(insn.x).empty();
+          break;
+        case LeafOp::kBothPresent:
+          value = !Arg(insn.x).empty() && !Arg(insn.y).empty();
+          break;
+        case LeafOp::kEqualPresent: {
+          const std::string_view x = Arg(insn.x);
+          value = !x.empty() && x == Arg(insn.y);
+          break;
+        }
+        case LeafOp::kStringCompare: {
+          const std::string_view x = Arg(insn.x);
+          const std::string_view y = Arg(insn.y);
+          value = insn.cmp == CompareOp::kEq
+                      ? x == y
+                      : rules_internal::Holds(insn.cmp, x.compare(y));
+          break;
+        }
+        case LeafOp::kPredicate:
+          value = PredicateBuiltin(insn.func, Arg(insn.x), Arg(insn.y));
+          break;
+        case LeafOp::kSimilarityAtLeast:
+          value = SimilarityAtLeast(insn, Arg(insn.x), Arg(insn.y));
+          break;
+        case LeafOp::kDistanceAtMost: {
+          const std::string_view x = Arg(insn.x);
+          const std::string_view y = Arg(insn.y);
+          const int distance = insn.func == FuncId::kDamerau
+                                   ? BoundedDamerauDistance(x, y, insn.arg)
+                                   : BoundedEditDistance(x, y, insn.arg);
+          value = distance <= insn.arg;
+          break;
+        }
+        case LeafOp::kValueCompare:
+          value = ValueCompare(insn);
+          break;
+      }
       if (insn.memo >= 0) memo_[insn.memo] = stamp_ << 1 | (value ? 1 : 0);
     }
     pc = value ? insn.on_true : insn.on_false;
@@ -657,58 +703,22 @@ bool RuleProgram::Matches(const Record& a, const Record& b) const {
   return MatchingRule(a, b) >= 0;
 }
 
-inline std::string_view RuleProgram::Arg(int operand) const {
-  return operand >= 0 ? views_[operand] : StringValue(~operand);
-}
-
-bool RuleProgram::Evaluate(const Insn& insn) const {
-  switch (insn.op) {
-    case LeafOp::kEmpty:
-      return Arg(insn.x).empty();
-    case LeafOp::kBothPresent:
-      return !Arg(insn.x).empty() && !Arg(insn.y).empty();
-    case LeafOp::kEqualPresent: {
-      const std::string_view x = Arg(insn.x);
-      return !x.empty() && x == Arg(insn.y);
-    }
-    case LeafOp::kStringCompare: {
-      const std::string_view x = Arg(insn.x);
-      const std::string_view y = Arg(insn.y);
-      return insn.cmp == CompareOp::kEq
-                 ? x == y
-                 : rules_internal::Holds(insn.cmp, x.compare(y));
-    }
-    case LeafOp::kPredicate:
-      return PredicateBuiltin(insn.func, Arg(insn.x), Arg(insn.y));
-    case LeafOp::kSimilarityAtLeast:
-      return SimilarityAtLeast(insn, Arg(insn.x), Arg(insn.y));
-    case LeafOp::kDistanceAtMost: {
-      const std::string_view x = Arg(insn.x);
-      const std::string_view y = Arg(insn.y);
-      const int distance = insn.func == FuncId::kDamerau
-                               ? BoundedDamerauDistance(x, y, insn.arg)
-                               : BoundedEditDistance(x, y, insn.arg);
-      return distance <= insn.arg;
-    }
-    case LeafOp::kValueCompare: {
-      if (program_->nodes[insn.arg].type == ValueType::kBool) {
-        auto value = [this](const ValueNode& call) {
-          return PredicateBuiltin(call.func, StringValue(call.args[0]),
-                                  call.args.size() > 1
-                                      ? StringValue(call.args[1])
-                                      : std::string_view());
-        };
-        const bool equal = value(program_->nodes[insn.arg]) ==
-                           value(program_->nodes[insn.rhs]);
-        return insn.cmp == CompareOp::kEq ? equal : !equal;
-      }
-      const double lhs = NumberValue(insn.arg);
-      const double rhs = NumberValue(insn.rhs);
-      return rules_internal::Holds(insn.cmp,
-                                   lhs < rhs ? -1 : (lhs > rhs ? 1 : 0));
-    }
+bool RuleProgram::ValueCompare(const Insn& insn) const {
+  if (program_->nodes[insn.arg].type == ValueType::kBool) {
+    auto value = [this](const ValueNode& call) {
+      return PredicateBuiltin(call.func, StringValue(call.args[0]),
+                              call.args.size() > 1
+                                  ? StringValue(call.args[1])
+                                  : std::string_view());
+    };
+    const bool equal = value(program_->nodes[insn.arg]) ==
+                       value(program_->nodes[insn.rhs]);
+    return insn.cmp == CompareOp::kEq ? equal : !equal;
   }
-  return false;
+  const double lhs = NumberValue(insn.arg);
+  const double rhs = NumberValue(insn.rhs);
+  return rules_internal::Holds(insn.cmp,
+                               lhs < rhs ? -1 : (lhs > rhs ? 1 : 0));
 }
 
 bool RuleProgram::SimilarityAtLeast(const Insn& insn, std::string_view x,

@@ -85,8 +85,9 @@ class RuleProgram : public EquationalTheory {
   explicit RuleProgram(
       std::shared_ptr<const rules_internal::CompiledProgram> program);
 
-  // One leaf condition of the branch code.
-  bool Evaluate(const rules_internal::Insn& insn) const;
+  // A comparison of number or boolean nodes, the one leaf test the
+  // dispatch loop in MatchingRule does not hold inline.
+  bool ValueCompare(const rules_internal::Insn& insn) const;
   bool SimilarityAtLeast(const rules_internal::Insn& insn,
                          std::string_view x, std::string_view y) const;
   std::string_view Arg(int operand) const;

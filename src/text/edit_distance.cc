@@ -1,8 +1,8 @@
 #include "text/edit_distance.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 namespace mergepurge {
@@ -75,14 +75,48 @@ int Distance(std::string_view a, std::string_view b, bool transpositions) {
   return prev[m];
 }
 
-// The bounded contract on top of the full distance: 0 for a negative
-// bound, max_distance + 1 once the length gap alone exceeds the bound.
+// The bounded contract, min(distance, max_distance + 1), or 0 for a
+// negative bound. Most calls in a window scan only prove the distance
+// exceeds a small bound, so a cascade of exact tests decides them before
+// the kernel:
+//  1. the length gap, a lower bound;
+//  2. a common prefix changes neither distance, so it is stripped; an
+//     empty remainder leaves the gap as the distance;
+//  3. the remainders now differ in their first byte: with bound 0 that is
+//     the answer, and with bound 1 only an edit of that byte (or, for OSA,
+//     its swap with the next) can make them equal, checked directly;
+//  4. one edit changes at most two bits of a 64-bit byte-presence mask
+//     and a transposition none, so half the masks' differing bits, rounded
+//     up, is a lower bound;
+//  5. only then the kernel, on the stripped strings.
 int Bounded(std::string_view a, std::string_view b, int max_distance,
             bool transpositions) {
   if (max_distance < 0) return 0;
-  const int gap = std::abs(static_cast<int>(a.size()) -
-                           static_cast<int>(b.size()));
-  if (gap > max_distance) return max_distance + 1;
+  if (a.size() > b.size()) std::swap(a, b);
+  const size_t gap = b.size() - a.size();
+  if (gap > static_cast<size_t>(max_distance)) return max_distance + 1;
+  const size_t prefix =
+      std::mismatch(a.begin(), a.end(), b.begin()).first - a.begin();
+  a.remove_prefix(prefix);
+  b.remove_prefix(prefix);
+  if (a.empty()) return static_cast<int>(gap);
+  if (max_distance == 0) return 1;
+  if (max_distance == 1) {
+    if (gap == 1) return a == b.substr(1) ? 1 : 2;
+    if (a.substr(1) == b.substr(1)) return 1;
+    return transpositions && a.size() >= 2 && a[0] == b[1] && a[1] == b[0] &&
+                   a.substr(2) == b.substr(2)
+               ? 1
+               : 2;
+  }
+  auto presence = [](std::string_view s) {
+    uint64_t mask = 0;
+    for (unsigned char c : s) mask |= uint64_t{1} << (c & 63);
+    return mask;
+  };
+  if ((std::popcount(presence(a) ^ presence(b)) + 1) / 2 > max_distance) {
+    return max_distance + 1;
+  }
   return std::min(Distance(a, b, transpositions), max_distance + 1);
 }
 

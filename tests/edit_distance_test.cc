@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -206,6 +208,158 @@ TEST_P(KernelDifferentialTest, MatchesRollingRowDp) {
     }
   }
   EXPECT_GT(beyond_word, 0);  // The fallback was exercised.
+}
+
+// The step of the bounded distances' cascade (edit_distance.cc) that
+// decides a call, worked out here from the oracle's view of the strings.
+enum CascadeStep {
+  kNegativeBound,
+  kLengthGap,
+  kEmptyRemainder,
+  kBoundZero,
+  kSingleEditCheck,
+  kPresenceMask,
+  kKernel,
+  kNumCascadeSteps
+};
+
+// Half the differing bits of the two byte-presence masks, rounded up: one
+// edit flips at most two bits and a transposition none.
+int MaskBound(std::string_view a, std::string_view b) {
+  uint64_t mask_a = 0;
+  uint64_t mask_b = 0;
+  for (unsigned char c : a) mask_a |= uint64_t{1} << (c & 63);
+  for (unsigned char c : b) mask_b |= uint64_t{1} << (c & 63);
+  return (std::popcount(mask_a ^ mask_b) + 1) / 2;
+}
+
+CascadeStep DecidingStep(std::string_view a, std::string_view b, int k) {
+  if (k < 0) return kNegativeBound;
+  const size_t gap = a.size() > b.size() ? a.size() - b.size()
+                                         : b.size() - a.size();
+  if (gap > static_cast<size_t>(k)) return kLengthGap;
+  while (!a.empty() && !b.empty() && a.front() == b.front()) {
+    a.remove_prefix(1);
+    b.remove_prefix(1);
+  }
+  if (a.empty() || b.empty()) return kEmptyRemainder;
+  if (k == 0) return kBoundZero;
+  if (k == 1) return kSingleEditCheck;
+  if (MaskBound(a, b) > k) return kPresenceMask;
+  return kKernel;
+}
+
+// Random string over `alphabet` of length [min_len, max_len].
+std::string CascadeString(Rng* rng, std::string_view alphabet, int min_len,
+                          int max_len) {
+  std::string s(rng->NextInt(min_len, max_len), '\0');
+  for (char& c : s) c = alphabet[rng->NextBounded(alphabet.size())];
+  return s;
+}
+
+// `s` after one edit at a random position: an insertion, a deletion, a
+// substitution or a swap of two differing neighbours.
+std::string SingleEdit(Rng* rng, std::string s) {
+  const size_t pos = rng->NextBounded(s.size());
+  switch (rng->NextBounded(4)) {
+    case 0: s.insert(s.begin() + pos, 'Z'); break;
+    case 1: s.erase(s.begin() + pos); break;
+    case 2: s[pos] = 'Z'; break;
+    default:
+      if (pos + 1 < s.size() && s[pos] != s[pos + 1]) {
+        std::swap(s[pos], s[pos + 1]);
+      } else {
+        s[pos] = 'Z';
+      }
+  }
+  return s;
+}
+
+// Pairs aimed at each step of the cascade, checked against the oracle for
+// every bound; each step a bound can reach must decide at least one pair.
+TEST_P(KernelDifferentialTest, CascadeStepsMatchOracle) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729);
+  // 'A' (0x41) and 0x81 share mask bit 1, 'B' and 0x82 bit 2.
+  const std::string colliding = "AB\x81\x82";
+  const std::string letters = "ABCDEFGH";
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (int trial = 0; trial < 200; ++trial) {
+    // Bytes that collide in the mask: the bound sees fewer differences.
+    pairs.emplace_back(CascadeString(&rng, colliding, 0, 12),
+                       CascadeString(&rng, colliding, 0, 12));
+    // Unrelated words over many letters: the mask bound rules them out.
+    pairs.emplace_back(CascadeString(&rng, letters + "IJKLMNOPQRST", 5, 9),
+                       CascadeString(&rng, letters + "IJKLMNOPQRST", 5, 9));
+    // Distinct letters, every other one replaced by a fresh letter: the
+    // mask bound equals the distance.
+    std::string distinct = letters;
+    for (size_t i = distinct.size(); i > 1; --i) {
+      std::swap(distinct[i - 1], distinct[rng.NextBounded(i)]);
+    }
+    distinct.resize(rng.NextInt(4, 8));
+    std::string replaced = distinct;
+    for (size_t i = 0; i < replaced.size(); i += 2) replaced[i] = "UVWX"[i / 2];
+    pairs.emplace_back(distinct, replaced);
+    // Long shared prefix and suffix around a single edit.
+    const std::string prefix = CascadeString(&rng, letters, 10, 40);
+    const std::string suffix = CascadeString(&rng, letters, 10, 40);
+    const std::string core = CascadeString(&rng, letters, 1, 3);
+    pairs.emplace_back(prefix + core + suffix,
+                       prefix + SingleEdit(&rng, core) + suffix);
+    // Near misses: one edit at the first or the last byte, then two edits.
+    std::string word = CascadeString(&rng, letters, 2, 10);
+    std::string first = word;
+    first[0] = first[0] == 'A' ? 'B' : 'A';
+    std::string last = word;
+    last.back() = last.back() == 'A' ? 'B' : 'A';
+    std::string both = first;
+    both.back() = both.back() == 'A' ? 'B' : 'A';
+    pairs.emplace_back(word, first);
+    pairs.emplace_back(word, last);
+    pairs.emplace_back(word, word.substr(1));
+    pairs.emplace_back(word, word.substr(0, word.size() - 1));
+    pairs.emplace_back(word, both);
+    pairs.emplace_back(word, "X" + word.substr(1) + "Y");
+    // A transposition right after the stripped prefix.
+    std::string swapped = prefix + core + "CD" + suffix;
+    pairs.emplace_back(swapped, prefix + core + "DC" + suffix);
+    // Empty remainders: one string a prefix of the other.
+    pairs.emplace_back(word, word + CascadeString(&rng, letters, 0, 6));
+  }
+  int decided[6][kNumCascadeSteps] = {};
+  const int bounds[6] = {-1, 0, 1, 2, 3, 5};
+  for (const auto& [a, b] : pairs) {
+    const int lev = OracleDistance(a, b, /*transpositions=*/false);
+    const int osa = OracleDistance(a, b, /*transpositions=*/true);
+    ASSERT_LE(MaskBound(a, b), osa) << a << " / " << b;
+    for (int i = 0; i < 6; ++i) {
+      const int k = bounds[i];
+      ASSERT_EQ(BoundedEditDistance(a, b, k),
+                k < 0 ? 0 : std::min(lev, k + 1))
+          << a << " / " << b << " k=" << k;
+      ASSERT_EQ(BoundedDamerauDistance(a, b, k),
+                k < 0 ? 0 : std::min(osa, k + 1))
+          << a << " / " << b << " k=" << k;
+      ASSERT_EQ(BoundedDamerauDistance(b, a, k),
+                BoundedDamerauDistance(a, b, k));
+      ++decided[i][DecidingStep(a, b, k)];
+    }
+  }
+  for (int i = 0; i < 6; ++i) {
+    const int k = bounds[i];
+    std::vector<CascadeStep> reachable;
+    if (k < 0) {
+      reachable = {kNegativeBound};
+    } else {
+      reachable = {kLengthGap, kEmptyRemainder};
+      if (k == 0) reachable.push_back(kBoundZero);
+      if (k == 1) reachable.push_back(kSingleEditCheck);
+      if (k >= 2) reachable.insert(reachable.end(), {kPresenceMask, kKernel});
+    }
+    for (CascadeStep step : reachable) {
+      EXPECT_GT(decided[i][step], 0) << "k=" << k << " step=" << step;
+    }
+  }
 }
 
 TEST(KernelBoundaryTest, WordBoundaryLengths) {

@@ -139,7 +139,7 @@ def names(path):
 generated, read = names(sys.argv[1]), names(sys.argv[2])
 missing = [name for name in ("generate", "condition", "pair-set-build",
                              "distinct-pairs", "pairs-write", "purge",
-                             "csv-write") if name not in generated]
+                             "csv-write", "release") if name not in generated]
 missing += [name for name in ("csv-read",) if name not in read]
 assert not missing, f"batch phases without a span: {missing}"
 print("ci: batch phase spans ok")
@@ -175,6 +175,9 @@ for method in snm cluster; do
   one_and_all_cpus "${method}_input" --input="${obs_dir}/snm_all.csv" \
     --method="${method}"
 done
+# The city spelling corrector calls the bounded distance with a bound
+# that shrinks as better candidates appear.
+one_and_all_cpus spell --gen=20000 --spell-city
 echo "ci: cpu-count ok: one CPU and every CPU give identical output"
 
 # Service e2e: serve on an ephemeral loopback port — WAL durability ON

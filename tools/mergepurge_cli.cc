@@ -67,6 +67,7 @@
 #include "obs/trace.h"
 #include "rules/theory_loader.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 using namespace mergepurge;
 
@@ -100,6 +101,21 @@ int Fail(const std::string& message) {
 int UsageError(const std::string& message) {
   std::fprintf(stderr, "mergepurge: %s\n%s\n", message.c_str(), kUsage);
   return kExitUsage;
+}
+
+// Frees the records of `dataset` a range per worker: freed one by one on
+// the main thread at exit, they were the run's last serial phase.
+// Records that one thread allocated share one malloc arena, whose lock
+// serialises their frees, so those are freed with workers = 1: on a
+// 4-core host, 4 threads freed the generator's 10^6 records in 1.7 s and
+// one thread in 1.0 s.
+void ReleaseRecords(Dataset* dataset, size_t workers) {
+  ParallelFor(dataset->size(), workers, [dataset](size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      dataset->mutable_record(static_cast<TupleId>(t)) = Record();
+    }
+  });
+  dataset->Clear();
 }
 
 }  // namespace
@@ -313,8 +329,16 @@ int main(int argc, char** argv) {
     Status write = WriteCsvFile(purged, out_path);
     if (!write.ok()) return Fail(write.ToString());
   }
-  std::fprintf(stderr, "%zu records -> %zu entities -> %s\n",
-               combined.size(), purged.size(), out_path.c_str());
+  const size_t num_records = combined.size();
+  std::fprintf(stderr, "%zu records -> %zu entities -> %s\n", num_records,
+               purged.size(), out_path.c_str());
+  {
+    Span span("release");
+    // The generator builds its records on the main thread, the CSV reader
+    // and the purge on the pool.
+    ReleaseRecords(&combined, args.Has("gen") ? 1 : AvailableCpus());
+    ReleaseRecords(&purged, AvailableCpus());
+  }
 
   // Optional tuple -> entity mapping.
   if (args.Has("entities")) {
@@ -354,7 +378,7 @@ int main(int argc, char** argv) {
     } else {
       run_report.SetConfig("input", JsonValue(input_list));
     }
-    run_report.SetDataset(combined.size(), schema.num_fields());
+    run_report.SetDataset(num_records, schema.num_fields());
     run_report.SetMultiPass(result->detail);
     run_report.SetOutcome(true);
     run_report.CaptureMetrics();
@@ -362,6 +386,16 @@ int main(int argc, char** argv) {
     Status report_write = run_report.WriteToFile(metrics_path);
     if (!report_write.ok()) return Fail(report_write.ToString());
     std::fprintf(stderr, "wrote run report to %s\n", metrics_path.c_str());
+  }
+  {
+    Span span("release");
+    std::vector<PassResult>& passes = result->detail.passes;
+    ParallelFor(
+        passes.size(), AvailableCpus(),
+        [&passes](size_t begin, size_t end) {
+          for (size_t p = begin; p < end; ++p) passes[p].pairs = PairSet();
+        },
+        /*grain=*/1);
   }
   if (args.Has("trace-out")) {
     std::string trace_path = args.GetString("trace-out", "");
