@@ -136,25 +136,6 @@ void BM_AdjacentTransposition(benchmark::State& state) {
 }
 BENCHMARK(BM_AdjacentTransposition)->Arg(0)->Arg(1);
 
-// Upper-case first names as conditioning leaves them, drawn from nickname
-// groups and from names the table does not know.
-void BM_SameCanonicalName(benchmark::State& state) {
-  const std::vector<std::string> pool = {
-      "ROBERT", "BOB",  "WILLIAM", "BILL", "JOHN",  "JACK",  "MARY",
-      "MOLLY",  "SEAN", "IAN",     "SMITH", "KEVIN", "LINDA", "OSCAR"};
-  Rng rng(13);
-  std::vector<std::string> names(1024);
-  for (std::string& name : names) name = pool[rng.NextBounded(pool.size())];
-  const NicknameTable& table = NicknameTable::Default();
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        table.SameCanonicalName(names[i % 1024], names[(i + 1) % 1024]));
-    ++i;
-  }
-}
-BENCHMARK(BM_SameCanonicalName);
-
 void BM_KeyboardDistance(benchmark::State& state) {
   auto names = RandomNames(1024, 4);
   size_t i = 0;
@@ -214,6 +195,32 @@ void BM_TheoryComparison(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TheoryComparison);
+
+// One comparison of the window scan: rows of a block loaded in the
+// last-name key's sort order, each compared with the 9 rows before it
+// (w = 10). The block is loaded once, so after the first pass every
+// row's per-record values are computed; BM_TheoryComparison pays a
+// two-row load per comparison instead.
+void BM_TheoryComparisonRows(benchmark::State& state) {
+  const auto& db = SharedDatabase();
+  constexpr size_t kWindow = 10;
+  const std::vector<TupleId> order =
+      SortedNeighborhood::SortByKey(db.dataset, LastNameKey());
+  std::vector<const Record*> rows;
+  for (TupleId t : order) rows.push_back(&db.dataset.record(t));
+  EmployeeTheory theory;
+  theory.LoadRows(rows.data(), rows.size());
+  size_t i = kWindow - 1;
+  size_t j = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(theory.MatchesRows(j, i));
+    if (++j == i) {
+      i = i + 1 < rows.size() ? i + 1 : kWindow - 1;
+      j = i - (kWindow - 1);
+    }
+  }
+}
+BENCHMARK(BM_TheoryComparisonRows);
 
 void BM_SortByKey(benchmark::State& state) {
   const auto& db = SharedDatabase();

@@ -242,9 +242,13 @@ int main(int argc, char** argv) {
               multi.false_positive_percent);
 
   // Purge with the rule program's merge directives.
-  Dataset purged = theory->purge_policy().Purge(catalog.dataset,
-                                                result->component_of);
+  Result<Dataset> purged = theory->purge_policy().Purge(
+      catalog.dataset, result->component_of);
+  if (!purged.ok()) {
+    std::fprintf(stderr, "%s\n", purged.status().ToString().c_str());
+    return 1;
+  }
   std::printf("catalog: %zu listings -> %zu distinct products\n",
-              catalog.dataset.size(), purged.size());
+              catalog.dataset.size(), purged->size());
   return 0;
 }

@@ -85,6 +85,7 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
 
   std::vector<TupleId> fresh;
   std::vector<size_t> ins;
+  std::vector<const Record*> rows;
   for (KeyState& state : key_states_) {
     KeyBuilder builder(state.spec);
     const KeyThenTid less{state.keys};
@@ -121,22 +122,22 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
     }
 
     // Window-scan only the disturbed neighborhoods: every in-window pair
-    // involving at least one new record.
+    // involving at least one new record. Each neighborhood is loaded as
+    // the theory's rows once; row r holds position lo + r.
     for (size_t k = 0; k < fresh.size(); ++k) {
       const size_t p = ins[k] + k;
       const size_t lo = p >= w - 1 ? p - (w - 1) : 0;
+      const size_t hi = std::min(order.size(), p + w);
+      rows.clear();
+      for (size_t q = lo; q < hi; ++q) rows.push_back(&all_.record(order[q]));
+      theory.LoadRows(rows.data(), rows.size());
       for (size_t q = lo; q < p; ++q) {
         // New-new pairs are scanned once (q < p); new-old always.
-        if (theory.Matches(all_.record(order[q]), all_.record(order[p]))) {
-          admit(order[q], order[p]);
-        }
+        if (theory.MatchesRows(q - lo, p - lo)) admit(order[q], order[p]);
       }
-      const size_t hi = std::min(order.size(), p + w);
       for (size_t q = p + 1; q < hi; ++q) {
         if (order[q] >= first_new) continue;  // Handled from q's own loop.
-        if (theory.Matches(all_.record(order[p]), all_.record(order[q]))) {
-          admit(order[p], order[q]);
-        }
+        if (theory.MatchesRows(p - lo, q - lo)) admit(order[p], order[q]);
       }
     }
   }
@@ -211,6 +212,7 @@ Result<ProbeResult> IncrementalMergePurge::MatchOnly(
     return std::find(result.matches.begin(), result.matches.end(), t) !=
            result.matches.end();
   };
+  std::vector<const Record*> rows;
   for (const KeyState& state : key_states_) {
     KeyBuilder builder(state.spec);
     MERGEPURGE_RETURN_NOT_OK(builder.Validate(all_.schema()));
@@ -224,19 +226,24 @@ Result<ProbeResult> IncrementalMergePurge::MatchOnly(
           return key.compare(state.keys[t]) < 0;
         });
     const size_t p = static_cast<size_t>(pos - state.order.begin());
-    // Neighbors that would land at distances 1..w-1 before the probe.
+    // The neighbors that would land at distances 1..w-1 before and after
+    // the probe, then the probe: row r holds position lo + r.
     const size_t lo = p >= w - 1 ? p - (w - 1) : 0;
-    for (size_t q = lo; q < p; ++q) {
-      const TupleId t = state.order[q];
-      if (matched(t)) continue;
-      if (theory.Matches(all_.record(t), probe)) result.matches.push_back(t);
-    }
-    // ... and at distances 1..w-1 after it.
     const size_t hi = std::min(state.order.size(), p + (w - 1));
-    for (size_t q = p; q < hi; ++q) {
+    rows.clear();
+    for (size_t q = lo; q < hi; ++q) {
+      rows.push_back(&all_.record(state.order[q]));
+    }
+    rows.push_back(&probe);
+    theory.LoadRows(rows.data(), rows.size());
+    const size_t probe_row = hi - lo;
+    for (size_t q = lo; q < hi; ++q) {
       const TupleId t = state.order[q];
       if (matched(t)) continue;
-      if (theory.Matches(probe, all_.record(t))) result.matches.push_back(t);
+      if (q < p ? theory.MatchesRows(q - lo, probe_row)
+                : theory.MatchesRows(probe_row, q - lo)) {
+        result.matches.push_back(t);
+      }
     }
   }
   std::sort(result.matches.begin(), result.matches.end());
@@ -244,7 +251,8 @@ Result<ProbeResult> IncrementalMergePurge::MatchOnly(
 }
 
 Dataset IncrementalMergePurge::Purge() const {
-  return PurgePolicy().Purge(all_, ComponentLabels());
+  // The closure labels every record with a tuple id, so this cannot fail.
+  return PurgePolicy().Purge(all_, ComponentLabels()).value();
 }
 
 }  // namespace mergepurge

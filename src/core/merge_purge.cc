@@ -1,5 +1,8 @@
 #include "core/merge_purge.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "core/purge_policy.h"
 #include "gen/places_data.h"
 #include "obs/trace.h"
@@ -13,7 +16,14 @@ MergePurgeEngine::MergePurgeEngine(MergePurgeOptions options)
     : options_(std::move(options)) {}
 
 Dataset MergePurgeResult::Purge(const Dataset& dataset) const {
-  return PurgePolicy().Purge(dataset, component_of);
+  Result<Dataset> purged = PurgePolicy().Purge(dataset, component_of);
+  if (!purged.ok()) {
+    // Only a dataset other than the one the result labels gets here.
+    std::fprintf(stderr, "MergePurgeResult::Purge: %s\n",
+                 purged.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(*purged);
 }
 
 Result<MergePurgeResult> MergePurgeEngine::Run(

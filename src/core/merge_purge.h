@@ -67,7 +67,8 @@ struct MergePurgeResult {
 
   // Purge phase under the default PurgePolicy (longest non-empty value per
   // field); a rule program's own policy applies its `merge` directives.
-  // Records must be the dataset the result was computed on.
+  // Records must be the dataset the result was computed on; any other
+  // size aborts.
   Dataset Purge(const Dataset& dataset) const;
 };
 

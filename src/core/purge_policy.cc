@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
+#include <utility>
 
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace mergepurge {
@@ -31,7 +32,7 @@ MergeStrategy PurgePolicy::strategy_for(FieldId field) const {
 }
 
 std::string PurgePolicy::MergeField(const Dataset& dataset,
-                                    const std::vector<TupleId>& members,
+                                    std::span<const TupleId> members,
                                     FieldId field) const {
   switch (strategy_for(field)) {
     case MergeStrategy::kLongest: {
@@ -88,7 +89,7 @@ std::string PurgePolicy::MergeField(const Dataset& dataset,
 }
 
 Record PurgePolicy::MergeClass(const Dataset& dataset,
-                               const std::vector<TupleId>& members) const {
+                               std::span<const TupleId> members) const {
   std::vector<std::string> fields(dataset.schema().num_fields());
   for (FieldId f = 0; f < fields.size(); ++f) {
     fields[f] = MergeField(dataset, members, f);
@@ -96,21 +97,48 @@ Record PurgePolicy::MergeClass(const Dataset& dataset,
   return Record(std::move(fields));
 }
 
-Dataset PurgePolicy::Purge(const Dataset& dataset,
-                           const std::vector<uint32_t>& component_of) const {
-  std::unordered_map<uint32_t, size_t> component_to_group;
-  std::vector<std::vector<TupleId>> groups;
-  for (size_t t = 0; t < dataset.size() && t < component_of.size(); ++t) {
-    auto [it, inserted] =
-        component_to_group.emplace(component_of[t], groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(static_cast<TupleId>(t));
+Result<Dataset> PurgePolicy::Purge(
+    const Dataset& dataset, const std::vector<uint32_t>& component_of) const {
+  const size_t n = dataset.size();
+  if (component_of.size() != n) {
+    return Status::InvalidArgument(StringPrintf(
+        "purge: %zu labels for %zu records", component_of.size(), n));
+  }
+  // Classes in order of first appearance: group_of[label] is the class's
+  // index, and members_of[g]..members_of[g + 1] its slice of `members`,
+  // filled in ascending tuple id.
+  constexpr uint32_t kNoGroup = static_cast<uint32_t>(-1);
+  std::vector<uint32_t> group_of(n, kNoGroup);
+  std::vector<uint32_t> members_of;
+  for (size_t t = 0; t < n; ++t) {
+    const uint32_t label = component_of[t];
+    if (label >= n) {
+      return Status::InvalidArgument(StringPrintf(
+          "purge: tuple %zu has label %u, not a tuple id below %zu", t, label,
+          n));
+    }
+    if (group_of[label] == kNoGroup) {
+      group_of[label] = static_cast<uint32_t>(members_of.size());
+      members_of.push_back(0);
+    }
+    ++members_of[group_of[label]];
+  }
+  const size_t num_groups = members_of.size();
+  uint32_t start = 0;
+  for (uint32_t& slot : members_of) start += std::exchange(slot, start);
+  members_of.push_back(start);
+  std::vector<TupleId> members(n);
+  std::vector<uint32_t> next(members_of.begin(), members_of.end() - 1);
+  for (size_t t = 0; t < n; ++t) {
+    members[next[group_of[component_of[t]]]++] = static_cast<TupleId>(t);
   }
   // Groups are merged range by range on the pool, each into its slot.
-  std::vector<Record> merged(groups.size());
-  ParallelFor(groups.size(), AvailableCpus(), [&](size_t begin, size_t end) {
+  std::vector<Record> merged(num_groups);
+  ParallelFor(num_groups, AvailableCpus(), [&](size_t begin, size_t end) {
     for (size_t g = begin; g < end; ++g) {
-      merged[g] = MergeClass(dataset, groups[g]);
+      merged[g] = MergeClass(
+          dataset, std::span<const TupleId>(members).subspan(
+                       members_of[g], members_of[g + 1] - members_of[g]));
     }
   });
   return Dataset(dataset.schema(), std::move(merged));

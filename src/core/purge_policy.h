@@ -23,6 +23,7 @@
 #ifndef MERGEPURGE_CORE_PURGE_POLICY_H_
 #define MERGEPURGE_CORE_PURGE_POLICY_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,17 +58,21 @@ class PurgePolicy {
   // Merges the records of one equivalence class (tuple ids into `dataset`,
   // in ascending order) into a single record.
   Record MergeClass(const Dataset& dataset,
-                    const std::vector<TupleId>& members) const;
+                    std::span<const TupleId> members) const;
 
-  // Purges a whole dataset given per-tuple component labels: one merged
-  // record per class, classes ordered by first appearance. The classes
-  // are merged range by range on a pool of AvailableCpus() threads.
-  Dataset Purge(const Dataset& dataset,
-                const std::vector<uint32_t>& component_of) const;
+  // Purges a whole dataset given one component label per tuple, each a
+  // tuple id of the dataset (TransitiveClosure's smallest member): one
+  // merged record per class, classes ordered by first appearance. The
+  // classes are grouped by a counting pass into one member array, then
+  // merged range by range on a pool of AvailableCpus() threads. Other
+  // labels, or a label count other than the dataset's size, are an
+  // InvalidArgument.
+  Result<Dataset> Purge(const Dataset& dataset,
+                        const std::vector<uint32_t>& component_of) const;
 
  private:
   std::string MergeField(const Dataset& dataset,
-                         const std::vector<TupleId>& members,
+                         std::span<const TupleId> members,
                          FieldId field) const;
 
   std::vector<MergeStrategy> strategies_;  // Indexed by field; may be short.

@@ -23,7 +23,10 @@ void FlushScanStats(const ScanStats& stats) {
 namespace {
 
 // The scan loop shared by Scan and ScanRange; `emit(earlier, entering)`
-// receives each matching pair.
+// receives each matching pair. The entering positions are taken in
+// chunks of kScanChunk: each chunk loads its records, after the window-1
+// before it, as the theory's rows, so the rows a scan holds stay
+// O(kScanChunk + window) whatever the fragment's length.
 template <typename Emit>
 ScanStats ScanWindows(const Dataset& dataset,
                       const std::vector<TupleId>& order, size_t window,
@@ -35,21 +38,31 @@ ScanStats ScanWindows(const Dataset& dataset,
   ProgressReporter& progress = ProgressReporter::Global();
   ScanStats stats;
   if (window < 2 || begin >= end) return stats;
-  for (size_t i = std::max(fresh, begin + 1); i < end; ++i) {
-    const TupleId entering = order[i];
-    const Record& new_record = dataset.record(entering);
-    const size_t window_start =
-        (i - begin >= window - 1) ? i - (window - 1) : begin;
-    ++stats.windows;
-    if ((stats.windows & (kProgressChunk - 1)) == 0) {
-      progress.Advance(kProgressChunk);
+  std::vector<const Record*> rows;
+  for (size_t chunk = std::max(fresh, begin + 1); chunk < end;
+       chunk += WindowScanner::kScanChunk) {
+    const size_t chunk_end = std::min(end, chunk + WindowScanner::kScanChunk);
+    // Row r holds position first + r.
+    const size_t first = chunk - begin >= window - 1 ? chunk - (window - 1)
+                                                     : begin;
+    rows.clear();
+    for (size_t p = first; p < chunk_end; ++p) {
+      rows.push_back(&dataset.record(order[p]));
     }
-    for (size_t j = window_start; j < i; ++j) {
-      ++stats.comparisons;
-      const TupleId other = order[j];
-      if (theory.Matches(dataset.record(other), new_record)) {
-        ++stats.matches;
-        emit(other, entering);
+    theory.LoadRows(rows.data(), rows.size());
+    for (size_t i = chunk; i < chunk_end; ++i) {
+      const size_t window_start =
+          (i - begin >= window - 1) ? i - (window - 1) : begin;
+      ++stats.windows;
+      if ((stats.windows & (kProgressChunk - 1)) == 0) {
+        progress.Advance(kProgressChunk);
+      }
+      for (size_t j = window_start; j < i; ++j) {
+        ++stats.comparisons;
+        if (theory.MatchesRows(j - first, i - first)) {
+          ++stats.matches;
+          emit(order[j], order[i]);
+        }
       }
     }
   }

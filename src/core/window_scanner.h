@@ -40,6 +40,10 @@ void FlushScanStats(const ScanStats& stats);
 
 class WindowScanner {
  public:
+  // Entering positions per theory block (EquationalTheory::LoadRows); a
+  // block also holds the window-1 positions before them.
+  static constexpr size_t kScanChunk = 1024;
+
   // window must be >= 2 (a window of 1 compares nothing).
   explicit WindowScanner(size_t window) : window_(window) {}
 

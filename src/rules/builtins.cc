@@ -99,25 +99,6 @@ double NumberBuiltin(FuncId func, std::string_view x, std::string_view y,
   }
 }
 
-bool PredicateBuiltin(FuncId func, std::string_view x, std::string_view y) {
-  switch (func) {
-    case FuncId::kEmpty:
-      return x.empty();
-    case FuncId::kSoundsLike:
-      return SoundsAlikeSoundex(x, y);
-    case FuncId::kSameName:
-      return NicknameTable::Default().SameCanonicalName(x, y);
-    case FuncId::kInitialMatch:
-      return InitialMatch(x, y);
-    case FuncId::kTransposed:
-      return IsAdjacentTransposition(x, y);
-    case FuncId::kHyphenExtended:
-      return HyphenExtended(x, y);
-    default:
-      return false;
-  }
-}
-
 std::string_view StringBuiltin(FuncId func, std::string_view x, double n,
                                std::string* buffer) {
   switch (func) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "rules/ast.h"
+#include "text/predicates.h"
 
 namespace mergepurge {
 namespace rules_internal {
@@ -74,9 +75,27 @@ bool IsTypoSimilarity(FuncId func);
 // or is built in `*buffer`.
 double NumberBuiltin(FuncId func, std::string_view x, std::string_view y,
                      double n);
-bool PredicateBuiltin(FuncId func, std::string_view x, std::string_view y);
 std::string_view StringBuiltin(FuncId func, std::string_view x, double n,
                                std::string* buffer);
+
+// The boolean built-ins but same_name and sounds_like, which programs
+// compare as nickname and Soundex values. Inline: the dispatch loop calls
+// it once per predicate leaf.
+inline bool PredicateBuiltin(FuncId func, std::string_view x,
+                             std::string_view y) {
+  switch (func) {
+    case FuncId::kEmpty:
+      return x.empty();
+    case FuncId::kInitialMatch:
+      return InitialMatch(x, y);
+    case FuncId::kTransposed:
+      return IsAdjacentTransposition(x, y);
+    case FuncId::kHyphenExtended:
+      return HyphenExtended(x, y);
+    default:
+      return false;
+  }
+}
 
 }  // namespace rules_internal
 }  // namespace mergepurge

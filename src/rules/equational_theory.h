@@ -13,9 +13,11 @@
 #ifndef MERGEPURGE_RULES_EQUATIONAL_THEORY_H_
 #define MERGEPURGE_RULES_EQUATIONAL_THEORY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "record/record.h"
 
@@ -30,8 +32,24 @@ class EquationalTheory {
   // pairs in one order only.
   virtual bool Matches(const Record& a, const Record& b) const = 0;
 
-  // Number of Matches() invocations so far (the dominant cost of the merge
-  // phase; used to fit the analytic model's alpha and c constants).
+  // The block form that scans use: LoadRows makes records[0..n) rows
+  // 0..n-1, replacing the previous rows, and MatchesRows(i, j) is
+  // Matches(*records[i], *records[j]). A scan loads each stretch of its
+  // sort order once and compares rows, so a theory can prepare each
+  // record once instead of once per pair (RuleProgram copies the fields
+  // it reads and computes per-record values once per row). The records
+  // must stay alive until the next LoadRows; a Matches call may replace
+  // the rows. Default: keeps the pointers and calls Matches.
+  virtual void LoadRows(const Record* const* records, size_t n) const {
+    loaded_.assign(records, records + n);
+  }
+  virtual bool MatchesRows(size_t i, size_t j) const {
+    return Matches(*loaded_[i], *loaded_[j]);
+  }
+
+  // Number of comparisons (Matches or MatchesRows calls) so far, the
+  // dominant cost of the merge phase; used to fit the analytic model's
+  // alpha and c constants.
   virtual uint64_t comparison_count() const = 0;
 
   // Adds this theory's accumulated rule-level statistics (rule firings,
@@ -46,6 +64,9 @@ class EquationalTheory {
   // A fresh instance of the same theory with zeroed statistics, for one
   // concurrent scan (the batch pipeline clones one per fragment attempt).
   virtual std::unique_ptr<EquationalTheory> Clone() const = 0;
+
+ private:
+  mutable std::vector<const Record*> loaded_;  // The default's rows.
 };
 
 // Makes one theory instance per worker or lease: instances keep plain

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <utility>
 
@@ -27,13 +29,26 @@ namespace rules_internal {
 // negative jump target ends the run with result ~target: a rule index, or
 // num_rules when no rule fired. To keep a comparison as cheap as
 // hand-written code:
+//  * the program compares rows, not records. LoadRows copies each record
+//    once into a block: the bytes of the fields the program reads, and a
+//    64-bit presence mask of each field a bounded distance reads. A
+//    string call over one record (nickname, soundex, nysiis, prefix,
+//    digits, street_number) is a per-record value: a row slot computed
+//    at most once per row, on first use. The window scan loads its
+//    records in scan order, so a comparison reads two rows that sit near
+//    each other in memory, and the slot and masks of a record are paid
+//    once, not once per pair it is in;
+//  * `same_name(x, y)` is lowered to `nickname(x) == nickname(y)` and
+//    `sounds_like(x, y)` to an equal, non-empty `soundex(x)`, `soundex(y)`,
+//    so neither looks anything up per pair;
 //  * the leaf tests are a switch inside the dispatch loop
-//    (MatchingRule), so the ~16 leaves a comparison visits cost no call;
-//  * leaves read fields as string_views;
+//    (MatchingRuleRows), so the ~16 leaves a comparison visits cost no
+//    call;
 //  * `similarity(x, y) >= t` computes a distance bounded at the largest
 //    one that still meets t (same floating-point boundary), and
-//    `damerau(x, y) <= k` one bounded at k; the bounded distance decides
-//    most of these without its kernel (text/edit_distance.h);
+//    `damerau(x, y) <= k` one bounded at k; the bounded distance, given
+//    the rows' masks, decides most of these without its kernel
+//    (text/edit_distance.h);
 //  * `not empty(x) and not empty(y)` and `x == y and not empty(x)` are
 //    one leaf each;
 //  * a test the path already decided is skipped (Thread()): once
@@ -43,20 +58,35 @@ namespace rules_internal {
 // None of this reorders a condition: decisions are those of a plain
 // left-to-right evaluation.
 
-// A string operand: the field view in slot `operand` (>= 0, see
-// CompiledProgram::fields) or the value node ~operand.
+// A string operand. A non-negative operand reads a row of the compared
+// pair: bit 0 picks the row (0 for r1, 1 for r2), bit 1 the kind (0 a
+// field, 1 a slot) and the rest indexes CompiledProgram::fields or
+// ::slots. A negative one is the value node ~operand: a literal, or a
+// string call that reads both records, computed per pair.
 using Operand = int;
+
+constexpr Operand RowOperand(int index, bool slot, int row) {
+  return index << 2 | (slot ? 2 : 0) | row;
+}
 
 struct ValueNode {
   ExprKind kind = ExprKind::kNumberLiteral;
   ValueType type = ValueType::kNumber;
   FuncId func = FuncId::kEmpty;      // kFuncCall
   ArithOp arith_op = ArithOp::kAdd;  // kArith
-  int slot = 0;                      // kFieldRef
   double number = 0.0;               // kNumberLiteral
   std::string text;                  // kStringLiteral
   std::vector<int> args;             // kFuncCall, kArith
-  int buffer = -1;                   // string-valued kFuncCall
+  Operand operand = 0;               // string-valued nodes
+  int buffer = -1;                   // string call read per pair
+};
+
+// A per-record value: `func` applied to the same row's `input` (an
+// Operand of row 0), with `n` the prefix length.
+struct Slot {
+  FuncId func = FuncId::kNickname;
+  Operand input = 0;
+  double n = 0.0;
 };
 
 enum class LeafOp : uint8_t {
@@ -76,6 +106,9 @@ struct Insn {
   LeafOp op = LeafOp::kEmpty;
   CompareOp cmp = CompareOp::kEq;
   FuncId func = FuncId::kEmpty;
+  // A bounded distance's operands' presence masks in a row, or -1.
+  int16_t mask_x = -1;
+  int16_t mask_y = -1;
   Operand x = 0;
   Operand y = 0;
   int arg = 0;
@@ -87,11 +120,17 @@ struct Insn {
 
 struct CompiledProgram {
   std::vector<std::string> rule_names;
-  // The fields the program reads: field i of r1 is viewed in slot 2i, of
-  // r2 in slot 2i + 1.
+  // The fields the program reads, copied into every row in this order.
   std::vector<FieldId> fields;
+  // Per field: the index of its presence mask in a row, or -1.
+  std::vector<int> mask_of;
+  int num_masks = 0;
+  std::vector<Slot> slots;
   std::vector<ValueNode> nodes;
   std::vector<double> thresholds;
+  // MaxDistanceAtSimilarity(longest, thresholds[t]) at
+  // [t * kTabledLengths + longest], for longest < kTabledLengths.
+  std::vector<int> max_distances;
   std::vector<Insn> code;
   int entry = 0;
   int num_memos = 0;
@@ -136,6 +175,11 @@ int MaxDistanceAtSimilarity(size_t longest, double threshold) {
   return max_distance;
 }
 
+// Strings up to this length find a similarity leaf's largest distance in
+// a table (CompiledProgram::max_distances); it takes floating-point
+// divisions to compute.
+constexpr size_t kTabledLengths = 64;
+
 // A condition with negation pushed down to the leaves, nested and / or
 // flattened and guard pairs fused into one leaf.
 struct Cond {
@@ -146,12 +190,10 @@ struct Cond {
   std::string key;             // kLeaf: identity of the leaf's value
 };
 
-// Cheaper to recompute than to memoize: a field test, unless a nickname
-// or Soundex lookup.
+// Cheaper to recompute than to memoize: a test of row operands (a slot
+// is computed once per row, not per pair).
 bool Cheap(const Insn& insn) {
-  if (insn.op > LeafOp::kPredicate || insn.x < 0 || insn.y < 0) return false;
-  return insn.op != LeafOp::kPredicate ||
-         (insn.func != FuncId::kSameName && insn.func != FuncId::kSoundsLike);
+  return insn.op <= LeafOp::kPredicate && insn.x >= 0 && insn.y >= 0;
 }
 
 class Compiler {
@@ -167,12 +209,14 @@ class Compiler {
 
  private:
   Result<int> Value(const Expr& expr);
+  // Adds `node` and returns its index.
+  int Push(ValueNode node);
+  // The string call func(args): a slot when it reads one row, else a
+  // node computed per pair.
+  int StringCall(FuncId func, std::vector<int> args);
   Result<Cond> Leaf(const BoolExpr& node, bool negate,
                     const std::string& rule_name);
-  Operand OperandOf(int node) const {
-    const ValueNode& value = program_->nodes[node];
-    return value.kind == ExprKind::kFieldRef ? value.slot : ~node;
-  }
+  Operand OperandOf(int node) const { return program_->nodes[node].operand; }
   int Emit(const Cond& cond, int on_true, int on_false);
   void Thread();
 
@@ -203,8 +247,8 @@ Result<int> Compiler::Value(const Expr& expr) {
       auto it = std::find(fields.begin(), fields.end(), *field);
       if (it == fields.end()) it = fields.insert(fields.end(), *field);
       node.type = ValueType::kString;
-      node.slot = 2 * static_cast<int>(it - fields.begin()) +
-                  (expr.record_index == 1 ? 0 : 1);
+      node.operand = RowOperand(static_cast<int>(it - fields.begin()),
+                                /*slot=*/false, expr.record_index == 1 ? 0 : 1);
       break;
     }
     case ExprKind::kArith:
@@ -243,13 +287,55 @@ Result<int> Compiler::Value(const Expr& expr) {
         node.args.push_back(*value);
       }
       if (node.type == ValueType::kString) {
-        node.buffer = program_->num_buffers++;
+        return StringCall(node.func, std::move(node.args));
+      }
+      if (node.func == FuncId::kSameName || node.func == FuncId::kSoundsLike) {
+        // Equality of per-record values: the arguments become their
+        // nickname or Soundex calls.
+        const FuncId value = node.func == FuncId::kSameName ? FuncId::kNickname
+                                                            : FuncId::kSoundex;
+        for (int& arg : node.args) arg = StringCall(value, {arg});
       }
       break;
     }
   }
+  return Push(std::move(node));
+}
+
+int Compiler::Push(ValueNode node) {
+  const int index = static_cast<int>(program_->nodes.size());
+  if (node.kind == ExprKind::kStringLiteral) node.operand = ~index;
   program_->nodes.push_back(std::move(node));
-  return static_cast<int>(program_->nodes.size()) - 1;
+  return index;
+}
+
+int Compiler::StringCall(FuncId func, std::vector<int> args) {
+  ValueNode node;
+  node.kind = ExprKind::kFuncCall;
+  node.type = ValueType::kString;
+  node.func = func;
+  node.args = std::move(args);
+  const Operand input = program_->nodes[node.args[0]].operand;
+  const ValueNode* length =
+      node.args.size() > 1 ? &program_->nodes[node.args[1]] : nullptr;
+  if (input >= 0 &&
+      (length == nullptr || length->kind == ExprKind::kNumberLiteral)) {
+    Slot slot;
+    slot.func = func;
+    slot.input = input & ~1;
+    slot.n = length != nullptr ? length->number : 0.0;
+    std::vector<Slot>& slots = program_->slots;
+    auto it = std::find_if(slots.begin(), slots.end(), [&slot](const Slot& s) {
+      return s.func == slot.func && s.input == slot.input && s.n == slot.n;
+    });
+    if (it == slots.end()) it = slots.insert(slots.end(), slot);
+    node.operand = RowOperand(static_cast<int>(it - slots.begin()),
+                              /*slot=*/true, input & 1);
+  } else {
+    node.buffer = program_->num_buffers++;
+    node.operand = ~static_cast<int>(program_->nodes.size());
+  }
+  return Push(std::move(node));
 }
 
 Result<Cond> Compiler::Leaf(const BoolExpr& node, bool negate,
@@ -266,9 +352,12 @@ Result<Cond> Compiler::Leaf(const BoolExpr& node, bool negate,
       return Status::ParseError("rule '" + rule_name +
                                 "': bare condition must be boolean-valued");
     }
-    // Every boolean value is a built-in call over strings.
-    leaf.op = call.func == FuncId::kEmpty ? LeafOp::kEmpty
-                                          : LeafOp::kPredicate;
+    // Every boolean value is a built-in call over strings; same_name and
+    // sounds_like compare their arguments' per-record values.
+    leaf.op = call.func == FuncId::kEmpty      ? LeafOp::kEmpty
+              : call.func == FuncId::kSameName ? LeafOp::kStringCompare
+              : call.func == FuncId::kSoundsLike ? LeafOp::kEqualPresent
+                                                 : LeafOp::kPredicate;
     leaf.func = call.func;
     leaf.x = OperandOf(call.args[0]);
     if (call.args.size() > 1) leaf.y = OperandOf(call.args[1]);
@@ -304,6 +393,10 @@ Result<Cond> Compiler::Leaf(const BoolExpr& node, bool negate,
       if (similarity) {
         leaf.arg = static_cast<int>(program_->thresholds.size());
         program_->thresholds.push_back(r.number);
+        for (size_t longest = 0; longest < kTabledLengths; ++longest) {
+          program_->max_distances.push_back(
+              longest == 0 ? 0 : MaxDistanceAtSimilarity(longest, r.number));
+        }
       } else {
         leaf.arg = static_cast<int>(std::floor(r.number));
       }
@@ -538,6 +631,29 @@ void Compiler::Generate(const std::vector<Cond>& rules) {
     if (slot[key] < 0) slot[key] = program_->num_memos++;
     code_[pc].memo = slot[key];
   }
+  // A field a bounded distance reads gets a presence mask in each row,
+  // unless the distance's bound is below 2, where the cascade never
+  // reaches its mask step.
+  program_->mask_of.assign(program_->fields.size(), -1);
+  for (Insn& insn : code_) {
+    const bool masked =
+        insn.op == LeafOp::kDistanceAtMost
+            ? insn.arg >= 2
+            : insn.op == LeafOp::kSimilarityAtLeast &&
+                  insn.func != FuncId::kKeyboardSimilarity;
+    if (!masked) continue;
+    // Both operands must be fields: a slot has no mask in the row.
+    if (insn.x < 0 || (insn.x & 2) != 0 || insn.y < 0 ||
+        (insn.y & 2) != 0 || program_->num_masks + 2 > INT16_MAX) {
+      continue;
+    }
+    for (auto [operand, mask] :
+         {std::pair(insn.x, &insn.mask_x), std::pair(insn.y, &insn.mask_y)}) {
+      int& index = program_->mask_of[operand >> 2];
+      if (index < 0) index = program_->num_masks++;
+      *mask = static_cast<int16_t>(index);
+    }
+  }
   program_->code = std::move(code_);
   program_->entry = entry_;
 }
@@ -550,6 +666,8 @@ using rules_internal::CompiledProgram;
 using rules_internal::FuncId;
 using rules_internal::Insn;
 using rules_internal::LeafOp;
+using rules_internal::Operand;
+using rules_internal::Slot;
 using rules_internal::ValueNode;
 using rules_internal::ValueType;
 
@@ -593,7 +711,9 @@ Result<RuleProgram> RuleProgram::FromAst(const RuleProgramAst& ast,
 RuleProgram::RuleProgram(
     std::shared_ptr<const rules_internal::CompiledProgram> program)
     : program_(std::move(program)),
-      views_(2 * program_->fields.size()),
+      num_fields_(program_->fields.size()),
+      num_masks_(static_cast<size_t>(program_->num_masks)),
+      num_slots_(program_->slots.size()),
       memo_(program_->num_memos, 0),
       buffers_(program_->num_buffers),
       fire_counts_(program_->rule_names.size(), 0),
@@ -629,18 +749,104 @@ void RuleProgram::FlushMetrics() const {
   early_exits_ = 0;
 }
 
-inline std::string_view RuleProgram::Arg(int operand) const {
-  return operand >= 0 ? views_[operand] : StringValue(~operand);
+void RuleProgram::LoadRows(const Record* const* records, size_t n) const {
+  const FieldId* fields = program_->fields.data();
+  const int* mask_of = program_->mask_of.data();
+  const size_t num_fields = num_fields_;
+  size_t size = 0;
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t f = 0; f < num_fields; ++f) {
+      size += records[r]->field(fields[f]).size();
+    }
+  }
+  if (bytes_.size() < size) bytes_.resize(size);
+  field_views_.resize(n * num_fields);
+  row_masks_.resize(n * num_masks_);
+  char* out = bytes_.data();
+  std::string_view* view = field_views_.data();
+  uint64_t* masks = row_masks_.data();
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t f = 0; f < num_fields; ++f) {
+      const std::string_view value = records[r]->field(fields[f]);
+      if (!value.empty()) std::memcpy(out, value.data(), value.size());
+      *view++ = std::string_view(out, value.size());
+      out += value.size();
+      if (mask_of[f] >= 0) masks[mask_of[f]] = PresenceMask(value);
+    }
+    masks += num_masks_;
+  }
+  if (slot_values_.size() < n * num_slots_) {
+    slot_values_.resize(n * num_slots_);
+  }
+  slot_views_.assign(n * num_slots_, std::string_view());
+}
+
+bool RuleProgram::MatchesRows(size_t i, size_t j) const {
+  return MatchingRuleRows(i, j) >= 0;
+}
+
+// Forced inline: the dispatch loop reads two operands per leaf, and GCC
+// otherwise calls this out of line from its ~10 call sites there.
+[[gnu::always_inline]] inline std::string_view RuleProgram::Arg(
+    Operand operand) const {
+  if (operand >= 0 && (operand & 2) == 0) {
+    return fields_[operand & 1][operand >> 2];
+  }
+  return ComputedArg(operand);
+}
+
+std::string_view RuleProgram::ComputedArg(Operand operand) const {
+  if (operand < 0) return NodeString(~operand);
+  return SlotValue(static_cast<size_t>(operand >> 2), rows_[operand & 1]);
+}
+
+std::string_view RuleProgram::SlotValue(size_t slot, size_t row) const {
+  const size_t cell = row * num_slots_ + slot;
+  if (slot_views_[cell].data() != nullptr) return slot_views_[cell];
+  // The built-in over the same row's input, a field or an earlier slot.
+  const Slot& def = program_->slots[slot];
+  const size_t index = static_cast<size_t>(def.input >> 2);
+  const std::string_view input = (def.input & 2) != 0
+                                     ? SlotValue(index, row)
+                                     : field_views_[row * num_fields_ + index];
+  std::string& value = slot_values_[cell];
+  const std::string_view result = StringBuiltin(def.func, input, def.n, &value);
+  if (result.data() != value.data()) value.assign(result);
+  slot_views_[cell] = value;
+  return value;
+}
+
+// The leaf's bounded distance of x and y, given the rows' presence
+// masks when the instruction holds both.
+inline int RuleProgram::Bounded(const Insn& insn, std::string_view x,
+                                std::string_view y, int max_distance,
+                                bool transpositions) const {
+  if (insn.mask_x < 0 || insn.mask_y < 0) {
+    return transpositions ? BoundedDamerauDistance(x, y, max_distance)
+                          : BoundedEditDistance(x, y, max_distance);
+  }
+  const uint64_t mask_x = masks_[insn.x & 1][insn.mask_x];
+  const uint64_t mask_y = masks_[insn.y & 1][insn.mask_y];
+  return transpositions
+             ? BoundedDamerauDistance(x, y, max_distance, mask_x, mask_y)
+             : BoundedEditDistance(x, y, max_distance, mask_x, mask_y);
 }
 
 int RuleProgram::MatchingRule(const Record& a, const Record& b) const {
+  const Record* rows[2] = {&a, &b};
+  LoadRows(rows, 2);
+  return MatchingRuleRows(0, 1);
+}
+
+int RuleProgram::MatchingRuleRows(size_t i, size_t j) const {
   ++comparison_count_;
   ++stamp_;
-  const std::vector<FieldId>& fields = program_->fields;
-  for (size_t i = 0; i < fields.size(); ++i) {
-    views_[2 * i] = a.field(fields[i]);
-    views_[2 * i + 1] = b.field(fields[i]);
-  }
+  rows_[0] = i;
+  rows_[1] = j;
+  fields_[0] = field_views_.data() + i * num_fields_;
+  fields_[1] = field_views_.data() + j * num_fields_;
+  masks_[0] = row_masks_.data() + i * num_masks_;
+  masks_[1] = row_masks_.data() + j * num_masks_;
   const Insn* code = program_->code.data();
   int pc = program_->entry;
   while (pc >= 0) {
@@ -674,15 +880,11 @@ int RuleProgram::MatchingRule(const Record& a, const Record& b) const {
           value = PredicateBuiltin(insn.func, Arg(insn.x), Arg(insn.y));
           break;
         case LeafOp::kSimilarityAtLeast:
-          value = SimilarityAtLeast(insn, Arg(insn.x), Arg(insn.y));
+          value = SimilarityAtLeast(insn);
           break;
         case LeafOp::kDistanceAtMost: {
-          const std::string_view x = Arg(insn.x);
-          const std::string_view y = Arg(insn.y);
-          const int distance = insn.func == FuncId::kDamerau
-                                   ? BoundedDamerauDistance(x, y, insn.arg)
-                                   : BoundedEditDistance(x, y, insn.arg);
-          value = distance <= insn.arg;
+          value = Bounded(insn, Arg(insn.x), Arg(insn.y), insn.arg,
+                          insn.func == FuncId::kDamerau) <= insn.arg;
           break;
         }
         case LeafOp::kValueCompare:
@@ -706,10 +908,15 @@ bool RuleProgram::Matches(const Record& a, const Record& b) const {
 bool RuleProgram::ValueCompare(const Insn& insn) const {
   if (program_->nodes[insn.arg].type == ValueType::kBool) {
     auto value = [this](const ValueNode& call) {
-      return PredicateBuiltin(call.func, StringValue(call.args[0]),
-                              call.args.size() > 1
-                                  ? StringValue(call.args[1])
-                                  : std::string_view());
+      const std::string_view x = StringValue(call.args[0]);
+      const std::string_view y = call.args.size() > 1
+                                     ? StringValue(call.args[1])
+                                     : std::string_view();
+      // same_name and sounds_like read their arguments' nickname and
+      // Soundex values (see Compiler::Value).
+      if (call.func == FuncId::kSameName) return x == y;
+      if (call.func == FuncId::kSoundsLike) return !x.empty() && x == y;
+      return PredicateBuiltin(call.func, x, y);
     };
     const bool equal = value(program_->nodes[insn.arg]) ==
                        value(program_->nodes[insn.rhs]);
@@ -721,8 +928,9 @@ bool RuleProgram::ValueCompare(const Insn& insn) const {
                                lhs < rhs ? -1 : (lhs > rhs ? 1 : 0));
 }
 
-bool RuleProgram::SimilarityAtLeast(const Insn& insn, std::string_view x,
-                                    std::string_view y) const {
+bool RuleProgram::SimilarityAtLeast(const Insn& insn) const {
+  const std::string_view x = Arg(insn.x);
+  const std::string_view y = Arg(insn.y);
   const size_t longest = std::max(x.size(), y.size());
   const double threshold = program_->thresholds[insn.arg];
   if (longest == 0) return 1.0 >= threshold;
@@ -732,24 +940,28 @@ bool RuleProgram::SimilarityAtLeast(const Insn& insn, std::string_view x,
     return KeyboardSimilarity(x, y) >= threshold;
   }
   const int max_distance =
-      rules_internal::MaxDistanceAtSimilarity(longest, threshold);
+      longest < rules_internal::kTabledLengths
+          ? program_->max_distances[insn.arg * rules_internal::kTabledLengths +
+                                    longest]
+          : rules_internal::MaxDistanceAtSimilarity(longest, threshold);
   if (max_distance < 0) {
     // The lengths alone rule the pair out; no distance is computed.
     ++early_exits_;
     return false;
   }
-  const int distance =
-      insn.func == FuncId::kEditSimilarity
-          ? BoundedEditDistance(x, y, max_distance)
-          : BoundedDamerauDistance(x, y, max_distance);
+  const int distance = Bounded(insn, x, y, max_distance,
+                               insn.func != FuncId::kEditSimilarity);
   if (distance > max_distance) ++early_exits_;
   return distance <= max_distance;
 }
 
 std::string_view RuleProgram::StringValue(int node) const {
+  return Arg(program_->nodes[node].operand);
+}
+
+std::string_view RuleProgram::NodeString(int node) const {
   const ValueNode& value = program_->nodes[node];
   if (value.kind == ExprKind::kStringLiteral) return value.text;
-  if (value.kind == ExprKind::kFieldRef) return views_[value.slot];
   const double n = value.args.size() > 1 ? NumberValue(value.args[1]) : 0.0;
   return StringBuiltin(value.func, StringValue(value.args[0]), n,
                        &buffers_[value.buffer]);

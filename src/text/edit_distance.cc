@@ -87,10 +87,12 @@ int Distance(std::string_view a, std::string_view b, bool transpositions) {
 //     its swap with the next) can make them equal, checked directly;
 //  4. one edit changes at most two bits of a 64-bit byte-presence mask
 //     and a transposition none, so half the masks' differing bits, rounded
-//     up, is a lower bound;
+//     up, is a lower bound. `mask_xor(a, b)` gives the differing bits: the
+//     caller's masks of the whole strings, or masks of the remainders;
 //  5. only then the kernel, on the stripped strings.
+template <typename MaskXor>
 int Bounded(std::string_view a, std::string_view b, int max_distance,
-            bool transpositions) {
+            bool transpositions, MaskXor mask_xor) {
   if (max_distance < 0) return 0;
   if (a.size() > b.size()) std::swap(a, b);
   const size_t gap = b.size() - a.size();
@@ -109,18 +111,31 @@ int Bounded(std::string_view a, std::string_view b, int max_distance,
                ? 1
                : 2;
   }
-  auto presence = [](std::string_view s) {
-    uint64_t mask = 0;
-    for (unsigned char c : s) mask |= uint64_t{1} << (c & 63);
-    return mask;
-  };
-  if ((std::popcount(presence(a) ^ presence(b)) + 1) / 2 > max_distance) {
+  if ((std::popcount(mask_xor(a, b)) + 1) / 2 > max_distance) {
     return max_distance + 1;
   }
   return std::min(Distance(a, b, transpositions), max_distance + 1);
 }
 
+// The remainders' masks, computed only when the cascade reaches step 4.
+uint64_t RemainderMaskXor(std::string_view a, std::string_view b) {
+  return PresenceMask(a) ^ PresenceMask(b);
+}
+
 }  // namespace
+
+uint64_t PresenceMask(std::string_view s) {
+  // Two accumulators, so consecutive bytes do not wait on each other.
+  uint64_t even = 0;
+  uint64_t odd = 0;
+  size_t i = 0;
+  for (; i + 2 <= s.size(); i += 2) {
+    even |= uint64_t{1} << (static_cast<unsigned char>(s[i]) & 63);
+    odd |= uint64_t{1} << (static_cast<unsigned char>(s[i + 1]) & 63);
+  }
+  if (i < s.size()) even |= uint64_t{1} << (static_cast<unsigned char>(s[i]) & 63);
+  return even | odd;
+}
 
 int EditDistance(std::string_view a, std::string_view b) {
   return Distance(a, b, /*transpositions=*/false);
@@ -132,12 +147,31 @@ int DamerauDistance(std::string_view a, std::string_view b) {
 
 int BoundedEditDistance(std::string_view a, std::string_view b,
                         int max_distance) {
-  return Bounded(a, b, max_distance, /*transpositions=*/false);
+  return Bounded(a, b, max_distance, /*transpositions=*/false,
+                 RemainderMaskXor);
 }
 
 int BoundedDamerauDistance(std::string_view a, std::string_view b,
                            int max_distance) {
-  return Bounded(a, b, max_distance, /*transpositions=*/true);
+  return Bounded(a, b, max_distance, /*transpositions=*/true,
+                 RemainderMaskXor);
+}
+
+int BoundedEditDistance(std::string_view a, std::string_view b,
+                        int max_distance, uint64_t mask_a, uint64_t mask_b) {
+  return Bounded(a, b, max_distance, /*transpositions=*/false,
+                 [mask_a, mask_b](std::string_view, std::string_view) {
+                   return mask_a ^ mask_b;
+                 });
+}
+
+int BoundedDamerauDistance(std::string_view a, std::string_view b,
+                           int max_distance, uint64_t mask_a,
+                           uint64_t mask_b) {
+  return Bounded(a, b, max_distance, /*transpositions=*/true,
+                 [mask_a, mask_b](std::string_view, std::string_view) {
+                   return mask_a ^ mask_b;
+                 });
 }
 
 double StringSimilarity(std::string_view a, std::string_view b) {

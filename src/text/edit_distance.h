@@ -21,14 +21,17 @@
 // The bounded variants, which every hot-path threshold uses, reach it
 // last. A cascade of exact tests comes first: the length gap, the
 // common prefix stripped, a direct single-edit check for bounds 0 and 1,
-// and a byte-presence-mask lower bound for larger ones. In a window scan
-// most calls only prove that the distance exceeds the bound: over the
-// batch benchmark's 124k records, the cascade decides 94% of the calls
-// that pass the length gap without the kernel.
+// and a byte-presence-mask lower bound for larger ones (over the
+// remainders' masks, or over the whole strings' masks when the caller
+// computed them once per record). In a window scan most calls only prove
+// that the distance exceeds the bound: over the batch benchmark's 124k
+// records, the cascade decides 94% of the calls that pass the length gap
+// without the kernel.
 
 #ifndef MERGEPURGE_TEXT_EDIT_DISTANCE_H_
 #define MERGEPURGE_TEXT_EDIT_DISTANCE_H_
 
+#include <cstdint>
 #include <string_view>
 
 namespace mergepurge {
@@ -48,6 +51,19 @@ int BoundedEditDistance(std::string_view a, std::string_view b,
 // Bounded Damerau (OSA) with the same contract.
 int BoundedDamerauDistance(std::string_view a, std::string_view b,
                            int max_distance);
+
+// The byte-presence mask of `s`: bit (byte & 63) set for each byte.
+uint64_t PresenceMask(std::string_view s);
+
+// The bounded distances for a caller that already holds both strings'
+// masks: `mask_a` must be PresenceMask(a) and `mask_b` PresenceMask(b).
+// Same contract and the same cascade; a mask of another string can make
+// the result wrong.
+int BoundedEditDistance(std::string_view a, std::string_view b,
+                        int max_distance, uint64_t mask_a, uint64_t mask_b);
+int BoundedDamerauDistance(std::string_view a, std::string_view b,
+                           int max_distance, uint64_t mask_a,
+                           uint64_t mask_b);
 
 // 1 - distance / max(|a|, |b|), using Damerau distance; returns 1.0 when
 // both strings are empty. This is the "differ slightly" measure the rule

@@ -1,7 +1,5 @@
 #include "text/nicknames.h"
 
-#include <algorithm>
-
 #include "util/string_util.h"
 
 namespace mergepurge {
@@ -22,24 +20,6 @@ std::string NicknameTable::Canonicalize(std::string_view name) const {
   std::string upper = ToUpperAscii(name);
   auto it = variant_to_canonical_.find(upper);
   return it != variant_to_canonical_.end() ? it->second : upper;
-}
-
-bool NicknameTable::SameCanonicalName(std::string_view a,
-                                      std::string_view b) const {
-  if (a == b) return true;
-  auto has_lower = [](std::string_view s) {
-    return std::any_of(s.begin(), s.end(),
-                       [](char c) { return c >= 'a' && c <= 'z'; });
-  };
-  if (has_lower(a) || has_lower(b)) return Canonicalize(a) == Canonicalize(b);
-  // Without lower-case letters upper-casing is the identity, so the name
-  // is its own lookup key and, when unknown, its own canonical form.
-  auto canonical = [this](std::string_view name) {
-    auto it = variant_to_canonical_.find(name);
-    return it != variant_to_canonical_.end() ? std::string_view(it->second)
-                                             : name;
-  };
-  return canonical(a) == canonical(b);
 }
 
 const NicknameTable& NicknameTable::Default() {

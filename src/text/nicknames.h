@@ -10,7 +10,6 @@
 #ifndef MERGEPURGE_TEXT_NICKNAMES_H_
 #define MERGEPURGE_TEXT_NICKNAMES_H_
 
-#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -38,24 +37,10 @@ class NicknameTable {
   // when unknown.
   std::string Canonicalize(std::string_view name) const;
 
-  // True when both names canonicalize to the same string. Allocation-free
-  // for names without lower-case letters, which is what conditioning
-  // produces; mixed-case names take the Canonicalize path.
-  bool SameCanonicalName(std::string_view a, std::string_view b) const;
-
   size_t size() const { return variant_to_canonical_.size(); }
 
  private:
-  // Lets find() take a string_view without building a std::string.
-  struct ViewHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  std::unordered_map<std::string, std::string, ViewHash, std::equal_to<>>
-      variant_to_canonical_;
+  std::unordered_map<std::string, std::string> variant_to_canonical_;
 };
 
 }  // namespace mergepurge

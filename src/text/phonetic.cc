@@ -171,16 +171,4 @@ std::string Nysiis(std::string_view name) {
   return key;
 }
 
-bool SoundsAlikeSoundex(std::string_view a, std::string_view b) {
-  std::string ca = Soundex(a);
-  if (ca.empty()) return false;
-  return ca == Soundex(b);
-}
-
-bool SoundsAlikeNysiis(std::string_view a, std::string_view b) {
-  std::string ca = Nysiis(a);
-  if (ca.empty()) return false;
-  return ca == Nysiis(b);
-}
-
 }  // namespace mergepurge

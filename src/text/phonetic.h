@@ -20,12 +20,6 @@ std::string Soundex(std::string_view name);
 // truncated to 6 characters as in the original specification.
 std::string Nysiis(std::string_view name);
 
-// True when both names have non-empty equal Soundex codes.
-bool SoundsAlikeSoundex(std::string_view a, std::string_view b);
-
-// True when both names have non-empty equal NYSIIS codes.
-bool SoundsAlikeNysiis(std::string_view a, std::string_view b);
-
 }  // namespace mergepurge
 
 #endif  // MERGEPURGE_TEXT_PHONETIC_H_

@@ -276,7 +276,10 @@ std::string SingleEdit(Rng* rng, std::string s) {
 }
 
 // Pairs aimed at each step of the cascade, checked against the oracle for
-// every bound; each step a bound can reach must decide at least one pair.
+// every bound through both entry points: the one that computes the masks
+// of the remainders, and the one that takes the caller's masks of the
+// whole strings. Each step a bound can reach must decide at least one
+// pair, and the caller's masks must decide some pairs on their own.
 TEST_P(KernelDifferentialTest, CascadeStepsMatchOracle) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 104729);
   // 'A' (0x41) and 0x81 share mask bit 1, 'B' and 0x82 bit 2.
@@ -327,24 +330,41 @@ TEST_P(KernelDifferentialTest, CascadeStepsMatchOracle) {
     pairs.emplace_back(word, word + CascadeString(&rng, letters, 0, 6));
   }
   int decided[6][kNumCascadeSteps] = {};
+  int decided_by_caller_masks = 0;
   const int bounds[6] = {-1, 0, 1, 2, 3, 5};
   for (const auto& [a, b] : pairs) {
     const int lev = OracleDistance(a, b, /*transpositions=*/false);
     const int osa = OracleDistance(a, b, /*transpositions=*/true);
     ASSERT_LE(MaskBound(a, b), osa) << a << " / " << b;
+    const uint64_t mask_a = PresenceMask(a);
+    const uint64_t mask_b = PresenceMask(b);
+    // The whole strings' masks bound the distance too.
+    const int whole_bound = (std::popcount(mask_a ^ mask_b) + 1) / 2;
+    ASSERT_LE(whole_bound, osa) << a << " / " << b;
     for (int i = 0; i < 6; ++i) {
       const int k = bounds[i];
-      ASSERT_EQ(BoundedEditDistance(a, b, k),
-                k < 0 ? 0 : std::min(lev, k + 1))
+      const int want_lev = k < 0 ? 0 : std::min(lev, k + 1);
+      const int want_osa = k < 0 ? 0 : std::min(osa, k + 1);
+      ASSERT_EQ(BoundedEditDistance(a, b, k), want_lev)
           << a << " / " << b << " k=" << k;
-      ASSERT_EQ(BoundedDamerauDistance(a, b, k),
-                k < 0 ? 0 : std::min(osa, k + 1))
+      ASSERT_EQ(BoundedDamerauDistance(a, b, k), want_osa)
           << a << " / " << b << " k=" << k;
       ASSERT_EQ(BoundedDamerauDistance(b, a, k),
                 BoundedDamerauDistance(a, b, k));
-      ++decided[i][DecidingStep(a, b, k)];
+      ASSERT_EQ(BoundedEditDistance(a, b, k, mask_a, mask_b), want_lev)
+          << a << " / " << b << " k=" << k << " (caller's masks)";
+      ASSERT_EQ(BoundedDamerauDistance(a, b, k, mask_a, mask_b), want_osa)
+          << a << " / " << b << " k=" << k << " (caller's masks)";
+      ASSERT_EQ(BoundedDamerauDistance(b, a, k, mask_b, mask_a), want_osa)
+          << b << " / " << a << " k=" << k << " (caller's masks)";
+      const CascadeStep step = DecidingStep(a, b, k);
+      ++decided[i][step];
+      if ((step == kPresenceMask || step == kKernel) && whole_bound > k) {
+        ++decided_by_caller_masks;
+      }
     }
   }
+  EXPECT_GT(decided_by_caller_masks, 0);
   for (int i = 0; i < 6; ++i) {
     const int k = bounds[i];
     std::vector<CascadeStep> reachable;

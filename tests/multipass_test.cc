@@ -199,7 +199,7 @@ TEST_F(MultiPassTest, PurgeCollapsesComponentsAndMergesFields) {
   d.Append(c);
 
   MergePurgeResult result;
-  result.component_of = {7, 7, 9};
+  result.component_of = {0, 0, 2};
   Dataset purged = result.Purge(d);
   ASSERT_EQ(purged.size(), 2u);
   // Merged record keeps the longest (most complete) first name.

@@ -27,7 +27,7 @@ TEST(MergeStrategyTest, NamesResolve) {
 TEST(PurgePolicyTest, DefaultIsLongest) {
   PurgePolicy policy;
   Dataset d = ClassDataset();
-  Record merged = policy.MergeClass(d, {0, 1, 2});
+  Record merged = policy.MergeClass(d, std::vector<TupleId>{0, 1, 2});
   EXPECT_EQ(merged.field(0), "JOSEPH");
   EXPECT_EQ(merged.field(1), "JOEY");
   EXPECT_EQ(merged.field(2), "NYC");
@@ -41,7 +41,7 @@ TEST(PurgePolicyTest, MostFrequentVotes) {
   d.Append(Record({"SMYTH"}));
   d.Append(Record({"SMITH"}));
   d.Append(Record({""}));
-  Record merged = policy.MergeClass(d, {0, 1, 2, 3});
+  Record merged = policy.MergeClass(d, std::vector<TupleId>{0, 1, 2, 3});
   EXPECT_EQ(merged.field(0), "SMITH");
 }
 
@@ -51,7 +51,7 @@ TEST(PurgePolicyTest, MostFrequentTieGoesToFirstSeen) {
   Dataset d(Schema({"name"}));
   d.Append(Record({"B"}));
   d.Append(Record({"A"}));
-  Record merged = policy.MergeClass(d, {0, 1});
+  Record merged = policy.MergeClass(d, std::vector<TupleId>{0, 1});
   EXPECT_EQ(merged.field(0), "B");
 }
 
@@ -62,7 +62,7 @@ TEST(PurgePolicyTest, FirstSeenAndNonEmptyFirst) {
   Dataset d(Schema({"a", "b"}));
   d.Append(Record({"", ""}));
   d.Append(Record({"x", "y"}));
-  Record merged = policy.MergeClass(d, {0, 1});
+  Record merged = policy.MergeClass(d, std::vector<TupleId>{0, 1});
   EXPECT_EQ(merged.field(0), "");   // First seen, even if empty.
   EXPECT_EQ(merged.field(1), "y");  // First non-empty.
 }
@@ -75,7 +75,7 @@ TEST(PurgePolicyTest, ConcatDistinctKeepsAliases) {
   d.Append(Record({"JONES"}));
   d.Append(Record({"SMITH"}));
   d.Append(Record({""}));
-  Record merged = policy.MergeClass(d, {0, 1, 2, 3});
+  Record merged = policy.MergeClass(d, std::vector<TupleId>{0, 1, 2, 3});
   EXPECT_EQ(merged.field(0), "SMITH / JONES");
 }
 
@@ -85,10 +85,45 @@ TEST(PurgePolicyTest, PurgeGroupsByComponent) {
   d.Append(Record({"a"}));
   d.Append(Record({"bb"}));
   d.Append(Record({"c"}));
-  Dataset purged = policy.Purge(d, {5, 5, 9});
-  ASSERT_EQ(purged.size(), 2u);
-  EXPECT_EQ(purged.record(0).field(0), "bb");  // Longest of {a, bb}.
-  EXPECT_EQ(purged.record(1).field(0), "c");
+  Result<Dataset> purged = policy.Purge(d, {0, 0, 2});
+  ASSERT_TRUE(purged.ok()) << purged.status().ToString();
+  ASSERT_EQ(purged->size(), 2u);
+  EXPECT_EQ(purged->record(0).field(0), "bb");  // Longest of {a, bb}.
+  EXPECT_EQ(purged->record(1).field(0), "c");
+}
+
+// Classes come out in order of their first tuple, whatever their labels,
+// and each merges its members in ascending tuple id (first_seen shows it).
+TEST(PurgePolicyTest, PurgeKeepsFirstAppearanceAndTupleOrder) {
+  PurgePolicy policy;
+  policy.Set(0, MergeStrategy::kFirstSeen);
+  policy.Set(1, MergeStrategy::kConcatDistinct);
+  Dataset d(Schema({"first", "all"}));
+  const std::vector<uint32_t> labels = {3, 1, 3, 1, 4, 3};
+  for (size_t t = 0; t < labels.size(); ++t) {
+    d.Append(Record({std::to_string(t), std::to_string(t)}));
+  }
+  Result<Dataset> purged = policy.Purge(d, labels);
+  ASSERT_TRUE(purged.ok()) << purged.status().ToString();
+  ASSERT_EQ(purged->size(), 3u);
+  EXPECT_EQ(purged->record(0).field(0), "0");
+  EXPECT_EQ(purged->record(0).field(1), "0 / 2 / 5");
+  EXPECT_EQ(purged->record(1).field(0), "1");
+  EXPECT_EQ(purged->record(1).field(1), "1 / 3");
+  EXPECT_EQ(purged->record(2).field(1), "4");
+}
+
+TEST(PurgePolicyTest, PurgeRejectsLabelsThatAreNotTupleIds) {
+  PurgePolicy policy;
+  Dataset d(Schema({"v"}));
+  d.Append(Record({"a"}));
+  d.Append(Record({"bb"}));
+  d.Append(Record({"c"}));
+  EXPECT_FALSE(policy.Purge(d, {5, 5, 9}).ok());
+  EXPECT_FALSE(policy.Purge(d, {0, 0, 3}).ok());
+  EXPECT_FALSE(policy.Purge(d, {0, 0}).ok());
+  EXPECT_FALSE(policy.Purge(d, {0, 0, 2, 2}).ok());
+  EXPECT_TRUE(policy.Purge(d, {2, 2, 2}).ok());
 }
 
 TEST(PurgePolicyDslTest, MergeDirectivesCompile) {

@@ -320,7 +320,10 @@ int main(int argc, char** argv) {
   Dataset purged(schema);
   {
     Span span("purge");
-    purged = loaded->purge_policy.Purge(combined, result->component_of);
+    Result<Dataset> merged =
+        loaded->purge_policy.Purge(combined, result->component_of);
+    if (!merged.ok()) return Fail(merged.status().ToString());
+    purged = std::move(*merged);
   }
   std::string out_path = args.GetString("output", "");
   {
