@@ -2,7 +2,7 @@
 // drive the §3.5 cost model: distance functions, the shared transposition
 // predicate, nickname equivalence, phonetic codes, key construction, the
 // window-scan comparison under the built-in theory, union-find closure,
-// and the external sorter.
+// and the incremental engine's insert and probe.
 
 #include <memory>
 #include <string>
@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/incremental.h"
 #include "core/multipass.h"
 #include "core/sorted_neighborhood.h"
 #include "core/union_find.h"
@@ -242,6 +243,61 @@ void BM_FullSnmPass(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSnmPass)->Arg(2)->Arg(10)->Arg(30)
     ->Unit(benchmark::kMillisecond);
+
+MergePurgeOptions ServiceOptions() {
+  MergePurgeOptions options;
+  options.keys = StandardThreeKeys();
+  options.window = 10;
+  options.condition_records = false;  // SharedDatabase is conditioned.
+  return options;
+}
+
+Dataset Slice(const Dataset& all, size_t begin, size_t end) {
+  Dataset batch(all.schema());
+  for (size_t t = begin; t < end; ++t) {
+    batch.Append(all.record(static_cast<TupleId>(t)));
+  }
+  return batch;
+}
+
+// The service's preload: the shared database committed to an empty
+// incremental engine in 2,000-record batches (three keys, w = 10).
+void BM_IncrementalAddBatch(benchmark::State& state) {
+  const Dataset& all = SharedDatabase().dataset;
+  constexpr size_t kBatch = 2000;
+  std::vector<Dataset> batches;
+  for (size_t begin = 0; begin < all.size(); begin += kBatch) {
+    batches.push_back(Slice(all, begin, std::min(all.size(), begin + kBatch)));
+  }
+  EmployeeTheory theory;
+  for (auto _ : state) {
+    IncrementalMergePurge engine(ServiceOptions());
+    for (const Dataset& batch : batches) {
+      benchmark::DoNotOptimize(engine.AddBatch(batch, theory));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(all.size()));
+}
+BENCHMARK(BM_IncrementalAddBatch)->Unit(benchmark::kMillisecond);
+
+// One read-only probe (three keys, w = 10) against the preloaded shared
+// database; the probes cycle through its records.
+void BM_MatchOnly(benchmark::State& state) {
+  const Dataset& all = SharedDatabase().dataset;
+  IncrementalMergePurge engine(ServiceOptions());
+  EmployeeTheory theory;
+  if (!engine.AddBatch(all, theory).ok()) {
+    state.SkipWithError("preload failed");
+    return;
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.MatchOnly(
+        all.record(static_cast<TupleId>(i++ % all.size())), theory));
+  }
+}
+BENCHMARK(BM_MatchOnly)->Unit(benchmark::kMicrosecond);
 
 void BM_TransitiveClosure(benchmark::State& state) {
   Rng rng(9);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "core/key_order.h"
 #include "core/purge_policy.h"
+#include "core/window_scanner.h"
 #include "text/normalize.h"
 
 namespace mergepurge {
@@ -10,24 +12,9 @@ namespace mergepurge {
 IncrementalMergePurge::IncrementalMergePurge(MergePurgeOptions options)
     : options_(std::move(options)) {
   for (const KeySpec& spec : options_.keys) {
-    KeyState state;
-    state.spec = spec;
-    key_states_.push_back(std::move(state));
+    key_states_.push_back({KeyBuilder(spec), {}, {}});
   }
 }
-
-namespace {
-
-// The total order of every key's sorted order: key, then tuple id.
-struct KeyThenTid {
-  const std::vector<std::string>& keys;
-  bool operator()(TupleId a, TupleId b) const {
-    const int cmp = keys[a].compare(keys[b]);
-    return cmp != 0 ? cmp < 0 : a < b;
-  }
-};
-
-}  // namespace
 
 Status IncrementalMergePurge::ValidateBatch(const Dataset& batch) const {
   if (options_.keys.empty()) {
@@ -45,7 +32,7 @@ Status IncrementalMergePurge::ValidateBatch(const Dataset& batch) const {
         "condition_records=true requires the employee schema");
   }
   for (const KeyState& state : key_states_) {
-    MERGEPURGE_RETURN_NOT_OK(KeyBuilder(state.spec).Validate(batch.schema()));
+    MERGEPURGE_RETURN_NOT_OK(state.builder.Validate(batch.schema()));
   }
   return Status::OK();
 }
@@ -67,7 +54,6 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
   const TupleId first_new = static_cast<TupleId>(all_.size());
   if (all_.empty()) all_ = Dataset(batch.schema());
   for (const Record& r : incoming->records()) all_.Append(r);
-  const TupleId end_new = static_cast<TupleId>(all_.size());
   closure_.Grow(all_.size());
   touched_.clear();
 
@@ -83,65 +69,38 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
     closure_.Union(a, b);
   };
 
-  std::vector<TupleId> fresh;
-  std::vector<size_t> ins;
-  std::vector<const Record*> rows;
   for (KeyState& state : key_states_) {
-    KeyBuilder builder(state.spec);
-    const KeyThenTid less{state.keys};
-
-    // Key + sort the new tuple ids.
-    state.keys.resize(all_.size());
-    fresh.clear();
-    for (TupleId t = first_new; t < end_new; ++t) {
-      state.keys[t] = builder.BuildKey(all_.record(t));
-      fresh.push_back(t);
-    }
-    std::sort(fresh.begin(), fresh.end(), less);
-
-    // Insertion point of each fresh record among the resident ones; the
-    // points ascend with the sorted fresh records.
-    std::vector<TupleId>& order = state.order;
-    const size_t resident = order.size();
-    ins.resize(fresh.size());
-    for (size_t k = 0; k < fresh.size(); ++k) {
-      ins[k] = static_cast<size_t>(
-          std::upper_bound(order.begin(), order.end(), fresh[k], less) -
-          order.begin());
-    }
-    // One backward pass: resident ids from ins[k] up to the next
-    // insertion point move up by k + 1, and fresh record k lands at
-    // ins[k] + k.
-    order.resize(resident + fresh.size());
-    size_t end = resident;
-    for (size_t k = fresh.size(); k-- > 0;) {
-      std::move_backward(order.begin() + ins[k], order.begin() + end,
-                         order.begin() + end + k + 1);
-      order[ins[k] + k] = fresh[k];
-      end = ins[k];
-    }
-
-    // Window-scan only the disturbed neighborhoods: every in-window pair
-    // involving at least one new record. Each neighborhood is loaded as
-    // the theory's rows once; row r holds position lo + r.
-    for (size_t k = 0; k < fresh.size(); ++k) {
-      const size_t p = ins[k] + k;
-      const size_t lo = p >= w - 1 ? p - (w - 1) : 0;
-      const size_t hi = std::min(order.size(), p + w);
-      rows.clear();
-      for (size_t q = lo; q < hi; ++q) rows.push_back(&all_.record(order[q]));
-      theory.LoadRows(rows.data(), rows.size());
-      for (size_t q = lo; q < p; ++q) {
-        // New-new pairs are scanned once (q < p); new-old always.
-        if (theory.MatchesRows(q - lo, p - lo)) admit(order[q], order[p]);
+    const std::vector<size_t> inserted = state.Insert(all_, first_new);
+    const std::vector<TupleId>& order = state.order;
+    // A record inserted at p disturbs the windows entering at p..p+w-1,
+    // so insertions whose disturbed windows touch scan as one range,
+    // keeping the pairs that involve a new record.
+    for (size_t k = 0; k < inserted.size();) {
+      const size_t first = inserted[k];
+      size_t last = first;
+      while (++k < inserted.size() && inserted[k] <= last + w) {
+        last = inserted[k];
       }
-      for (size_t q = p + 1; q < hi; ++q) {
-        if (order[q] >= first_new) continue;  // Handled from q's own loop.
-        if (theory.MatchesRows(p - lo, q - lo)) admit(order[p], order[q]);
-      }
+      ScanWindows(
+          w, first >= w - 1 ? first - (w - 1) : 0, first,
+          std::min(order.size(), last + w), theory,
+          [&](size_t p) -> const Record& { return all_.record(order[p]); },
+          [&](size_t j, size_t i) {
+            return order[j] >= first_new || order[i] >= first_new;
+          },
+          [&](size_t j, size_t i) { admit(order[j], order[i]); });
     }
   }
   return new_pairs;
+}
+
+std::vector<size_t> IncrementalMergePurge::KeyState::Insert(
+    const Dataset& all, TupleId first_new) {
+  keys.resize(all.size());
+  for (TupleId t = first_new; t < static_cast<TupleId>(all.size()); ++t) {
+    keys[t] = builder.BuildKey(all.record(t));
+  }
+  return InsertInOrder(keys, first_new, &order);
 }
 
 std::vector<std::pair<uint32_t, uint32_t>>
@@ -166,6 +125,9 @@ Status IncrementalMergePurge::Restore(Dataset records, PairSet pairs) {
   if (!all_.empty()) {
     return Status::InvalidArgument("Restore requires an empty engine");
   }
+  for (const KeyState& state : key_states_) {
+    MERGEPURGE_RETURN_NOT_OK(state.builder.Validate(records.schema()));
+  }
   all_ = std::move(records);
   pairs_ = std::move(pairs);
   closure_.Grow(all_.size());
@@ -177,17 +139,7 @@ Status IncrementalMergePurge::Restore(Dataset records, PairSet pairs) {
     closure_.Union(lo, hi);
   }
 
-  for (KeyState& state : key_states_) {
-    KeyBuilder builder(state.spec);
-    MERGEPURGE_RETURN_NOT_OK(builder.Validate(all_.schema()));
-    state.keys.resize(all_.size());
-    state.order.resize(all_.size());
-    for (TupleId t = 0; t < static_cast<TupleId>(all_.size()); ++t) {
-      state.keys[t] = builder.BuildKey(all_.record(t));
-      state.order[t] = t;
-    }
-    std::sort(state.order.begin(), state.order.end(), KeyThenTid{state.keys});
-  }
+  for (KeyState& state : key_states_) state.Insert(all_, 0);
   return Status::OK();
 }
 
@@ -212,39 +164,27 @@ Result<ProbeResult> IncrementalMergePurge::MatchOnly(
     return std::find(result.matches.begin(), result.matches.end(), t) !=
            result.matches.end();
   };
-  std::vector<const Record*> rows;
+  const TupleId probe_tid = static_cast<TupleId>(all_.size());
+  // Every key was validated against the store's schema when it was filled.
   for (const KeyState& state : key_states_) {
-    KeyBuilder builder(state.spec);
-    MERGEPURGE_RETURN_NOT_OK(builder.Validate(all_.schema()));
-    const std::string probe_key = builder.BuildKey(probe);
-    // A probe admitted now would carry the largest tuple id, so among
-    // equal keys it sorts after every existing record (AddBatch's
-    // tie-break): its position is the first entry with a greater key.
-    const auto pos = std::upper_bound(
-        state.order.begin(), state.order.end(), probe_key,
-        [&state](const std::string& key, TupleId t) {
-          return key.compare(state.keys[t]) < 0;
+    // The probe's slot p in the order it would join, as AddBatch would
+    // insert it: the residents at positions >= p sit one further on.
+    const std::vector<TupleId>& order = state.order;
+    const size_t p = InsertionPoint(state.keys, order,
+                                    state.builder.BuildKey(probe), probe_tid);
+    auto tid_at = [&](size_t q) { return order[q < p ? q : q - 1]; };
+    ScanWindows(
+        w, p >= w - 1 ? p - (w - 1) : 0, p, std::min(order.size() + 1, p + w),
+        theory,
+        [&](size_t q) -> const Record& {
+          return q == p ? probe : all_.record(tid_at(q));
+        },
+        [&](size_t j, size_t i) {
+          return (j == p || i == p) && !matched(tid_at(j == p ? i : j));
+        },
+        [&](size_t j, size_t i) {
+          result.matches.push_back(tid_at(j == p ? i : j));
         });
-    const size_t p = static_cast<size_t>(pos - state.order.begin());
-    // The neighbors that would land at distances 1..w-1 before and after
-    // the probe, then the probe: row r holds position lo + r.
-    const size_t lo = p >= w - 1 ? p - (w - 1) : 0;
-    const size_t hi = std::min(state.order.size(), p + (w - 1));
-    rows.clear();
-    for (size_t q = lo; q < hi; ++q) {
-      rows.push_back(&all_.record(state.order[q]));
-    }
-    rows.push_back(&probe);
-    theory.LoadRows(rows.data(), rows.size());
-    const size_t probe_row = hi - lo;
-    for (size_t q = lo; q < hi; ++q) {
-      const TupleId t = state.order[q];
-      if (matched(t)) continue;
-      if (q < p ? theory.MatchesRows(q - lo, probe_row)
-                : theory.MatchesRows(probe_row, q - lo)) {
-        result.matches.push_back(t);
-      }
-    }
   }
   std::sort(result.matches.begin(), result.matches.end());
   return result;

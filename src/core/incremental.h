@@ -8,13 +8,14 @@
 // records seen so far and, when a batch arrives:
 //
 //   1. conditions and keys the new records,
-//   2. inserts them into each key's sorted order: a binary search per new
-//      record finds its slot, then one backward pass shifts the resident
-//      tuple ids into place (it moves 4-byte ids and reads no keys),
+//   2. inserts them into each key's sorted order (InsertInOrder,
+//      core/key_order.h): a binary search per new record finds its slot,
+//      then one backward pass shifts the resident tuple ids into place,
 //   3. window-scans ONLY the neighborhoods disturbed by insertions —
 //      every pair within the window that involves at least one new record
 //      (old-old pairs cannot become closer: insertions only push existing
-//      records apart),
+//      records apart). Insertions whose disturbed windows touch scan as
+//      one range of the batch loop (ScanWindows), loading rows once,
 //   4. folds the discovered pairs into a persistent union-find closure,
 //      whose roots carry their set's smallest tuple id, so a label is one
 //      read-only walk and nothing is relabeled per batch.
@@ -76,19 +77,20 @@ class IncrementalMergePurge {
   // Restores the engine from durable state: a record store (already
   // conditioned — Restore never re-conditions) and the pair set, as
   // saved by a service snapshot (service/snapshot.h). Only valid on an
-  // engine that has seen no batches. Per-key sorted orders are rebuilt
-  // by a full sort; because AddBatch inserts under the same total
-  // (key, tuple id) comparator, the rebuilt orders are identical
-  // to the ones the original batch sequence produced, and the closure
-  // rebuilt from the pairs is canonically labeled — so a restored
-  // engine is indistinguishable from the live one it was copied from.
+  // engine that has seen no batches. Each key's order is rebuilt by
+  // AddBatch's insert, which into an empty order is one sort; because
+  // every order is the total (key, tuple id) order (KeyTidLess), the
+  // rebuilt orders are identical to the ones the original batch sequence
+  // produced, and the closure rebuilt from the pairs is canonically
+  // labeled — so a restored engine is indistinguishable from the live
+  // one it was copied from.
   Status Restore(Dataset records, PairSet pairs);
 
   // Read-only probe: conditions and keys `record` exactly as AddBatch
   // would, finds its would-be position in every key's sorted order, and
-  // window-scans the neighborhoods it would disturb — without copying the
-  // record into the store or touching any engine state. The tuple ids
-  // returned are exactly the old-record side of the pairs AddBatch would
+  // window-scans the neighborhoods it would disturb, with the probe as a
+  // virtual position — without copying the record into the store or
+  // touching any engine state. The tuple ids returned are exactly the old-record side of the pairs AddBatch would
   // discover for a singleton batch of `record`.
   //
   // Thread-safety: concurrent MatchOnly calls are safe provided no
@@ -130,9 +132,13 @@ class IncrementalMergePurge {
 
  private:
   struct KeyState {
-    KeySpec spec;
-    std::vector<TupleId> order;     // All tuple ids, sorted by key.
+    KeyBuilder builder;
+    std::vector<TupleId> order;     // All tuple ids, in KeyTidLess order.
     std::vector<std::string> keys;  // Key per tuple id (index = tid).
+
+    // Keys tuples [first_new, all.size()) and inserts them into `order`;
+    // returns the positions they land at, ascending.
+    std::vector<size_t> Insert(const Dataset& all, TupleId first_new);
   };
 
   MergePurgeOptions options_;

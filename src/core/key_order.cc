@@ -1,6 +1,7 @@
 #include "core/key_order.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -28,12 +29,6 @@ uint64_t KeyPrefix(const std::string& key) {
     if (i < key.size()) prefix |= static_cast<unsigned char>(key[i]);
   }
   return prefix;
-}
-
-bool KeyTidLess(const std::vector<std::string>& keys, TupleId a,
-                TupleId b) {
-  const int cmp = keys[a].compare(keys[b]);
-  return cmp != 0 ? cmp < 0 : a < b;
 }
 
 }  // namespace
@@ -67,7 +62,8 @@ KeyOrder OrderByBuckets(const std::vector<std::string>& keys,
                     entries.begin() + bounds[b + 1],
                     [&keys](const Entry& x, const Entry& y) {
                       if (x.prefix != y.prefix) return x.prefix < y.prefix;
-                      return KeyTidLess(keys, x.tid, y.tid);
+                      return KeyTidLess(keys[x.tid], x.tid, keys[y.tid],
+                                        y.tid);
                     });
           for (size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
             sorted.order[i] = entries[i].tid;
@@ -90,7 +86,7 @@ KeyOrder OrderByKeyRanges(const std::vector<std::string>& keys,
     sample.push_back(static_cast<TupleId>(t));
   }
   auto less = [&keys](TupleId a, TupleId b) {
-    return KeyTidLess(keys, a, b);
+    return KeyTidLess(keys[a], a, keys[b], b);
   };
   std::sort(sample.begin(), sample.end(), less);
   std::vector<TupleId> splitters;
@@ -111,6 +107,45 @@ KeyOrder OrderByKeyRanges(const std::vector<std::string>& keys,
   KeyOrder sorted = OrderByBuckets(keys, bucket_of, num_buckets, workers);
   sorted.busy_seconds += busy;
   return sorted;
+}
+
+size_t InsertionPoint(const std::vector<std::string>& keys,
+                      const std::vector<TupleId>& order, std::string_view key,
+                      TupleId tid) {
+  return static_cast<size_t>(
+      std::upper_bound(order.begin(), order.end(), tid,
+                       [&](TupleId probe, TupleId t) {
+                         return KeyTidLess(key, probe, keys[t], t);
+                       }) -
+      order.begin());
+}
+
+std::vector<size_t> InsertInOrder(const std::vector<std::string>& keys,
+                                  TupleId first_new,
+                                  std::vector<TupleId>* order) {
+  std::vector<TupleId> fresh(keys.size() - first_new);
+  std::iota(fresh.begin(), fresh.end(), first_new);
+  std::sort(fresh.begin(), fresh.end(), [&keys](TupleId a, TupleId b) {
+    return KeyTidLess(keys[a], a, keys[b], b);
+  });
+  // The insertion points ascend with the sorted fresh tuples.
+  const size_t resident = order->size();
+  std::vector<size_t> at(fresh.size());
+  for (size_t k = 0; k < fresh.size(); ++k) {
+    at[k] = InsertionPoint(keys, *order, keys[fresh[k]], fresh[k]);
+  }
+  // One backward pass: resident ids from at[k] up to the next insertion
+  // point move up by k + 1, and fresh tuple k lands at at[k] + k.
+  order->resize(resident + fresh.size());
+  size_t end = resident;
+  for (size_t k = fresh.size(); k-- > 0;) {
+    std::move_backward(order->begin() + at[k], order->begin() + end,
+                       order->begin() + end + k + 1);
+    (*order)[at[k] + k] = fresh[k];
+    end = at[k];
+    at[k] += k;
+  }
+  return at;
 }
 
 }  // namespace mergepurge

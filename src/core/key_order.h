@@ -1,11 +1,13 @@
-// The record-order builder of both merge methods (paper §2.2 phases 1-2,
+// The (key, tid) order of every record order, and its builders. The
+// batch builder serves both merge methods (paper §2.2 phases 1-2,
 // §2.2.1). It groups tuples into buckets that are contiguous ranges of
 // the (key, tid) order and sorts the buckets on the pool, the range
 // partitioning of Kolb, Thor & Rahm's RepSN. A sorted-neighborhood pass
 // draws its buckets from key splitters, so the buckets concatenated are
 // exactly the global (key, tid) order and MakeOverlappingFragments
 // (parallel/fragment_scan.h) bands it unchanged. A clustering pass's
-// buckets are its clusters (KeyPartitioner::ClusterOf).
+// buckets are its clusters (KeyPartitioner::ClusterOf). The incremental
+// engine inserts into the same order (InsertInOrder).
 
 #ifndef MERGEPURGE_CORE_KEY_ORDER_H_
 #define MERGEPURGE_CORE_KEY_ORDER_H_
@@ -13,11 +15,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "record/record.h"
 
 namespace mergepurge {
+
+// The total order of every record order: key bytes, then tuple id.
+inline bool KeyTidLess(std::string_view key_a, TupleId a,
+                       std::string_view key_b, TupleId b) {
+  const int cmp = key_a.compare(key_b);
+  return cmp != 0 ? cmp < 0 : a < b;
+}
 
 // Buckets per worker of a sorted-neighborhood pass: more buckets than
 // workers let the pool even out buckets of unequal cost.
@@ -48,6 +58,21 @@ KeyOrder OrderByBuckets(const std::vector<std::string>& keys,
 // num_buckets and worker count.
 KeyOrder OrderByKeyRanges(const std::vector<std::string>& keys,
                           size_t num_buckets, size_t workers);
+
+// The number of entries of `order` (in KeyTidLess order, keys indexed by
+// tuple id) that order before a tuple (key, tid): where it would go.
+size_t InsertionPoint(const std::vector<std::string>& keys,
+                      const std::vector<TupleId>& order, std::string_view key,
+                      TupleId tid);
+
+// Inserts tuples [first_new, keys.size()), whose ids exceed every id in
+// `order`, into `order` and returns the positions they land at,
+// ascending: one sort of the new tuples, a binary search each, and one
+// backward pass that shifts resident ids (reading no keys). Into an empty
+// order this is a single sort.
+std::vector<size_t> InsertInOrder(const std::vector<std::string>& keys,
+                                  TupleId first_new,
+                                  std::vector<TupleId>* order);
 
 }  // namespace mergepurge
 

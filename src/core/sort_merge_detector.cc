@@ -1,17 +1,20 @@
 #include "core/sort_merge_detector.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/key_order.h"
+#include "core/window_scanner.h"
 #include "util/timer.h"
 
 namespace mergepurge {
 
 namespace {
 
-// One merge step: merges `left` and `right` (sorted by key, ties by tid)
-// into `out`, comparing each emitted record against the previous window-1
-// emitted records that came from the other input run.
+// One merge step: merges `left` and `right` (each in KeyTidLess order)
+// into `out`, then scans `out` with the window, comparing each record
+// with the previous window-1 records that came from the other input run.
 void MergeAndDetect(const Dataset& dataset,
                     const std::vector<std::string>& keys,
                     const std::vector<TupleId>& left,
@@ -20,44 +23,27 @@ void MergeAndDetect(const Dataset& dataset,
                     std::vector<TupleId>* out) {
   out->clear();
   out->reserve(left.size() + right.size());
-  // Ring buffer of the last window-1 emitted (tid, from_left) entries.
-  std::vector<std::pair<TupleId, bool>> recent;
-  recent.reserve(window > 0 ? window - 1 : 0);
-  size_t ring_pos = 0;
-
-  auto emit = [&](TupleId tid, bool from_left) {
-    for (const auto& [other, other_from_left] : recent) {
-      if (other_from_left == from_left) continue;  // Same-run: seen before.
-      ++result->comparisons;
-      if (theory.Matches(dataset.record(other), dataset.record(tid))) {
-        ++result->matches;
-        result->pairs.Add(other, tid);
-      }
-    }
-    if (window >= 2) {
-      if (recent.size() < window - 1) {
-        recent.emplace_back(tid, from_left);
-      } else {
-        recent[ring_pos] = {tid, from_left};
-        ring_pos = (ring_pos + 1) % (window - 1);
-      }
-    }
-    out->push_back(tid);
-  };
-
+  std::vector<uint8_t> from_left;
+  from_left.reserve(left.size() + right.size());
   size_t i = 0;
   size_t j = 0;
-  while (i < left.size() && j < right.size()) {
-    int cmp = keys[left[i]].compare(keys[right[j]]);
-    bool take_left = cmp < 0 || (cmp == 0 && left[i] < right[j]);
-    if (take_left) {
-      emit(left[i++], true);
-    } else {
-      emit(right[j++], false);
-    }
+  while (i < left.size() || j < right.size()) {
+    const bool take_left =
+        j == right.size() ||
+        (i < left.size() &&
+         KeyTidLess(keys[left[i]], left[i], keys[right[j]], right[j]));
+    from_left.push_back(take_left);
+    out->push_back(take_left ? left[i++] : right[j++]);
   }
-  while (i < left.size()) emit(left[i++], true);
-  while (j < right.size()) emit(right[j++], false);
+  const std::vector<TupleId>& merged = *out;
+  const ScanStats stats = ScanWindows(
+      window, 0, 0, merged.size(), theory,
+      [&](size_t p) -> const Record& { return dataset.record(merged[p]); },
+      // Same-run pairs were within the window of an earlier merge.
+      [&](size_t a, size_t b) { return from_left[a] != from_left[b]; },
+      [&](size_t a, size_t b) { result->pairs.Add(merged[a], merged[b]); });
+  result->comparisons += stats.comparisons;
+  result->matches += stats.matches;
 }
 
 }  // namespace
@@ -79,8 +65,8 @@ Result<PassResult> SortMergeDetector::Run(
   std::vector<std::string> keys = builder.BuildKeys(dataset);
   result.create_keys_seconds = phase.ElapsedSeconds();
 
-  // Bottom-up merge sort from singleton runs; detection happens inside
-  // every merge, so there is no separate window-scan phase.
+  // Bottom-up merge sort from singleton runs; each merge is followed by
+  // its detection scan, so there is no separate window-scan phase.
   phase.Restart();
   std::vector<std::vector<TupleId>> runs(dataset.size());
   for (size_t t = 0; t < dataset.size(); ++t) {

@@ -7,8 +7,9 @@
 //
 // Instead of sorting fully and then window-scanning, the detector runs a
 // bottom-up merge sort over the keys and applies the equational theory
-// DURING every merge step: as each record is emitted, it is compared
-// against the previous w-1 emitted records that came from the OTHER input
+// after EVERY merge step: the batch scan's loop (ScanWindows,
+// core/window_scanner.h) runs over the merged run and compares each
+// record with the previous w-1 records that came from the OTHER input
 // run (same-run pairs were already within w in an earlier merge and have
 // been compared there).
 //

@@ -1,10 +1,7 @@
 #include "core/window_scanner.h"
 
-#include <algorithm>
-
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 
 namespace mergepurge {
 
@@ -20,74 +17,26 @@ void FlushScanStats(const ScanStats& stats) {
   matches->Add(stats.matches);
 }
 
-namespace {
-
-// The scan loop shared by Scan and ScanRange; `emit(earlier, entering)`
-// receives each matching pair. The entering positions are taken in
-// chunks of kScanChunk: each chunk loads its records, after the window-1
-// before it, as the theory's rows, so the rows a scan holds stay
-// O(kScanChunk + window) whatever the fragment's length.
-template <typename Emit>
-ScanStats ScanWindows(const Dataset& dataset,
-                      const std::vector<TupleId>& order, size_t window,
-                      size_t begin, size_t fresh, size_t end,
-                      const EquationalTheory& theory, Emit&& emit) {
-  // Progress is reported in chunks so the hot loop sees only local
-  // arithmetic between chunk boundaries.
-  constexpr uint64_t kProgressChunk = 8192;
-  ProgressReporter& progress = ProgressReporter::Global();
-  ScanStats stats;
-  if (window < 2 || begin >= end) return stats;
-  std::vector<const Record*> rows;
-  for (size_t chunk = std::max(fresh, begin + 1); chunk < end;
-       chunk += WindowScanner::kScanChunk) {
-    const size_t chunk_end = std::min(end, chunk + WindowScanner::kScanChunk);
-    // Row r holds position first + r.
-    const size_t first = chunk - begin >= window - 1 ? chunk - (window - 1)
-                                                     : begin;
-    rows.clear();
-    for (size_t p = first; p < chunk_end; ++p) {
-      rows.push_back(&dataset.record(order[p]));
-    }
-    theory.LoadRows(rows.data(), rows.size());
-    for (size_t i = chunk; i < chunk_end; ++i) {
-      const size_t window_start =
-          (i - begin >= window - 1) ? i - (window - 1) : begin;
-      ++stats.windows;
-      if ((stats.windows & (kProgressChunk - 1)) == 0) {
-        progress.Advance(kProgressChunk);
-      }
-      for (size_t j = window_start; j < i; ++j) {
-        ++stats.comparisons;
-        if (theory.MatchesRows(j - first, i - first)) {
-          ++stats.matches;
-          emit(order[j], order[i]);
-        }
-      }
-    }
-  }
-  progress.Advance(stats.windows & (kProgressChunk - 1));
-  return stats;
-}
-
-}  // namespace
-
 ScanStats WindowScanner::Scan(const Dataset& dataset,
                               const std::vector<TupleId>& order,
                               const EquationalTheory& theory,
                               PairSet* pairs) const {
-  return ScanWindows(dataset, order, window_, 0, 0, order.size(), theory,
-                     [pairs](TupleId a, TupleId b) { pairs->Add(a, b); });
+  return ScanWindows(
+      window_, 0, 0, order.size(), theory,
+      [&](size_t p) -> const Record& { return dataset.record(order[p]); },
+      [](size_t, size_t) { return true; },
+      [&](size_t j, size_t i) { pairs->Add(order[j], order[i]); });
 }
 
 ScanStats WindowScanner::ScanRange(
     const Dataset& dataset, const std::vector<TupleId>& order, size_t begin,
     size_t fresh, size_t end, const EquationalTheory& theory,
     std::vector<std::pair<TupleId, TupleId>>* matches) const {
-  return ScanWindows(dataset, order, window_, begin, fresh, end, theory,
-                     [matches](TupleId a, TupleId b) {
-                       matches->emplace_back(a, b);
-                     });
+  return ScanWindows(
+      window_, begin, fresh, end, theory,
+      [&](size_t p) -> const Record& { return dataset.record(order[p]); },
+      [](size_t, size_t) { return true; },
+      [&](size_t j, size_t i) { matches->emplace_back(order[j], order[i]); });
 }
 
 }  // namespace mergepurge

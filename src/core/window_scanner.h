@@ -8,12 +8,14 @@
 #ifndef MERGEPURGE_CORE_WINDOW_SCANNER_H_
 #define MERGEPURGE_CORE_WINDOW_SCANNER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "core/pair_set.h"
+#include "obs/progress.h"
 #include "record/dataset.h"
 #include "rules/equational_theory.h"
 
@@ -32,10 +34,8 @@ struct ScanStats {
   }
 };
 
-// Adds `stats` to the global snm.* counters. Call once per completed
-// scan (serial) or per successful fragment attempt (parallel) so retried
-// executions are counted exactly once per committed unit of work. Kept
-// out of the scan loop: the loop accumulates plain locals.
+// Adds `stats` to the global snm.* counters, once per completed scan or
+// fragment. Kept out of the scan loop: the loop accumulates plain locals.
 void FlushScanStats(const ScanStats& stats);
 
 class WindowScanner {
@@ -70,6 +70,54 @@ class WindowScanner {
  private:
   size_t window_;
 };
+
+// The merge-phase loop of every scan in src/core/: the batch passes, the
+// incremental insert, the probe and the merge-phase detector. Over
+// positions [begin, end) of an order, each position i entering at
+// [fresh, end) meets j in [max(begin, i - (window - 1)), i); the pair is
+// compared only when keep(j, i) (and counted only then), and a match goes
+// to emit(j, i). record_at(p) is the record at position p. Each chunk of
+// kScanChunk entering positions loads its records, after the window-1
+// before it, as the theory's rows, so a scan holds O(kScanChunk + window).
+template <typename RecordAt, typename Keep, typename Emit>
+ScanStats ScanWindows(size_t window, size_t begin, size_t fresh, size_t end,
+                      const EquationalTheory& theory, RecordAt&& record_at,
+                      Keep&& keep, Emit&& emit) {
+  // Progress is reported in chunks so the hot loop sees only local
+  // arithmetic between chunk boundaries.
+  constexpr uint64_t kProgressChunk = 8192;
+  ScanStats stats;
+  if (window < 2 || begin >= end) return stats;
+  std::vector<const Record*> rows;
+  for (size_t chunk = std::max(fresh, begin + 1); chunk < end;
+       chunk += WindowScanner::kScanChunk) {
+    const size_t chunk_end = std::min(end, chunk + WindowScanner::kScanChunk);
+    // Row r holds position first + r.
+    const size_t first = chunk - begin >= window - 1 ? chunk - (window - 1)
+                                                     : begin;
+    rows.clear();
+    for (size_t p = first; p < chunk_end; ++p) rows.push_back(&record_at(p));
+    theory.LoadRows(rows.data(), rows.size());
+    for (size_t i = chunk; i < chunk_end; ++i) {
+      const size_t window_start =
+          (i - begin >= window - 1) ? i - (window - 1) : begin;
+      ++stats.windows;
+      if ((stats.windows & (kProgressChunk - 1)) == 0) {
+        ProgressReporter::Global().Advance(kProgressChunk);
+      }
+      for (size_t j = window_start; j < i; ++j) {
+        if (!keep(j, i)) continue;
+        ++stats.comparisons;
+        if (theory.MatchesRows(j - first, i - first)) {
+          ++stats.matches;
+          emit(j, i);
+        }
+      }
+    }
+  }
+  ProgressReporter::Global().Advance(stats.windows & (kProgressChunk - 1));
+  return stats;
+}
 
 }  // namespace mergepurge
 

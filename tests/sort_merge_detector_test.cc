@@ -1,6 +1,13 @@
 // SortMergeDetector: the merge-phase detection variant (§2.2 / [9]).
-// Key property: its pair set is a superset of the classic SNM pass with
-// the same window and key.
+// Its pairs and comparisons equal a naive cross-run window scan after
+// every merge, and its pair set is a superset of the classic SNM pass
+// with the same window and key.
+
+#include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +21,51 @@
 
 namespace mergepurge {
 namespace {
+
+// The detector's pass worked out naively: the same bottom-up merges of
+// singleton runs, each merge done by sorting the union of its two runs by
+// (key, tid), then every window pair of the merged run whose records came
+// from different runs compared pair by pair.
+struct NaiveDetection {
+  PairSet pairs;
+  uint64_t comparisons = 0;
+};
+
+NaiveDetection DetectNaively(const Dataset& d, const KeySpec& key,
+                             size_t w, const EquationalTheory& theory) {
+  const KeyBuilder builder(key);
+  std::vector<std::vector<TupleId>> runs;
+  for (TupleId t = 0; t < d.size(); ++t) runs.push_back({t});
+  NaiveDetection out;
+  while (runs.size() > 1) {
+    std::vector<std::vector<TupleId>> next;
+    for (size_t r = 0; r + 1 < runs.size(); r += 2) {
+      const std::set<TupleId> left(runs[r].begin(), runs[r].end());
+      std::vector<std::pair<std::string, TupleId>> merged;
+      for (const auto* run : {&runs[r], &runs[r + 1]}) {
+        for (TupleId t : *run) {
+          merged.emplace_back(builder.BuildKey(d.record(t)), t);
+        }
+      }
+      std::sort(merged.begin(), merged.end());
+      std::vector<TupleId> tids;
+      for (size_t i = 0; i < merged.size(); ++i) {
+        const TupleId b = merged[i].second;
+        for (size_t j = i >= w - 1 ? i - (w - 1) : 0; j < i; ++j) {
+          const TupleId a = merged[j].second;
+          if (left.count(a) == left.count(b)) continue;
+          ++out.comparisons;
+          if (theory.Matches(d.record(a), d.record(b))) out.pairs.Add(a, b);
+        }
+        tids.push_back(b);
+      }
+      next.push_back(std::move(tids));
+    }
+    if (runs.size() % 2 == 1) next.push_back(std::move(runs.back()));
+    runs = std::move(next);
+  }
+  return out;
+}
 
 class SortMergeDetectorTest : public ::testing::TestWithParam<size_t> {
  protected:
@@ -34,6 +86,18 @@ class SortMergeDetectorTest : public ::testing::TestWithParam<size_t> {
   GroundTruth truth_;
   EmployeeTheory theory_;
 };
+
+TEST_P(SortMergeDetectorTest, EqualsNaiveCrossRunScan) {
+  const size_t w = GetParam();
+  auto detector = SortMergeDetector(w).Run(dataset_, LastNameKey(), theory_);
+  ASSERT_TRUE(detector.ok()) << detector.status().ToString();
+  EmployeeTheory naive_theory;
+  const NaiveDetection naive =
+      DetectNaively(dataset_, LastNameKey(), w, naive_theory);
+  EXPECT_EQ(detector->comparisons, naive.comparisons);
+  EXPECT_EQ(detector->matches, naive.pairs.size());
+  EXPECT_EQ(detector->pairs.ToSortedVector(), naive.pairs.ToSortedVector());
+}
 
 TEST_P(SortMergeDetectorTest, SupersetOfClassicSnm) {
   const size_t w = GetParam();
