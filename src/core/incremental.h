@@ -14,11 +14,18 @@
 //   3. window-scans ONLY the neighborhoods disturbed by insertions —
 //      every pair within the window that involves at least one new record
 //      (old-old pairs cannot become closer: insertions only push existing
-//      records apart). Insertions whose disturbed windows touch scan as
-//      one range of the batch loop (ScanWindows), loading rows once,
-//   4. folds the discovered pairs into a persistent union-find closure,
-//      whose roots carry their set's smallest tuple id, so a label is one
-//      read-only walk and nothing is relabeled per batch.
+//      records apart). Insertions whose disturbed windows touch form one
+//      run, cut into pieces of WindowScanner::kScanChunk entering
+//      positions that each reach back window-1 positions: the banded
+//      fragments of the paper's parallel SNM (§4.1), so the pieces make
+//      exactly the run's comparisons. A batch entering fewer than
+//      kPooledScanPositions positions scans its pieces on the calling
+//      thread; a larger one (a preload, a replayed WAL batch) scans them
+//      on the pool (ParallelFor), one theory clone per task,
+//   4. folds the discovered pairs, in the serial scan's order, into a
+//      persistent union-find closure, whose roots carry their set's
+//      smallest tuple id, so a label is one read-only walk and nothing is
+//      relabeled per batch.
 //
 // Guarantee (tested): after any sequence of batches, the incremental pair
 // set is a SUPERSET of what a from-scratch multi-pass run over the full
@@ -36,6 +43,7 @@
 #include "core/merge_purge.h"
 #include "core/pair_set.h"
 #include "core/union_find.h"
+#include "core/window_scanner.h"
 #include "keys/key_builder.h"
 #include "record/dataset.h"
 #include "rules/equational_theory.h"
@@ -52,6 +60,23 @@ struct ProbeResult {
 
 class IncrementalMergePurge {
  public:
+  // The pooled threshold, in entering positions summed over keys: a
+  // batch that enters at least this many scans on the pool. Ordinary
+  // service commits of a few dozen records stay below it and start no
+  // thread.
+  static constexpr size_t kPooledScanPositions =
+      2 * WindowScanner::kScanChunk;
+
+  // Wall time of AddBatch's stages for the last accepted batch: insert
+  // (conditioning, keying and the per-key inserts), scan (the window
+  // scans) and union (admitting the matches into the pair set and the
+  // closure).
+  struct StageTimes {
+    uint64_t insert_us = 0;
+    uint64_t scan_us = 0;
+    uint64_t union_us = 0;
+  };
+
   // keys/window as in MergePurgeOptions; condition_records applies the
   // employee conditioning to each incoming batch.
   explicit IncrementalMergePurge(MergePurgeOptions options);
@@ -74,11 +99,15 @@ class IncrementalMergePurge {
   // set a before/after diff of the resident records' labels yields.
   std::vector<std::pair<uint32_t, uint32_t>> LastBatchMerges() const;
 
+  // The stage split of the last accepted batch's AddBatch.
+  const StageTimes& last_batch_stage_times() const { return stage_times_; }
+
   // Restores the engine from durable state: a record store (already
   // conditioned — Restore never re-conditions) and the pair set, as
   // saved by a service snapshot (service/snapshot.h). Only valid on an
   // engine that has seen no batches. Each key's order is rebuilt by
-  // AddBatch's insert, which into an empty order is one sort; because
+  // AddBatch's insert, which into an empty order is one sort, as one
+  // pool task per key beside one that rebuilds the closure; because
   // every order is the total (key, tuple id) order (KeyTidLess), the
   // rebuilt orders are identical to the ones the original batch sequence
   // produced, and the closure rebuilt from the pairs is canonically
@@ -149,6 +178,7 @@ class IncrementalMergePurge {
   // Pre-union labels of the resident components the last batch's unions
   // joined (may repeat); LastBatchMerges() maps them to the delta.
   std::vector<uint32_t> touched_;
+  StageTimes stage_times_;
 };
 
 }  // namespace mergepurge

@@ -91,6 +91,16 @@ inline constexpr char kServiceStageWalFsyncUs[] =
     "service.stage.wal_fsync_us";                                   // Hist.
 inline constexpr char kServiceStageApplyUs[] =
     "service.stage.apply_us";                                       // Hist.
+// apply_us split by the engine's AddBatch stages (insert: conditioning,
+// keys and per-key inserts; scan: the window scans; union: pair set and
+// closure). Their times sum to apply_us's, less ValidateBatch; the six
+// stages above and below stay the decomposition of service.upsert_us.
+inline constexpr char kServiceStageInsertUs[] =
+    "service.stage.insert_us";                                      // Hist.
+inline constexpr char kServiceStageScanUs[] =
+    "service.stage.scan_us";                                        // Hist.
+inline constexpr char kServiceStageUnionUs[] =
+    "service.stage.union_us";                                       // Hist.
 inline constexpr char kServiceStageLabelRebuildUs[] =
     "service.stage.label_rebuild_us";                               // Hist.
 inline constexpr char kServiceStageAckUs[] =

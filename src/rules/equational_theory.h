@@ -52,6 +52,11 @@ class EquationalTheory {
   // alpha and c constants.
   virtual uint64_t comparison_count() const = 0;
 
+  // Adds n comparisons that clones of this theory made on its behalf to
+  // comparison_count(), so a scan split across clones counts as the one
+  // scan it replaces (the incremental engine's pooled AddBatch).
+  virtual void AddComparisons(uint64_t n) const = 0;
+
   // Adds this theory's accumulated rule-level statistics (rule firings,
   // distance calls, early exits) to the global MetricsRegistry and clears
   // the local accumulators. Theories batch stats in plain members —

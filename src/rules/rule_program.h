@@ -62,6 +62,7 @@ class RuleProgram : public EquationalTheory {
   // Loads a and b as rows 0 and 1, replacing the block, and compares them.
   bool Matches(const Record& a, const Record& b) const override;
   uint64_t comparison_count() const override { return comparison_count_; }
+  void AddComparisons(uint64_t n) const override { comparison_count_ += n; }
 
   // Index of the first rule whose condition holds for rows i and j of the
   // block, or -1. Also counts the firing.

@@ -285,13 +285,23 @@ Result<MatchService::UpsertOutcome> MatchService::Upsert(
 
 Result<BatchCommit> MatchService::CommitBatch(std::vector<Record> records) {
   // Stage attribution (metric_names.h): the WAL records its own
-  // wal_append/wal_fsync split; apply and label_rebuild are timed here.
+  // wal_append/wal_fsync split; apply (split into the engine's insert,
+  // scan and union stages) and label_rebuild are timed here.
   // Every stage gets exactly one sample per committed batch — with
   // durability off the WAL stages record 0 µs so the counts (and the
   // p50 decomposition of service.upsert_us) stay comparable.
   static LatencyHistogram* const stage_apply_us =
       MetricsRegistry::Global().GetHistogram(
           metric_names::kServiceStageApplyUs);
+  static LatencyHistogram* const stage_insert_us =
+      MetricsRegistry::Global().GetHistogram(
+          metric_names::kServiceStageInsertUs);
+  static LatencyHistogram* const stage_scan_us =
+      MetricsRegistry::Global().GetHistogram(
+          metric_names::kServiceStageScanUs);
+  static LatencyHistogram* const stage_union_us =
+      MetricsRegistry::Global().GetHistogram(
+          metric_names::kServiceStageUnionUs);
   static LatencyHistogram* const stage_label_rebuild_us =
       MetricsRegistry::Global().GetHistogram(
           metric_names::kServiceStageLabelRebuildUs);
@@ -355,6 +365,11 @@ Result<BatchCommit> MatchService::CommitBatch(std::vector<Record> records) {
     stage_apply_us->Record(static_cast<double>(stage_timer.ElapsedMicros()));
     if (wal_ != nullptr) applied_seq_ = seq;
     if (!added.ok()) return added.status();
+    const IncrementalMergePurge::StageTimes& stages =
+        engine_.last_batch_stage_times();
+    stage_insert_us->Record(static_cast<double>(stages.insert_us));
+    stage_scan_us->Record(static_cast<double>(stages.scan_us));
+    stage_union_us->Record(static_cast<double>(stages.union_us));
     last_batch_new_pairs_.store(*added, std::memory_order_relaxed);
     // The batch's labels and its closure delta: O(batch) label reads,
     // still exclusive so they describe exactly this commit.

@@ -332,9 +332,9 @@ void Snapshotter::Loop() {
 }
 
 Status Snapshotter::SaveOnce() {
-  // save_sequence_mu_-free: concurrent callers (the loop vs an explicit
-  // SnapshotNow) both copy consistent state; the seq check below makes a
-  // stale save a no-op and the rename makes same-seq saves idempotent.
+  // One save at a time (the loop vs an explicit SnapshotNow); the seq
+  // check below makes the later of two saves of one state a no-op.
+  MutexLock save_lock(save_mu_);
   uint64_t last = 0;
   {
     MutexLock lock(mu_);

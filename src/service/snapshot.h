@@ -127,12 +127,15 @@ class Snapshotter {
  private:
   void Loop();
   // Copy + save + truncate; resets the batch counter.
-  Status SaveOnce() MERGEPURGE_EXCLUDES(mu_);
+  Status SaveOnce() MERGEPURGE_EXCLUDES(mu_, save_mu_);
 
   const Options options_;
   const CopyFn copy_;
   const TruncateFn truncate_;
 
+  // Held by SaveOnce: the loop and SnapshotNow write the same temporary
+  // files, so two concurrent saves would rename each other's away.
+  Mutex save_mu_{lockrank::kSnapshotSave};
   mutable Mutex mu_{lockrank::kSnapshotter};
   CondVar cv_;
   bool stop_ MERGEPURGE_GUARDED_BY(mu_) = false;

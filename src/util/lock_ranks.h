@@ -29,6 +29,9 @@ inline constexpr int kUnranked = -1;
 inline constexpr int kServerConn = 10;
 // UpsertBatcher::mu_: the pending upsert queue; released across commits.
 inline constexpr int kBatcher = 20;
+// Snapshotter::save_mu_: one snapshot save at a time; held across the
+// engine copy (a reader lock on engine_mu_), the write and the truncate.
+inline constexpr int kSnapshotSave = 25;
 // MatchService::engine_mu_ (shared): the resident incremental engine.
 inline constexpr int kEngine = 30;
 // MatchService::recovery_mu_: recovery completion flag + init status.
@@ -75,6 +78,7 @@ inline constexpr const char* LockRankName(int rank) {
   switch (rank) {
     case kServerConn: return "Server::conn_mu_";
     case kBatcher: return "UpsertBatcher::mu_";
+    case kSnapshotSave: return "Snapshotter::save_mu_";
     case kEngine: return "MatchService::engine_mu_";
     case kRecovery: return "MatchService::recovery_mu_";
     case kTheoryPool: return "MatchService::theory_mu_";

@@ -379,11 +379,14 @@ TEST_P(ContractTest, RecoveryEqualsReplayOfKeptBatches) {
   // A batch large enough to meet duplicates of the earlier records.
   const std::vector<Record> next = Batches(48, 248, 200).front();
 
-  // Each crash point: a healthy prefix long enough for a background
-  // snapshot, then the point is armed while upserts continue, then the
+  // Each crash point: a healthy prefix that ends with a snapshot taken
+  // in the test (so one exists whenever the background snapshotter
+  // runs), then the point is armed while upserts continue, then the
   // process "crashes". A WAL-point fault fails the in-flight upsert (not
   // acknowledged); a snapshot-point fault breaks the snapshotter while
-  // upserts keep committing.
+  // upserts keep committing. Every save after the arming passes the
+  // snapshot points, and the explicit one after batch 8's commit has a
+  // state newer than the healthy snapshot, so each point is hit.
   for (const char* point :
        {fault_points::kWalAppend, fault_points::kWalFsync,
         fault_points::kSnapshotWrite, fault_points::kSnapshotRename}) {
@@ -396,14 +399,17 @@ TEST_P(ContractTest, RecoveryEqualsReplayOfKeptBatches) {
       ASSERT_TRUE(service.init_status().ok());
       for (size_t b = 0; b < batches.size(); ++b) {
         if (b == 8) {
+          const Status healthy = service.SnapshotNow();
+          ASSERT_TRUE(healthy.ok()) << healthy.ToString();
           FaultInjector::Global().Arm(point, FaultSchedule::FailN(1));
-          (void)service.SnapshotNow();  // Hits the snapshot points.
         }
         if (service.Upsert(batches[b]).ok()) acked += kBatch;
+        if (b == 8) (void)service.SnapshotNow();  // Hits the snapshot points.
       }
       service.SimulateCrashForTesting();
       service.Drain();
     }
+    EXPECT_GE(FaultInjector::Global().HitCount(point), 1u);
     FaultInjector::Global().Reset();
 
     Result<std::vector<WalBatch>> wal = ReadWalForRecovery(dir, 0, nullptr);
@@ -411,7 +417,7 @@ TEST_P(ContractTest, RecoveryEqualsReplayOfKeptBatches) {
     ASSERT_EQ(wal->front().seq, 1u) << "keep_wal must keep the full log";
     std::vector<std::vector<Record>> kept;
     for (const WalBatch& batch : *wal) kept.push_back(batch.records);
-    // The healthy prefix wrote snapshots, so recovery restores one.
+    // The healthy prefix wrote a snapshot, so recovery restores one.
     EXPECT_TRUE(ExpectRecoversReplayOf(options, kept, next).snapshot_loaded);
     // No acknowledged batch is lost. A batch whose append landed but
     // whose fsync "failed" may survive unacknowledged: at least once.

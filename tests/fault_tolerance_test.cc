@@ -102,6 +102,7 @@ class PoisonedModTheory final : public EquationalTheory {
     return Id(a) % 3 == Id(b) % 3;
   }
   uint64_t comparison_count() const override { return count_; }
+  void AddComparisons(uint64_t n) const override { count_ += n; }
   std::unique_ptr<EquationalTheory> Clone() const override {
     return std::make_unique<PoisonedModTheory>(poison_);
   }

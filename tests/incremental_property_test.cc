@@ -14,6 +14,7 @@
 #include "core/window_scanner.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
+#include "obs/metrics.h"
 #include "rules/employee_theory.h"
 #include "util/random.h"
 
@@ -110,6 +111,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalPropertyTest,
 struct NaiveBatch {
   PairSet pairs;
   uint64_t comparisons = 0;
+  uint64_t matches = 0;  // Matching comparisons, over all keys.
+  // Positions, over all keys, whose entering record meets a new record
+  // in its window: what the engine's scan plan covers.
+  size_t entering = 0;
   // Longest stretch of the order that the batch's disturbed windows cover
   // without a gap, over all keys: one scan range of the engine.
   size_t longest_run = 0;
@@ -138,12 +143,14 @@ NaiveBatch ScanBatchNaively(const Dataset& records,
         last_new = i;
         batch.longest_run = std::max(batch.longest_run, i + w - run_start);
       }
+      if (in_run && i - last_new < w) ++batch.entering;
       for (size_t j = i >= w - 1 ? i - (w - 1) : 0; j < i; ++j) {
         const TupleId a = sorted[j].second;
         const TupleId b = sorted[i].second;
         if (a < first_new && b < first_new) continue;
         ++batch.comparisons;
         if (theory.Matches(records.record(a), records.record(b))) {
+          ++batch.matches;
           batch.pairs.Add(a, b);
         }
       }
@@ -178,12 +185,25 @@ MergePurgeOptions ThreeKeys() {
   return options;
 }
 
+uint64_t RulesFiredTotal() {
+  uint64_t total = 0;
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name.rfind("rules.fired.", 0) == 0) total += value;
+  }
+  return total;
+}
+
 // After every batch of seeded random splits, the engine's pairs equal the
 // union of the naive batches so far, and the theory ran exactly the naive
 // comparisons: an extra old-old comparison fails as surely as a missing
 // pair. The first batch (one range through the whole order) spans more
 // than two scan chunks, and a batch twice the size of the residents
-// inserts densely enough that its runs cross chunk boundaries.
+// inserts densely enough that its runs cross chunk boundaries. Those two
+// batches enter enough positions to scan on the pool, the batches of at
+// most 20 records scan on the calling thread, and both paths return the
+// new-pair count, report the closure delta and flush one rule firing per
+// match.
 TEST(IncrementalOracleTest, EveryBatchMakesExactlyTheNaivePairs) {
   constexpr size_t kChunk = WindowScanner::kScanChunk;
   for (uint64_t seed : {7u, 8u}) {
@@ -208,14 +228,40 @@ TEST(IncrementalOracleTest, EveryBatchMakesExactlyTheNaivePairs) {
     size_t begin = 0;
     for (size_t batch_index = 0; batch_index < cuts.size(); ++batch_index) {
       const size_t end = cuts[batch_index];
+      const std::vector<uint32_t> labels_before = engine.ComponentLabels();
+      const uint64_t fired_before = RulesFiredTotal();
       const uint64_t before = theory.comparison_count();
-      ASSERT_TRUE(engine.AddBatch(Slice(raw, begin, end), theory).ok());
+      Result<uint64_t> added = engine.AddBatch(Slice(raw, begin, end), theory);
+      ASSERT_TRUE(added.ok());
+      theory.FlushMetrics();
       const NaiveBatch naive =
           ScanBatchNaively(engine.records(), options,
                            static_cast<TupleId>(begin), naive_theory);
       if (batch_index < 2) {
         EXPECT_GT(naive.longest_run, 2 * kChunk);
+        EXPECT_GE(naive.entering, IncrementalMergePurge::kPooledScanPositions);
+      } else if (end - begin <= 20) {
+        EXPECT_LT(naive.entering, IncrementalMergePurge::kPooledScanPositions);
       }
+      uint64_t new_pairs = 0;
+      for (const auto& [a, b] : naive.pairs.ToSortedVector()) {
+        if (!expected.Contains(a, b)) ++new_pairs;
+      }
+      EXPECT_EQ(*added, new_pairs) << "batch [" << begin << ", " << end << ")";
+      EXPECT_EQ(RulesFiredTotal() - fired_before, naive.matches)
+          << "batch [" << begin << ", " << end << ")";
+      const std::vector<uint32_t> labels_after = engine.ComponentLabels();
+      std::vector<std::pair<uint32_t, uint32_t>> label_diff;
+      for (size_t t = 0; t < labels_before.size(); ++t) {
+        if (labels_after[t] != labels_before[t]) {
+          label_diff.emplace_back(labels_after[t], labels_before[t]);
+        }
+      }
+      std::sort(label_diff.begin(), label_diff.end());
+      label_diff.erase(std::unique(label_diff.begin(), label_diff.end()),
+                       label_diff.end());
+      EXPECT_EQ(engine.LastBatchMerges(), label_diff)
+          << "batch [" << begin << ", " << end << ")";
       expected.Merge(naive.pairs);
       ASSERT_EQ(theory.comparison_count() - before, naive.comparisons)
           << "batch [" << begin << ", " << end << ")";

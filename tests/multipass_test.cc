@@ -275,6 +275,9 @@ class ThrowingTheory final : public EquationalTheory {
   uint64_t comparison_count() const override {
     return inner_.comparison_count();
   }
+  void AddComparisons(uint64_t n) const override {
+    inner_.AddComparisons(n);
+  }
   std::unique_ptr<EquationalTheory> Clone() const override {
     return std::make_unique<ThrowingTheory>(poison_);
   }

@@ -695,6 +695,15 @@ TEST_F(ServerTest, StatsCarriesIntrospectionSections) {
       stats.Find("histograms")->Find("service.stage.apply_us");
   ASSERT_NE(apply_us, nullptr);
   EXPECT_GE(apply_us->Find("count")->int_value(), 1);
+  // ...and so does its split into the engine's AddBatch stages.
+  for (const char* stage : {"service.stage.insert_us", "service.stage.scan_us",
+                            "service.stage.union_us"}) {
+    const JsonValue* split = stats.Find("histograms")->Find(stage);
+    ASSERT_NE(split, nullptr) << stage;
+    EXPECT_EQ(split->Find("count")->int_value(),
+              apply_us->Find("count")->int_value())
+        << stage;
+  }
   // Resident gauges were refreshed by the committed batch.
   EXPECT_GE(stats.Find("gauges")
                 ->Find("service.records_resident")

@@ -48,6 +48,7 @@ class NumericTheory final : public EquationalTheory {
     return std::labs(x - y) <= 1;
   }
   uint64_t comparison_count() const override { return count_; }
+  void AddComparisons(uint64_t n) const override { count_ += n; }
   std::unique_ptr<EquationalTheory> Clone() const override {
     return std::make_unique<NumericTheory>(*this);
   }

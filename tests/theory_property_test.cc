@@ -259,6 +259,9 @@ class RecordingTheory : public EquationalTheory {
   uint64_t comparison_count() const override {
     return program_.comparison_count();
   }
+  void AddComparisons(uint64_t n) const override {
+    program_.AddComparisons(n);
+  }
   std::unique_ptr<EquationalTheory> Clone() const override {
     return std::make_unique<RecordingTheory>(program_);
   }

@@ -31,6 +31,7 @@ class ModTheory final : public EquationalTheory {
     return value(a) % k_ == value(b) % k_;
   }
   uint64_t comparison_count() const override { return count_; }
+  void AddComparisons(uint64_t n) const override { count_ += n; }
   std::unique_ptr<EquationalTheory> Clone() const override {
     return std::make_unique<ModTheory>(*this);
   }

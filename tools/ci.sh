@@ -290,6 +290,20 @@ assert abs(stage_sum - upsert_p50) <= 0.15 * upsert_p50, (
 print(f"ci: stage attribution ok: {len(stages)} stages x {batches} "
       f"batches, sum(stage p50) {stage_sum:.0f}us vs upsert p50 "
       f"{upsert_p50:.0f}us")
+# apply's split into the engine's AddBatch stages: one sample per batch
+# each, and together (summed time) within 5% of apply.
+splits = ["service.stage.insert_us", "service.stage.scan_us",
+          "service.stage.union_us"]
+for name in splits:
+    assert hist[name]["count"] == batches, (
+        f"{name} count {hist[name]['count']} != service.batches {batches}")
+split_sum = sum(hist[name]["sum"] for name in splits)
+apply_sum = hist["service.stage.apply_us"]["sum"]
+assert abs(split_sum - apply_sum) <= 0.05 * apply_sum, (
+    f"insert+scan+union {split_sum:.0f}us outside 5% of apply "
+    f"{apply_sum:.0f}us")
+print(f"ci: apply split ok: insert+scan+union {split_sum:.0f}us vs apply "
+      f"{apply_sum:.0f}us")
 EOF
 kill -TERM "${serve_pid}"
 serve_status=0
