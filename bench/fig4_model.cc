@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
 
   // Closure timings: single-pass closure vs multi-pass closure.
   Timer closure_timer;
-  TransitiveClosure(calibration_pass->pairs, n);
+  TransitiveClosure({&calibration_pass->pairs}, n);
   model.closure_sp_seconds = closure_timer.ElapsedSeconds();
   model.closure_mp_seconds = multi->closure_seconds;
 

@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
     if (!parallel.ok()) return 1;
     const PassResult& pass = parallel->passes[0];
     const bool exact =
-        pass.pairs.ToSortedVector() == serial->pairs.ToSortedVector() &&
+        pass.pairs.packed() == serial->pairs.packed() &&
         pass.comparisons == serial->comparisons;
     std::printf("thread-executor check (P=%zu, key=%s): %zu pairs, %llu "
                 "comparisons %s\n",

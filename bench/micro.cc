@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -301,14 +302,15 @@ BENCHMARK(BM_MatchOnly)->Unit(benchmark::kMicrosecond);
 
 void BM_TransitiveClosure(benchmark::State& state) {
   Rng rng(9);
-  PairSet pairs;
   const size_t n = 100000;
+  std::vector<uint64_t> matches;
   for (size_t i = 0; i < n; ++i) {
-    pairs.Add(static_cast<TupleId>(rng.NextBounded(n)),
-              static_cast<TupleId>(rng.NextBounded(n)));
+    matches.push_back(PackMatch(static_cast<TupleId>(rng.NextBounded(n)),
+                                static_cast<TupleId>(rng.NextBounded(n))));
   }
+  const PairSet pairs(std::move(matches));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TransitiveClosure(pairs, n));
+    benchmark::DoNotOptimize(TransitiveClosure({&pairs}, n));
   }
 }
 BENCHMARK(BM_TransitiveClosure)->Unit(benchmark::kMillisecond);

@@ -41,7 +41,7 @@ bool CheckAgainstSerial(const char* label, MultiPass::Method method,
   }
   const PassResult& pass = run->passes[0];
   const bool identical =
-      pass.pairs.ToSortedVector() == reference.pairs.ToSortedVector();
+      pass.pairs.packed() == reference.pairs.packed();
   std::printf("%s (%zu workers): %zu pairs (serial: %zu) -> %s\n", label,
               AvailableCpus(), pass.pairs.size(), reference.pairs.size(),
               identical ? "identical" : "MISMATCH");

@@ -135,7 +135,7 @@ Result<PassResult> ClusteringMethod::Run(
   // --- Phase 2: sorted-neighborhood inside each cluster. ---
   Timer phase;
   ScanStats stats;
-  std::vector<std::pair<TupleId, TupleId>> matches;
+  std::vector<uint64_t> matches;
   {
     Span span("cluster-scan");
     WindowScanner scanner(options_.window);
@@ -149,8 +149,7 @@ Result<PassResult> ClusteringMethod::Run(
     span.AddArg("comparisons", stats.comparisons);
   }
   result.scan_seconds = phase.ElapsedSeconds();
-  result.pairs.Reserve(matches.size());
-  for (const auto& [a, b] : matches) result.pairs.Add(a, b);
+  result.pairs = PairSet(std::move(matches));
   result.windows = stats.windows;
   result.comparisons = stats.comparisons;
   result.matches = stats.matches;

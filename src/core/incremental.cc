@@ -117,8 +117,7 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
       load = 0;
     }
   }
-  std::vector<std::vector<std::pair<TupleId, TupleId>>> matches(
-      task_begin.size() - 1);
+  std::vector<std::vector<uint64_t>> matches(task_begin.size() - 1);
   auto scan = [&](size_t task, const EquationalTheory& task_theory) {
     for (size_t k = task_begin[task]; k < task_begin[task + 1]; ++k) {
       const ScanPiece& piece = pieces[k];
@@ -130,7 +129,7 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
             return order[j] >= first_new || order[i] >= first_new;
           },
           [&](size_t j, size_t i) {
-            matches[task].emplace_back(order[j], order[i]);
+            matches[task].push_back(PackMatch(order[j], order[i]));
           });
     }
   };
@@ -156,20 +155,25 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
   stage_times_.scan_us = stage_timer.ElapsedMicros();
   stage_timer.Restart();
 
-  // Union, in the serial emit order: each match's pair and, before the
-  // union changes it, the label of each resident component it joins.
-  uint64_t new_pairs = 0;
-  for (const auto& task_matches : matches) {
-    for (const auto& [a, b] : task_matches) {
-      if (pairs_.Add(a, b)) ++new_pairs;
-      for (uint32_t label : {closure_.Label(a), closure_.Label(b)}) {
-        if (label < first_new) touched_.push_back(label);
-      }
-      closure_.Union(a, b);
-    }
+  // Union. Every match names a tid of the batch, so the batch's distinct
+  // pairs are all new: each joins the closure, after the labels of the
+  // resident components it joins are noted, and is appended to the log.
+  std::vector<uint64_t> batch_matches;
+  for (const std::vector<uint64_t>& task_matches : matches) {
+    batch_matches.insert(batch_matches.end(), task_matches.begin(),
+                         task_matches.end());
   }
+  const PairSet batch_pairs(std::move(batch_matches));
+  batch_pairs.ForEach([&](TupleId a, TupleId b) {
+    for (uint32_t label : {closure_.Label(a), closure_.Label(b)}) {
+      if (label < first_new) touched_.push_back(label);
+    }
+    closure_.Union(a, b);
+  });
+  pairs_.insert(pairs_.end(), batch_pairs.packed().begin(),
+                batch_pairs.packed().end());
   stage_times_.union_us = stage_timer.ElapsedMicros();
-  return new_pairs;
+  return batch_pairs.size();
 }
 
 std::vector<size_t> IncrementalMergePurge::KeyState::Insert(
@@ -196,7 +200,8 @@ IncrementalMergePurge::LastBatchMerges() const {
   return merges;
 }
 
-Status IncrementalMergePurge::Restore(Dataset records, PairSet pairs) {
+Status IncrementalMergePurge::Restore(Dataset records,
+                                      std::vector<uint64_t> pairs) {
   if (options_.keys.empty()) {
     return Status::InvalidArgument("no keys configured");
   }
@@ -210,11 +215,9 @@ Status IncrementalMergePurge::Restore(Dataset records, PairSet pairs) {
   pairs_ = std::move(pairs);
   closure_.Grow(all_.size());
   // One task per key order, and one more that rebuilds the closure:
-  // the tasks write disjoint state and only read the store. The sorted
-  // union order is not needed for correctness (union-find labels are
-  // canonical regardless of union order) but keeps recovery runs
-  // reproducible; this is a startup-only path, so the materialized copy
-  // is fine.
+  // the tasks write disjoint state and only read the store. Union-find
+  // labels are canonical whatever the union order, so the pairs are
+  // unioned in the order given.
   ParallelFor(
       key_states_.size() + 1, AvailableCpus(),
       [&](size_t begin, size_t end) {
@@ -223,8 +226,8 @@ Status IncrementalMergePurge::Restore(Dataset records, PairSet pairs) {
             key_states_[k].Insert(all_, 0);
             continue;
           }
-          for (const auto& [lo, hi] : pairs_.ToSortedVector()) {
-            closure_.Union(lo, hi);
+          for (const uint64_t pair : pairs_) {
+            closure_.Union(PackedHigh(pair), PackedLow(pair));
           }
         }
       },

@@ -22,10 +22,10 @@
 //      kPooledScanPositions positions scans its pieces on the calling
 //      thread; a larger one (a preload, a replayed WAL batch) scans them
 //      on the pool (ParallelFor), one theory clone per task,
-//   4. folds the discovered pairs, in the serial scan's order, into a
+//   4. folds the discovered pairs, sorted and deduplicated, into a
 //      persistent union-find closure, whose roots carry their set's
 //      smallest tuple id, so a label is one read-only walk and nothing is
-//      relabeled per batch.
+//      relabeled per batch, and appends them to the pair log.
 //
 // Guarantee (tested): after any sequence of batches, the incremental pair
 // set is a SUPERSET of what a from-scratch multi-pass run over the full
@@ -69,8 +69,8 @@ class IncrementalMergePurge {
 
   // Wall time of AddBatch's stages for the last accepted batch: insert
   // (conditioning, keying and the per-key inserts), scan (the window
-  // scans) and union (admitting the matches into the pair set and the
-  // closure).
+  // scans) and union (admitting the matches into the closure and the
+  // pair log).
   struct StageTimes {
     uint64_t insert_us = 0;
     uint64_t scan_us = 0;
@@ -103,7 +103,7 @@ class IncrementalMergePurge {
   const StageTimes& last_batch_stage_times() const { return stage_times_; }
 
   // Restores the engine from durable state: a record store (already
-  // conditioned — Restore never re-conditions) and the pair set, as
+  // conditioned — Restore never re-conditions) and the pair log, as
   // saved by a service snapshot (service/snapshot.h). Only valid on an
   // engine that has seen no batches. Each key's order is rebuilt by
   // AddBatch's insert, which into an empty order is one sort, as one
@@ -113,7 +113,7 @@ class IncrementalMergePurge {
   // produced, and the closure rebuilt from the pairs is canonically
   // labeled — so a restored engine is indistinguishable from the live
   // one it was copied from.
-  Status Restore(Dataset records, PairSet pairs);
+  Status Restore(Dataset records, std::vector<uint64_t> pairs);
 
   // Read-only probe: conditions and keys `record` exactly as AddBatch
   // would, finds its would-be position in every key's sorted order, and
@@ -134,8 +134,10 @@ class IncrementalMergePurge {
 
   size_t size() const { return all_.size(); }
 
-  // All matching pairs discovered so far (before closure).
-  const PairSet& pairs() const { return pairs_; }
+  // All matching pairs discovered so far (before closure), each once, as
+  // PackMatch(lo, hi) words in commit order: a batch's pairs, sorted,
+  // follow the earlier batches'.
+  const std::vector<uint64_t>& pairs() const { return pairs_; }
 
   // Entity label of tuple t: the smallest tuple id of its class under
   // the transitive closure over all batches. O(log n), read-only, so
@@ -173,7 +175,7 @@ class IncrementalMergePurge {
   MergePurgeOptions options_;
   Dataset all_;
   std::vector<KeyState> key_states_;
-  PairSet pairs_;
+  std::vector<uint64_t> pairs_;  // The pair log (pairs()).
   UnionFind closure_{0};
   // Pre-union labels of the resident components the last batch's unions
   // joined (may repeat); LastBatchMerges() maps them to the delta.

@@ -48,10 +48,6 @@ std::vector<uint32_t> TransitiveClosure(
   return labels;
 }
 
-std::vector<uint32_t> TransitiveClosure(const PairSet& pairs, size_t n) {
-  return TransitiveClosure(std::vector<const PairSet*>{&pairs}, n);
-}
-
 uint64_t MultiPass::ConfigDigest() const {
   std::string config = StringPrintf(
       "method=%d;window=%zu",
@@ -236,34 +232,18 @@ Result<MultiPassResult> MultiPass::Run(
   MERGEPURGE_RETURN_NOT_OK(status);
 
   progress.BeginPhase("transitive closure");
-  // Distinct pairs over all passes: each pass's pairs that no earlier
-  // pass found, one task per pass. Its summed task time counts into the
-  // closure's, the cost on one CPU.
-  std::vector<const PairSet*> pair_sets;
-  for (const PassResult& pass : result.passes) {
-    pair_sets.push_back(&pass.pairs);
-  }
+  // The closure over "a union of all pairs discovered by all independent
+  // runs, with no duplicates" (§2.4): the passes' runs merged, whose size
+  // is the distinct-pair count.
+  Timer closure_timer;
+  PairSet all_pairs;
   {
     Span span("distinct-pairs");
-    std::vector<uint64_t> fresh(pair_sets.size(), 0);
-    result.closure_seconds = ParallelFor(
-        pair_sets.size(), AvailableCpus(),
-        [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            pair_sets[i]->ForEach([&](TupleId a, TupleId b) {
-              for (size_t earlier = 0; earlier < i; ++earlier) {
-                if (pair_sets[earlier]->Contains(a, b)) return;
-              }
-              ++fresh[i];
-            });
-          }
-        },
-        /*grain=*/1);
-    for (uint64_t count : fresh) result.union_pair_count += count;
+    for (const PassResult& pass : result.passes) all_pairs.Merge(pass.pairs);
+    result.union_pair_count = all_pairs.size();
   }
-  Timer closure_timer;
-  result.component_of = TransitiveClosure(pair_sets, dataset.size());
-  result.closure_seconds += closure_timer.ElapsedSeconds();
+  result.component_of = TransitiveClosure({&all_pairs}, dataset.size());
+  result.closure_seconds = closure_timer.ElapsedSeconds();
   progress.FinishPhase();
   result.total_seconds = wall.ElapsedSeconds();
   return result;

@@ -26,13 +26,10 @@ namespace mergepurge {
 std::vector<uint32_t> TransitiveClosure(
     const std::vector<const PairSet*>& pair_sets, size_t n);
 
-// Convenience for a single pair set.
-std::vector<uint32_t> TransitiveClosure(const PairSet& pairs, size_t n);
-
 struct MultiPassResult {
   std::vector<PassResult> passes;        // One per key, in input order.
   std::vector<uint32_t> component_of;    // Closure over all passes' pairs.
-  // The distinct-pair count's summed task time plus the closure.
+  // Merging the passes' pairs plus the closure over their union.
   double closure_seconds = 0.0;
   // Wall time of the whole run. The passes' scans overlap on the worker
   // pool, so this is less than the sum of the passes' busy times.

@@ -1,59 +1,55 @@
 // PairSet: a deduplicated set of unordered tuple-id pairs — the output of
 // a merge pass ("each independent run will produce a set of pairs of
-// records which can be merged", paper §2.4). Pairs are stored as packed
-// 64-bit keys (lo id in the high word) in a hash set.
+// records which can be merged", paper §2.4), stored as one sorted run of
+// PackMatch(lo, hi) words: the order of pair files and snapshots.
 
 #ifndef MERGEPURGE_CORE_PAIR_SET_H_
 #define MERGEPURGE_CORE_PAIR_SET_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "record/record.h"
 
 namespace mergepurge {
 
+// A match {a, b} as one word: a in the high half, b in the low half. The
+// halves need not be ordered; PairSet orients them.
+inline uint64_t PackMatch(TupleId a, TupleId b) {
+  return (static_cast<uint64_t>(a) << 32) | b;
+}
+inline TupleId PackedHigh(uint64_t p) { return static_cast<TupleId>(p >> 32); }
+inline TupleId PackedLow(uint64_t p) { return static_cast<TupleId>(p); }
+
 class PairSet {
  public:
   PairSet() = default;
 
-  // Adds the unordered pair {a, b}; ignores self-pairs. Returns true if
-  // the pair was new.
-  bool Add(TupleId a, TupleId b);
+  // The set of `matches` (PackMatch words, in any order and orientation):
+  // each is oriented to (lo, hi), self-pairs are dropped, and the run is
+  // sorted and deduplicated.
+  explicit PairSet(std::vector<uint64_t> matches);
 
-  bool Contains(TupleId a, TupleId b) const;
+  bool Contains(TupleId a, TupleId b) const;  // A binary search.
 
   size_t size() const { return packed_.size(); }
   bool empty() const { return packed_.empty(); }
 
-  // Inserts every pair of `other`.
+  // This set becomes the union of itself and `other` (a linear merge).
   void Merge(const PairSet& other);
 
-  // Materializes (lo, hi) pairs, sorted for deterministic iteration.
-  std::vector<std::pair<TupleId, TupleId>> ToSortedVector() const;
+  // The (lo, hi) pairs as PackMatch(lo, hi) words, ascending.
+  const std::vector<uint64_t>& packed() const { return packed_; }
 
-  // Applies fn(lo, hi) to each pair in unspecified order.
+  // Applies fn(lo, hi) to each pair in ascending order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (uint64_t packed : packed_) {
-      fn(static_cast<TupleId>(packed >> 32),
-         static_cast<TupleId>(packed & 0xffffffffu));
-    }
+    for (uint64_t packed : packed_) fn(PackedHigh(packed), PackedLow(packed));
   }
-
-  void Reserve(size_t n) { packed_.reserve(n); }
 
  private:
-  static uint64_t Pack(TupleId a, TupleId b) {
-    TupleId lo = a < b ? a : b;
-    TupleId hi = a < b ? b : a;
-    return (static_cast<uint64_t>(lo) << 32) | hi;
-  }
-
-  std::unordered_set<uint64_t> packed_;
+  std::vector<uint64_t> packed_;
 };
 
 }  // namespace mergepurge

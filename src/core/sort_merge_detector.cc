@@ -14,12 +14,14 @@ namespace {
 
 // One merge step: merges `left` and `right` (each in KeyTidLess order)
 // into `out`, then scans `out` with the window, comparing each record
-// with the previous window-1 records that came from the other input run.
+// with the previous window-1 records that came from the other input run
+// and appending each match to `matches` as a PackMatch word.
 void MergeAndDetect(const Dataset& dataset,
                     const std::vector<std::string>& keys,
                     const std::vector<TupleId>& left,
                     const std::vector<TupleId>& right, size_t window,
                     const EquationalTheory& theory, PassResult* result,
+                    std::vector<uint64_t>* matches,
                     std::vector<TupleId>* out) {
   out->clear();
   out->reserve(left.size() + right.size());
@@ -41,7 +43,9 @@ void MergeAndDetect(const Dataset& dataset,
       [&](size_t p) -> const Record& { return dataset.record(merged[p]); },
       // Same-run pairs were within the window of an earlier merge.
       [&](size_t a, size_t b) { return from_left[a] != from_left[b]; },
-      [&](size_t a, size_t b) { result->pairs.Add(merged[a], merged[b]); });
+      [&](size_t a, size_t b) {
+        matches->push_back(PackMatch(merged[a], merged[b]));
+      });
   result->comparisons += stats.comparisons;
   result->matches += stats.matches;
 }
@@ -73,17 +77,19 @@ Result<PassResult> SortMergeDetector::Run(
     runs[t] = {static_cast<TupleId>(t)};
   }
   std::vector<TupleId> merged;
+  std::vector<uint64_t> matches;
   while (runs.size() > 1) {
     std::vector<std::vector<TupleId>> next;
     next.reserve((runs.size() + 1) / 2);
     for (size_t r = 0; r + 1 < runs.size(); r += 2) {
       MergeAndDetect(dataset, keys, runs[r], runs[r + 1], window_, theory,
-                     &result, &merged);
+                     &result, &matches, &merged);
       next.push_back(std::move(merged));
     }
     if (runs.size() % 2 == 1) next.push_back(std::move(runs.back()));
     runs = std::move(next);
   }
+  result.pairs = PairSet(std::move(matches));
   result.sort_seconds = phase.ElapsedSeconds();
   result.scan_seconds = 0.0;  // Folded into the merge phases.
   result.total_seconds = total.ElapsedSeconds();

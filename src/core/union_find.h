@@ -42,11 +42,11 @@ class UnionFind {
   void Grow(size_t n);
 
   // Canonical label of x: the smallest element of its set, not the
-  // internal root. Roots depend on union order, and pair sets are hash
-  // sets whose iteration order changes across (de)serialization; labels
-  // depend only on the partition, so a checkpointed-and-resumed closure
-  // labels identically to the run it replaced. Read-only (no path
-  // compression): concurrent readers are safe while no Union or Grow runs.
+  // internal root. Roots depend on union order, and the union order
+  // differs between paths (a batch run, a restored pair log, a resumed
+  // checkpoint); labels depend only on the partition, so every path
+  // labels identically. Read-only (no path compression): concurrent
+  // readers are safe while no Union or Grow runs.
   uint32_t Label(uint32_t x) const;
 
   // Label(x) for every element.

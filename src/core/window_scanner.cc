@@ -1,5 +1,7 @@
 #include "core/window_scanner.h"
 
+#include <utility>
+
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 
@@ -21,22 +23,24 @@ ScanStats WindowScanner::Scan(const Dataset& dataset,
                               const std::vector<TupleId>& order,
                               const EquationalTheory& theory,
                               PairSet* pairs) const {
-  return ScanWindows(
-      window_, 0, 0, order.size(), theory,
-      [&](size_t p) -> const Record& { return dataset.record(order[p]); },
-      [](size_t, size_t) { return true; },
-      [&](size_t j, size_t i) { pairs->Add(order[j], order[i]); });
+  std::vector<uint64_t> matches;
+  const ScanStats stats =
+      ScanRange(dataset, order, 0, 0, order.size(), theory, &matches);
+  pairs->Merge(PairSet(std::move(matches)));
+  return stats;
 }
 
 ScanStats WindowScanner::ScanRange(
     const Dataset& dataset, const std::vector<TupleId>& order, size_t begin,
     size_t fresh, size_t end, const EquationalTheory& theory,
-    std::vector<std::pair<TupleId, TupleId>>* matches) const {
+    std::vector<uint64_t>* matches) const {
   return ScanWindows(
       window_, begin, fresh, end, theory,
       [&](size_t p) -> const Record& { return dataset.record(order[p]); },
       [](size_t, size_t) { return true; },
-      [&](size_t j, size_t i) { matches->emplace_back(order[j], order[i]); });
+      [&](size_t j, size_t i) {
+        matches->push_back(PackMatch(order[j], order[i]));
+      });
 }
 
 }  // namespace mergepurge

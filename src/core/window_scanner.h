@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/pair_set.h"
@@ -47,10 +46,9 @@ class WindowScanner {
   // window must be >= 2 (a window of 1 compares nothing).
   explicit WindowScanner(size_t window) : window_(window) {}
 
-  size_t window() const { return window_; }
-
   // Scans `order` (tuple ids in sorted sequence) over `dataset`, applying
-  // `theory` to each in-window pair; matching pairs are added to `pairs`.
+  // `theory` to each in-window pair; `pairs` becomes its union with the
+  // matching pairs.
   ScanStats Scan(const Dataset& dataset, const std::vector<TupleId>& order,
                  const EquationalTheory& theory, PairSet* pairs) const;
 
@@ -60,12 +58,12 @@ class WindowScanner {
   // before `begin`. Records in [begin, fresh) are window context only, so
   // fragments that overlap by window-1 records make exactly the global
   // scan's comparisons between them (paper figure 5). Matching pairs are
-  // appended to `matches` in scan order as (earlier, entering).
+  // appended to `matches` in scan order as PackMatch(earlier, entering).
   ScanStats ScanRange(const Dataset& dataset,
                       const std::vector<TupleId>& order, size_t begin,
                       size_t fresh, size_t end,
                       const EquationalTheory& theory,
-                      std::vector<std::pair<TupleId, TupleId>>* matches) const;
+                      std::vector<uint64_t>* matches) const;
 
  private:
   size_t window_;

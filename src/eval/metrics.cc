@@ -63,7 +63,7 @@ AccuracyReport EvaluateComponents(const std::vector<uint32_t>& component_of,
 
 AccuracyReport EvaluatePairSet(const PairSet& pairs, size_t n,
                                const GroundTruth& truth) {
-  return EvaluateComponents(TransitiveClosure(pairs, n), truth);
+  return EvaluateComponents(TransitiveClosure({&pairs}, n), truth);
 }
 
 }  // namespace mergepurge

@@ -7,7 +7,8 @@
 // closure step reads all files.
 //
 // File format: "MPP1\n" magic line, then one "lo hi\n" pair of decimal
-// tuple ids per line, sorted ascending (diff-friendly, deterministic).
+// tuple ids per line, sorted ascending (diff-friendly, deterministic):
+// the pair set's own order, so a write streams it as it is.
 
 #ifndef MERGEPURGE_IO_PAIRS_IO_H_
 #define MERGEPURGE_IO_PAIRS_IO_H_
@@ -22,8 +23,10 @@ namespace mergepurge {
 
 Status WritePairSetFile(const PairSet& pairs, const std::string& path);
 
-// Reads a pair file written for a dataset of `num_records` tuples. A pair
-// naming a tuple id >= num_records is an OutOfRange error: the file
+// Reads a pair file written for a dataset of `num_records` tuples. Each
+// non-empty line must be exactly "lo hi", decimal ids with lo < hi, else
+// it is a ParseError; lines may come in any order and may repeat.
+// A pair naming a tuple id >= num_records is an OutOfRange error: the file
 // belongs to another (larger) dataset, and its ids would index past the
 // closure's arrays.
 Result<PairSet> ReadPairSetFile(const std::string& path,

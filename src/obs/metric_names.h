@@ -92,8 +92,8 @@ inline constexpr char kServiceStageWalFsyncUs[] =
 inline constexpr char kServiceStageApplyUs[] =
     "service.stage.apply_us";                                       // Hist.
 // apply_us split by the engine's AddBatch stages (insert: conditioning,
-// keys and per-key inserts; scan: the window scans; union: pair set and
-// closure). Their times sum to apply_us's, less ValidateBatch; the six
+// keys and per-key inserts; scan: the window scans; union: closure and
+// pair log). Their times sum to apply_us's, less ValidateBatch; the six
 // stages above and below stay the decomposition of service.upsert_us.
 inline constexpr char kServiceStageInsertUs[] =
     "service.stage.insert_us";                                      // Hist.

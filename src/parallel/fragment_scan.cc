@@ -50,7 +50,7 @@ FragmentScanReport ScanFragments(const Dataset& dataset, size_t window,
     size_t job = 0;
     Fragment fragment;
     Status error;
-    std::vector<std::pair<TupleId, TupleId>> matches;
+    PairSet pairs;
     ScanStats stats;
     double busy_seconds = 0.0;
   };
@@ -72,9 +72,11 @@ FragmentScanReport ScanFragments(const Dataset& dataset, size_t window,
     span.AddArg("begin", static_cast<uint64_t>(task.fragment.begin));
     span.AddArg("end", static_cast<uint64_t>(task.fragment.end));
     std::unique_ptr<EquationalTheory> theory = theory_factory();
+    std::vector<uint64_t> matches;
     const ScanStats stats = WindowScanner(window).ScanRange(
         dataset, *jobs[task.job].order, task.fragment.begin,
-        task.fragment.fresh, task.fragment.end, *theory, &task.matches);
+        task.fragment.fresh, task.fragment.end, *theory, &matches);
+    task.pairs = PairSet(std::move(matches));  // Sorted here, on the pool.
     task.stats = stats;
     task.busy_seconds = busy.ElapsedSeconds();
     FlushScanStats(stats);
@@ -121,23 +123,23 @@ FragmentScanReport ScanFragments(const Dataset& dataset, size_t window,
   parallel_tasks->Add(tasks.size() - failed);
 
   {
-    // One task per job: its pairs in fragment order, the serial order.
+    // One task per job: its fragments' runs merged pairwise into one. A
+    // tid holds one position per order, so the runs are disjoint.
     Span span("pair-set-build");
     ParallelFor(
         jobs.size(), workers,
         [&](size_t begin, size_t end) {
           for (size_t j = begin; j < end; ++j) {
-            FragmentScanResult& job = report.jobs[j];
-            if (job.complete) job.pairs.Reserve(job.stats.matches);
-            for (size_t i = job_begin[j]; i < job_begin[j + 1]; ++i) {
-              if (job.complete) {
-                for (const auto& [a, b] : tasks[i].matches) {
-                  job.pairs.Add(a, b);
-                }
+            const size_t first = job_begin[j];
+            const size_t last = job_begin[j + 1];
+            if (!report.jobs[j].complete || first == last) continue;
+            for (size_t step = 1; first + step < last; step *= 2) {
+              for (size_t r = first; r + step < last; r += 2 * step) {
+                tasks[r].pairs.Merge(tasks[r + step].pairs);
+                tasks[r + step].pairs = PairSet();
               }
-              std::vector<std::pair<TupleId, TupleId>>().swap(
-                  tasks[i].matches);
             }
+            report.jobs[j].pairs = std::move(tasks[first].pairs);
           }
         },
         /*grain=*/1);

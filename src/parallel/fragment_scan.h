@@ -47,9 +47,8 @@ struct FragmentScanJob {
   std::vector<Fragment> fragments;
 };
 
-// A job's committed work. `pairs` holds the fragments' matches inserted in
-// fragment order, which is the serial scan's order; it stays empty unless
-// every fragment of the job succeeded.
+// A job's committed work. `pairs` holds the fragments' matches as one
+// sorted run; it stays empty unless every fragment of the job succeeded.
 struct FragmentScanResult {
   PairSet pairs;
   ScanStats stats;
@@ -66,15 +65,15 @@ struct FragmentScanReport {
 // Scans every fragment of every job with `window` on a pool of `workers`
 // threads (ParallelFor, util/thread_pool.h). Each fragment is one task
 // that runs exactly once, with its own theory from `theory_factory`. A
-// task that succeeds stores its matches and flushes its scan and rule
-// metrics; one that throws stores the error in its slot and flushes
-// nothing, so counters cover completed fragments only. A job is complete
-// only when all of its fragments succeeded; once every scan has finished,
-// each complete job's pair set is built as one task per job. A
-// scan is a deterministic function of the dataset and the theory, so a
-// failed fragment is not re-run: the call returns PartialFailure naming
-// every failed fragment as job:begin-end, with the first error in task
-// order, and MultiPass checkpoints the complete jobs' passes.
+// task that succeeds sorts its matches into a run and flushes its scan
+// and rule metrics; one that throws stores the error in its slot and
+// flushes nothing, so counters cover completed fragments only. A job is
+// complete only when all of its fragments succeeded; after the scans, one
+// task per complete job merges its runs into its pair set. A scan is a
+// deterministic function of the dataset and the theory, so a failed
+// fragment is not re-run: the call returns PartialFailure naming every
+// failed fragment as job:begin-end, with the first error in task order,
+// and MultiPass checkpoints the complete jobs' passes.
 FragmentScanReport ScanFragments(const Dataset& dataset, size_t window,
                                  const std::vector<FragmentScanJob>& jobs,
                                  const TheoryFactory& theory_factory,

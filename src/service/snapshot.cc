@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/checkpoint.h"
+#include "core/pair_set.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "util/coding.h"
@@ -34,11 +35,12 @@ std::string EncodeBody(uint64_t config_digest, const SnapshotState& state) {
   for (const Record& record : state.records.records()) {
     PutStringList(&body, record.fields());
   }
-  const auto pairs = state.pairs.ToSortedVector();
+  std::vector<uint64_t> pairs = state.pairs;
+  std::sort(pairs.begin(), pairs.end());
   PutU64(&body, pairs.size());
-  for (const auto& [lo, hi] : pairs) {
-    PutU32(&body, lo);
-    PutU32(&body, hi);
+  for (const uint64_t pair : pairs) {
+    PutU32(&body, PackedHigh(pair));
+    PutU32(&body, PackedLow(pair));
   }
   return body;
 }
@@ -79,14 +81,13 @@ Status DecodeBody(std::string_view body, const std::string& path,
   if (!GetU64(body, &pos, &pair_count)) {
     return Status::ParseError(path + ": truncated pair count");
   }
-  out->pairs.Reserve(pair_count);
   for (uint64_t p = 0; p < pair_count; ++p) {
     uint32_t lo = 0;
     uint32_t hi = 0;
     if (!GetU32(body, &pos, &lo) || !GetU32(body, &pos, &hi)) {
       return Status::ParseError(path + ": truncated pair");
     }
-    out->pairs.Add(lo, hi);
+    out->pairs.push_back(PackMatch(lo, hi));
   }
   if (pos != body.size()) {
     return Status::ParseError(path + ": trailing bytes after snapshot body");

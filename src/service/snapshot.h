@@ -2,7 +2,7 @@
 // be truncated and recovery is O(tail) instead of O(history).
 //
 // A snapshot serializes the engine's conditioned record store and its
-// discovered pair set as of applied sequence S. That pair is sufficient:
+// discovered pairs as of applied sequence S. That pair is sufficient:
 // IncrementalMergePurge::Restore rebuilds the per-key sorted orders by a
 // full sort (provably identical to the incrementally merged orders — the
 // comparator is a total order on (key, tuple id)) and the union-find
@@ -39,9 +39,9 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/merge_purge.h"
-#include "core/pair_set.h"
 #include "record/dataset.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
@@ -53,11 +53,13 @@ namespace mergepurge {
 // window, conditioning flags, and every KeySpecDigest).
 uint64_t EngineConfigDigest(const MergePurgeOptions& options);
 
-// A copy of the durable engine state at one applied sequence.
+// A copy of the durable engine state at one applied sequence. `pairs` is
+// the engine's pair log (IncrementalMergePurge::pairs()): the save sorts
+// a copy of it, and a load yields it in file order.
 struct SnapshotState {
   uint64_t seq = 0;
   Dataset records;
-  PairSet pairs;
+  std::vector<uint64_t> pairs;
 };
 
 std::string SnapshotFileName(uint64_t seq);

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -163,7 +164,7 @@ TEST_F(ScanFragmentsTest, CommitsEveryFragmentOnceWithoutFaults) {
   ASSERT_TRUE(report.status.ok()) << report.status.ToString();
   for (const FragmentScanResult& job : report.jobs) {
     EXPECT_TRUE(job.complete);
-    EXPECT_EQ(job.pairs.ToSortedVector(), serial_.ToSortedVector());
+    EXPECT_EQ(job.pairs.packed(), serial_.packed());
     EXPECT_EQ(job.stats.comparisons, serial_comparisons_);
   }
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
@@ -211,8 +212,7 @@ TEST_F(ScanFragmentsTest, ThrowingFragmentsExhaustAndAreNamed) {
   }
   EXPECT_TRUE(report.jobs[2].complete);
   EXPECT_FALSE(third_serial.empty());
-  EXPECT_EQ(report.jobs[2].pairs.ToSortedVector(),
-            third_serial.ToSortedVector());
+  EXPECT_EQ(report.jobs[2].pairs.packed(), third_serial.packed());
   // 18 of the poisoned jobs' 20 fragments succeed, and all 10 of the
   // third job's; only those flush their comparisons.
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
@@ -257,9 +257,7 @@ TEST_F(CheckpointTest, ManifestRoundTrips) {
   manifest.dataset_digest = 0x5678;
   manifest.pairs_file = PairsFileName(0);
   manifest.complete = true;
-  PairSet pairs;
-  pairs.Add(1, 2);
-  pairs.Add(3, 9);
+  const PairSet pairs(std::vector<uint64_t>{PackMatch(1, 2), PackMatch(9, 3)});
   ASSERT_TRUE(WritePassCheckpoint(dir(), 0, manifest, pairs).ok());
 
   auto read = ReadPassManifest(dir(), 0);
@@ -279,6 +277,26 @@ TEST_F(CheckpointTest, ManifestRoundTrips) {
   }
   EXPECT_EQ(ReadPassManifest(dir(), 1).status().code(),
             StatusCode::kNotFound);
+}
+
+TEST_F(CheckpointTest, PairFileLinesAreStrict) {
+  const std::string path = dir() + "/pairs.mpp";
+  auto read = [&path](const std::string& lines) {
+    std::ofstream(path, std::ios::binary) << "MPP1\n" << lines;
+    return ReadPairSetFile(path, 10);
+  };
+  // Any line order, repeated lines and blank lines.
+  Result<PairSet> unordered = read("3 9\n1 2\n\n3 9\n");
+  ASSERT_TRUE(unordered.ok()) << unordered.status().ToString();
+  EXPECT_EQ(unordered->packed(),
+            (std::vector<uint64_t>{PackMatch(1, 2), PackMatch(3, 9)}));
+  // Exactly two decimal ids, lo < hi, with one space between them.
+  for (const char* line :
+       {"4294967297 5\n", "1 2 junk\n", "+1 2\n", "1  2\n", "1\n",
+        "2 1\n", "1 -2\n", " 1 2\n"}) {
+    EXPECT_EQ(read(line).status().code(), StatusCode::kParseError) << line;
+  }
+  EXPECT_EQ(read("1 10\n").status().code(), StatusCode::kOutOfRange);
 }
 
 TEST_F(CheckpointTest, SecondRunResumesEveryPass) {

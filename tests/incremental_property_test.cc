@@ -76,7 +76,8 @@ TEST_P(IncrementalPropertyTest, ComponentsEqualOfflineClosureOfPairs) {
     ASSERT_TRUE(engine.AddBatch(batch, theory_).ok());
   }
   auto incremental = engine.ComponentLabels();
-  auto offline = TransitiveClosure(engine.pairs(), engine.size());
+  const PairSet pairs(engine.pairs());
+  auto offline = TransitiveClosure({&pairs}, engine.size());
   ASSERT_EQ(incremental.size(), offline.size());
   // Same partition (labels may differ; co-membership must not).
   for (size_t i = 0; i < incremental.size(); i += 3) {
@@ -126,6 +127,7 @@ NaiveBatch ScanBatchNaively(const Dataset& records,
                             const EquationalTheory& theory) {
   const size_t w = options.window;
   NaiveBatch batch;
+  std::vector<uint64_t> matches;
   for (const KeySpec& spec : options.keys) {
     const KeyBuilder builder(spec);
     std::vector<std::pair<std::string, TupleId>> sorted;
@@ -151,11 +153,12 @@ NaiveBatch ScanBatchNaively(const Dataset& records,
         ++batch.comparisons;
         if (theory.Matches(records.record(a), records.record(b))) {
           ++batch.matches;
-          batch.pairs.Add(a, b);
+          matches.push_back(PackMatch(a, b));
         }
       }
     }
   }
+  batch.pairs = PairSet(std::move(matches));
   return batch;
 }
 
@@ -244,9 +247,9 @@ TEST(IncrementalOracleTest, EveryBatchMakesExactlyTheNaivePairs) {
         EXPECT_LT(naive.entering, IncrementalMergePurge::kPooledScanPositions);
       }
       uint64_t new_pairs = 0;
-      for (const auto& [a, b] : naive.pairs.ToSortedVector()) {
+      naive.pairs.ForEach([&](TupleId a, TupleId b) {
         if (!expected.Contains(a, b)) ++new_pairs;
-      }
+      });
       EXPECT_EQ(*added, new_pairs) << "batch [" << begin << ", " << end << ")";
       EXPECT_EQ(RulesFiredTotal() - fired_before, naive.matches)
           << "batch [" << begin << ", " << end << ")";
@@ -265,7 +268,10 @@ TEST(IncrementalOracleTest, EveryBatchMakesExactlyTheNaivePairs) {
       expected.Merge(naive.pairs);
       ASSERT_EQ(theory.comparison_count() - before, naive.comparisons)
           << "batch [" << begin << ", " << end << ")";
-      ASSERT_EQ(engine.pairs().ToSortedVector(), expected.ToSortedVector())
+      // The log holds each pair once: sorted, it is the expected run.
+      std::vector<uint64_t> logged = engine.pairs();
+      std::sort(logged.begin(), logged.end());
+      ASSERT_EQ(logged, expected.packed())
           << "batch [" << begin << ", " << end << ")";
       begin = end;
     }
@@ -314,9 +320,10 @@ TEST(IncrementalOracleTest, ProbeMatchesOldSideOfSingletonBatch) {
       before = theory.comparison_count();
       ASSERT_TRUE(copy.AddBatch(singleton, theory).ok());
       EXPECT_LE(probe_comparisons, theory.comparison_count() - before);
+      const PairSet copy_pairs(copy.pairs());
       std::vector<TupleId> old_side;
       for (TupleId t = 0; t < probe_tid; ++t) {
-        if (copy.pairs().Contains(t, probe_tid)) old_side.push_back(t);
+        if (copy_pairs.Contains(t, probe_tid)) old_side.push_back(t);
       }
       EXPECT_EQ(probed->matches, old_side);
       matched += old_side.size();

@@ -66,9 +66,8 @@ TEST(MetricsTest, PartialDetection) {
 
 TEST(MetricsTest, EvaluatePairSetClosesFirst) {
   GroundTruth truth = MakeTruth();
-  PairSet pairs;
-  pairs.Add(2, 3);
-  pairs.Add(3, 4);  // Closure implies (2,4): full size-3 cluster found.
+  // Closure implies (2,4): full size-3 cluster found.
+  const PairSet pairs(std::vector<uint64_t>{PackMatch(2, 3), PackMatch(3, 4)});
   AccuracyReport report = EvaluatePairSet(pairs, 6, truth);
   EXPECT_EQ(report.true_positives, 3u);
   EXPECT_EQ(report.false_positives, 0u);

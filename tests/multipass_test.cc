@@ -25,11 +25,9 @@ namespace mergepurge {
 namespace {
 
 TEST(TransitiveClosureTest, ClosesChains) {
-  PairSet pairs;
-  pairs.Add(0, 1);
-  pairs.Add(1, 2);
-  pairs.Add(4, 5);
-  auto labels = TransitiveClosure(pairs, 6);
+  const PairSet pairs(
+      std::vector<uint64_t>{PackMatch(0, 1), PackMatch(1, 2), PackMatch(4, 5)});
+  auto labels = TransitiveClosure({&pairs}, 6);
   EXPECT_EQ(labels[0], labels[1]);
   EXPECT_EQ(labels[1], labels[2]);
   EXPECT_EQ(labels[4], labels[5]);
@@ -38,28 +36,26 @@ TEST(TransitiveClosureTest, ClosesChains) {
 }
 
 TEST(TransitiveClosureTest, UnionAcrossPassResults) {
-  PairSet a, b;
-  a.Add(0, 1);
-  b.Add(1, 2);
+  const PairSet a(std::vector<uint64_t>{PackMatch(0, 1)});
+  const PairSet b(std::vector<uint64_t>{PackMatch(1, 2)});
   auto labels = TransitiveClosure({&a, &b}, 4);
   EXPECT_EQ(labels[0], labels[2]);
   EXPECT_NE(labels[0], labels[3]);
 }
 
 TEST(TransitiveClosureTest, IdempotentOnClosedSets) {
-  PairSet pairs;
-  pairs.Add(0, 1);
-  pairs.Add(0, 2);
-  pairs.Add(1, 2);
-  auto once = TransitiveClosure(pairs, 3);
+  const PairSet pairs(
+      std::vector<uint64_t>{PackMatch(0, 1), PackMatch(0, 2), PackMatch(1, 2)});
+  auto once = TransitiveClosure({&pairs}, 3);
   // Re-running with pairs implied by the closure changes nothing.
-  PairSet closed;
+  std::vector<uint64_t> closed;
   for (TupleId i = 0; i < 3; ++i) {
     for (TupleId j = i + 1; j < 3; ++j) {
-      if (once[i] == once[j]) closed.Add(i, j);
+      if (once[i] == once[j]) closed.push_back(PackMatch(i, j));
     }
   }
-  auto twice = TransitiveClosure(closed, 3);
+  const PairSet closed_pairs(std::move(closed));
+  auto twice = TransitiveClosure({&closed_pairs}, 3);
   for (size_t i = 0; i < 3; ++i) {
     for (size_t j = 0; j < 3; ++j) {
       EXPECT_EQ(once[i] == once[j], twice[i] == twice[j]);
@@ -118,7 +114,7 @@ TEST_F(MultiPassTest, UnionPairCountEqualsBruteForceUnion) {
   std::set<std::pair<TupleId, TupleId>> all;
   size_t summed = 0;
   for (const PassResult& pass : result->passes) {
-    for (const auto& pair : pass.pairs.ToSortedVector()) all.insert(pair);
+    pass.pairs.ForEach([&all](TupleId a, TupleId b) { all.emplace(a, b); });
     summed += pass.pairs.size();
   }
   EXPECT_EQ(result->union_pair_count, all.size());
@@ -248,8 +244,7 @@ Dataset ConditionedDatabase(uint64_t seed) {
 void ExpectSameResult(const MultiPassResult& got, const MultiPassResult& want) {
   ASSERT_EQ(got.passes.size(), want.passes.size());
   for (size_t i = 0; i < got.passes.size(); ++i) {
-    EXPECT_EQ(got.passes[i].pairs.ToSortedVector(),
-              want.passes[i].pairs.ToSortedVector())
+    EXPECT_EQ(got.passes[i].pairs.packed(), want.passes[i].pairs.packed())
         << "pass " << i;
   }
   EXPECT_EQ(got.component_of, want.component_of);

@@ -3,6 +3,8 @@
 
 #include <memory>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,16 +26,19 @@ PassResult NaiveAllPairs(const Dataset& dataset,
                          const EquationalTheory& theory) {
   PassResult result;
   const size_t n = dataset.size();
+  std::vector<uint64_t> matches;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
       ++result.comparisons;
       if (theory.Matches(dataset.record(static_cast<TupleId>(i)),
                          dataset.record(static_cast<TupleId>(j)))) {
         ++result.matches;
-        result.pairs.Add(static_cast<TupleId>(i), static_cast<TupleId>(j));
+        matches.push_back(PackMatch(static_cast<TupleId>(i),
+                                    static_cast<TupleId>(j)));
       }
     }
   }
+  result.pairs = PairSet(std::move(matches));
   return result;
 }
 
@@ -114,7 +119,7 @@ TEST(WindowScannerTest, WindowTooSmallOrEmptyRangeIsNoop) {
   PairSet pairs;
   EXPECT_EQ(WindowScanner(1).Scan(d, order, theory, &pairs).comparisons,
             0u);
-  std::vector<std::pair<TupleId, TupleId>> matches;
+  std::vector<uint64_t> matches;
   EXPECT_EQ(WindowScanner(3)
                 .ScanRange(d, order, 1, 1, 1, theory, &matches)
                 .comparisons,

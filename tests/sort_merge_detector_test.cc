@@ -37,6 +37,7 @@ NaiveDetection DetectNaively(const Dataset& d, const KeySpec& key,
   std::vector<std::vector<TupleId>> runs;
   for (TupleId t = 0; t < d.size(); ++t) runs.push_back({t});
   NaiveDetection out;
+  std::vector<uint64_t> matches;
   while (runs.size() > 1) {
     std::vector<std::vector<TupleId>> next;
     for (size_t r = 0; r + 1 < runs.size(); r += 2) {
@@ -55,7 +56,9 @@ NaiveDetection DetectNaively(const Dataset& d, const KeySpec& key,
           const TupleId a = merged[j].second;
           if (left.count(a) == left.count(b)) continue;
           ++out.comparisons;
-          if (theory.Matches(d.record(a), d.record(b))) out.pairs.Add(a, b);
+          if (theory.Matches(d.record(a), d.record(b))) {
+            matches.push_back(PackMatch(a, b));
+          }
         }
         tids.push_back(b);
       }
@@ -64,6 +67,7 @@ NaiveDetection DetectNaively(const Dataset& d, const KeySpec& key,
     if (runs.size() % 2 == 1) next.push_back(std::move(runs.back()));
     runs = std::move(next);
   }
+  out.pairs = PairSet(std::move(matches));
   return out;
 }
 
@@ -96,7 +100,7 @@ TEST_P(SortMergeDetectorTest, EqualsNaiveCrossRunScan) {
       DetectNaively(dataset_, LastNameKey(), w, naive_theory);
   EXPECT_EQ(detector->comparisons, naive.comparisons);
   EXPECT_EQ(detector->matches, naive.pairs.size());
-  EXPECT_EQ(detector->pairs.ToSortedVector(), naive.pairs.ToSortedVector());
+  EXPECT_EQ(detector->pairs.packed(), naive.pairs.packed());
 }
 
 TEST_P(SortMergeDetectorTest, SupersetOfClassicSnm) {

@@ -283,7 +283,7 @@ size_t CheckBlockScan(const Dataset& dataset,
                       size_t begin, size_t fresh, size_t end,
                       const RuleProgram& program) {
   RecordingTheory scanned(program);
-  std::vector<std::pair<TupleId, TupleId>> matches;
+  std::vector<uint64_t> matches;
   const ScanStats stats = WindowScanner(window).ScanRange(
       dataset, order, begin, fresh, end, scanned, &matches);
   const RuleProgram reference(program);
@@ -317,7 +317,7 @@ size_t CheckBlockScan(const Dataset& dataset,
         ++fired;
         EXPECT_LT(m, matches.size());
         if (m < matches.size()) {
-          EXPECT_EQ(matches[m], std::make_pair(order[j], order[i]));
+          EXPECT_EQ(matches[m], PackMatch(order[j], order[i]));
         }
         ++m;
       }

@@ -1,5 +1,8 @@
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -121,54 +124,93 @@ TEST_P(UnionFindPropertyTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, UnionFindPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-TEST(PairSetTest, AddAndContains) {
-  PairSet pairs;
-  EXPECT_TRUE(pairs.Add(3, 7));
-  EXPECT_FALSE(pairs.Add(7, 3));  // Unordered: same pair.
+TEST(PairSetTest, ConstructorOrientsAndDeduplicates) {
+  const PairSet pairs(
+      std::vector<uint64_t>{PackMatch(3, 7), PackMatch(7, 3)});
+  EXPECT_EQ(pairs.size(), 1u);  // Unordered: the same pair.
   EXPECT_TRUE(pairs.Contains(3, 7));
   EXPECT_TRUE(pairs.Contains(7, 3));
   EXPECT_FALSE(pairs.Contains(3, 8));
-  EXPECT_EQ(pairs.size(), 1u);
 }
 
-TEST(PairSetTest, SelfPairsIgnored) {
-  PairSet pairs;
-  EXPECT_FALSE(pairs.Add(5, 5));
+TEST(PairSetTest, SelfPairsDropped) {
+  const PairSet pairs(std::vector<uint64_t>{PackMatch(5, 5)});
   EXPECT_FALSE(pairs.Contains(5, 5));
   EXPECT_TRUE(pairs.empty());
 }
 
 TEST(PairSetTest, MergeUnions) {
-  PairSet a, b;
-  a.Add(1, 2);
-  b.Add(2, 3);
-  b.Add(1, 2);
+  PairSet a(std::vector<uint64_t>{PackMatch(1, 2)});
+  const PairSet b(std::vector<uint64_t>{PackMatch(2, 3), PackMatch(1, 2)});
   a.Merge(b);
   EXPECT_EQ(a.size(), 2u);
   EXPECT_TRUE(a.Contains(2, 3));
 }
 
-TEST(PairSetTest, ToSortedVectorIsSortedAndNormalized) {
-  PairSet pairs;
-  pairs.Add(9, 1);
-  pairs.Add(2, 3);
-  pairs.Add(0, 5);
-  auto v = pairs.ToSortedVector();
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0], std::make_pair(TupleId{0}, TupleId{5}));
-  EXPECT_EQ(v[1], std::make_pair(TupleId{1}, TupleId{9}));
-  EXPECT_EQ(v[2], std::make_pair(TupleId{2}, TupleId{3}));
-  for (const auto& [lo, hi] : v) EXPECT_LT(lo, hi);
+TEST(PairSetTest, PackedIsSortedAndNormalized) {
+  const PairSet pairs(std::vector<uint64_t>{
+      PackMatch(9, 1), PackMatch(2, 3), PackMatch(0, 5)});
+  EXPECT_EQ(pairs.packed(),
+            (std::vector<uint64_t>{PackMatch(0, 5), PackMatch(1, 9),
+                                   PackMatch(2, 3)}));
 }
 
-TEST(PairSetTest, ForEachVisitsAll) {
-  PairSet pairs;
-  pairs.Add(1, 2);
-  pairs.Add(3, 4);
-  std::set<std::pair<TupleId, TupleId>> seen;
-  pairs.ForEach([&seen](TupleId a, TupleId b) { seen.emplace(a, b); });
-  EXPECT_EQ(seen.size(), 2u);
+TEST(PairSetTest, ForEachVisitsAllInAscendingOrder) {
+  const PairSet pairs(std::vector<uint64_t>{PackMatch(4, 3), PackMatch(1, 2)});
+  std::vector<std::pair<TupleId, TupleId>> seen;
+  pairs.ForEach([&seen](TupleId a, TupleId b) { seen.emplace_back(a, b); });
+  EXPECT_EQ(seen, (std::vector<std::pair<TupleId, TupleId>>{{1, 2}, {3, 4}}));
 }
+
+// Construction, Merge, Contains and ForEach against a std::set
+// of (lo, hi) pairs, over random matches in a small id range, so repeats,
+// both orientations and self-pairs all occur.
+class PairSetPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PairSetPropertyTest, MatchesSetOracle) {
+  using Oracle = std::set<std::pair<TupleId, TupleId>>;
+  constexpr TupleId kIds = 40;
+  Rng rng(GetParam());
+  auto random_matches = [&rng](Oracle* oracle) {
+    std::vector<uint64_t> matches;
+    const size_t count = rng.NextBounded(300);
+    for (size_t i = 0; i < count; ++i) {
+      const TupleId a = static_cast<TupleId>(rng.NextBounded(kIds));
+      const TupleId b = static_cast<TupleId>(rng.NextBounded(kIds));
+      matches.push_back(PackMatch(a, b));
+      if (a != b) oracle->emplace(std::min(a, b), std::max(a, b));
+    }
+    return matches;
+  };
+  auto expect_equal = [](const PairSet& pairs, const Oracle& oracle) {
+    std::vector<std::pair<TupleId, TupleId>> seen;
+    pairs.ForEach([&seen](TupleId a, TupleId b) { seen.emplace_back(a, b); });
+    EXPECT_EQ(seen, (std::vector<std::pair<TupleId, TupleId>>(
+                        oracle.begin(), oracle.end())));
+    EXPECT_EQ(pairs.size(), oracle.size());
+    for (TupleId a = 0; a < kIds; ++a) {
+      for (TupleId b = 0; b < kIds; ++b) {
+        EXPECT_EQ(pairs.Contains(a, b),
+                  oracle.count({std::min(a, b), std::max(a, b)}) == 1)
+            << a << " " << b;
+      }
+    }
+  };
+  Oracle oracle_a;
+  Oracle oracle_b;
+  PairSet a(random_matches(&oracle_a));
+  const PairSet b(random_matches(&oracle_b));
+  expect_equal(a, oracle_a);
+  expect_equal(b, oracle_b);
+  a.Merge(PairSet());
+  expect_equal(a, oracle_a);
+  a.Merge(b);
+  oracle_a.insert(oracle_b.begin(), oracle_b.end());
+  expect_equal(a, oracle_a);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PairSetPropertyTest,
+                         ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace
 }  // namespace mergepurge

@@ -69,7 +69,7 @@ TEST_P(BandInvariantTest, OverlappingFragmentsReproduceGlobalScan) {
 
   // Fragments compare each pair once: the bands are context only, so the
   // matches list has no repeats and the counts equal the global scan's.
-  std::vector<std::pair<TupleId, TupleId>> matches;
+  std::vector<uint64_t> matches;
   ScanStats stats;
   for (const Fragment& fragment : MakeOverlappingFragments(n, p, w)) {
     stats += scanner.ScanRange(d, order, fragment.begin, fragment.fresh,
@@ -79,8 +79,7 @@ TEST_P(BandInvariantTest, OverlappingFragmentsReproduceGlobalScan) {
   EXPECT_EQ(stats.comparisons, global_stats.comparisons);
   EXPECT_EQ(stats.matches, global_stats.matches);
   EXPECT_EQ(matches.size(), global.size());
-  PairSet fragmented;
-  for (const auto& [a, b] : matches) fragmented.Add(a, b);
+  const PairSet fragmented(matches);
   EXPECT_EQ(fragmented.size(), global.size())
       << "n=" << n << " w=" << w << " p=" << p;
   global.ForEach([&](TupleId a, TupleId b) {

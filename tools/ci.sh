@@ -36,6 +36,14 @@ run_suite() {
 
 run_suite "${root}/build" "" -DMERGEPURGE_SANITIZE="" \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
+# Build, without running, the benchmark's programs against that library
+# as perfbench/run.py does, so an API change that breaks them fails here.
+echo "=== build perfbench programs (not run) ==="
+cmake -S "${root}/perfbench" -B "${root}/build-perfbench" \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMERGEPURGE_ROOT="${root}" \
+  -DMERGEPURGE_LIBRARY="${root}/build/src/libmergepurge.a"
+cmake --build "${root}/build-perfbench" -j "${jobs}" \
+  --target perfbench_e2e perfbench_trace
 run_suite "${root}/build-san" "" "-DMERGEPURGE_SANITIZE=address;undefined"
 # TSan is incompatible with ASan, so it gets its own tree; run the suites
 # that exercise threads (the cross-path contract, the fragment scan, the

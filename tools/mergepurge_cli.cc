@@ -313,7 +313,7 @@ int main(int argc, char** argv) {
       combined_pairs.Merge(*stored);
     }
     result->component_of =
-        TransitiveClosure(combined_pairs, combined.size());
+        TransitiveClosure({&combined_pairs}, combined.size());
   }
 
   // --- Purge (with the rules file's merge directives) and write. ---
@@ -389,16 +389,6 @@ int main(int argc, char** argv) {
     Status report_write = run_report.WriteToFile(metrics_path);
     if (!report_write.ok()) return Fail(report_write.ToString());
     std::fprintf(stderr, "wrote run report to %s\n", metrics_path.c_str());
-  }
-  {
-    Span span("release");
-    std::vector<PassResult>& passes = result->detail.passes;
-    ParallelFor(
-        passes.size(), AvailableCpus(),
-        [&passes](size_t begin, size_t end) {
-          for (size_t p = begin; p < end; ++p) passes[p].pairs = PairSet();
-        },
-        /*grain=*/1);
   }
   if (args.Has("trace-out")) {
     std::string trace_path = args.GetString("trace-out", "");

@@ -109,9 +109,9 @@ std::string FirstDifference(const IncrementalMergePurge& a,
       }
     }
   }
-  const auto pa = a.pairs().ToSortedVector();
-  const auto pb = b.pairs().ToSortedVector();
-  if (pa != pb) {
+  const PairSet pa(a.pairs());
+  const PairSet pb(b.pairs());
+  if (pa.packed() != pb.packed()) {
     return StringPrintf("pair sets differ: recovery=%zu replay=%zu pairs",
                         pa.size(), pb.size());
   }
