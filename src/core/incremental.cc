@@ -108,7 +108,8 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
   // record, so the tasks' matches in task order are the serial scan's.
   // Below kPooledScanPositions the tasks run on the calling thread with
   // `theory`; above it, on the pool, each with its own clone, which
-  // flushes its rule metrics and hands its comparison count to `theory`.
+  // flushes its rule metrics; the clones' comparisons are then added to
+  // `theory`. The tasks' scan stats reach the snm.* counters once.
   std::vector<size_t> task_begin = {0};
   for (size_t k = 0, load = 0; k < pieces.size(); ++k) {
     load += pieces[k].end - pieces[k].fresh;
@@ -118,11 +119,12 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
     }
   }
   std::vector<std::vector<uint64_t>> matches(task_begin.size() - 1);
+  std::vector<ScanStats> task_stats(matches.size());
   auto scan = [&](size_t task, const EquationalTheory& task_theory) {
     for (size_t k = task_begin[task]; k < task_begin[task + 1]; ++k) {
       const ScanPiece& piece = pieces[k];
       const std::vector<TupleId>& order = key_states_[piece.key].order;
-      ScanWindows(
+      task_stats[task] += ScanWindows(
           w, piece.begin, piece.fresh, piece.end, task_theory,
           [&](size_t p) -> const Record& { return all_.record(order[p]); },
           [&](size_t j, size_t i) {
@@ -133,10 +135,10 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
           });
     }
   };
-  if (entering < kPooledScanPositions) {
+  const bool pooled = entering >= kPooledScanPositions;
+  if (!pooled) {
     for (size_t task = 0; task < matches.size(); ++task) scan(task, theory);
   } else {
-    std::vector<uint64_t> comparisons(matches.size(), 0);
     ParallelFor(
         matches.size(), AvailableCpus(),
         [&](size_t begin, size_t end) {
@@ -144,14 +146,14 @@ Result<uint64_t> IncrementalMergePurge::AddBatch(
             const std::unique_ptr<EquationalTheory> clone = theory.Clone();
             scan(task, *clone);
             clone->FlushMetrics();
-            comparisons[task] = clone->comparison_count();
           }
         },
         /*grain=*/1);
-    uint64_t total = 0;
-    for (uint64_t c : comparisons) total += c;
-    theory.AddComparisons(total);
   }
+  ScanStats batch_stats;
+  for (const ScanStats& stats : task_stats) batch_stats += stats;
+  if (pooled) theory.AddComparisons(batch_stats.comparisons);
+  FlushScanStats(batch_stats);
   stage_times_.scan_us = stage_timer.ElapsedMicros();
   stage_timer.Restart();
 
@@ -257,6 +259,7 @@ Result<ProbeResult> IncrementalMergePurge::MatchOnly(
            result.matches.end();
   };
   const TupleId probe_tid = static_cast<TupleId>(all_.size());
+  ScanStats stats;
   // Every key was validated against the store's schema when it was filled.
   for (const KeyState& state : key_states_) {
     // The probe's slot p in the order it would join, as AddBatch would
@@ -265,7 +268,7 @@ Result<ProbeResult> IncrementalMergePurge::MatchOnly(
     const size_t p = InsertionPoint(state.keys, order,
                                     state.builder.BuildKey(probe), probe_tid);
     auto tid_at = [&](size_t q) { return order[q < p ? q : q - 1]; };
-    ScanWindows(
+    stats += ScanWindows(
         w, p >= w - 1 ? p - (w - 1) : 0, p, std::min(order.size() + 1, p + w),
         theory,
         [&](size_t q) -> const Record& {
@@ -278,6 +281,7 @@ Result<ProbeResult> IncrementalMergePurge::MatchOnly(
           result.matches.push_back(tid_at(j == p ? i : j));
         });
   }
+  FlushScanStats(stats);
   std::sort(result.matches.begin(), result.matches.end());
   return result;
 }

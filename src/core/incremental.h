@@ -89,7 +89,8 @@ class IncrementalMergePurge {
 
   // Merges a new batch of records (same schema as previous batches).
   // Returns the number of NEW matching pairs discovered. All-or-nothing:
-  // a batch that fails ValidateBatch leaves the engine as it was.
+  // a batch that fails ValidateBatch leaves the engine as it was. The
+  // batch's scans are added to the snm.* counters once (FlushScanStats).
   Result<uint64_t> AddBatch(const Dataset& batch,
                             const EquationalTheory& theory);
 
@@ -119,8 +120,10 @@ class IncrementalMergePurge {
   // would, finds its would-be position in every key's sorted order, and
   // window-scans the neighborhoods it would disturb, with the probe as a
   // virtual position — without copying the record into the store or
-  // touching any engine state. The tuple ids returned are exactly the old-record side of the pairs AddBatch would
-  // discover for a singleton batch of `record`.
+  // touching any engine state. The tuple ids returned are exactly the
+  // old-record side of the pairs AddBatch would discover for a singleton
+  // batch of `record`. The probe's scans are added to the snm.* counters
+  // once.
   //
   // Thread-safety: concurrent MatchOnly calls are safe provided no
   // AddBatch runs concurrently (single-writer / multi-reader; the service

@@ -33,8 +33,9 @@ struct ScanStats {
   }
 };
 
-// Adds `stats` to the global snm.* counters, once per completed scan or
-// fragment. Kept out of the scan loop: the loop accumulates plain locals.
+// Adds `stats` to the global snm.* counters, once per completed scan,
+// fragment, incremental batch or probe. Kept out of the scan loop: the
+// loop accumulates plain locals.
 void FlushScanStats(const ScanStats& stats);
 
 class WindowScanner {

@@ -12,18 +12,16 @@
 
 namespace mergepurge {
 
-class MetricsRegistry;
-
 namespace metric_names {
 
 // --- Generator (src/gen). ---
 inline constexpr char kGenRecords[] = "gen.records";
 inline constexpr char kGenDuplicates[] = "gen.duplicates";
 
-// --- Window scan / SNM merge phase (both methods, serial + parallel).
-// Counts COMMITTED work only: a fragment flushes when its scan succeeds,
-// and a fragment whose scan throws flushes nothing (see
-// docs/observability.md). ---
+// --- Window scan / SNM merge phase (both methods, serial + parallel,
+// and the incremental engine's batches and probes). Counts COMMITTED
+// work only: a fragment flushes when its scan succeeds, and a fragment
+// whose scan throws flushes nothing (see docs/observability.md). ---
 inline constexpr char kSnmWindows[] = "snm.windows";
 inline constexpr char kSnmComparisons[] = "snm.comparisons";
 inline constexpr char kSnmMatches[] = "snm.matches";
@@ -178,12 +176,6 @@ inline constexpr char kCoordGlobalEntities[] =
     "coord.global_entities";                                     // Gauge.
 
 }  // namespace metric_names
-
-// Registers every catalogued fixed-name metric in `registry` so snapshots
-// and run reports always contain the full key set, zero-valued when a
-// stage never ran (e.g. checkpoint.loads in a run without --resume).
-// RunReport calls this on construction; tests call it directly.
-void PreregisterStandardMetrics(MetricsRegistry& registry);
 
 }  // namespace mergepurge
 

@@ -94,6 +94,35 @@ std::vector<double> LatencyHistogram::LatencyBounds() {
   return bounds;
 }
 
+double HistogramQuantile(const HistogramSnapshot& histogram, double q) {
+  if (histogram.count == 0 || histogram.counts.empty()) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  double target = q * static_cast<double>(histogram.count);
+  double cumulative = 0.0;
+  for (size_t i = 0; i < histogram.counts.size(); ++i) {
+    double in_bucket = static_cast<double>(histogram.counts[i]);
+    if (in_bucket == 0.0) continue;
+    if (cumulative + in_bucket < target) {
+      cumulative += in_bucket;
+      continue;
+    }
+    if (i >= histogram.bounds.size()) {
+      // Overflow bucket: unbounded above, report the last finite bound.
+      return histogram.bounds.back();
+    }
+    double lower = i == 0 ? 0.0 : histogram.bounds[i - 1];
+    double upper = histogram.bounds[i];
+    double fraction =
+        std::clamp((target - cumulative) / in_bucket, 0.0, 1.0);
+    if (lower > 0.0 && upper > lower) {
+      // Geometric interpolation matches the log-spaced bucket scale.
+      return lower * std::pow(upper / lower, fraction);
+    }
+    return lower + fraction * (upper - lower);
+  }
+  return histogram.bounds.back();
+}
+
 uint64_t MetricsSnapshot::counter(std::string_view name) const {
   auto it = counters.find(std::string(name));
   return it == counters.end() ? 0 : it->second;
@@ -119,18 +148,9 @@ JsonValue MetricsSnapshot::ToJson() const {
     JsonValue h = JsonValue::Object();
     h.Set("count", JsonValue(histogram.count));
     h.Set("sum", JsonValue(histogram.sum));
-    JsonValue buckets = JsonValue::Array();
-    for (size_t i = 0; i < histogram.counts.size(); ++i) {
-      JsonValue bucket = JsonValue::Object();
-      if (i < histogram.bounds.size()) {
-        bucket.Set("le", JsonValue(histogram.bounds[i]));
-      } else {
-        bucket.Set("le", JsonValue("+inf"));
-      }
-      bucket.Set("count", JsonValue(histogram.counts[i]));
-      buckets.Append(std::move(bucket));
-    }
-    h.Set("buckets", std::move(buckets));
+    h.Set("p50", JsonValue(HistogramQuantile(histogram, 0.50)));
+    h.Set("p90", JsonValue(HistogramQuantile(histogram, 0.90)));
+    h.Set("p99", JsonValue(HistogramQuantile(histogram, 0.99)));
     histograms_json.Set(name, std::move(h));
   }
   out.Set("histograms", std::move(histograms_json));

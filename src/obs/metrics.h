@@ -101,6 +101,14 @@ struct HistogramSnapshot {
   double sum = 0.0;
 };
 
+// Quantile estimate from bucket counts, q in [0, 1]. Interpolates
+// within the selected bucket — geometrically when the bucket's bounds
+// are positive (matching the log-spaced LatencyBounds scale), linearly
+// otherwise. The overflow bucket has no upper bound, so a rank landing
+// there reports the last finite bound (a floor, not an estimate).
+// Returns 0 for an empty histogram.
+double HistogramQuantile(const HistogramSnapshot& histogram, double q);
+
 // A fixed-bucket histogram (bounds immutable after construction, so
 // Record never allocates or locks).
 class LatencyHistogram {
@@ -148,11 +156,13 @@ struct MetricsSnapshot {
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 
-  // Value of a counter, 0 when absent (absent and zero are
-  // indistinguishable on purpose: catalogued metrics are pre-registered).
+  // Value of a counter, 0 when absent. A snapshot lists only the metrics
+  // registered by code that ran, so absent reads as zero.
   uint64_t counter(std::string_view name) const;
 
-  // {"counters": {...}, "gauges": {...}, "histograms": {...}}.
+  // {"counters": {...}, "gauges": {...}, "histograms": {...}}, each
+  // histogram as {count, sum, p50, p90, p99} (HistogramQuantile). The one
+  // serializer of a snapshot: run reports and the stats reply use it.
   JsonValue ToJson() const;
 };
 

@@ -3,59 +3,9 @@
 #include <fstream>
 
 #include "core/multipass.h"
-#include "obs/metric_names.h"
 #include "util/string_util.h"
 
 namespace mergepurge {
-
-void PreregisterStandardMetrics(MetricsRegistry& registry) {
-  namespace mn = metric_names;
-  for (const char* name :
-       {mn::kGenRecords, mn::kGenDuplicates, mn::kSnmWindows,
-        mn::kSnmComparisons, mn::kSnmMatches, mn::kSnmPasses,
-        mn::kRulesDistanceCalls, mn::kRulesEarlyExits, mn::kClosureUnions,
-        mn::kClosureUnionCalls, mn::kClosurePathCompressions,
-        mn::kParallelTasks, mn::kFaultsTripped,
-        mn::kCheckpointSaves, mn::kCheckpointLoads,
-        mn::kCheckpointInvalidations,
-        mn::kServiceConnections, mn::kServiceConnectionsRejected,
-        mn::kServiceRequests, mn::kServiceMatchRequests,
-        mn::kServiceUpsertRequests, mn::kServiceUpsertRecords,
-        mn::kServiceErrors, mn::kServiceBatches, mn::kServiceWalAppends,
-        mn::kServiceWalFsyncs, mn::kServiceWalBytes,
-        mn::kServiceWalSegmentsRemoved, mn::kServiceSnapshotSaves,
-        mn::kServiceSnapshotFailures, mn::kServiceRecoveryBatchesReplayed,
-        mn::kServiceRecoveryRecordsReplayed,
-        mn::kServiceRecoveryTruncatedBytes, mn::kServiceClientRetries,
-        mn::kCoordRouteRecords, mn::kCoordReplicaRecords,
-        mn::kCoordShardRetries}) {
-    registry.GetCounter(name);
-  }
-  for (const char* name :
-       {mn::kSnmScanUs, mn::kSnmSortUs, mn::kClosureUs,
-        mn::kServiceRequestUs, mn::kServiceMatchUs, mn::kServiceUpsertUs, mn::kServiceQueueWaitUs,
-        mn::kServiceClientRequestUs, mn::kServiceClientMatchUs,
-        mn::kServiceClientUpsertUs, mn::kServiceWalAppendUs,
-        mn::kServiceSnapshotWriteUs, mn::kServiceRecoveryUs,
-        mn::kServiceStageQueueWaitUs, mn::kServiceStageWalAppendUs,
-        mn::kServiceStageWalFsyncUs, mn::kServiceStageApplyUs,
-        mn::kServiceStageLabelRebuildUs, mn::kServiceStageAckUs,
-        mn::kCoordFanoutUs, mn::kCoordClosureMergeUs}) {
-    registry.GetHistogram(name);
-  }
-  for (const char* name :
-       {mn::kServiceRecordsResident, mn::kServicePairsResident,
-        mn::kServiceComponentsResident, mn::kServiceWalOpenSegmentBytes,
-        mn::kServiceSnapshotAgeMs, mn::kCoordGlobalRecords,
-        mn::kCoordGlobalEntities}) {
-    registry.GetGauge(name);
-  }
-  // Batch sizes are small integers, not microseconds: count-scaled
-  // buckets (1..~1k by x2) instead of the default latency scale.
-  registry.GetHistogram(
-      mn::kServiceBatchRecords,
-      LatencyHistogram::ExponentialBounds(1.0, 2.0, 11));
-}
 
 RunReport::RunReport(std::string tool, MetricsRegistry* registry)
     : tool_(std::move(tool)),
@@ -64,9 +14,7 @@ RunReport::RunReport(std::string tool, MetricsRegistry* registry)
       dataset_(JsonValue::Object()),
       passes_(JsonValue::Array()),
       closure_(JsonValue::Object()),
-      outcome_(JsonValue::Object()) {
-  PreregisterStandardMetrics(*registry_);
-}
+      outcome_(JsonValue::Object()) {}
 
 void RunReport::SetConfig(std::string_view key, JsonValue value) {
   config_.Set(std::string(key), std::move(value));
@@ -116,14 +64,14 @@ void RunReport::CaptureMetrics() {
 JsonValue RunReport::ToJson() const {
   JsonValue out = JsonValue::Object();
   out.Set("tool", JsonValue(tool_));
-  out.Set("schema_version", JsonValue(2));
+  out.Set("schema_version", JsonValue(3));
   out.Set("config", config_);
   out.Set("dataset", dataset_);
   out.Set("passes", passes_);
   out.Set("closure", closure_);
   out.Set("outcome", outcome_);
   // A report without an explicit CaptureMetrics() still carries the
-  // registry's current (possibly all-zero) state.
+  // registry's current state.
   JsonValue metrics =
       metrics_captured_ ? metrics_.ToJson() : registry_->Snapshot().ToJson();
   for (auto& [key, value] : metrics.members()) {

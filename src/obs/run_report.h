@@ -1,7 +1,8 @@
 // RunReport: the machine-readable summary of one merge/purge run.
 // Collects tool identity, configuration, dataset shape, per-pass
-// SNM/clustering stats, closure stats, and a full metrics snapshot into
-// one JSON document (schema documented in docs/observability.md).
+// SNM/clustering stats, closure stats, and a metrics snapshot
+// (MetricsSnapshot::ToJson) into one JSON document (schema documented in
+// docs/observability.md).
 // Written by mergepurge_cli --metrics-out and the bench harnesses
 // (BENCH_snm.json); validated by tools/validate_report and ci.sh.
 
@@ -23,9 +24,8 @@ struct PassResult;
 
 class RunReport {
  public:
-  // Construction pre-registers the standard metric catalog in `registry`
-  // so every report carries the full key set (zeros for stages that
-  // never ran). Defaults to the global registry.
+  // The report's metrics are those registered in `registry` (by default
+  // the global one) by code that ran; an absent metric reads as zero.
   explicit RunReport(std::string tool,
                      MetricsRegistry* registry = &MetricsRegistry::Global());
 

@@ -1,7 +1,6 @@
 #include "obs/window.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 namespace mergepurge {
@@ -50,37 +49,6 @@ MetricsSnapshot DiffSnapshots(const MetricsSnapshot& older,
                                 : DiffHistograms(it->second, histogram);
   }
   return diff;
-}
-
-double HistogramQuantile(const HistogramSnapshot& histogram, double q) {
-  if (histogram.count == 0 || histogram.counts.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  double target = q * static_cast<double>(histogram.count);
-  double cumulative = 0.0;
-  for (size_t i = 0; i < histogram.counts.size(); ++i) {
-    double in_bucket = static_cast<double>(histogram.counts[i]);
-    if (in_bucket == 0.0) continue;
-    if (cumulative + in_bucket < target) {
-      cumulative += in_bucket;
-      continue;
-    }
-    if (i >= histogram.bounds.size()) {
-      // Overflow bucket: unbounded above, report the last finite bound.
-      return histogram.bounds.back();
-    }
-    double lower = i == 0 ? 0.0 : histogram.bounds[i - 1];
-    double upper = histogram.bounds[i];
-    double fraction = in_bucket == 0.0
-                          ? 0.0
-                          : std::clamp((target - cumulative) / in_bucket,
-                                       0.0, 1.0);
-    if (lower > 0.0 && upper > lower) {
-      // Geometric interpolation matches the log-spaced bucket scale.
-      return lower * std::pow(upper / lower, fraction);
-    }
-    return lower + fraction * (upper - lower);
-  }
-  return histogram.bounds.back();
 }
 
 SnapshotRing::SnapshotRing(size_t capacity)

@@ -1,7 +1,7 @@
 // Windowed-rate support for live introspection: diff two metric
-// snapshots, estimate quantiles from histogram buckets, and keep a small
-// ring of timestamped snapshots so a live service can answer "what
-// happened over the last 10 seconds" instead of only "since boot".
+// snapshots, and keep a small ring of timestamped snapshots so a live
+// service can answer "what happened over the last 10 seconds" instead of
+// only "since boot".
 //
 // The ring is fed opportunistically (the server pushes a snapshot on
 // every stats request, the loadgen on every progress tick), so windows
@@ -33,14 +33,6 @@ namespace mergepurge {
 // pass through; metrics present only in `older` are dropped.
 MetricsSnapshot DiffSnapshots(const MetricsSnapshot& older,
                               const MetricsSnapshot& newer);
-
-// Quantile estimate from bucket counts, q in [0, 1]. Interpolates
-// within the selected bucket — geometrically when the bucket's bounds
-// are positive (matching the log-spaced LatencyBounds scale), linearly
-// otherwise. The overflow bucket has no upper bound, so a rank landing
-// there reports the last finite bound (a floor, not an estimate).
-// Returns 0 for an empty histogram.
-double HistogramQuantile(const HistogramSnapshot& histogram, double q);
 
 // The result of SnapshotRing::Over: the change across the window and
 // the wall-clock span it actually covers. `valid` is false until the

@@ -55,23 +55,6 @@ const char* OpName(ServiceRequest::Op op) {
   return "unknown";
 }
 
-// {count, sum, p50, p90, p99} per histogram. Quantiles are interpolated
-// from the bucket counts (obs/window.h); *_us histograms report them in
-// microseconds.
-JsonValue HistogramSummaries(const MetricsSnapshot& snapshot) {
-  JsonValue histograms = JsonValue::Object();
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    JsonValue doc = JsonValue::Object();
-    doc.Set("count", histogram.count);
-    doc.Set("sum", histogram.sum);
-    doc.Set("p50", HistogramQuantile(histogram, 0.50));
-    doc.Set("p90", HistogramQuantile(histogram, 0.90));
-    doc.Set("p99", HistogramQuantile(histogram, 0.99));
-    histograms.Set(name, std::move(doc));
-  }
-  return histograms;
-}
-
 // Typed refusal for engine-touching ops while the service cannot serve
 // them: recovering is retryable (the client waits and resends), failed
 // is terminal.
@@ -468,19 +451,9 @@ JsonValue Server::BuildStatsExtra() {
     extra.Set("instance", options_.instance_label);
   }
 
-  JsonValue counters = JsonValue::Object();
-  for (const auto& [name, value] : snapshot.counters) {
-    counters.Set(name, value);
-  }
-  extra.Set("counters", std::move(counters));
-
-  JsonValue gauges = JsonValue::Object();
-  for (const auto& [name, value] : snapshot.gauges) {
-    gauges.Set(name, value);
-  }
-  extra.Set("gauges", std::move(gauges));
-
-  extra.Set("histograms", HistogramSummaries(snapshot));
+  // Counters, gauges and histogram summaries, as in a run report.
+  const JsonValue metrics = snapshot.ToJson();
+  for (const auto& [key, value] : metrics.members()) extra.Set(key, value);
 
   // Feed the ring AFTER summarizing, so the window never diffs a sample
   // against itself; the window then spans up to the previous
@@ -501,7 +474,8 @@ JsonValue Server::BuildStatsExtra() {
         static_cast<double>(
             window.delta.counter(metric_names::kServiceUpsertRecords)) /
             window.seconds);
-    window_doc.Set("histograms", HistogramSummaries(window.delta));
+    window_doc.Set("histograms",
+                   *window.delta.ToJson().Find("histograms"));
   }
   extra.Set("window", std::move(window_doc));
   return extra;

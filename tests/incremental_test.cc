@@ -1,8 +1,8 @@
 // IncrementalMergePurge: batch-at-a-time operation — option and schema
-// validation, all-or-nothing admission, and how entities, purge output
-// and new-pair counts evolve over batches. That any batch sequence finds
-// every pair a from-scratch run finds is the cross-path contract
-// (contract_test).
+// validation, all-or-nothing admission, how entities, purge output and
+// new-pair counts evolve over batches, and what its scans add to the
+// snm.* counters. That any batch sequence finds every pair a
+// from-scratch run finds is the cross-path contract (contract_test).
 
 #include <algorithm>
 
@@ -11,6 +11,8 @@
 #include "core/incremental.h"
 #include "gen/generator.h"
 #include "keys/standard_keys.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "rules/employee_theory.h"
 
 namespace mergepurge {
@@ -115,6 +117,67 @@ TEST(IncrementalEdgeTest, NewPairCountAccumulates) {
     total_new += *added;
   }
   EXPECT_EQ(total_new, incremental.pairs().size());
+}
+
+uint64_t SnmCounter(const char* name) {
+  return MetricsRegistry::Global().Snapshot().counter(name);
+}
+
+uint64_t RulesFired() {
+  uint64_t total = 0;
+  for (const auto& [name, value] :
+       MetricsRegistry::Global().Snapshot().counters) {
+    if (name.rfind(metric_names::kRulesFiredPrefix, 0) == 0) total += value;
+  }
+  return total;
+}
+
+// Every incremental scan counts in snm.*, on the calling thread and on
+// the pool, and so does every probe: snm.comparisons grows by the
+// theory's own count, and the rules fired sum to snm.matches.
+TEST(IncrementalEdgeTest, ScansCountInSnmCounters) {
+  GeneratorConfig config;
+  config.num_records = 1000;
+  config.seed = 31;
+  auto db = DatabaseGenerator(config).Generate();
+  ASSERT_TRUE(db.ok());
+  const Dataset& all = db->dataset;
+  MergePurgeOptions options;
+  options.keys = StandardThreeKeys();
+  options.window = 10;
+  IncrementalMergePurge engine(options);
+  EmployeeTheory theory;
+
+  const uint64_t comparisons_before =
+      SnmCounter(metric_names::kSnmComparisons);
+  const uint64_t matches_before = SnmCounter(metric_names::kSnmMatches);
+  const uint64_t fired_before = RulesFired();
+  const uint64_t theory_before = theory.comparison_count();
+
+  // 10 records scan on the calling thread; the rest enter three orders
+  // at over kPooledScanPositions positions, so they scan on the pool.
+  Dataset small(all.schema());
+  Dataset large(all.schema());
+  for (size_t t = 0; t < all.size(); ++t) {
+    (t < 10 ? small : large).Append(all.record(static_cast<TupleId>(t)));
+  }
+  ASSERT_GE(large.size() * options.keys.size(),
+            IncrementalMergePurge::kPooledScanPositions);
+  ASSERT_TRUE(engine.AddBatch(small, theory).ok());
+  ASSERT_TRUE(engine.AddBatch(large, theory).ok());
+  for (TupleId t : {0u, 17u, 400u}) {
+    ASSERT_TRUE(engine.MatchOnly(all.record(t), theory).ok());
+  }
+  theory.FlushMetrics();
+
+  const uint64_t comparisons =
+      SnmCounter(metric_names::kSnmComparisons) - comparisons_before;
+  const uint64_t matches =
+      SnmCounter(metric_names::kSnmMatches) - matches_before;
+  EXPECT_GT(comparisons, 0u);
+  EXPECT_GT(matches, 0u);
+  EXPECT_EQ(comparisons, theory.comparison_count() - theory_before);
+  EXPECT_EQ(RulesFired() - fired_before, matches);
 }
 
 }  // namespace

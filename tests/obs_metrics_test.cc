@@ -1,6 +1,6 @@
 // MetricsRegistry: counter exactness under multi-thread contention,
 // gauge semantics, histogram bucket boundaries (table-driven), registry
-// snapshot/reset behaviour, and the pre-registered standard catalog.
+// snapshot/reset behaviour, and the snapshot's JSON form.
 
 #include <cstdint>
 #include <string>
@@ -9,9 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "obs/run_report.h"
 
 namespace mergepurge {
 namespace {
@@ -141,18 +139,37 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsRegistrations) {
   EXPECT_EQ(snap.histograms.at("y.us").count, 0u);
 }
 
-TEST(MetricsRegistryTest, StandardCatalogPreregistersRequiredKeys) {
+// A snapshot lists exactly what was registered, zero or not, and writes
+// each histogram as its quantile summary, with no bucket array.
+TEST(MetricsSnapshotTest, ToJsonListsRegisteredMetricsWithSummaries) {
   MetricsRegistry registry;
-  PreregisterStandardMetrics(registry);
-  MetricsSnapshot snap = registry.Snapshot();
-  for (const char* name :
-       {metric_names::kSnmWindows, metric_names::kSnmComparisons,
-        metric_names::kClosureUnions, metric_names::kParallelTasks,
-        metric_names::kFaultsTripped}) {
-    EXPECT_TRUE(snap.counters.count(name)) << name;
-    EXPECT_EQ(snap.counter(name), 0u) << name;
-  }
-  EXPECT_TRUE(snap.histograms.count(metric_names::kSnmScanUs));
+  registry.GetCounter("z.untouched");
+  LatencyHistogram* histogram = registry.GetHistogram("z.us");
+  for (double v : {3.0, 40.0, 41.0, 500.0, 2e8}) histogram->Record(v);
+  const MetricsSnapshot snap = registry.Snapshot();
+  const JsonValue doc = snap.ToJson();
+
+  const JsonValue* counters = doc.Find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_EQ(counters->members().size(), 1u);
+  EXPECT_EQ(counters->Find("z.untouched")->int_value(), 0);
+  EXPECT_TRUE(doc.Find("gauges")->members().empty());
+
+  const JsonValue* summary = doc.Find("histograms")->Find("z.us");
+  ASSERT_NE(summary, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : summary->members()) keys.push_back(key);
+  ASSERT_EQ(keys,
+            (std::vector<std::string>{"count", "sum", "p50", "p90", "p99"}));
+  const HistogramSnapshot& h = snap.histograms.at("z.us");
+  EXPECT_EQ(summary->Find("count")->int_value(), 5);
+  EXPECT_DOUBLE_EQ(summary->Find("sum")->double_value(), h.sum);
+  EXPECT_DOUBLE_EQ(summary->Find("p50")->double_value(),
+                   HistogramQuantile(h, 0.50));
+  EXPECT_DOUBLE_EQ(summary->Find("p90")->double_value(),
+                   HistogramQuantile(h, 0.90));
+  EXPECT_DOUBLE_EQ(summary->Find("p99")->double_value(),
+                   HistogramQuantile(h, 0.99));
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
-// RunReport: the standard catalog is pre-registered at zero, and pass and
-// closure stats serialize into a document that round-trips through text.
+// RunReport: a report lists only the metrics its registry holds, writes
+// histograms as quantile summaries, and serializes pass and closure stats
+// into a document that round-trips through text.
+
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,26 +18,43 @@ namespace {
 
 namespace mn = metric_names;
 
-TEST(RunReportTest, PreregisteredKeysPresentAtZero) {
+TEST(RunReportTest, FreshRegistryReportsNoMetrics) {
   MetricsRegistry registry;
   RunReport report("unit", &registry);
   report.SetOutcome(true);
   report.CaptureMetrics();
   JsonValue doc = report.ToJson();
-  const JsonValue* counters = doc.Find("counters");
-  ASSERT_NE(counters, nullptr);
-  for (const char* name :
-       {mn::kSnmWindows, mn::kSnmComparisons, mn::kClosureUnions,
-        mn::kParallelTasks, mn::kFaultsTripped, mn::kCheckpointSaves}) {
-    const JsonValue* value = counters->Find(name);
-    ASSERT_NE(value, nullptr) << name;
-    EXPECT_EQ(value->int_value(), 0) << name;
-  }
-  const JsonValue* histograms = doc.Find("histograms");
-  ASSERT_NE(histograms, nullptr);
-  EXPECT_NE(histograms->Find(mn::kSnmScanUs), nullptr);
+  ASSERT_NE(doc.Find("counters"), nullptr);
+  ASSERT_NE(doc.Find("histograms"), nullptr);
+  EXPECT_TRUE(doc.Find("counters")->members().empty());
+  EXPECT_TRUE(doc.Find("histograms")->members().empty());
+  EXPECT_EQ(doc.Find("schema_version")->int_value(), 3);
   EXPECT_EQ(doc.Find("tool")->string_value(), "unit");
   EXPECT_TRUE(doc.Find("outcome")->Find("ok")->bool_value());
+}
+
+TEST(RunReportTest, HistogramsSerializeAsQuantileSummaries) {
+  MetricsRegistry registry;
+  LatencyHistogram* scan_us = registry.GetHistogram(mn::kSnmScanUs);
+  for (double v : {12.0, 90.0, 95.0, 7000.0}) scan_us->Record(v);
+  RunReport report("unit", &registry);
+  report.CaptureMetrics();
+  JsonValue doc = report.ToJson();
+  const JsonValue* summary = doc.Find("histograms")->Find(mn::kSnmScanUs);
+  ASSERT_NE(summary, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : summary->members()) keys.push_back(key);
+  ASSERT_EQ(keys,
+            (std::vector<std::string>{"count", "sum", "p50", "p90", "p99"}));
+  const HistogramSnapshot h = scan_us->Snapshot();
+  EXPECT_EQ(summary->Find("count")->int_value(), 4);
+  EXPECT_DOUBLE_EQ(summary->Find("sum")->double_value(), h.sum);
+  EXPECT_DOUBLE_EQ(summary->Find("p50")->double_value(),
+                   HistogramQuantile(h, 0.50));
+  EXPECT_DOUBLE_EQ(summary->Find("p90")->double_value(),
+                   HistogramQuantile(h, 0.90));
+  EXPECT_DOUBLE_EQ(summary->Find("p99")->double_value(),
+                   HistogramQuantile(h, 0.99));
 }
 
 TEST(RunReportTest, SerializesPassAndClosureStats) {

@@ -1,7 +1,8 @@
 // Windowed-rate math for live introspection (obs/window.h): snapshot
 // diffing with counter-reset detection, quantile estimation from bucket
-// counts, and the timestamped snapshot ring that turns "since boot"
-// metrics into "over the last N seconds" rates.
+// counts (HistogramQuantile, obs/metrics.h), and the timestamped snapshot
+// ring that turns "since boot" metrics into "over the last N seconds"
+// rates.
 
 #include <gtest/gtest.h>
 

@@ -19,6 +19,7 @@
 
 #include "core/incremental.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rules/employee_theory.h"
 #include "service/batcher.h"
@@ -688,8 +689,24 @@ TEST_F(ServerTest, StatsCarriesIntrospectionSections) {
       stats.Find("histograms")->Find("service.upsert_us");
   ASSERT_NE(upsert_us, nullptr);
   EXPECT_GE(upsert_us->Find("count")->int_value(), 1);
-  EXPECT_NE(upsert_us->Find("p50"), nullptr);
-  EXPECT_NE(upsert_us->Find("p99"), nullptr);
+  // Each histogram is MetricsSnapshot::ToJson's summary, the form a run
+  // report writes: exactly {count, sum, p50, p90, p99}. This connection
+  // is idle, so the registry still holds what the reply summarized.
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : upsert_us->members()) keys.push_back(key);
+  ASSERT_EQ(keys,
+            (std::vector<std::string>{"count", "sum", "p50", "p90", "p99"}));
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(upsert_us->Dump(), snapshot.ToJson()
+                                   .Find("histograms")
+                                   ->Find("service.upsert_us")
+                                   ->Dump());
+  const HistogramSnapshot& upsert_h =
+      snapshot.histograms.at("service.upsert_us");
+  EXPECT_DOUBLE_EQ(upsert_us->Find("p50")->double_value(),
+                   HistogramQuantile(upsert_h, 0.50));
+  EXPECT_DOUBLE_EQ(upsert_us->Find("p99")->double_value(),
+                   HistogramQuantile(upsert_h, 0.99));
   // Commit-pipeline stage attribution rides in the same histogram map.
   const JsonValue* apply_us =
       stats.Find("histograms")->Find("service.stage.apply_us");

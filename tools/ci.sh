@@ -134,8 +134,7 @@ echo "=== obs e2e (${obs_dir}) ==="
 "${root}/build/tools/validate_report" --file="${obs_dir}/metrics.json" \
   passes closure outcome \
   counters/snm.windows counters/snm.comparisons counters/snm.matches \
-  counters/closure.unions \
-  counters/faults.tripped histograms/snm.scan_us histograms/closure.us
+  counters/closure.unions histograms/snm.scan_us histograms/closure.us
 "${root}/build/tools/validate_report" --file="${obs_dir}/trace.json" \
   traceEvents displayTimeUnit
 "${root}/build/tools/mergepurge" --input="${obs_dir}/out.csv" \
@@ -187,6 +186,16 @@ done
 # that shrinks as better candidates appear.
 one_and_all_cpus spell --gen=20000 --spell-city
 echo "ci: cpu-count ok: one CPU and every CPU give identical output"
+
+# check_bench_lines <file>: a BENCH file lists only the metrics its run
+# registered, each histogram as a summary, so it stays readable.
+check_bench_lines() {
+  bench_lines="$(wc -l < "$1")"
+  if [ "${bench_lines}" -ge 500 ]; then
+    echo "ci: $1 is ${bench_lines} lines; a BENCH file must stay under 500" >&2
+    exit 1
+  fi
+}
 
 # Service e2e: serve on an ephemeral loopback port — WAL durability ON
 # (--data-dir, --fsync=group) so the latency gate below prices the WAL
@@ -330,6 +339,7 @@ fi
   counters/service.requests counters/service.upsert_records \
   counters/service.batches counters/service.wal.appends \
   counters/service.wal.fsyncs counters/service.wal.bytes \
+  counters/snm.windows counters/snm.comparisons counters/snm.matches \
   histograms/service.request_us \
   histograms/service.match_us histograms/service.upsert_us \
   histograms/service.queue_wait_us histograms/service.batch_records \
@@ -339,6 +349,7 @@ fi
   gauges/service.records_resident gauges/service.pairs_resident \
   gauges/service.components_resident
 cp "${svc_dir}/BENCH_service.json" "${root}/BENCH_service.json"
+check_bench_lines "${root}/BENCH_service.json"
 
 # Crash-recovery e2e: kill -9 the server mid-stream, restart it on the
 # SAME port over the same --data-dir, and require (a) the loadgen —
@@ -513,6 +524,7 @@ for i in 0 1 2 3; do
   }
 done
 cp "${coord_dir}/BENCH_coord.json" "${root}/BENCH_coord.json"
+check_bench_lines "${root}/BENCH_coord.json"
 
 # Phase 2: crash a shard under durable load, restart it, check the
 # invariance. Sequential (--threads=1, fixed seed) so the reference
@@ -621,6 +633,7 @@ wait "$(cat "${coord_dir}/pid_ref")" || true
 echo "=== bench gates ==="
 "${root}/build/bench/bench_snm" --records=20000 --window=10 --repeat=3 \
   --seed=42 --out="${root}/BENCH_snm.json"
+check_bench_lines "${root}/BENCH_snm.json"
 # The report's counters describe the best run only, the same run its
 # passes describe; every match the scan counts has a fired rule; and the
 # window-scan layer numbers derived from that run are present and
